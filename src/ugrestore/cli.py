@@ -96,7 +96,7 @@ def cmd_solve(args) -> int:
             "runtime_s": runtime,
         }
         _emit(args, payload, f"status: {sol.status}  {sol.infeasible_hint}")
-        return EXIT_NO_INCUMBENT if sol.status == "time_limit" else EXIT_STRUCTURAL
+        return EXIT_STRUCTURAL if sol.status == "infeasible" else EXIT_NO_INCUMBENT
     plan = RestorationPlan.from_solution(
         model,
         sol.x,

@@ -33,6 +33,10 @@ class ConeRow(NamedTuple):
     family: str
     loc: tuple
 
+    def point(self, x: np.ndarray) -> tuple[float, float, float, float]:
+        """The cone's (I, V, P, Q) values in the full vector ``x``."""
+        return tuple(float(x[c]) for c in (self.col_i, self.col_v, self.col_p, self.col_q))
+
 
 @dataclass
 class Violation:

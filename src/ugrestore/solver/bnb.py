@@ -1,13 +1,19 @@
 """Best-first branch-and-bound over the LP relaxation with lazy cone cuts.
 
-Nodes store only their fixings and an inherited bound; the LP is solved at
-pop time with the current cut pool, refined by a small outer-approximation
-budget, and branched most-fractional-first (ties by catalog order, then by
-the seeded tie-breaker).  Integral candidates get a full refinement loop and
-are accepted as incumbents only after an independent replay of every linear
-row, cone row and column bound.  The cut pool is shared across the tree and
-capped per cone; any subset of valid cuts keeps node bounds valid, so both
-the cap and the sharing are sound.
+The search owns one :class:`LpBackend`, which pins each node's fixings, keeps
+the outer-approximation cut pool (shared across the tree, capped per cone)
+and hands HiGHS the time left before the deadline.  Nodes store only their
+fixings and an inherited bound; the LP is solved at pop time, refined by a
+small outer-approximation budget (separate, add the worst tangents, re-solve)
+and branched most-fractional-first (ties by catalog order, then by the seeded
+tie-breaker).  Integral candidates get a full refinement loop and are
+accepted as incumbents only after an independent replay of every linear row,
+cone row and column bound.
+
+Only an ``infeasible`` LP prunes a node.  An LP that ends as ``error`` or
+``unbounded`` (an LP cut off at the deadline ends as ``error``) leaves its
+subtree open: the node's inherited bound stays in the proven bound, +inf at
+the root, so the solve cannot claim ``optimal`` past it.
 
 A caller-supplied diving heuristic (see the warm-start module) is invoked
 periodically on the current relaxation point to pull the incumbent up
@@ -26,7 +32,13 @@ import numpy as np
 
 from ugrestore.model import LinearModel
 from ugrestore.solver.cuts import cone_violations, soc_cut
-from ugrestore.solver.lp import Cut, LpBackend, LpResult
+from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint
+
+MAX_OA_ROUNDS = 80  # at the root and at integral candidates
+OA_ROUNDS_FRACTIONAL = 2  # at every other node
+CUTS_PER_ROUND = 20  # tangents added per round, at the worst violated cones
+INT_TOL = 1e-6
+DIVE_EVERY = 20  # nodes between diver calls
 
 
 @dataclass(frozen=True)
@@ -34,16 +46,10 @@ class SolverOptions:
     time_limit_s: float = 600.0
     rel_gap: float = 1e-3
     abs_gap: float = 1e-7
-    max_oa_cuts_per_node: int = 80
-    oa_rounds_fractional: int = 2
     oa_tol: float = 1e-9
     oa_search_tol: float = 1e-4
-    int_tol: float = 1e-6
     seed: int = 0
-    node_limit: int | None = None
     replay_tol: float = 1e-6
-    dive_every: int = 20
-    cuts_per_cone: int = 8
 
     def __post_init__(self) -> None:
         if self.time_limit_s <= 0:
@@ -54,7 +60,9 @@ class SolverOptions:
 
 @dataclass
 class Solution:
-    status: str  # optimal | feasible | infeasible | time_limit
+    # optimal | feasible | infeasible | time_limit, or error when an LP
+    # failed, no incumbent was found and the time limit did not pass
+    status: str
     x: np.ndarray | None
     objective: float
     bound: float
@@ -79,22 +87,22 @@ class _Node:
     neg_bound: float
     tie: int
     fixes: dict[int, float] = field(compare=False)
+    lp: LpResult | None = field(compare=False, default=None)  # solved already
 
 
 class _Search:
-    def __init__(self, model: LinearModel, options: SolverOptions) -> None:
+    def __init__(self, model: LinearModel, options: SolverOptions, deadline: float) -> None:
         self.model = model
         self.opts = options
-        self.deadline: float | None = None
-        self.backend = LpBackend(model)
-        self.pool: list[Cut] = []
-        self._cone_slots: dict[int, list[int]] = {}
-        self._cone_next: dict[int, int] = {}
-        self.lp_count = 0
+        self.backend = LpBackend(model, deadline)
         self.rng = np.random.default_rng(options.seed)
         self.inc_x: np.ndarray | None = None
         self.inc_val = -np.inf
         self.inc_src = ""
+        self.open_bound = -np.inf  # best inherited bound of the subtrees left open
+
+    def out_of_time(self) -> bool:
+        return time.monotonic() > self.backend.deadline
 
     # -- incumbent ------------------------------------------------------------
 
@@ -107,67 +115,40 @@ class _Search:
             return True
         return False
 
-    def prune_tol(self) -> float:
-        if self.inc_val == -np.inf:
-            return 0.0
-        return max(self.opts.abs_gap, self.opts.rel_gap * max(1.0, abs(self.inc_val)))
+    def dominated(self, bound: float) -> bool:
+        if self.inc_x is None:
+            return False
+        tol = max(self.opts.abs_gap, self.opts.rel_gap * max(1.0, abs(self.inc_val)))
+        return bound <= self.inc_val + tol
 
-    # -- LP plumbing ------------------------------------------------------------
+    # -- relaxation -------------------------------------------------------------
 
-    def solve_lp(self, fixes: dict[int, float]) -> LpResult:
-        lb = self.model.col_lb.copy()
-        ub = self.model.col_ub.copy()
-        for col, val in fixes.items():
-            lb[col] = val
-            ub[col] = val
-        self.lp_count += 1
-        return self.backend.solve(lb, ub, self.pool)
-
-    def _add_cut(self, cone_idx: int, cut: Cut) -> None:
-        cap = self.opts.cuts_per_cone
-        slots = self._cone_slots.setdefault(cone_idx, [])
-        if len(slots) < cap:
-            slots.append(len(self.pool))
-            self.pool.append(cut)
-        else:
-            pos = self._cone_next.get(cone_idx, 0) % cap
-            self.pool[slots[pos]] = cut
-            self._cone_next[cone_idx] = pos + 1
+    def leave_open(self, res: LpResult, bound: float) -> None:
+        """Only an infeasible LP closes a node; any other failure keeps its bound."""
+        if res.status != "infeasible":
+            self.open_bound = max(self.open_bound, bound)
 
     def oa_refine(
         self, fixes: dict[int, float], res: LpResult, rounds: int, tol: float | None = None
     ) -> LpResult:
-        done = 0
         tol = self.opts.oa_tol if tol is None else tol
-        while res.ok and done < rounds:
-            if self.deadline is not None and time.monotonic() > self.deadline:
+        for _ in range(rounds):
+            if not res.ok or self.out_of_time():
                 break
             viol = cone_violations(self.model, res.x, tol)
             if not viol:
                 break
-            for idx, _ in viol[:20]:
+            for idx, _ in viol[:CUTS_PER_ROUND]:
                 cone = self.model.cones[idx]
-                self._add_cut(
-                    idx,
-                    soc_cut(
-                        (
-                            float(res.x[cone.col_i]),
-                            float(res.x[cone.col_v]),
-                            float(res.x[cone.col_p]),
-                            float(res.x[cone.col_q]),
-                        ),
-                        cone,
-                    ),
-                )
-            done += 1
-            res = self.solve_lp(fixes)
+                self.backend.add_cut(idx, soc_cut(cone.point(res.x), cone))
+            res = self.backend.solve(fixes)
         return res
 
     def fractional_binaries(self, x: np.ndarray) -> list[int]:
         cols = self.model.free_binary_columns
         vals = x[cols]
         frac = np.abs(vals - np.round(vals))
-        return [int(c) for c, f in zip(cols, frac) if f > self.opts.int_tol]
+        return [int(c) for c, f in zip(cols, frac) if f > INT_TOL]
 
     def pick_branch(self, x: np.ndarray, cand: list[int]) -> int:
         dist = [abs(x[c] - round(x[c])) for c in cand]
@@ -176,58 +157,6 @@ class _Search:
         if len(tied) > 1 and self.opts.seed:
             return int(tied[self.rng.integers(0, len(tied))])
         return int(tied[0])
-
-
-def _infeasibility_hint(model: LinearModel) -> str:
-    """Name row families whose removal restores LP feasibility."""
-    if model.nrows > 60000:
-        return ""
-    fams = sorted(set(model.families))
-    fam_idx = {f: i for i, f in enumerate(fams)}
-    fam_arr = np.array([fam_idx[f] for f in model.families])
-    hints = []
-    for fi, fam in enumerate(fams):
-        keep = fam_arr != fi
-        sub = LinearModel(
-            catalog=model.catalog,
-            col_lb=model.col_lb,
-            col_ub=model.col_ub,
-            col_binary=model.col_binary,
-            obj=model.obj,
-            coo_r=None,
-            coo_c=None,
-            coo_v=None,
-            sense=model.sense[keep],
-            rhs=model.rhs[keep],
-            families=[f for f in model.families if f != fam],
-            locs=[],
-            cones=[],
-            meta=model.meta,
-        )
-        sub._matrix = model.matrix()[keep]
-        res = LpBackend(sub).solve(model.col_lb, model.col_ub)
-        if res.ok:
-            hints.append(fam)
-        if len(hints) >= 3:
-            break
-    if hints:
-        return "relaxing any of these families restores feasibility: " + ", ".join(hints)
-    return "no single row family explains the infeasibility"
-
-
-def _no_incumbent(search: _Search, status: str, t0: float, kwh: float, nodes: int) -> Solution:
-    return Solution(
-        status=status,
-        x=None,
-        objective=-np.inf,
-        bound=-np.inf,
-        gap=np.inf,
-        node_count=nodes,
-        cut_count=len(search.pool),
-        runtime_s=time.monotonic() - t0,
-        kwh_factor=kwh,
-        infeasible_hint=_infeasibility_hint(search.model) if status == "infeasible" else "",
-    )
 
 
 def solve(
@@ -245,77 +174,69 @@ def solve(
     """
     opts = options or SolverOptions()
     t0 = time.monotonic()
-    search = _Search(model, opts)
-    search.deadline = t0 + opts.time_limit_s
+    search = _Search(model, opts, deadline=t0 + opts.time_limit_s)
     kwh = float(model.meta.get("kw_base", 1.0))
-    nodes = 0
 
     if warm_start is not None:
         search.offer_incumbent(warm_start, warm_start_source)
 
-    root = search.solve_lp({})
-    nodes += 1
-    if root.status == "infeasible":
-        return _no_incumbent(search, "infeasible", t0, kwh, nodes)
-    root = search.oa_refine({}, root, opts.max_oa_cuts_per_node, tol=opts.oa_search_tol)
-    if root.status == "infeasible":
-        return _no_incumbent(search, "infeasible", t0, kwh, nodes)
-
     tie = itertools.count()
     heap: list[_Node] = []
-    proven_bound = root.objective
+    proven_bound = -np.inf  # best-first: no node in the heap exceeds it
     timed_out = False
-    first = True
-    pending_root = root
 
-    heapq.heappush(heap, _Node(-root.objective, next(tie), {}))
+    root = search.oa_refine({}, search.backend.solve(), MAX_OA_ROUNDS, tol=opts.oa_search_tol)
+    nodes = 1
+    if root.ok:
+        proven_bound = root.objective
+        heapq.heappush(heap, _Node(-root.objective, next(tie), {}, root))
+    else:
+        search.leave_open(root, np.inf)
 
     while heap:
-        if time.monotonic() - t0 > opts.time_limit_s:
-            timed_out = True
-            break
-        if opts.node_limit is not None and nodes >= opts.node_limit:
+        if search.out_of_time():
             timed_out = True
             break
         node = heapq.heappop(heap)
         bound = -node.neg_bound
-        proven_bound = bound  # best-first: no open node exceeds this
-        if search.inc_x is not None and bound <= search.inc_val + search.prune_tol():
+        proven_bound = bound
+        if search.dominated(bound):
             proven_bound = max(bound, search.inc_val)
             break
 
-        if first:
-            res, first = pending_root, False
-        else:
+        res = node.lp
+        if res is None:
             nodes += 1
-            res = search.solve_lp(node.fixes)
-            if not res.ok:
-                continue
             res = search.oa_refine(
-                node.fixes, res, opts.oa_rounds_fractional, tol=opts.oa_search_tol
+                node.fixes,
+                search.backend.solve(node.fixes),
+                OA_ROUNDS_FRACTIONAL,
+                tol=opts.oa_search_tol,
             )
-            if not res.ok:
-                continue
+        if not res.ok:
+            search.leave_open(res, bound)
+            continue
         bound = min(bound, res.objective)
-        if search.inc_x is not None and bound <= search.inc_val + search.prune_tol():
+        if search.dominated(bound):
             continue
 
         frac = search.fractional_binaries(res.x)
         if not frac:
-            res = search.oa_refine(node.fixes, res, opts.max_oa_cuts_per_node)
+            res = search.oa_refine(node.fixes, res, MAX_OA_ROUNDS)
             if not res.ok:
+                search.leave_open(res, bound)
                 continue
             bound = min(bound, res.objective)
             frac = search.fractional_binaries(res.x)
             if not frac:
                 search.offer_incumbent(res.x, "branch-and-bound")
                 continue
-            if search.inc_x is not None and bound <= search.inc_val + search.prune_tol():
+            if search.dominated(bound):
                 continue
 
         if (
             diver is not None
-            and nodes % opts.dive_every == 1
+            and nodes % DIVE_EVERY == 1
             and time.monotonic() - t0 < 0.8 * opts.time_limit_s
         ):
             dived = diver(res.x)
@@ -328,20 +249,25 @@ def solve(
             fixes[col] = val
             heapq.heappush(heap, _Node(-bound, next(tie), fixes))
 
-    runtime = time.monotonic() - t0
-    if search.inc_x is None:
-        status = "time_limit" if timed_out else "infeasible"
-        return _no_incumbent(search, status, t0, kwh, nodes)
-
     if not heap and not timed_out:
         proven_bound = search.inc_val
-    gap = max(0.0, (proven_bound - search.inc_val) / max(1.0, abs(search.inc_val)))
-    if timed_out and gap > opts.rel_gap:
-        status = "time_limit"
-    elif gap <= opts.rel_gap + 1e-15:
-        status = "optimal"
+    proven_bound = max(proven_bound, search.open_bound)
+    # an LP cut off at the deadline left its node open: the time limit ended the search
+    timed_out = timed_out or (search.open_bound > -np.inf and search.out_of_time())
+    if search.inc_x is None:
+        gap = np.inf
+        if timed_out:
+            status = "time_limit"
+        else:
+            status = "error" if search.open_bound > -np.inf else "infeasible"
     else:
-        status = "feasible"
+        gap = max(0.0, (proven_bound - search.inc_val) / max(1.0, abs(search.inc_val)))
+        if timed_out and gap > opts.rel_gap:
+            status = "time_limit"
+        elif gap <= opts.rel_gap + 1e-15:
+            status = "optimal"
+        else:
+            status = "feasible"
     return Solution(
         status=status,
         x=search.inc_x,
@@ -349,8 +275,9 @@ def solve(
         bound=proven_bound,
         gap=gap,
         node_count=nodes,
-        cut_count=len(search.pool),
-        runtime_s=runtime,
+        cut_count=len(search.backend.cuts),
+        runtime_s=time.monotonic() - t0,
         kwh_factor=kwh,
+        infeasible_hint=infeasibility_hint(model) if status == "infeasible" else "",
         incumbent_source=search.inc_src,
     )

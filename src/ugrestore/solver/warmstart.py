@@ -4,7 +4,9 @@ Both build the same kind of structural skeleton: a spanning forest anchoring
 the microgrids, a closing schedule per switchgear, one phase assignment per
 closed period, and the implied event/selector binaries.  The LP relaxation
 with the skeleton pinned then produces the dispatch; storage on/off flags
-are rounded from the first pass and the LP is re-solved.
+are rounded from the first pass and the LP is re-solved.  Each of the two
+owns one :class:`LpBackend`, whose capped cut pool carries over from call to
+call.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
@@ -22,7 +24,7 @@ from ugrestore.feeder import FeederCase
 from ugrestore.formulation import bypass_eligible, gate_threshold_pu, lateral_demand_pu
 from ugrestore.model import LinearModel
 from ugrestore.physics import PERMUTATIONS
-from ugrestore.solver.bnb import SolverOptions
+from ugrestore.solver.bnb import CUTS_PER_ROUND, INT_TOL, MAX_OA_ROUNDS, SolverOptions
 from ugrestore.solver.cuts import cone_violations, soc_cut
 from ugrestore.solver.lp import LpBackend
 
@@ -264,8 +266,7 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
     backend = LpBackend(model)
     cat = model.catalog
     ferro = bool(model.meta.get("ferro_gate", True))
-    memo: dict = {}
-    shared_pool: list = []
+    last: dict = {}  # the last skeleton and its result; repeats come back to back
 
     def diver(x_lp: np.ndarray) -> np.ndarray | None:
         priority = {
@@ -304,20 +305,16 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
         if fixes is None:
             return None
         key = tuple(sorted(fixes.items()))
-        if key in memo:
-            return memo[key]
-        out = _resolve(model, backend, fixes, opts, pool=shared_pool)
-        memo[key] = out
-        return out
+        if key not in last:
+            last.clear()
+            last[key] = _resolve(model, backend, fixes, opts)
+        return last[key]
 
     return diver
 
 
-def _resolve(
-    model, backend: LpBackend, fixes: dict[int, float], opts: SolverOptions, pool: list | None = None
-):
-    pool = [] if pool is None else pool
-    x = _lp_with_oa(model, backend, fixes, pool, opts)
+def _resolve(model, backend: LpBackend, fixes: dict[int, float], opts: SolverOptions):
+    x = _lp_with_oa(backend, fixes, opts)
     if x is None:
         return None
     cat = model.catalog
@@ -337,18 +334,18 @@ def _resolve(
             cat.col("ess_dis_on", (k, t)), 0.0
         ) > 0.5:
             fixes[cat.col("ess_ch_on", (k, t))] = 0.0
-    x = _lp_with_oa(model, backend, fixes, pool, opts)
+    x = _lp_with_oa(backend, fixes, opts)
     if x is None:
         return None
     frac = np.flatnonzero(
         model.col_binary
         & (model.col_lb < model.col_ub)
-        & (np.abs(x - np.round(x)) > opts.int_tol)
+        & (np.abs(x - np.round(x)) > INT_TOL)
     )
     for col in frac:
         fixes[int(col)] = float(np.round(x[col]))
     if frac.size:
-        x = _lp_with_oa(model, backend, fixes, pool, opts)
+        x = _lp_with_oa(backend, fixes, opts)
         if x is None:
             return None
     if model.check_solution(x, opts.replay_tol, opts.replay_tol):
@@ -356,35 +353,17 @@ def _resolve(
     return x
 
 
-def _lp_with_oa(model, backend, fixes, pool, opts):
-    lb = model.col_lb.copy()
-    ub = model.col_ub.copy()
-    for col, val in fixes.items():
-        if val < lb[col] - 1e-9 or val > ub[col] + 1e-9:
-            return None
-        lb[col] = val
-        ub[col] = val
-    res = backend.solve(lb, ub, pool)
-    rounds = 0
-    while res.ok and rounds < opts.max_oa_cuts_per_node:
+def _lp_with_oa(backend: LpBackend, fixes: dict[int, float], opts: SolverOptions):
+    model = backend.model
+    res = backend.solve(fixes)
+    for _ in range(MAX_OA_ROUNDS):
+        if not res.ok:
+            break
         viol = cone_violations(model, res.x, opts.oa_tol)
         if not viol:
             break
-        for idx, _ in viol[:20]:
+        for idx, _ in viol[:CUTS_PER_ROUND]:
             cone = model.cones[idx]
-            pool.append(
-                soc_cut(
-                    (
-                        float(res.x[cone.col_i]),
-                        float(res.x[cone.col_v]),
-                        float(res.x[cone.col_p]),
-                        float(res.x[cone.col_q]),
-                    ),
-                    cone,
-                )
-            )
-        res = backend.solve(lb, ub, pool)
-        rounds += 1
-    if not res.ok:
-        return None
-    return res.x
+            backend.add_cut(idx, soc_cut(cone.point(res.x), cone))
+        res = backend.solve(fixes)
+    return res.x if res.ok else None

@@ -291,6 +291,7 @@ def test_09_directional_comparatives():
     case = shipped_case("reduced13")
     opts = SolverOptions(time_limit_s=70, rel_gap=5e-3)
     results = {}
+    bounds = {}
     times = {}
     for label, kw in (
         ("swap+gate", {}),
@@ -302,8 +303,12 @@ def test_09_directional_comparatives():
         times[label] = time.monotonic() - t0
         assert times[label] < 120.0, f"{label} exceeded the solve budget"
         results[label] = sol.objective_kwh
+        bounds[label] = sol.bound * sol.kwh_factor
     assert results["noswap+gate"] <= results["swap+gate"] + 1e-6
     assert results["swap+gate"] <= results["swap+nogate"] + 1e-6
+    # the same order by proof: each restricted plan stays under the relaxed proven bound
+    assert results["noswap+gate"] <= bounds["swap+gate"] + 1e-6
+    assert results["swap+gate"] <= bounds["swap+nogate"] + 1e-6
     _report(
         9,
         f"no-swap {results['noswap+gate']:.1f} <= swap {results['swap+gate']:.1f} <= "

@@ -14,12 +14,12 @@ from ugrestore.physics import PERMUTATIONS
 from ugrestore.solver import (
     SolverOptions,
     greedy_warm_start,
-    lp_relax_solve,
     make_diver,
     solve,
 )
+from ugrestore.solver import lp
 from ugrestore.solver.cuts import NoCutError, cone_violations, initial_cone_cuts, soc_cut
-from ugrestore.solver.lp import LpBackend
+from ugrestore.solver.lp import CUTS_PER_CONE, Cut, LpBackend, LpResult
 
 EXACT = SolverOptions(time_limit_s=120, rel_gap=0.0, abs_gap=1e-11, oa_tol=1e-9, oa_search_tol=1e-8)
 
@@ -31,7 +31,7 @@ class TestLpRelax:
         b = ModelBuilder(cat)
         b.add_obj(cat.col("x", 0), 1.0)
         model = b.build({})
-        res = lp_relax_solve(model)
+        res = LpBackend(model).solve()
         assert res.ok and res.objective == pytest.approx(3.0)
 
     def test_inconsistent_fixing_prunes(self):
@@ -39,7 +39,7 @@ class TestLpRelax:
         cat.add_group("x", [0], binary=True)
         b = ModelBuilder(cat)
         model = b.build({})
-        res = lp_relax_solve(model, fixed={0: 2.0})
+        res = LpBackend(model).solve({0: 2.0})
         assert res.status == "infeasible"
 
     def test_degenerate_determinism(self):
@@ -50,9 +50,62 @@ class TestLpRelax:
         b.add_obj(0, 1.0)
         b.add_obj(1, 1.0)
         model = b.build({})
-        xs = [lp_relax_solve(model).x for _ in range(3)]
+        xs = [LpBackend(model).solve().x for _ in range(3)]
         for x in xs[1:]:
             assert np.array_equal(x, xs[0])
+
+
+class TestLpBackend:
+    def test_cut_pool_capped_per_cone_round_robin(self):
+        cat, model = _cone_fixture()
+        backend = LpBackend(model)
+        cuts = [Cut(cols=(0,), coefs=(1.0,), rhs=4.0 + k) for k in range(CUTS_PER_CONE + 3)]
+        for cut in cuts:
+            backend.add_cut(0, cut)
+        backend.add_cut(1, cuts[0])
+        # the three newest cuts on cone 0 replaced its three oldest, in order
+        want = cuts[CUTS_PER_CONE:] + cuts[3:CUTS_PER_CONE] + [cuts[0]]
+        assert backend.cuts == want
+        assert backend.solve().ok
+
+    def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
+        cat, model = _cone_fixture()
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an inconsistent fixing must not reach HiGHS")
+
+        monkeypatch.setattr(lp, "linprog", no_lp)
+        assert LpBackend(model).solve({cat.col("v", 0): 2.0}).status == "infeasible"
+
+    def test_deadline_becomes_highs_time_limit(self, monkeypatch):
+        cat, model = _cone_fixture()
+        seen = []
+        real = lp.linprog
+
+        def spy(*args, options, **kwargs):
+            seen.append(options.get("time_limit"))
+            return real(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(lp, "linprog", spy)
+        assert LpBackend(model).solve().ok
+        assert seen == [None]  # no deadline, no limit
+        assert LpBackend(model, deadline=time.monotonic() + 5.0).solve().ok
+        assert 0.0 < seen[-1] <= 5.0
+        LpBackend(model, deadline=time.monotonic() - 1.0).solve()
+        assert seen[-1] == 0.0
+
+    def test_bundled_highs_iis_api(self):
+        import importlib
+
+        where = "scipy.optimize._highspy._core"
+        try:
+            core = importlib.import_module(where)
+        except ImportError as exc:
+            pytest.fail(f"{where} moved ({exc}); update the IIS import in ugrestore/solver/lp.py")
+        for name in ("_Highs", "HighsIis", "MatrixFormat"):
+            assert hasattr(core, name), f"{where}.{name} is gone; update ugrestore/solver/lp.py"
+        assert hasattr(core._Highs, "getIis"), f"{where}._Highs.getIis is gone; update lp.py"
+        assert lp._Highs is core._Highs
 
 
 def _cone_fixture():
@@ -96,21 +149,16 @@ class TestSocCut:
     def test_iterated_cutting_converges(self):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
-        cuts = []
         x = None
         for rounds in range(50):
-            res = backend.solve(model.col_lb, model.col_ub, cuts)
+            res = backend.solve()
             assert res.ok
             x = res.x
             viol = cone_violations(model, x, 1e-6)
             if not viol:
                 break
             cone = model.cones[viol[0][0]]
-            cuts.append(
-                soc_cut(
-                    (x[cone.col_i], x[cone.col_v], x[cone.col_p], x[cone.col_q]), cone
-                )
-            )
+            backend.add_cut(viol[0][0], soc_cut(cone.point(x), cone))
         assert rounds < 50
         slack = model.cone_values(x)[0]
         assert slack >= -1e-6
@@ -265,11 +313,11 @@ class TestSearchBehavior:
     def test_bound_monotone_under_fixing(self, toy_fork):
         model = build_model(toy_fork)
         backend = LpBackend(model)
-        parent = lp_relax_solve(model, backend=backend)
+        parent = backend.solve()
         assert parent.ok
         for col in model.free_binary_columns[:6]:
             for val in (0.0, 1.0):
-                child = lp_relax_solve(model, fixed={int(col): val}, backend=backend)
+                child = backend.solve({int(col): val})
                 if child.ok:
                     assert child.objective <= parent.objective + 1e-9
 
@@ -286,11 +334,115 @@ class TestSearchBehavior:
         assert sol.status == "infeasible"
         assert "wire-consistent" in sol.infeasible_hint
 
+    def test_infeasible_hint_is_the_iis(self):
+        model = build_model(load_minimal())
+        col = model.catalog.col("u", ("n1", 0))
+        model.col_lb[col] = 0.0
+        model.col_ub[col] = 0.0
+        hint = lp.infeasibility_hint(model)
+        assert "wire-consistent" in hint
+        assert "u[s,0]" in hint and "u[n1,0]" in hint
+
     def test_incumbent_passes_replay(self, toy_pv):
         model = build_model(toy_pv)
         sol = solve(model, EXACT)
         assert sol.status == "optimal"
         assert model.check_solution(sol.x, 1e-6, 1e-6) == []
+
+
+def _fail_once(monkeypatch, when):
+    """Make the first ``LpBackend.solve`` call whose fixings match ``when`` end as error.
+
+    Returns the objectives of the root LPs solved before that call, last
+    one the bound every child of the root inherits.
+    """
+    real = LpBackend.solve
+    failed = []
+    root_objs = []
+
+    def flaky(self, fixes=None):
+        if not failed and when(fixes or {}):
+            failed.append(dict(fixes or {}))
+            return LpResult(status="error", x=None, objective=-np.inf)
+        res = real(self, fixes)
+        if not failed and not fixes:
+            root_objs.append(res.objective)
+        return res
+
+    monkeypatch.setattr(LpBackend, "solve", flaky)
+    return failed, root_objs
+
+
+class TestLpFailures:
+    """Only an infeasible LP prunes; a failed or cut-off LP keeps its node's bound."""
+
+    def test_root_error_proves_nothing(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        ws = greedy_warm_start(model, toy_fork, EXACT)
+        failed, _ = _fail_once(monkeypatch, lambda fixes: True)
+        sol = solve(model, EXACT)
+        assert failed and sol.x is None
+        assert sol.status == "error" and sol.bound == np.inf
+        failed.clear()
+        sol = solve(model, EXACT, warm_start=ws)
+        assert failed
+        assert sol.status == "feasible" and sol.bound == np.inf
+        assert sol.objective == model.objective_value(ws)
+
+    def test_child_error_keeps_inherited_bound(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        failed, root_objs = _fail_once(monkeypatch, lambda fixes: len(fixes) > 0)
+        sol = solve(model, EXACT)
+        assert failed, "the search never branched"
+        assert sol.bound >= root_objs[-1] > sol.objective + 1e-6
+        assert sol.status == "feasible"
+
+    def test_highs_gets_the_remaining_time(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        left, limits = [], []
+        real_solve, real_linprog = LpBackend.solve, lp.linprog
+
+        def timed(self, fixes=None):
+            left.append(self.deadline - time.monotonic())
+            return real_solve(self, fixes)
+
+        def spy(*args, options, **kwargs):
+            limits.append(options["time_limit"])
+            return real_linprog(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(LpBackend, "solve", timed)
+        monkeypatch.setattr(lp, "linprog", spy)
+        sol = solve(model, SolverOptions(time_limit_s=30))
+        assert sol.status == "optimal"
+        assert len(limits) == len(left) > 1
+        for limit, remaining in zip(limits, left):
+            assert 0.0 <= limit <= remaining <= 30.0
+
+    def test_deadline_passed_after_root_is_time_limit(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        ws = greedy_warm_start(model, toy_fork, EXACT)
+        real = LpBackend.solve
+        root_objs = []
+
+        def expire_at_first_child(self, fixes=None):
+            if fixes:
+                self.deadline = min(self.deadline, time.monotonic())
+            res = real(self, fixes)
+            if not fixes:
+                root_objs.append(res.objective)
+            return res
+
+        monkeypatch.setattr(LpBackend, "solve", expire_at_first_child)
+        sol = solve(model, EXACT, warm_start=ws)
+        assert sol.status == "time_limit"
+        assert sol.bound >= root_objs[-1] > sol.objective + 1e-6
+
+    def test_no_time_for_the_root(self, toy_fork):
+        model = build_model(toy_fork)
+        ws = greedy_warm_start(model, toy_fork, EXACT)
+        for warm in (None, ws):
+            sol = solve(model, SolverOptions(time_limit_s=1e-9), warm_start=warm)
+            assert sol.status == "time_limit" and sol.bound == np.inf
 
 
 class TestWarmStart:
@@ -349,9 +501,32 @@ class TestWarmStart:
 
     def test_diver_returns_feasible(self, toy_gear3):
         model = build_model(toy_gear3)
-        backend = LpBackend(model)
-        res = backend.solve(model.col_lb, model.col_ub)
+        res = LpBackend(model).solve()
         diver = make_diver(model, toy_gear3)
         x = diver(res.x)
         assert x is not None
         assert model.check_solution(x, 1e-6, 1e-6) == []
+
+    def test_diver_remembers_only_last_skeleton(self, toy_gear3, monkeypatch):
+        model = build_model(toy_gear3)
+        x_lp = LpBackend(model).solve().x
+        diver = make_diver(model, toy_gear3)
+        calls = []
+        real = LpBackend.solve
+
+        def counted(self, fixes=None):
+            calls.append(1)
+            return real(self, fixes)
+
+        monkeypatch.setattr(LpBackend, "solve", counted)
+        first = diver(x_lp)
+        n = len(calls)
+        assert n > 0 and diver(x_lp) is first and len(calls) == n
+        # a different skeleton (the gear closed throughout) replaces the remembered one
+        x_closed = x_lp.copy()
+        beta = model.catalog.group("beta")
+        x_closed[beta.start : beta.start + beta.size] = 1.0
+        assert diver(x_closed) is not first
+        n = len(calls)
+        diver(x_lp)
+        assert len(calls) > n
