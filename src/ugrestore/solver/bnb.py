@@ -140,7 +140,7 @@ class _Search:
                 break
             for idx, _ in viol[:CUTS_PER_ROUND]:
                 cone = self.model.cones[idx]
-                self.backend.add_cut(idx, soc_cut(cone.point(res.x), cone))
+                self.backend.add_cut(idx, soc_cut(cone.point(res.x), cone), res.x)
             res = self.backend.solve(fixes)
         return res
 

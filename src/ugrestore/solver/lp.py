@@ -7,8 +7,10 @@ solves:
 - the fixings: ``solve(fixes)`` pins them on a copy of the column bounds, and
   a fixing outside the column bounds is ``infeasible`` without running an LP;
 - the outer-approximation cut pool: ``add_cut`` keeps at most
-  ``CUTS_PER_CONE`` cuts per cone and replaces them round-robin.  Every cut is
-  valid for the full model, so any subset keeps the relaxation a bound;
+  ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut replaces the one
+  with the most slack at the point it separates, so the cuts that hold that
+  point stay and the separation loops do not cycle.  Every cut is valid for
+  the full model, so any subset keeps the relaxation a bound;
 - the deadline: HiGHS gets the remaining seconds as its time limit, and an LP
   cut off by it ends as ``error``.
 
@@ -71,7 +73,6 @@ class LpBackend:
         self.deadline = deadline  # time.monotonic() value, or None for no limit
         self.cuts: list[Cut] = []
         self._cone_slots: dict[int, list[int]] = {}  # cone -> positions in cuts
-        self._cone_next: dict[int, int] = {}
         m = model.matrix().tocsr()
         le, ge, eq = (model.sense == sense for sense in (SENSE_LE, SENSE_GE, SENSE_EQ))
         self.a_ub = sp.vstack([m[le], -m[ge]], format="csr")
@@ -80,15 +81,16 @@ class LpBackend:
         self.b_eq = model.rhs[eq]
         self.c = -model.obj  # linprog minimizes
 
-    def add_cut(self, cone_idx: int, cut: Cut) -> None:
+    def add_cut(self, cone_idx: int, cut: Cut, x: np.ndarray) -> None:
+        """Add ``cut``, which separates ``x``; a full cone drops its slackest cut at ``x``."""
         slots = self._cone_slots.setdefault(cone_idx, [])
         if len(slots) < CUTS_PER_CONE:
             slots.append(len(self.cuts))
             self.cuts.append(cut)
-        else:
-            pos = self._cone_next.get(cone_idx, 0)
-            self.cuts[slots[pos]] = cut
-            self._cone_next[cone_idx] = (pos + 1) % CUTS_PER_CONE
+            return
+        held = [self.cuts[pos] for pos in slots]
+        slack = [c.rhs - np.dot(c.coefs, x[list(c.cols)]) for c in held]
+        self.cuts[slots[int(np.argmax(slack))]] = cut
 
     def solve(self, fixes: dict[int, float] | None = None) -> LpResult:
         """Relaxation with ``fixes`` (column -> value) pinned and the pool appended."""

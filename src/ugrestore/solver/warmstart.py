@@ -364,6 +364,6 @@ def _lp_with_oa(backend: LpBackend, fixes: dict[int, float], opts: SolverOptions
             break
         for idx, _ in viol[:CUTS_PER_ROUND]:
             cone = model.cones[idx]
-            backend.add_cut(idx, soc_cut(cone.point(res.x), cone))
+            backend.add_cut(idx, soc_cut(cone.point(res.x), cone), res.x)
         res = backend.solve(fixes)
     return res.x if res.ok else None

@@ -56,16 +56,26 @@ class TestLpRelax:
 
 
 class TestLpBackend:
-    def test_cut_pool_capped_per_cone_round_robin(self):
+    def test_cut_pool_capped_per_cone_drops_slackest(self):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
-        cuts = [Cut(cols=(0,), coefs=(1.0,), rhs=4.0 + k) for k in range(CUTS_PER_CONE + 3)]
+        x = np.zeros(model.ncols)  # every cut below has slack rhs at x
+        binding = Cut(cols=(0,), coefs=(1.0,), rhs=0.0)
+        rhs = [4.0 + (3 * k) % CUTS_PER_CONE for k in range(CUTS_PER_CONE - 1)]
+        cuts = [binding] + [Cut(cols=(0,), coefs=(1.0,), rhs=r) for r in rhs]
         for cut in cuts:
-            backend.add_cut(0, cut)
-        backend.add_cut(1, cuts[0])
-        # the three newest cuts on cone 0 replaced its three oldest, in order
-        want = cuts[CUTS_PER_CONE:] + cuts[3:CUTS_PER_CONE] + [cuts[0]]
-        assert backend.cuts == want
+            backend.add_cut(0, cut, x)
+        new = [Cut(cols=(0,), coefs=(1.0,), rhs=1.0 + k) for k in range(3)]
+        for cut in new:
+            backend.add_cut(0, cut, x)
+        backend.add_cut(1, cuts[1], x)
+        # each new cut took the place of the slackest one at x, largest rhs first;
+        # the oldest cut is binding at x and stays
+        want = list(cuts)
+        for cut, pos in zip(new, sorted(range(CUTS_PER_CONE), key=lambda k: -cuts[k].rhs)):
+            want[pos] = cut
+        assert backend.cuts == want + [cuts[1]]
+        assert binding in backend.cuts
         assert backend.solve().ok
 
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
@@ -158,7 +168,7 @@ class TestSocCut:
             if not viol:
                 break
             cone = model.cones[viol[0][0]]
-            backend.add_cut(viol[0][0], soc_cut(cone.point(x), cone))
+            backend.add_cut(viol[0][0], soc_cut(cone.point(x), cone), x)
         assert rounds < 50
         slack = model.cone_values(x)[0]
         assert slack >= -1e-6
