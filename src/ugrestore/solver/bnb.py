@@ -1,8 +1,9 @@
 """Best-first branch-and-bound over the LP relaxation with lazy cone cuts.
 
-The search owns one :class:`LpBackend`, which pins each node's fixings, keeps
-the outer-approximation cut pool (shared across the tree, capped per cone)
-and hands HiGHS the time left before the deadline.  Nodes store only their
+The search owns one :class:`LpBackend`, whose HiGHS instance re-solves each
+LP from the last basis.  It pins each node's fixings, keeps the
+outer-approximation cut pool (shared across the tree, capped per cone) and
+hands HiGHS the time left before the deadline.  Nodes store only their
 fixings and an inherited bound; the LP is solved at pop time, refined by a
 small outer-approximation budget (separate, add the worst tangents, re-solve)
 and branched most-fractional-first (ties by catalog order, then by the seeded
@@ -11,13 +12,15 @@ accepted as incumbents only after an independent replay of every linear row,
 cone row and column bound.
 
 Only an ``infeasible`` LP prunes a node.  An LP that ends as ``error`` or
-``unbounded`` (an LP cut off at the deadline ends as ``error``) leaves its
-subtree open: the node's inherited bound stays in the proven bound, +inf at
-the root, so the solve cannot claim ``optimal`` past it.
+``unbounded`` (an LP cut off at the deadline ends as ``error``), and an
+integral point that fails the replay, leave their subtree open: the node's
+bound stays in the proven bound, +inf at the root, so the solve cannot claim
+``optimal`` past it.
 
 A caller-supplied diving heuristic (see the warm-start module) is invoked
 periodically on the current relaxation point to pull the incumbent up
-without waiting for the tree to reach integer depth.
+without waiting for the tree to reach integer depth.  It dives in the
+search's backend, so its LPs share the cut pool and honour the deadline.
 """
 
 from __future__ import annotations
@@ -107,13 +110,13 @@ class _Search:
     # -- incumbent ------------------------------------------------------------
 
     def offer_incumbent(self, x: np.ndarray, source: str) -> bool:
+        """False if ``x`` fails the replay; a point that replays but is no better is ignored."""
         if self.model.check_solution(x, self.opts.replay_tol, self.opts.replay_tol):
             return False
         val = self.model.objective_value(x)
         if val > self.inc_val:
             self.inc_x, self.inc_val, self.inc_src = x.copy(), val, source
-            return True
-        return False
+        return True
 
     def dominated(self, bound: float) -> bool:
         if self.inc_x is None:
@@ -124,7 +127,10 @@ class _Search:
     # -- relaxation -------------------------------------------------------------
 
     def leave_open(self, res: LpResult, bound: float) -> None:
-        """Only an infeasible LP closes a node; any other failure keeps its bound."""
+        """Only an infeasible LP closes a node; any other failure keeps its bound.
+
+        That includes an optimal LP whose integral point fails the replay.
+        """
         if res.status != "infeasible":
             self.open_bound = max(self.open_bound, bound)
 
@@ -164,13 +170,14 @@ def solve(
     options: SolverOptions | None = None,
     warm_start: np.ndarray | None = None,
     warm_start_source: str = "caller",
-    diver: Callable[[np.ndarray], np.ndarray | None] | None = None,
+    diver: Callable[[np.ndarray, LpBackend], np.ndarray | None] | None = None,
 ) -> Solution:
     """Maximize the model; returns the best incumbent with a proven gap.
 
     ``warm_start`` must be a fully feasible point (it is replayed before
-    acceptance).  ``diver`` maps a relaxation point to a feasible full
-    vector, or None; it is consulted periodically for incumbents.
+    acceptance).  ``diver`` maps a relaxation point and the search's backend
+    to a feasible full vector, or None; it is consulted periodically for
+    incumbents.
     """
     opts = options or SolverOptions()
     t0 = time.monotonic()
@@ -229,7 +236,8 @@ def solve(
             bound = min(bound, res.objective)
             frac = search.fractional_binaries(res.x)
             if not frac:
-                search.offer_incumbent(res.x, "branch-and-bound")
+                if not search.offer_incumbent(res.x, "branch-and-bound"):
+                    search.leave_open(res, bound)
                 continue
             if search.dominated(bound):
                 continue
@@ -239,7 +247,7 @@ def solve(
             and nodes % DIVE_EVERY == 1
             and time.monotonic() - t0 < 0.8 * opts.time_limit_s
         ):
-            dived = diver(res.x)
+            dived = diver(res.x, search.backend)
             if dived is not None:
                 search.offer_incumbent(dived, "dive")
 

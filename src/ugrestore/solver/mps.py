@@ -250,7 +250,8 @@ def import_external_solution(
     """Map a name=value file through the catalog and replay all constraints.
 
     Unknown names and residual violations beyond ``tol`` reject the import,
-    naming the worst offending row.
+    naming the worst offending row.  The replay proves feasibility only, so
+    the bound and the gap are unknown (+inf), as in an unproven search.
     """
     values = read_solution_file(path)
     x = np.array(model.col_lb, dtype=float)
@@ -280,8 +281,8 @@ def import_external_solution(
         status="feasible",
         x=x,
         objective=obj,
-        bound=obj,
-        gap=0.0,
+        bound=np.inf,
+        gap=np.inf,
         node_count=0,
         cut_count=0,
         runtime_s=0.0,

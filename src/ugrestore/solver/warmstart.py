@@ -4,9 +4,10 @@ Both build the same kind of structural skeleton: a spanning forest anchoring
 the microgrids, a closing schedule per switchgear, one phase assignment per
 closed period, and the implied event/selector binaries.  The LP relaxation
 with the skeleton pinned then produces the dispatch; storage on/off flags
-are rounded from the first pass and the LP is re-solved.  Each of the two
-owns one :class:`LpBackend`, whose capped cut pool carries over from call to
-call.
+are rounded from the first pass and the LP is re-solved.  The warm start
+owns one :class:`LpBackend`, freed when it returns, so its HiGHS instance
+never lives beside the search's.  The diver owns none: it dives in the
+backend the search lends it, whose capped cut pool and deadline it shares.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
@@ -260,15 +261,15 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
 
     The returned callable rounds a relaxation point into a structural
     skeleton (forest from the relaxed switch states, closing schedule and
-    phase assignment from the relaxed swap matrices) and LP-resolves it.
+    phase assignment from the relaxed swap matrices) and LP-resolves it in
+    the backend it is given.
     """
     opts = options or SolverOptions()
-    backend = LpBackend(model)
     cat = model.catalog
     ferro = bool(model.meta.get("ferro_gate", True))
     last: dict = {}  # the last skeleton and its result; repeats come back to back
 
-    def diver(x_lp: np.ndarray) -> np.ndarray | None:
+    def diver(x_lp: np.ndarray, backend: LpBackend) -> np.ndarray | None:
         priority = {
             l.index: float(x_lp[cat.col("gamma", l.index)]) for l in case.switch_lines
         }

@@ -187,6 +187,9 @@ class TestExport:
         assert rc == 0
         second = json.loads(capsys.readouterr().out)
         assert second["objective_kwh"] == pytest.approx(first["objective_kwh"], abs=1e-9)
+        # the replay proves feasibility only: no gap is claimed
+        assert second["status"] == "feasible"
+        assert second["gap"] != 0.0 and second["bound_kwh"] == float("inf")
 
     def test_external_without_solution_exits_3(self, outdir):
         rc = main(

@@ -9,7 +9,7 @@ from conftest import load_minimal, shipped_case
 from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.formulation import BuildOptions, build_model
-from ugrestore.model import SENSE_LE, ConeRow, ModelBuilder
+from ugrestore.model import SENSE_LE, ConeRow, ModelBuilder, Violation
 from ugrestore.physics import PERMUTATIONS
 from ugrestore.solver import (
     SolverOptions,
@@ -19,7 +19,7 @@ from ugrestore.solver import (
 )
 from ugrestore.solver import lp
 from ugrestore.solver.cuts import NoCutError, cone_violations, initial_cone_cuts, soc_cut
-from ugrestore.solver.lp import CUTS_PER_CONE, Cut, LpBackend, LpResult
+from ugrestore.solver.lp import CUTS_PER_CONE, Cut, HighsModelStatus, LpBackend, LpResult
 
 EXACT = SolverOptions(time_limit_s=120, rel_gap=0.0, abs_gap=1e-11, oa_tol=1e-9, oa_search_tol=1e-8)
 
@@ -78,6 +78,13 @@ class TestLpBackend:
         assert binding in backend.cuts
         assert backend.solve().ok
 
+    def test_refused_cut_row_raises_and_stays_out_of_the_pool(self):
+        cat, model = _cone_fixture()
+        backend = LpBackend(model)
+        with pytest.raises(RuntimeError, match="refused a cut row"):
+            backend.add_cut(0, Cut(cols=(model.ncols,), coefs=(1.0,), rhs=1.0), np.zeros(model.ncols))
+        assert backend.cuts == [] and backend.highs.getNumRow() == model.nrows
+
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
         cat, model = _cone_fixture()
 
@@ -89,20 +96,93 @@ class TestLpBackend:
 
     def test_deadline_becomes_highs_time_limit(self, monkeypatch):
         cat, model = _cone_fixture()
-        seen = []
+        left = []  # seconds HiGHS may still run: its time limit less its run time so far
         real = lp.linprog
 
-        def spy(*args, options, **kwargs):
-            seen.append(options.get("time_limit"))
-            return real(*args, options=options, **kwargs)
+        def spy(highs, time_limit):
+            left.append(time_limit - highs.getRunTime())
+            return real(highs, time_limit)
 
         monkeypatch.setattr(lp, "linprog", spy)
         assert LpBackend(model).solve().ok
-        assert seen == [None]  # no deadline, no limit
-        assert LpBackend(model, deadline=time.monotonic() + 5.0).solve().ok
-        assert 0.0 < seen[-1] <= 5.0
+        assert left == [np.inf]  # no deadline, no limit
+        backend = LpBackend(model, deadline=time.monotonic() + 5.0)
+        assert backend.solve().ok and backend.solve({cat.col("v", 0): 1.0}).ok
+        assert len(left) == 3 and all(0.0 < s <= 5.0 for s in left[1:])
         LpBackend(model, deadline=time.monotonic() - 1.0).solve()
-        assert seen[-1] == 0.0
+        assert left[-1] == 0.0
+
+    def test_time_limit_counts_the_run_time_already_spent(self, reduced13):
+        # HiGHS stops once its cumulative run time reaches time_limit, so a
+        # backend that passed only the seconds left would stop this LP at once
+        model = build_model(reduced13)
+        backend = LpBackend(model)
+        for _ in range(20):
+            assert backend.solve().ok
+            if backend.highs.getRunTime() > 0.4:
+                break
+            backend.highs.clearSolver()
+        spent = backend.highs.getRunTime()
+        col = int(model.free_binary_columns[0])
+        flip = {col: 1.0 - round(backend.solve().x[col])}
+        backend.deadline = time.monotonic() + spent / 2
+        res = backend.solve(flip)
+        assert res.status in ("optimal", "infeasible")
+        assert backend.highs.getRunTime() > spent
+
+    def test_warm_results_match_cold_on_reduced13(self, reduced13, monkeypatch):
+        # one persistent backend against a fresh one per LP, over the greedy
+        # warm start's fixings and cuts
+        model = build_model(reduced13)
+        real = LpBackend.solve
+        pairs = []
+
+        def both(self, fixes=None):
+            warm = real(self, fixes)
+            fresh = LpBackend(self.model)
+            for k, cut in enumerate(self.cuts):  # one cone each: same rows, same order
+                fresh.add_cut(k, cut, None)
+            pairs.append((warm, real(fresh, fixes)))
+            return warm
+
+        monkeypatch.setattr(LpBackend, "solve", both)
+        assert greedy_warm_start(model, reduced13) is not None
+        assert len(pairs) > 10
+        for warm, cold in pairs:
+            assert warm.status == cold.status
+            if warm.ok:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+                for res in (warm, cold):
+                    assert -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
+
+    def test_drifted_warm_point_is_rerun_cold(self, monkeypatch):
+        cat, model = _cone_fixture()
+        backend = LpBackend(model)
+        assert backend.solve().ok
+        backend.highs = spy = _HighsSpy(backend.highs)
+        real = lp.linprog
+
+        def drift_once(highs, time_limit):
+            res = real(highs, time_limit)
+            if highs.calls.count("run") == 1:  # break the demand row by 1e-5
+                res.x = res.x.copy()
+                res.x[cat.col("p", 0)] = 1.3 + 1e-5
+            return res
+
+        monkeypatch.setattr(lp, "linprog", drift_once)
+        res = backend.solve()
+        assert spy.calls.count("run") == 2
+        assert spy.calls.index("run") < spy.calls.index("clearSolver") < _last(spy.calls, "run")
+        assert res.ok and -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
+
+    def test_unknown_warm_status_is_rerun_cold(self):
+        cat, model = _cone_fixture()
+        backend = LpBackend(model)
+        assert backend.solve().ok
+        backend.highs = spy = _HighsSpy(backend.highs, HighsModelStatus.kUnknown)
+        assert backend.solve().status == "error"  # the cold run said Unknown too
+        assert spy.calls.count("run") == 2
+        assert spy.calls.index("run") < spy.calls.index("clearSolver") < _last(spy.calls, "run")
 
     def test_bundled_highs_iis_api(self):
         import importlib
@@ -111,11 +191,45 @@ class TestLpBackend:
         try:
             core = importlib.import_module(where)
         except ImportError as exc:
-            pytest.fail(f"{where} moved ({exc}); update the IIS import in ugrestore/solver/lp.py")
-        for name in ("_Highs", "HighsIis", "MatrixFormat"):
+            pytest.fail(f"{where} moved ({exc}); update the import in ugrestore/solver/lp.py")
+        for name in ("_Highs", "HighsIis", "HighsModelStatus", "HighsStatus", "MatrixFormat"):
             assert hasattr(core, name), f"{where}.{name} is gone; update ugrestore/solver/lp.py"
-        assert hasattr(core._Highs, "getIis"), f"{where}._Highs.getIis is gone; update lp.py"
+        for method in (
+            "passModel",
+            "setOptionValue",
+            "changeColsBounds",
+            "addRow",
+            "changeCoeff",
+            "changeRowBounds",
+            "clearSolver",
+            "run",
+            "getRunTime",
+            "getSolution",
+            "getInfo",
+            "getModelStatus",
+            "getIis",
+        ):
+            assert hasattr(core._Highs, method), f"{where}._Highs.{method} is gone; update lp.py"
         assert lp._Highs is core._Highs
+
+
+class _HighsSpy:
+    """A HiGHS instance that records the methods called on it, optionally faking its status."""
+
+    def __init__(self, highs, status=None):
+        self.highs, self.status, self.calls = highs, status, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.highs, name)
+
+    def getModelStatus(self):
+        self.calls.append("getModelStatus")
+        return self.status if self.status is not None else self.highs.getModelStatus()
+
+
+def _last(calls, name):
+    return len(calls) - 1 - calls[::-1].index(name)
 
 
 def _cone_fixture():
@@ -407,6 +521,59 @@ class TestLpFailures:
         assert sol.bound >= root_objs[-1] > sol.objective + 1e-6
         assert sol.status == "feasible"
 
+    @pytest.mark.parametrize(
+        "status", [s for s in HighsModelStatus.__members__.values() if s != HighsModelStatus.kOptimal]
+    )
+    def test_only_infeasible_status_prunes(self, toy_fork, monkeypatch, status):
+        model = build_model(toy_fork)
+        want = {
+            HighsModelStatus.kInfeasible: "infeasible",
+            HighsModelStatus.kUnbounded: "unbounded",
+        }.get(status, "error")
+        real_solve, real_linprog = LpBackend.solve, lp.linprog
+        injected, root_objs = [], []
+
+        def first_child(self, fixes=None):
+            injected.append(bool(fixes) and not any(injected))
+            res = real_solve(self, fixes)
+            if not fixes:
+                root_objs.append(res.objective)
+            if injected[-1]:
+                assert res.status == want
+            return res
+
+        def fake(highs, time_limit):  # the warm run and its cold retry
+            return real_linprog(_HighsSpy(highs, status) if injected[-1] else highs, time_limit)
+
+        monkeypatch.setattr(LpBackend, "solve", first_child)
+        monkeypatch.setattr(lp, "linprog", fake)
+        sol = solve(model, EXACT)
+        assert any(injected), "the search never branched"
+        if status == HighsModelStatus.kInfeasible:  # the child and its subtree are gone
+            assert sol.status == "optimal" and sol.bound < root_objs[-1] - 1e-6
+        else:
+            assert sol.status == "feasible"
+            assert sol.bound >= root_objs[-1] > sol.objective + 1e-6
+
+    def test_integral_point_failing_replay_keeps_its_bound(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        best = solve(model, EXACT).objective
+        real = model.check_solution
+        rejected = []
+
+        def reject_best_once(x, *args):
+            if not rejected and model.objective_value(x) >= best - 1e-9:
+                rejected.append(model.objective_value(x))
+                return [Violation(family="injected", loc=(), residual=1.0)]
+            return real(x, *args)
+
+        monkeypatch.setattr(model, "check_solution", reject_best_once)
+        sol = solve(model, EXACT)
+        assert rejected, "the search never reached the best integral node"
+        assert sol.objective < best - 1e-6  # no other point reaches it
+        assert sol.bound >= rejected[0] - 1e-9
+        assert sol.status == "feasible"
+
     def test_highs_gets_the_remaining_time(self, toy_fork, monkeypatch):
         model = build_model(toy_fork)
         left, limits = [], []
@@ -416,16 +583,16 @@ class TestLpFailures:
             left.append(self.deadline - time.monotonic())
             return real_solve(self, fixes)
 
-        def spy(*args, options, **kwargs):
-            limits.append(options["time_limit"])
-            return real_linprog(*args, options=options, **kwargs)
+        def spy(highs, time_limit):  # a cold retry runs under the same solve call
+            limits.append((time_limit - highs.getRunTime(), left[-1]))
+            return real_linprog(highs, time_limit)
 
         monkeypatch.setattr(LpBackend, "solve", timed)
         monkeypatch.setattr(lp, "linprog", spy)
         sol = solve(model, SolverOptions(time_limit_s=30))
         assert sol.status == "optimal"
-        assert len(limits) == len(left) > 1
-        for limit, remaining in zip(limits, left):
+        assert len(limits) >= len(left) > 1
+        for limit, remaining in limits:
             assert 0.0 <= limit <= remaining <= 30.0
 
     def test_deadline_passed_after_root_is_time_limit(self, toy_fork, monkeypatch):
@@ -513,13 +680,14 @@ class TestWarmStart:
         model = build_model(toy_gear3)
         res = LpBackend(model).solve()
         diver = make_diver(model, toy_gear3)
-        x = diver(res.x)
+        x = diver(res.x, LpBackend(model))
         assert x is not None
         assert model.check_solution(x, 1e-6, 1e-6) == []
 
     def test_diver_remembers_only_last_skeleton(self, toy_gear3, monkeypatch):
         model = build_model(toy_gear3)
-        x_lp = LpBackend(model).solve().x
+        backend = LpBackend(model)
+        x_lp = backend.solve().x
         diver = make_diver(model, toy_gear3)
         calls = []
         real = LpBackend.solve
@@ -529,14 +697,14 @@ class TestWarmStart:
             return real(self, fixes)
 
         monkeypatch.setattr(LpBackend, "solve", counted)
-        first = diver(x_lp)
+        first = diver(x_lp, backend)
         n = len(calls)
-        assert n > 0 and diver(x_lp) is first and len(calls) == n
+        assert n > 0 and diver(x_lp, backend) is first and len(calls) == n
         # a different skeleton (the gear closed throughout) replaces the remembered one
         x_closed = x_lp.copy()
         beta = model.catalog.group("beta")
         x_closed[beta.start : beta.start + beta.size] = 1.0
-        assert diver(x_closed) is not first
+        assert diver(x_closed, backend) is not first
         n = len(calls)
-        diver(x_lp)
+        diver(x_lp, backend)
         assert len(calls) > n
