@@ -8,6 +8,8 @@ threshold) are registered as derived so the symbol inventory stays complete.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,11 @@ import numpy as np
 
 class CatalogError(KeyError):
     pass
+
+
+def _label(group: str, key) -> str:
+    inner = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+    return f"{group}[{inner}]"
 
 
 @dataclass
@@ -40,6 +47,7 @@ class VariableCatalog:
     def __init__(self) -> None:
         self._groups: dict[str, Group] = {}
         self._order: list[str] = []
+        self._starts: list[int] = []  # group starts, in catalog order
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._binary: list[bool] = []
@@ -75,6 +83,7 @@ class VariableCatalog:
         self._binary.extend([binary] * len(keys))
         self._groups[name] = g
         self._order.append(name)
+        self._starts.append(g.start)
         return g
 
     def register_derived(self, name: str, note: str) -> None:
@@ -116,16 +125,18 @@ class VariableCatalog:
         )
 
     def name_of(self, col: int) -> str:
+        if not 0 <= col < self.ncols:
+            raise CatalogError(f"column {col} out of range")
+        # the last group starting at or before ``col``; empty groups share
+        # their start with the next group and sort before it
+        g = self._groups[self._order[bisect_right(self._starts, col) - 1]]
+        return _label(g.name, g.keys[col - g.start])
+
+    def names(self) -> Iterator[str]:
+        """Every column's :meth:`name_of`, in column order."""
         for name in self._order:
-            g = self._groups[name]
-            if g.start <= col < g.start + g.size:
-                key = g.keys[col - g.start]
-                if isinstance(key, tuple):
-                    inner = ",".join(str(k) for k in key)
-                else:
-                    inner = str(key)
-                return f"{name}[{inner}]"
-        raise CatalogError(f"column {col} out of range")
+            for key in self._groups[name].keys:
+                yield _label(name, key)
 
     def lookup(self, name: str) -> int:
         """Inverse of :meth:`name_of` for solution-file import."""

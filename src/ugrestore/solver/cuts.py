@@ -18,6 +18,8 @@ import numpy as np
 from ugrestore.model import ConeRow, LinearModel
 from ugrestore.solver.lp import Cut
 
+CONE_TANGENTS = 8  # seed tangent planes per cone, in the MPS export
+
 
 class NoCutError(ValueError):
     """The point does not violate the cone, no cut exists."""
@@ -71,30 +73,36 @@ def cone_violations(model: LinearModel, x: np.ndarray, tol: float) -> list[tuple
     return out
 
 
-def initial_cone_cuts(model: LinearModel, n_angles: int = 8) -> list[Cut]:
-    """Deterministic tangent planes seeding a polyhedral cone approximation.
+def unit_tangents(
+    n_angles: int = CONE_TANGENTS,
+) -> list[tuple[tuple[float, float, float, float], float]]:
+    """Coefficients on (I, V, P, Q) and right-hand side of each seed tangent plane.
 
     Tangents are taken at unit-voltage points with flow direction swept over
     ``n_angles`` angles; they are supporting planes (violation zero), built
-    directly from the subgradient formula.
+    directly from the subgradient formula.  They depend on the angle only, so
+    every cone shares them.
     """
-    cuts: list[Cut] = []
-    for cone in model.cones:
-        for m in range(n_angles):
-            ang = 2.0 * math.pi * m / n_angles
-            p0, q0 = math.cos(ang), math.sin(ang)
-            i0 = v0 = 1.0
-            n = math.sqrt(4.0 * p0 * p0 + 4.0 * q0 * q0 + (i0 - v0) ** 2)
-            gi = (i0 - v0) / n - 1.0
-            gv = -(i0 - v0) / n - 1.0
-            gp = 4.0 * p0 / n
-            gq = 4.0 * q0 / n
-            rhs = gi * i0 + gv * v0 + gp * p0 + gq * q0
-            cuts.append(
-                Cut(
-                    cols=(cone.col_i, cone.col_v, cone.col_p, cone.col_q),
-                    coefs=(gi, gv, gp, gq),
-                    rhs=rhs,
-                )
-            )
-    return cuts
+    planes = []
+    for m in range(n_angles):
+        ang = 2.0 * math.pi * m / n_angles
+        p0, q0 = math.cos(ang), math.sin(ang)
+        i0 = v0 = 1.0
+        n = math.sqrt(4.0 * p0 * p0 + 4.0 * q0 * q0 + (i0 - v0) ** 2)
+        gi = (i0 - v0) / n - 1.0
+        gv = -(i0 - v0) / n - 1.0
+        gp = 4.0 * p0 / n
+        gq = 4.0 * q0 / n
+        rhs = gi * i0 + gv * v0 + gp * p0 + gq * q0
+        planes.append(((gi, gv, gp, gq), rhs))
+    return planes
+
+
+def initial_cone_cuts(model: LinearModel, n_angles: int = CONE_TANGENTS) -> list[Cut]:
+    """The :func:`unit_tangents` planes of every cone, cone by cone."""
+    planes = unit_tangents(n_angles)
+    return [
+        Cut(cols=(cone.col_i, cone.col_v, cone.col_p, cone.col_q), coefs=coefs, rhs=rhs)
+        for cone in model.cones
+        for coefs, rhs in planes
+    ]

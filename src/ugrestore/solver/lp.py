@@ -24,7 +24,8 @@ scratch, and that verdict is final (a drifted cold point is an ``error``).
 
 The greedy warm start owns one backend; the search owns another, which the
 diver borrows.  :func:`infeasibility_hint` names an irreducible infeasible
-subset (IIS) found by the same HiGHS.
+subset (IIS) found by the same HiGHS, and :func:`read_lp` reads an exported
+MPS file back into it.
 
 :func:`linprog` is the one HiGHS run; it keeps that name because the
 benchmark's ``lp.highs`` span wraps it.
@@ -209,3 +210,11 @@ def infeasibility_hint(model: LinearModel) -> str:
         f"irreducible infeasible subset: rows of {', '.join(families) or 'no family'}; "
         f"bounds of {', '.join(columns) or 'no column'}"
     )
+
+
+def read_lp(path):
+    """The model HiGHS reads from an MPS file, as its ``HighsLp`` (column-wise matrix)."""
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    _check(h.readModel(str(path)), f"reading {path}")
+    return h.getLp()

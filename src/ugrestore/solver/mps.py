@@ -9,13 +9,14 @@ All formats carry a version header.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
+import scipy.sparse as sp
 
 from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
 from ugrestore.solver.bnb import Solution
-from ugrestore.solver.cuts import initial_cone_cuts
-from ugrestore.solver.lp import Cut
+from ugrestore.solver.cuts import unit_tangents
 
 MPS_HEADER = "* ugrestore mps export v1"
 CONE_HEADER = "* ugrestore cone sidecar v1"
@@ -34,8 +35,215 @@ def _col_name(idx: int) -> str:
     return f"C{idx:07d}"
 
 
-def _row_name(idx: int) -> str:
-    return f"R{idx:07d}"
+# Export: every section is assembled as text blocks from numpy arrays, one
+# chunk of lines at a time.  A field is a line's part for each line of a
+# chunk: an (n, w) uint8 array of bytes and an (n, w) mask of the bytes kept,
+# or None when all are, so parts of varying width (``OBJ`` beside
+# ``R0000012``, value texts) line up.  Joining the fields and keeping the
+# masked bytes in row-major order yields the lines.
+
+CHUNK_LINES = 1 << 16  # lines per assembled block; bounds the export's memory
+
+_Field = tuple[np.ndarray, np.ndarray | None]
+_INTORG = b"    MARKER    'MARKER'    'INTORG'\n"
+_INTEND = b"    MARKER    'MARKER'    'INTEND'\n"
+# the four ASCII digits of 0..9999, each packed into one uint32
+_QUADS = (
+    (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+
+
+def _text(text: str, n: int) -> _Field:
+    row = np.frombuffer(text.encode(), dtype=np.uint8)
+    return np.broadcast_to(row, (n, row.size)), None
+
+
+def _name(letter, idx: np.ndarray) -> _Field:
+    """``f"{letter}{idx:07d}"`` per line; ``letter`` is one byte value or one per line."""
+    idx = np.asarray(idx, dtype=np.int64)
+    width = max(7, len(str(int(idx.max())))) if idx.size else 7
+    groups = -(-(width + 1) // 4)  # four-digit groups, with room for the letter
+    quads = np.empty((idx.size, groups), dtype=np.uint32)
+    rest = idx
+    for g in range(groups - 1, -1, -1):
+        rest, quad = np.divmod(rest, 10_000)
+        quads[:, g] = _QUADS[quad]
+    out = quads.view(np.uint8)[:, 4 * groups - width - 1 :]
+    out[:, 0] = letter  # over a leading zero
+    if width == 7:
+        return out, None
+    # only the leading zeros that pad to seven digits are written
+    shown = np.maximum(7, [len(str(i)) for i in idx.tolist()])
+    keep = np.ones(out.shape, dtype=bool)
+    keep[:, 1:] = np.arange(width) >= width - shown[:, None]
+    return out, keep
+
+
+def _texts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """A table of texts: their UTF-8 bytes zero-padded to one width, and the mask of real bytes."""
+    raw = [t.encode() for t in texts]
+    padded = np.array(raw, dtype=bytes) if raw else np.zeros(0, dtype="S1")
+    padded = padded.view(np.uint8).reshape(len(raw), padded.itemsize)
+    return padded, np.arange(padded.shape[1]) < np.array([len(r) for r in raw])[:, None]
+
+
+def _table(table: tuple[np.ndarray, np.ndarray], ids: np.ndarray) -> _Field:
+    """Entries ``ids`` of a table built by :func:`_texts`."""
+    return np.take(table[0], ids, axis=0), np.take(table[1], ids, axis=0)
+
+
+def _values(values: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The table of the distinct values' ``repr`` lines, and each value's entry.
+
+    Values are told apart by their bits, so ``-0.0`` keeps its sign.
+    """
+    bits, ids = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    return _texts([f"{v!r}\n" for v in bits.view(np.float64).tolist()]), ids.reshape(-1)
+
+
+def _join(*fields: _Field) -> bytes:
+    block = np.hstack([b for b, _ in fields])
+    if all(k is None for _, k in fields):
+        return block.tobytes()
+    keep = np.hstack([np.broadcast_to(True, b.shape) if k is None else k for b, k in fields])
+    return block[keep].tobytes()
+
+
+def _row_name(row: np.ndarray, nrows: int) -> _Field:
+    """``OBJ`` for row -1, ``R`` for a model row, ``K`` for a tangent row past them."""
+    tangent = row >= nrows
+    out, keep = _name(np.where(tangent, ord("K"), ord("R")), np.where(tangent, row - nrows, row))
+    obj = row < 0
+    if obj.any():
+        keep = np.ones(out.shape, dtype=bool) if keep is None else keep
+        out[obj, :3] = np.frombuffer(b"OBJ", dtype=np.uint8)
+        keep[obj, 3:] = False
+    return out, keep
+
+
+def _write_chunked(fh, n: int, lines) -> None:
+    """Write ``lines(lo, hi)`` for consecutive chunks of ``range(n)``."""
+    for lo in range(0, n, CHUNK_LINES):
+        fh.write(lines(lo, min(n, lo + CHUNK_LINES)))
+
+
+def _cone_cols(model: LinearModel) -> np.ndarray:
+    """The (I, V, P, Q) columns of each cone, one row per cone."""
+    return np.array(
+        [(c.col_i, c.col_v, c.col_p, c.col_q) for c in model.cones], dtype=np.int64
+    ).reshape(-1, 4)
+
+
+def _write_rows(fh, model: LinearModel, n_tan: int) -> None:
+    sense = np.zeros(3, dtype=np.uint8)
+    sense[[SENSE_LE, SENSE_GE, SENSE_EQ]] = np.frombuffer(b"LGE", dtype=np.uint8)
+    sense = np.concatenate([sense[model.sense], np.full(n_tan, ord("L"), dtype=np.uint8)])
+    _write_chunked(
+        fh,
+        sense.size,
+        lambda lo, hi: _join(
+            _text(" ", hi - lo),
+            (sense[lo:hi, None], None),
+            _text("  ", hi - lo),
+            _row_name(np.arange(lo, hi), model.nrows),
+            _text("\n", hi - lo),
+        ),
+    )
+
+
+def _write_columns(fh, model: LinearModel, coefs: np.ndarray, relax_binaries: bool) -> None:
+    """One line per entry, the OBJ entry first in a column and ``OBJ 0.0`` in an empty one.
+
+    The entries are those of a CSC matrix over the rows (OBJ, model rows,
+    tangent rows), so row indices come sorted within each column.  Runs of
+    integer columns are marked with INTORG/INTEND.
+    """
+    cone_cols = _cone_cols(model)
+    n_tan = len(coefs) * len(cone_cols)
+    tangents = sp.csr_matrix(
+        (
+            np.tile(coefs, (len(cone_cols), 1)).ravel(),
+            np.repeat(cone_cols, len(coefs), axis=0).ravel(),
+            np.arange(0, 4 * n_tan + 1, 4),
+        ),
+        shape=(n_tan, model.ncols),
+    )
+    body = sp.vstack([model.matrix(), tangents], format="csr")
+    empty = np.bincount(body.indices, minlength=model.ncols) == 0
+    obj_cols = np.flatnonzero((model.obj != 0.0) | empty)
+    obj_row = sp.csr_matrix(
+        (np.where(model.obj != 0.0, model.obj, 0.0)[obj_cols], obj_cols, [0, obj_cols.size]),
+        shape=(1, model.ncols),
+    )
+    a = sp.vstack([obj_row, body], format="csr").tocsc()
+    del body  # the entries are in ``a`` now; keeps the peak memory down
+    table, ids = _values(a.data)
+
+    def lines(lo, hi):
+        cols = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
+        return _join(
+            _text("    ", hi - lo),
+            _name(ord("C"), cols),
+            _text("  ", hi - lo),
+            _row_name(a.indices[lo:hi].astype(np.int64) - 1, model.nrows),
+            _text("  ", hi - lo),
+            _table(table, ids[lo:hi]),
+        )
+
+    integer = model.col_binary & (not relax_binaries)
+    edges = [0, *(np.flatnonzero(np.diff(integer.view(np.int8))) + 1).tolist(), model.ncols]
+    for c0, c1 in zip(edges[:-1], edges[1:]):  # runs of integer or continuous columns
+        if integer[c0]:
+            fh.write(_INTORG)
+        lo = int(a.indptr[c0])
+        _write_chunked(fh, int(a.indptr[c1]) - lo, lambda i, j: lines(lo + i, lo + j))
+        if integer[c0]:
+            fh.write(_INTEND)
+
+
+def _write_rhs(fh, model: LinearModel, tangent_rhs: list[float]) -> None:
+    rhs = np.concatenate([model.rhs, np.tile(tangent_rhs, len(model.cones))])
+    rows = np.flatnonzero(rhs != 0.0)
+    table, ids = _values(rhs[rows])
+    _write_chunked(
+        fh,
+        rows.size,
+        lambda lo, hi: _join(
+            _text("    RHS  ", hi - lo),
+            _row_name(rows[lo:hi], model.nrows),
+            _text("  ", hi - lo),
+            _table(table, ids[lo:hi]),
+        ),
+    )
+
+
+def _write_bounds(fh, model: LinearModel) -> None:
+    """``FX`` for a fixed column, else ``LO`` and, for a finite upper bound, ``UP``."""
+    lb, ub = model.col_lb, model.col_ub
+    fixed = lb == ub
+    cols = np.repeat(np.arange(model.ncols), 1 + (~fixed & np.isfinite(ub)))
+    first = np.flatnonzero(np.diff(cols, prepend=-1))
+    kind = np.full(cols.size, 2)  # UP
+    kind[first] = np.where(fixed, 0, 1)  # FX or LO
+    bound = ub[cols]
+    bound[first] = lb
+    kinds = _texts([" FX BND  ", " LO BND  ", " UP BND  "])
+    table, ids = _values(bound)
+    _write_chunked(
+        fh,
+        cols.size,
+        lambda lo, hi: _join(
+            _table(kinds, kind[lo:hi]),
+            _name(ord("C"), cols[lo:hi]),
+            _text("  ", hi - lo),
+            _table(table, ids[lo:hi]),
+        ),
+    )
 
 
 def export_mps(
@@ -45,93 +253,64 @@ def export_mps(
     name_map_path=None,
     *,
     relax_binaries: bool = False,
-    extra_cuts: list[Cut] | None = None,
-    cone_tangents: int = 8,
 ) -> None:
     """Write the model to ``mps_path`` with companion files.
 
-    Cone rows are represented in the MPS body by ``cone_tangents``
-    deterministic tangent planes each (plus any ``extra_cuts``); the exact
-    cone column quadruples go to the sidecar so an SOCP-capable reader can
-    reconstruct them.
+    Cone rows are represented in the MPS body by ``cuts.CONE_TANGENTS``
+    deterministic tangent planes each; the exact cone column quadruples go to
+    the sidecar so an SOCP-capable reader can reconstruct them.
+
+    Every section is built from the model's arrays, not line by line, and
+    written in blocks of ``CHUNK_LINES`` lines, so the memory it takes stays
+    bounded; a value is written as its ``repr``, formatted once per distinct
+    value.  The files are those a line-by-line writer produces.
     """
-    cuts = list(initial_cone_cuts(model, cone_tangents))
-    if extra_cuts:
-        cuts.extend(extra_cuts)
-    m = model.matrix().tocoo()
-    per_col: dict[int, list[tuple[str, float]]] = {}
-    for r, c, v in zip(m.row, m.col, m.data):
-        per_col.setdefault(int(c), []).append((_row_name(int(r)), float(v)))
-    nrows = model.nrows
-    for ci, cut in enumerate(cuts):
-        rname = f"K{ci:07d}"
-        for col, coef in zip(cut.cols, cut.coefs):
-            per_col.setdefault(int(col), []).append((rname, float(coef)))
-    with open(mps_path, "w") as fh:
-        fh.write(MPS_HEADER + "\n")
+    planes = unit_tangents()
+    with open(mps_path, "wb") as fh:
+        fh.write(f"{MPS_HEADER}\n".encode())
         if relax_binaries:
-            fh.write("* binaries relaxed to [0,1] (LP relaxation)\n")
-        fh.write(f"NAME {model.meta.get('name', 'model')}\n")
-        fh.write("OBJSENSE\n    MAX\n")
-        fh.write("ROWS\n")
-        fh.write(" N  OBJ\n")
-        sense_char = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
-        for r in range(nrows):
-            fh.write(f" {sense_char[int(model.sense[r])]}  {_row_name(r)}\n")
-        for ci in range(len(cuts)):
-            fh.write(f" L  K{ci:07d}\n")
-        fh.write("COLUMNS\n")
-        integer_open = False
-        for col in range(model.ncols):
-            is_int = bool(model.col_binary[col]) and not relax_binaries
-            if is_int and not integer_open:
-                fh.write("    MARKER    'MARKER'    'INTORG'\n")
-                integer_open = True
-            if not is_int and integer_open:
-                fh.write("    MARKER    'MARKER'    'INTEND'\n")
-                integer_open = False
-            name = _col_name(col)
-            entries = per_col.get(col, [])
-            if model.obj[col] != 0.0:
-                entries = [("OBJ", float(model.obj[col]))] + entries
-            if not entries:
-                entries = [("OBJ", 0.0)]
-            for rname, coef in entries:
-                fh.write(f"    {name}  {rname}  {float(coef)!r}\n")
-        if integer_open:
-            fh.write("    MARKER    'MARKER'    'INTEND'\n")
-        fh.write("RHS\n")
-        for r in range(nrows):
-            if model.rhs[r] != 0.0:
-                fh.write(f"    RHS  {_row_name(r)}  {float(model.rhs[r])!r}\n")
-        for ci, cut in enumerate(cuts):
-            if cut.rhs != 0.0:
-                fh.write(f"    RHS  K{ci:07d}  {float(cut.rhs)!r}\n")
-        fh.write("BOUNDS\n")
-        for col in range(model.ncols):
-            lb, ub = float(model.col_lb[col]), float(model.col_ub[col])
-            name = _col_name(col)
-            if lb == ub:
-                fh.write(f" FX BND  {name}  {lb!r}\n")
-                continue
-            fh.write(f" LO BND  {name}  {lb!r}\n")
-            if np.isfinite(ub):
-                fh.write(f" UP BND  {name}  {ub!r}\n")
-        fh.write("ENDATA\n")
+            fh.write(b"* binaries relaxed to [0,1] (LP relaxation)\n")
+        fh.write(f"NAME {model.meta.get('name', 'model')}\n".encode())
+        fh.write(b"OBJSENSE\n    MAX\nROWS\n N  OBJ\n")
+        _write_rows(fh, model, len(planes) * len(model.cones))
+        fh.write(b"COLUMNS\n")
+        _write_columns(fh, model, np.array([c for c, _ in planes]), relax_binaries)
+        fh.write(b"RHS\n")
+        _write_rhs(fh, model, [r for _, r in planes])
+        fh.write(b"BOUNDS\n")
+        _write_bounds(fh, model)
+        fh.write(b"ENDATA\n")
     if cone_path is not None:
-        with open(cone_path, "w") as fh:
-            fh.write(CONE_HEADER + "\n")
-            fh.write("* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")
-            for cone in model.cones:
-                fh.write(
-                    f"CONE {_col_name(cone.col_i)} {_col_name(cone.col_v)} "
-                    f"{_col_name(cone.col_p)} {_col_name(cone.col_q)}\n"
-                )
+        quads = _cone_cols(model)
+        with open(cone_path, "wb") as fh:
+            fh.write(f"{CONE_HEADER}\n".encode())
+            fh.write(b"* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")
+            _write_chunked(
+                fh,
+                len(quads),
+                lambda lo, hi: _join(
+                    _text("CONE", hi - lo),
+                    *(
+                        f
+                        for k in range(4)
+                        for f in (_text(" ", hi - lo), _name(ord("C"), quads[lo:hi, k]))
+                    ),
+                    _text("\n", hi - lo),
+                ),
+            )
     if name_map_path is not None:
-        with open(name_map_path, "w") as fh:
-            fh.write(NAMEMAP_HEADER + "\n")
-            for col in range(model.ncols):
-                fh.write(f"{_col_name(col)} {model.catalog.name_of(col)}\n")
+        names = model.catalog.names()
+        with open(name_map_path, "wb") as fh:
+            fh.write(f"{NAMEMAP_HEADER}\n".encode())
+            _write_chunked(
+                fh,
+                model.ncols,
+                lambda lo, hi: _join(
+                    _name(ord("C"), np.arange(lo, hi)),
+                    _text(" ", hi - lo),
+                    _table(_texts([f"{n}\n" for n in islice(names, hi - lo)]), np.arange(hi - lo)),
+                ),
+            )
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -13,6 +14,11 @@ def case_path(name: str) -> Path:
 
 def shipped_case(name: str):
     return load_case(case_path(name))
+
+
+def shipped_case_names() -> list[str]:
+    files = resources.files("ugrestore.cases").iterdir()
+    return sorted(f.name.removesuffix(".json") for f in files if f.name.endswith(".json"))
 
 
 def shipped_doc(name: str) -> dict:
@@ -82,3 +88,52 @@ def minimal_doc(**overrides) -> dict:
 
 def load_minimal(**overrides):
     return load_case_dict(minimal_doc(**overrides))
+
+
+EXPORT_FILES = ("model.mps", "model.cones", "model.names", "relaxed.mps")
+GOLDEN_EXPORTS = Path(__file__).parent / "data" / "mps_sha256.json"
+
+
+def export_digests(model, directory) -> dict[str, str]:
+    """sha256 of each file in ``EXPORT_FILES``, exported from ``model`` into ``directory``.
+
+    ``relaxed.mps`` is the ``relax_binaries=True`` export.
+    """
+    from ugrestore.solver import export_mps
+
+    d = Path(directory)
+    export_mps(model, d / "model.mps", d / "model.cones", d / "model.names")
+    export_mps(model, d / "relaxed.mps", relax_binaries=True)
+    digests = {}
+    for name in EXPORT_FILES:
+        h = hashlib.sha256()
+        with open(d / name, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                h.update(block)
+        digests[name] = h.hexdigest()
+    return digests
+
+
+def golden_exports() -> dict[str, dict[str, str]]:
+    with open(GOLDEN_EXPORTS) as fh:
+        return json.load(fh)
+
+
+def check_export_bytes(name: str, model, directory) -> None:
+    """The export files of shipped case ``name`` are byte-identical to the golden digests.
+
+    The digests pin the export format byte for byte.  Regenerate
+    ``data/mps_sha256.json`` only for an intended change of that format, and
+    log it::
+
+        PYTHONPATH=src python -c "import json, sys, tempfile; sys.path.insert(0, 'tests')
+        from conftest import export_digests, shipped_case, shipped_case_names
+        from ugrestore.formulation import build_model
+        with tempfile.TemporaryDirectory() as d: json.dump({n: export_digests(build_model(
+        shipped_case(n)), d) for n in shipped_case_names()},
+        open('tests/data/mps_sha256.json', 'w'), indent=1, sort_keys=True)"
+    """
+    golden = golden_exports()[name]
+    got = export_digests(model, directory)
+    changed = [f for f in EXPORT_FILES if got[f] != golden[f]]
+    assert not changed, f"{name}: {', '.join(changed)} differ from {GOLDEN_EXPORTS.name}"

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import load_minimal, minimal_doc, shipped_case
+from conftest import check_export_bytes, load_minimal, minimal_doc, shipped_case
 from ugrestore import bigm
+from ugrestore.catalog import CatalogError, VariableCatalog
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import (
     BuildOptions,
@@ -684,11 +685,37 @@ class TestInrushGuard:
         assert g.exact_inrush(v_f, theta) > math.sqrt(2.0) * g.rating + slack
 
 
+class TestCatalogNames:
+    def test_names_and_lookup_on_reduced13(self):
+        cat = build_model(shipped_case("reduced13")).catalog
+        names = list(cat.names())
+        assert names == [cat.name_of(c) for c in range(cat.ncols)]
+        assert [cat.lookup(n) for n in names] == list(range(cat.ncols))
+
+    def test_empty_groups_are_skipped(self):
+        cat = VariableCatalog()
+        cat.add_group("a", [0, 1])
+        cat.add_group("empty", [])
+        cat.add_group("b", [("x", 2)])
+        cat.add_group("tail", [])
+        assert list(cat.names()) == ["a[0]", "a[1]", "b[x,2]"]
+        assert [cat.name_of(c) for c in range(3)] == ["a[0]", "a[1]", "b[x,2]"]
+        for col in (-1, 3):
+            with pytest.raises(CatalogError, match="out of range"):
+                cat.name_of(col)
+
+
+@pytest.fixture(scope="module")
+def feeder123():
+    """The shipped structural case and its model, built once for the slow tests."""
+    case = shipped_case("feeder123")
+    return case, build_model(case)
+
+
 @pytest.mark.slow
 class TestStructuralSmoke:
-    def test_feeder123_builds(self):
-        case = shipped_case("feeder123")
-        model = build_model(case)
+    def test_feeder123_builds(self, feeder123):
+        case, model = feeder123
         counts = model.family_counts()
         assert model.ncols > 100_000
         assert counts["balance-p"] == counts["balance-q"]
@@ -703,6 +730,9 @@ class TestStructuralSmoke:
         assert got["families"] == snapshot["families"]
         assert got["columns"] == snapshot["columns"]
         assert got["fingerprint"] == snapshot["fingerprint"]
+
+    def test_feeder123_export_bytes_unchanged(self, feeder123, tmp_path):
+        check_export_bytes("feeder123", feeder123[1], tmp_path)
 
 
 def structural_counts(model) -> dict:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import shipped_case
+from conftest import check_export_bytes, golden_exports, shipped_case, shipped_case_names
+from ugrestore.catalog import VariableCatalog
 from ugrestore.formulation import build_model
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ConeRow, LinearModel
 from ugrestore.solver import (
     SolverOptions,
     export_mps,
@@ -11,9 +14,14 @@ from ugrestore.solver import (
     parse_mps,
     solve,
 )
+from ugrestore.solver.cuts import initial_cone_cuts
+from ugrestore.solver.lp import read_lp
 from ugrestore.solver.mps import (
     MpsFormatError,
     SolutionImportError,
+    _join,
+    _name,
+    _text,
     write_solution_file,
 )
 
@@ -60,6 +68,179 @@ class TestExport:
         bad.write_text("NAME foo\nROWS\n")
         with pytest.raises(MpsFormatError):
             parse_mps(bad)
+
+
+def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=False):
+    """The export written line by line, as the array-built writer must reproduce it."""
+    cuts = initial_cone_cuts(model)
+    m = model.matrix().tocoo()
+    per_col = {}
+    for r, c, v in zip(m.row, m.col, m.data):
+        per_col.setdefault(int(c), []).append((f"R{int(r):07d}", float(v)))
+    for ci, cut in enumerate(cuts):
+        for col, coef in zip(cut.cols, cut.coefs):
+            per_col.setdefault(int(col), []).append((f"K{ci:07d}", float(coef)))
+    with open(mps_path, "w") as fh:
+        fh.write("* ugrestore mps export v1\n")
+        if relax_binaries:
+            fh.write("* binaries relaxed to [0,1] (LP relaxation)\n")
+        fh.write(f"NAME {model.meta.get('name', 'model')}\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n")
+        sense_char = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
+        for r in range(model.nrows):
+            fh.write(f" {sense_char[int(model.sense[r])]}  R{r:07d}\n")
+        for ci in range(len(cuts)):
+            fh.write(f" L  K{ci:07d}\n")
+        fh.write("COLUMNS\n")
+        integer_open = False
+        for col in range(model.ncols):
+            is_int = bool(model.col_binary[col]) and not relax_binaries
+            if is_int != integer_open:
+                fh.write(f"    MARKER    'MARKER'    '{'INTORG' if is_int else 'INTEND'}'\n")
+                integer_open = is_int
+            entries = per_col.get(col, [])
+            if model.obj[col] != 0.0:
+                entries = [("OBJ", float(model.obj[col]))] + entries
+            for rname, coef in entries or [("OBJ", 0.0)]:
+                fh.write(f"    C{col:07d}  {rname}  {coef!r}\n")
+        if integer_open:
+            fh.write("    MARKER    'MARKER'    'INTEND'\n")
+        fh.write("RHS\n")
+        for r in range(model.nrows):
+            if model.rhs[r] != 0.0:
+                fh.write(f"    RHS  R{r:07d}  {float(model.rhs[r])!r}\n")
+        for ci, cut in enumerate(cuts):
+            if cut.rhs != 0.0:
+                fh.write(f"    RHS  K{ci:07d}  {float(cut.rhs)!r}\n")
+        fh.write("BOUNDS\n")
+        for col in range(model.ncols):
+            lb, ub = float(model.col_lb[col]), float(model.col_ub[col])
+            if lb == ub:
+                fh.write(f" FX BND  C{col:07d}  {lb!r}\n")
+                continue
+            fh.write(f" LO BND  C{col:07d}  {lb!r}\n")
+            if np.isfinite(ub):
+                fh.write(f" UP BND  C{col:07d}  {ub!r}\n")
+        fh.write("ENDATA\n")
+    with open(cone_path, "w") as fh:
+        fh.write("* ugrestore cone sidecar v1\n* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")
+        for c in model.cones:
+            fh.write(f"CONE C{c.col_i:07d} C{c.col_v:07d} C{c.col_p:07d} C{c.col_q:07d}\n")
+    with open(name_map_path, "w") as fh:
+        fh.write("* ugrestore name map v1\n")
+        for col in range(model.ncols):
+            fh.write(f"C{col:07d} {model.catalog.name_of(col)}\n")
+
+
+def edge_model() -> LinearModel:
+    """What no shipped case has: explicit and negative zero entries, a column in no
+    row whose objective is -0.0, infinite bounds, and integer runs at both ends."""
+    cat = VariableCatalog()
+    cat.add_group("b", [0, 1], binary=True)
+    keys = [("p", 0), ("q", 1), ("r", 2)]
+    cat.add_group("x", keys, lb=[-np.inf, 0.0, 2.5], ub=[np.inf, np.inf, 2.5])
+    cat.add_group("y", ["only"], binary=True)
+    cat.add_group("z", [0, 1])  # z[1] is in no row
+    lb, ub, binary = cat.finalize()
+    rows, cols, vals = zip(
+        (0, 0, 1.0), (0, 2, -0.0), (0, 3, 0.1),
+        (1, 0, 2.0), (1, 0, -2.0), (1, 5, 3e-17),  # the two b[0] terms sum to an explicit 0.0
+        (2, 6, 1.0 / 3.0), (2, 4, -1e300), (2, 1, 5.0),
+    )  # fmt: skip
+    return LinearModel(
+        catalog=cat,
+        col_lb=lb,
+        col_ub=ub,
+        col_binary=binary,
+        obj=np.array([1.0, 0.0, -0.0, 0.5, 0.0, 0.0, 0.0, -0.0]),
+        coo_r=np.array(rows),
+        coo_c=np.array(cols),
+        coo_v=np.array(vals),
+        sense=np.array([SENSE_LE, SENSE_GE, SENSE_EQ], dtype=np.int8),
+        rhs=np.array([1.5, -0.0, 7.0]),
+        families=["f"] * 3,
+        locs=[None] * 3,
+        cones=[ConeRow(3, 4, 6, 2, "cone", ())],
+        meta={"name": "edge"},
+    )
+
+
+class TestExportBytes:
+    @pytest.mark.parametrize("relax", [False, True])
+    def test_matches_line_by_line_reference_on_edge_cases(self, relax, tmp_path):
+        model = edge_model()
+        ref = [tmp_path / f"ref.{ext}" for ext in ("mps", "cones", "names")]
+        got = [tmp_path / f"got.{ext}" for ext in ("mps", "cones", "names")]
+        reference_export(model, *ref, relax_binaries=relax)
+        export_mps(model, *got, relax_binaries=relax)
+        for r, g in zip(ref, got):
+            assert g.read_bytes() == r.read_bytes(), g.name
+
+    def test_golden_digests_cover_every_shipped_case(self):
+        assert sorted(golden_exports()) == shipped_case_names()
+
+    # feeder123 is checked beside its slow build, in test_formulation.py
+    @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
+    def test_export_bytes_unchanged(self, name, tmp_path):
+        check_export_bytes(name, build_model(shipped_case(name)), tmp_path)
+
+    @pytest.mark.parametrize("idx", [[0, 7, 9_999_999], [5, 10_000_000, 123_456_789_012]])
+    def test_names_pad_to_seven_digits_and_grow_past_them(self, idx):
+        lines = _join(_name(ord("C"), np.array(idx)), _text("\n", len(idx)))
+        assert lines.decode() == "".join(f"C{i:07d}\n" for i in idx)
+
+
+class TestReadBack:
+    """HiGHS reads the exported file back as the model plus its tangent rows."""
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        model = build_model(shipped_case("reduced13"))
+        d = tmp_path_factory.mktemp("readback")
+        export_mps(model, d / "m.mps")
+        export_mps(model, d / "r.mps", relax_binaries=True)
+        return model, read_lp(d / "m.mps"), read_lp(d / "r.mps")
+
+    def test_objective_and_columns(self, exported):
+        model, lp, relaxed = exported
+        assert lp.sense_.name == "kMaximize"
+        assert lp.num_col_ == model.ncols
+        assert np.array_equal(lp.col_cost_, model.obj)
+        assert np.array_equal(lp.col_lower_, model.col_lb)
+        assert np.array_equal(lp.col_upper_, model.col_ub)
+        integer = np.array([t.name == "kInteger" for t in lp.integrality_])
+        assert np.array_equal(integer, model.col_binary)
+        assert not any(t.name == "kInteger" for t in relaxed.integrality_)
+
+    def test_rows(self, exported):
+        model, lp, _ = exported
+        cuts = initial_cone_cuts(model)
+        sense = np.concatenate([model.sense, np.full(len(cuts), SENSE_LE)])
+        rhs = np.concatenate([model.rhs, [c.rhs for c in cuts]])
+        assert lp.num_row_ == model.nrows + len(cuts) == model.nrows + 8 * len(model.cones)
+        assert np.array_equal(lp.row_lower_, np.where(sense == SENSE_LE, -np.inf, rhs))
+        assert np.array_equal(lp.row_upper_, np.where(sense == SENSE_GE, np.inf, rhs))
+
+    def test_matrix(self, exported):
+        model, lp, _ = exported
+        cuts = initial_cone_cuts(model)
+        tangents = sp.csr_matrix(
+            (
+                [v for c in cuts for v in c.coefs],
+                [j for c in cuts for j in c.cols],
+                np.cumsum([0] + [len(c.cols) for c in cuts]),
+            ),
+            shape=(len(cuts), model.ncols),
+        )
+        want = sp.vstack([model.matrix(), tangents]).tocsc()
+        # HiGHS drops the entries with |v| <= 1e-9 (small_matrix_value)
+        want.data[np.abs(want.data) <= 1e-9] = 0.0
+        want.eliminate_zeros()
+        want.sort_indices()
+        a = lp.a_matrix_
+        assert a.format_.name == "kColwise"
+        assert np.array_equal(a.start_, want.indptr)
+        assert np.array_equal(a.index_, want.indices)
+        assert np.array_equal(a.value_, want.data)
 
 
 class TestImport:

@@ -208,6 +208,8 @@ class TestLpBackend:
             "getInfo",
             "getModelStatus",
             "getIis",
+            "readModel",
+            "getLp",
         ):
             assert hasattr(core._Highs, method), f"{where}._Highs.{method} is gone; update lp.py"
         assert lp._Highs is core._Highs
