@@ -110,12 +110,6 @@ class VariableCatalog:
         self._lb[col] = value
         self._ub[col] = value
 
-    def set_bounds(self, col: int, lb: float, ub: float) -> None:
-        if self._finalized:
-            raise CatalogError("catalog already finalized")
-        self._lb[col] = lb
-        self._ub[col] = ub
-
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         self._finalized = True
         return (
@@ -164,15 +158,3 @@ class VariableCatalog:
         if len(coerced) == 1:
             return coerced[0]
         return tuple(coerced)
-
-    def describe(self) -> str:
-        lines = ["columns:"]
-        for name in self._order:
-            g = self._groups[name]
-            kind = "binary" if g.binary else "continuous"
-            lines.append(f"  {name}: {g.size} {kind} columns starting at {g.start}")
-        if self.derived:
-            lines.append("derived symbols (reported, not optimized):")
-            for name, note in self.derived.items():
-                lines.append(f"  {name}: {note}")
-        return "\n".join(lines)

@@ -107,6 +107,7 @@ def cmd_solve(args) -> int:
             "cuts": sol.cut_count,
             "runtime_s": sol.runtime_s,
             "bound_pu_h": sol.bound,
+            "master_bound_pu_h": sol.master_bound,
             "incumbent_source": sol.incumbent_source,
             "seed": args.seed,
         },

@@ -92,10 +92,6 @@ class CaseConfig:
             raise CaseInvariantError("config: angle_window_rad must lie in (0, pi/6]")
 
     @property
-    def z_base_ohm(self) -> float:
-        return self.base_kv**2 / self.base_mva
-
-    @property
     def kw_base(self) -> float:
         """kW corresponding to 1.0 per-unit power."""
         return self.base_mva * 1000.0
@@ -156,10 +152,6 @@ class EssUnit:
     charge_max_pu: np.ndarray  # (3,)
     discharge_max_pu: np.ndarray
     reactive_max_pu: np.ndarray
-
-    @property
-    def energy_max_pu_h(self) -> float:
-        raise AttributeError("use FeederCase.ess_energy_pu_h, base depends on the case")
 
     @property
     def rated_phase_pu(self) -> np.ndarray:
@@ -449,6 +441,12 @@ def load_case_dict(data: dict) -> FeederCase:
         if np.any(trapped < 0.0) or np.any(trapped > 1.21):
             raise CaseInvariantError(
                 f"switchgear {sg['id']!r}: trapped_voltage_sq must lie in [0, 1.21]"
+            )
+        # below this the inrush guard of the build no longer bounds the exact step
+        if math.sqrt(config.v_min_sq) + math.sqrt(trapped.min()) < math.sqrt(2.0):
+            raise CaseInvariantError(
+                f"switchgear {sg['id']!r}: trapped_voltage_sq {trapped.min():g} is too low for "
+                f"the inrush guard (sqrt(v_min_sq) + sqrt(trapped_voltage_sq) < sqrt(2))"
             )
         gears.append(
             Switchgear(

@@ -680,11 +680,12 @@ def encode_inrush_gate(ctx: _Ctx, g: Switchgear, t: int) -> None:
     rating, and a step whose two parts share a sign passes the guard
     whenever it passes the plain limit.
 
-    Open gap: the schema admits ``trapped_voltage_sq`` down to 0.  Below
-    about ``(sqrt(2) - v_min)^2`` the sqrt(2) clamp on f_mag stops the guard
-    from bounding the exact step; with trapped 0 and V_f = 1 an exact inrush
-    of 2 * rating is admitted.  Whether the build should refuse such cases or
-    drop the clamp is left open.
+    The schema admits ``trapped_voltage_sq`` down to 0, but below about
+    ``(sqrt(2) - v_min)^2`` the sqrt(2) clamp on f_mag would stop the guard
+    from bounding the exact step (with trapped 0 and V_f = 1 an exact inrush
+    of 2 * rating would pass).  The linearized step is only meant near
+    1 p.u., so ``feeder.load_case_dict`` refuses such a switchgear rather
+    than this build deriving a guard for it.
     """
     case, cat, b = ctx.case, ctx.cat, ctx.b
     m = ctx.m_dv

@@ -20,8 +20,6 @@ SENSE_LE = 0
 SENSE_GE = 1
 SENSE_EQ = 2
 
-_SENSE_TEXT = {SENSE_LE: "<=", SENSE_GE: ">=", SENSE_EQ: "=="}
-
 
 class ConeRow(NamedTuple):
     """Rotated cone row: col_i * col_v >= col_p^2 + col_q^2 (all columns)."""
@@ -220,35 +218,6 @@ class LinearModel:
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.obj @ x)
-
-    # -- reporting -----------------------------------------------------------
-
-    def debug_dump(self, path, limit: int | None = None) -> None:
-        """Readable row listing for inspection."""
-        m = self.matrix().tocoo()
-        per_row: dict[int, list[tuple[int, float]]] = {}
-        for r, c, v in zip(m.row, m.col, m.data):
-            per_row.setdefault(int(r), []).append((int(c), float(v)))
-        with open(path, "w") as fh:
-            fh.write(f"model: {self.meta.get('name', '?')}\n")
-            fh.write(f"columns: {self.ncols}  rows: {self.nrows}  cones: {len(self.cones)}\n\n")
-            fh.write(self.catalog.describe())
-            fh.write("\n\nrows:\n")
-            n = self.nrows if limit is None else min(limit, self.nrows)
-            for row in range(n):
-                terms = " + ".join(
-                    f"{v:+g}*{self.catalog.name_of(c)}" for c, v in sorted(per_row.get(row, []))
-                )
-                fh.write(
-                    f"[{self.families[row]}{list(self.locs[row]) if self.locs[row] else ''}] "
-                    f"{terms} {_SENSE_TEXT[int(self.sense[row])]} {self.rhs[row]:g}\n"
-                )
-            for cone in self.cones:
-                fh.write(
-                    f"[{cone.family}{list(cone.loc)}] "
-                    f"{self.catalog.name_of(cone.col_i)}*{self.catalog.name_of(cone.col_v)} >= "
-                    f"{self.catalog.name_of(cone.col_p)}^2 + {self.catalog.name_of(cone.col_q)}^2\n"
-                )
 
     def constraint_catalog(self, descriptions: dict[str, str]) -> str:
         lines = ["constraint families:"]

@@ -80,27 +80,6 @@ class SwitchingPoint:
             raise PhysicsError(f"unknown phase {self.phase!r}")
 
 
-@dataclass(frozen=True)
-class FerroState:
-    """Resonant-circuit quantities seen from a switchgear looking downstream."""
-
-    c_eq: float
-    l_osc: float
-    r_dp: float
-    q_factor: float
-    p_tot: float
-    zip_z: float
-
-    def __post_init__(self) -> None:
-        for name in ("c_eq", "l_osc", "r_dp", "q_factor", "p_tot", "zip_z"):
-            if getattr(self, name) < 0.0:
-                raise PhysicsError(f"{name} must be non-negative")
-        if self.c_eq > 0.0 and self.l_osc > 0.0:
-            implied = self.r_dp * math.sqrt(self.c_eq / self.l_osc)
-            if not math.isclose(implied, self.q_factor, rel_tol=1e-9, abs_tol=1e-12):
-                raise PhysicsError("q_factor inconsistent with r_dp*sqrt(c_eq/l_osc)")
-
-
 class SwapMatrix:
     """A 3x3 binary matrix routing lateral conductors onto feeder phases.
 
@@ -125,10 +104,6 @@ class SwapMatrix:
             raise PhysicsError("swap matrix must be fully open or a full permutation")
         self.entries = m
 
-    @property
-    def is_open(self) -> bool:
-        return self.entries.sum() == 0.0
-
     @classmethod
     def identity(cls) -> "SwapMatrix":
         return cls(np.eye(3))
@@ -136,10 +111,6 @@ class SwapMatrix:
     @classmethod
     def open(cls) -> "SwapMatrix":
         return cls(np.zeros((3, 3)))
-
-    @classmethod
-    def from_order(cls, order: tuple[int, int, int]) -> "SwapMatrix":
-        return cls(PERMUTATIONS[PERMUTATION_ORDERS.index(order)])
 
 
 def squared_voltage_difference(point: SwitchingPoint, angle_window: float = math.radians(10.0)) -> float:

@@ -146,9 +146,6 @@ class RestorationPlan:
                 out.append(l.index)
         return out
 
-    def energized_lateral(self, gear_id: str, t: int) -> bool:
-        return self.beta(gear_id, t) > 0.5
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:

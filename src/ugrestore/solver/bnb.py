@@ -11,6 +11,20 @@ tie-breaker).  Integral candidates get a full refinement loop and are
 accepted as incumbents only after an independent replay of every linear row,
 cone row and column bound.
 
+After the root LP and the diver, if the incumbent does not yet dominate the
+root, one outer-approximation master (:func:`lp.master_bound`: the model as
+a MIP in HiGHS, its cone rows replaced by the seed tangents of
+``initial_cone_cuts``) gets at most half the time left.  Its MIP dual bound
+caps every node's bound, so when the incumbent dominates it the search ends
+at the root.  The search's backend is released while the master runs.
+
+The proven bound is the largest of the bounds still open: the best node left
+in the heap, the largest bound the incumbent pruned (within the dominance
+tolerance ``max(abs_gap, rel_gap * max(1, |incumbent|))``, so it may sit
+above the incumbent) and the bound of every subtree left open.  It is capped
+by the master's and never below the incumbent.  ``optimal`` means the
+incumbent dominates it, by the same tolerance.
+
 Only an ``infeasible`` LP prunes a node.  An LP that ends as ``error`` or
 ``unbounded`` (an LP cut off at the deadline ends as ``error``), and an
 integral point that fails the replay, leave their subtree open: the node's
@@ -34,8 +48,8 @@ from typing import Callable
 import numpy as np
 
 from ugrestore.model import LinearModel
-from ugrestore.solver.cuts import cone_violations, soc_cut
-from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint
+from ugrestore.solver.cuts import cone_violations, initial_cone_cuts, soc_cut
+from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint, master_bound
 
 MAX_OA_ROUNDS = 80  # at the root and at integral candidates
 OA_ROUNDS_FRACTIONAL = 2  # at every other node
@@ -73,6 +87,7 @@ class Solution:
     node_count: int
     cut_count: int
     runtime_s: float
+    master_bound: float = np.inf  # the outer-approximation master's; +inf when not run
     kwh_factor: float = 1.0
     infeasible_hint: str = ""
     incumbent_source: str = ""
@@ -103,6 +118,8 @@ class _Search:
         self.inc_val = -np.inf
         self.inc_src = ""
         self.open_bound = -np.inf  # best inherited bound of the subtrees left open
+        self.pruned_bound = -np.inf  # best bound of the nodes the incumbent pruned
+        self.master_bound = np.inf  # caps every bound once run_master ran
 
     def out_of_time(self) -> bool:
         return time.monotonic() > self.backend.deadline
@@ -123,6 +140,25 @@ class _Search:
             return False
         tol = max(self.opts.abs_gap, self.opts.rel_gap * max(1.0, abs(self.inc_val)))
         return bound <= self.inc_val + tol
+
+    def prune(self, bound: float) -> bool:
+        """True if the incumbent dominates ``bound``, which then stays in the proven bound."""
+        if not self.dominated(bound):
+            return False
+        self.pruned_bound = max(self.pruned_bound, bound)
+        return True
+
+    def run_master(self) -> float:
+        """The bound of one outer-approximation master, given half the time left.
+
+        The search's HiGHS instance is released while the master runs, so the
+        two never sit in memory together.
+        """
+        left = self.backend.deadline - time.monotonic()
+        if left > 0.0:
+            self.backend.release()
+            self.master_bound = master_bound(self.model, initial_cone_cuts(self.model), 0.5 * left)
+        return self.master_bound
 
     # -- relaxation -------------------------------------------------------------
 
@@ -189,13 +225,11 @@ def solve(
 
     tie = itertools.count()
     heap: list[_Node] = []
-    proven_bound = -np.inf  # best-first: no node in the heap exceeds it
     timed_out = False
 
     root = search.oa_refine({}, search.backend.solve(), MAX_OA_ROUNDS, tol=opts.oa_search_tol)
     nodes = 1
     if root.ok:
-        proven_bound = root.objective
         heapq.heappush(heap, _Node(-root.objective, next(tie), {}, root))
     else:
         search.leave_open(root, np.inf)
@@ -205,10 +239,8 @@ def solve(
             timed_out = True
             break
         node = heapq.heappop(heap)
-        bound = -node.neg_bound
-        proven_bound = bound
-        if search.dominated(bound):
-            proven_bound = max(bound, search.inc_val)
+        bound = min(-node.neg_bound, search.master_bound)
+        if search.prune(bound):  # best-first: so is every node left in the heap
             break
 
         res = node.lp
@@ -224,7 +256,7 @@ def solve(
             search.leave_open(res, bound)
             continue
         bound = min(bound, res.objective)
-        if search.dominated(bound):
+        if search.prune(bound):
             continue
 
         frac = search.fractional_binaries(res.x)
@@ -239,7 +271,7 @@ def solve(
                 if not search.offer_incumbent(res.x, "branch-and-bound"):
                     search.leave_open(res, bound)
                 continue
-            if search.dominated(bound):
+            if search.prune(bound):
                 continue
 
         if (
@@ -251,15 +283,20 @@ def solve(
             if dived is not None:
                 search.offer_incumbent(dived, "dive")
 
+        if not node.fixes:  # the root, still open after its LP and the diver
+            bound = min(bound, search.run_master())
+            if search.prune(bound):
+                continue
+
         col = search.pick_branch(res.x, frac)
         for val in (0.0, 1.0):
             fixes = dict(node.fixes)
             fixes[col] = val
             heapq.heappush(heap, _Node(-bound, next(tie), fixes))
 
-    if not heap and not timed_out:
-        proven_bound = search.inc_val
-    proven_bound = max(proven_bound, search.open_bound)
+    # every node is in the heap, pruned by the incumbent, left open or closed by its own point
+    open_tree = -heap[0].neg_bound if heap else -np.inf
+    proven_bound = min(max(open_tree, search.pruned_bound, search.open_bound), search.master_bound)
     # an LP cut off at the deadline left its node open: the time limit ended the search
     timed_out = timed_out or (search.open_bound > -np.inf and search.out_of_time())
     if search.inc_x is None:
@@ -269,11 +306,12 @@ def solve(
         else:
             status = "error" if search.open_bound > -np.inf else "infeasible"
     else:
-        gap = max(0.0, (proven_bound - search.inc_val) / max(1.0, abs(search.inc_val)))
-        if timed_out and gap > opts.rel_gap:
-            status = "time_limit"
-        elif gap <= opts.rel_gap + 1e-15:
+        proven_bound = max(proven_bound, search.inc_val)
+        gap = (proven_bound - search.inc_val) / max(1.0, abs(search.inc_val))
+        if search.dominated(proven_bound):
             status = "optimal"
+        elif timed_out:
+            status = "time_limit"
         else:
             status = "feasible"
     return Solution(
@@ -285,6 +323,7 @@ def solve(
         node_count=nodes,
         cut_count=len(search.backend.cuts),
         runtime_s=time.monotonic() - t0,
+        master_bound=search.master_bound,
         kwh_factor=kwh,
         infeasible_hint=infeasibility_hint(model) if status == "infeasible" else "",
         incumbent_source=search.inc_src,

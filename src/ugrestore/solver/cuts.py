@@ -19,6 +19,7 @@ from ugrestore.model import ConeRow, LinearModel
 from ugrestore.solver.lp import Cut
 
 CONE_TANGENTS = 8  # seed tangent planes per cone, in the MPS export
+SNAP = 1e-12  # |coefficient| or |rhs| of a seed tangent below this is rounding residue
 
 
 class NoCutError(ValueError):
@@ -81,8 +82,14 @@ def unit_tangents(
     Tangents are taken at unit-voltage points with flow direction swept over
     ``n_angles`` angles; they are supporting planes (violation zero), built
     directly from the subgradient formula.  They depend on the angle only, so
-    every cone shares them.
+    every cone shares them.  Rounding residue below ``SNAP`` (cos and sin at
+    multiples of pi/2, and the right-hand sides, which are exactly 0 since
+    every plane passes through the apex) is set to an exact 0.
     """
+
+    def snap(v: float) -> float:
+        return 0.0 if abs(v) < SNAP else v
+
     planes = []
     for m in range(n_angles):
         ang = 2.0 * math.pi * m / n_angles
@@ -94,7 +101,7 @@ def unit_tangents(
         gp = 4.0 * p0 / n
         gq = 4.0 * q0 / n
         rhs = gi * i0 + gv * v0 + gp * p0 + gq * q0
-        planes.append(((gi, gv, gp, gq), rhs))
+        planes.append(((snap(gi), snap(gv), snap(gp), snap(gq)), snap(rhs)))
     return planes
 
 

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import os
 import shutil
 
 import pytest
@@ -42,6 +44,39 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "optimal"
         assert payload["validation_passed"] is True
+
+    def test_json_payload_stays_clean_when_the_master_prints(self, outdir, capfd, monkeypatch):
+        # HiGHS's MIP solver prints to fd 1 even with output_flag off
+        from ugrestore.solver import lp
+
+        libc, real, noisy = ctypes.CDLL(None), lp._loaded, []
+
+        class NoisyMip:
+            def __init__(self, highs):
+                self.highs, self.mip = highs, False
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+            def changeColsIntegrality(self, *args):
+                self.mip = True
+                return self.highs.changeColsIntegrality(*args)
+
+            def run(self):
+                if self.mip:
+                    noisy.append(1)
+                    os.write(1, b"noise from os.write\n")
+                    libc.printf(b"noise from printf\n")
+                return self.highs.run()
+
+        monkeypatch.setattr(lp, "_loaded", lambda *args: NoisyMip(real(*args)))
+        assert main(_solve_args("toy_fork", outdir, "--json")) == 0
+        out = capfd.readouterr().out
+        assert noisy, "the master never ran"
+        assert "noise" not in out
+        assert json.loads(out)["status"] == "optimal"
+        info = json.loads((outdir / "plan.json").read_text())["solver_info"]
+        assert info["master_bound_pu_h"] >= info["bound_pu_h"]
 
     def test_broken_case_exits_3(self, outdir, tmp_path, capsys):
         bad = tmp_path / "broken.json"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import check_export_bytes, load_minimal, minimal_doc, shipped_case
+from conftest import check_export_bytes, load_minimal, minimal_doc, shipped_case, shipped_doc
 from ugrestore import bigm
 from ugrestore.catalog import CatalogError, VariableCatalog
-from ugrestore.feeder import load_case_dict
+from ugrestore.feeder import CaseInvariantError, load_case_dict
 from ugrestore.formulation import (
     BuildOptions,
     UnformulatableError,
@@ -683,6 +684,27 @@ class TestInrushGuard:
         assert not g.guard_admits(v_f, theta)
         slack = g.coef * BRACKET_SLACK + LINEAR_TOL
         assert g.exact_inrush(v_f, theta) > math.sqrt(2.0) * g.rating + slack
+
+    def test_low_trapped_voltage_breaks_the_guard(self, reduced13):
+        # built past the loader, GB at trapped 0 with a rating of 11.56 admits the
+        # step V_f = 1, theta = 0, whose exact inrush is about twice the rating:
+        # v_min + sqrt(trapped) < sqrt(2), so the sqrt(2) clamp on f_mag bites
+        case = copy.deepcopy(reduced13)
+        gear = next(g for g in case.switchgears if g.id == "GB")
+        gear.trapped_v_sq = np.zeros(3)
+        gear.inrush_limit_pu = 11.56
+        g = _guard_rows(case, "GB")
+        assert g.v_lo + g.v_t < math.sqrt(2.0)
+        assert g.plain_admits(1.0, 0.0) and g.guard_admits(1.0, 0.0)
+        assert g.exact_inrush(1.0, 0.0) / g.rating == pytest.approx(1.9985, abs=1e-4)
+
+    def test_low_trapped_voltage_is_refused_at_load(self):
+        doc = shipped_doc("reduced13")
+        gear = next(sg for sg in doc["switchgears"] if sg["id"] == "GB")
+        gear["trapped_voltage_sq"] = 0.0
+        gear["inrush_limit_pu"] = 11.56
+        with pytest.raises(CaseInvariantError, match="switchgear 'GB'.*trapped_voltage_sq"):
+            load_case_dict(doc)
 
 
 class TestCatalogNames:

@@ -1,6 +1,11 @@
+import ctypes
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from ugrestore.solver import (
     make_diver,
     solve,
 )
-from ugrestore.solver import lp
+from ugrestore.solver import bnb, lp
 from ugrestore.solver.cuts import NoCutError, cone_violations, initial_cone_cuts, soc_cut
 from ugrestore.solver.lp import CUTS_PER_CONE, Cut, HighsModelStatus, LpBackend, LpResult
 
@@ -198,7 +203,8 @@ class TestLpBackend:
             "passModel",
             "setOptionValue",
             "changeColsBounds",
-            "addRow",
+            "changeColsIntegrality",
+            "addRows",
             "changeCoeff",
             "changeRowBounds",
             "clearSolver",
@@ -210,9 +216,43 @@ class TestLpBackend:
             "getIis",
             "readModel",
             "getLp",
+            "getBasis",
+            "setBasis",
         ):
             assert hasattr(core._Highs, method), f"{where}._Highs.{method} is gone; update lp.py"
+        assert hasattr(core.HighsInfo(), "mip_dual_bound"), "HighsInfo.mip_dual_bound is gone"
         assert lp._Highs is core._Highs
+
+    def test_release_then_solve_matches_unreleased(self, reduced13):
+        model = build_model(reduced13)
+        kept, released = LpBackend(model), LpBackend(model)
+        res = kept.solve()
+        for _ in range(3):  # the same cut pool in both
+            for idx, _ in cone_violations(model, res.x, 1e-6)[:20]:
+                cone = model.cones[idx]
+                cut = soc_cut(cone.point(res.x), cone)
+                kept.add_cut(idx, cut, res.x)
+                released.add_cut(idx, cut, res.x)
+            res = kept.solve()
+        assert released.solve().objective == pytest.approx(res.objective, rel=1e-9)
+        released.release()
+        assert released.highs is None and released.cuts == kept.cuts
+        again = released.solve()  # from the kept basis: nothing left to pivot
+        assert again.objective == pytest.approx(res.objective, rel=1e-9) and again.nit == 0
+        assert released.highs.getNumRow() == model.nrows + len(kept.cuts)
+        fix = {int(model.free_binary_columns[0]): 1.0}
+        want = kept.solve(fix)
+        released.release()
+        got = released.solve(fix)
+        assert got.status == want.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        released.release()  # add_cut reloads too
+        idx, _ = cone_violations(model, want.x, 1e-6)[0]
+        cut = soc_cut(model.cones[idx].point(want.x), model.cones[idx])
+        for backend in (kept, released):
+            backend.add_cut(idx, cut, want.x)
+        got, want = released.solve(fix), kept.solve(fix)
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
 
 
 class _HighsSpy:
@@ -326,6 +366,9 @@ class TestExactnessAtToyScale:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(enum_val, abs=1e-9 * max(1.0, abs(enum_val)))
         assert t_enum < 60.0 and t_bnb < 60.0
+        # the outer-approximation master bounds the enumerated optimum on its own
+        master = lp.master_bound(model, initial_cone_cuts(model), 60.0)
+        assert enum_val - 1e-9 * max(1.0, abs(enum_val)) <= master < np.inf
 
     def test_zero_load_toy(self):
         doc_case = load_minimal()
@@ -447,6 +490,20 @@ class TestSearchBehavior:
                 if child.ok:
                     assert child.objective <= parent.objective + 1e-9
 
+    def test_reports_the_bound_it_pruned_with(self):
+        # the incumbent is 5e-12 short of the root bound: inside abs_gap, outside rel_gap 0
+        cat = VariableCatalog()
+        cat.add_group("b", [0], binary=True)
+        cat.add_group("x", [0], lb=0.0, ub=1.0)
+        b = ModelBuilder(cat)
+        b.add_obj(cat.col("b", 0), 1.0)
+        b.add_obj(cat.col("x", 0), 1.0)
+        model = b.build({})
+        ws = np.array([1.0, 1.0 - 5e-12])
+        sol = solve(model, SolverOptions(rel_gap=0.0, abs_gap=1e-11), warm_start=ws)
+        assert sol.status == "optimal" and sol.node_count == 1
+        assert sol.bound == 2.0 and sol.gap == pytest.approx(5e-12 / 2.0, rel=1e-3)
+
     def test_infeasible_names_family(self):
         doc_case = load_minimal()
         model = build_model(doc_case)
@@ -499,6 +556,12 @@ def _fail_once(monkeypatch, when):
     return failed, root_objs
 
 
+@pytest.fixture
+def no_master(monkeypatch):
+    """The master bound closes toy_fork at the root; without it the tree still runs."""
+    monkeypatch.setattr(bnb, "master_bound", lambda *args: np.inf)
+
+
 class TestLpFailures:
     """Only an infeasible LP prunes; a failed or cut-off LP keeps its node's bound."""
 
@@ -515,6 +578,7 @@ class TestLpFailures:
         assert sol.status == "feasible" and sol.bound == np.inf
         assert sol.objective == model.objective_value(ws)
 
+    @pytest.mark.usefixtures("no_master")
     def test_child_error_keeps_inherited_bound(self, toy_fork, monkeypatch):
         model = build_model(toy_fork)
         failed, root_objs = _fail_once(monkeypatch, lambda fixes: len(fixes) > 0)
@@ -523,6 +587,7 @@ class TestLpFailures:
         assert sol.bound >= root_objs[-1] > sol.objective + 1e-6
         assert sol.status == "feasible"
 
+    @pytest.mark.usefixtures("no_master")
     @pytest.mark.parametrize(
         "status", [s for s in HighsModelStatus.__members__.values() if s != HighsModelStatus.kOptimal]
     )
@@ -597,6 +662,7 @@ class TestLpFailures:
         for limit, remaining in limits:
             assert 0.0 <= limit <= remaining <= 30.0
 
+    @pytest.mark.usefixtures("no_master")
     def test_deadline_passed_after_root_is_time_limit(self, toy_fork, monkeypatch):
         model = build_model(toy_fork)
         ws = greedy_warm_start(model, toy_fork, EXACT)
@@ -622,6 +688,80 @@ class TestLpFailures:
         for warm in (None, ws):
             sol = solve(model, SolverOptions(time_limit_s=1e-9), warm_start=warm)
             assert sol.status == "time_limit" and sol.bound == np.inf
+
+
+class TestMasterBound:
+    """One outer-approximation master MIP caps the proven bound after the root."""
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_at_least_the_greedy_on_reduced13(self, reduced13, gate):
+        model = build_model(reduced13, BuildOptions(ferro_gate=gate))
+        ws = greedy_warm_start(model, reduced13)
+        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0)
+        assert model.objective_value(ws) <= bound < np.inf
+
+    def test_not_run_when_the_root_closes_the_gap(self, reduced13, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bnb, "master_bound", lambda *args: calls.append(args) or np.inf)
+        model = build_model(reduced13, BuildOptions(ferro_gate=False))
+        ws = greedy_warm_start(model, reduced13)
+        sol = solve(model, SolverOptions(), warm_start=ws, warm_start_source="greedy")
+        assert sol.status == "optimal" and sol.node_count == 1
+        assert calls == [] and sol.master_bound == np.inf
+        # the root bound, inside rel_gap of the incumbent, is the bound reported
+        assert sol.bound > sol.objective and 0.0 < sol.gap <= SolverOptions().rel_gap
+
+    def test_proves_reduced13_with_swap_and_gate_at_the_root(self, reduced13):
+        model = build_model(reduced13)
+        ws = greedy_warm_start(model, reduced13)
+        sol = solve(model, SolverOptions(), warm_start=ws, warm_start_source="greedy")
+        assert sol.status == "optimal" and sol.node_count == 1
+        assert sol.objective == model.objective_value(ws)
+        assert sol.bound == sol.master_bound >= sol.objective
+        assert 0.0 < sol.gap <= SolverOptions().rel_gap  # the bound proved, not the incumbent
+
+    @pytest.mark.parametrize(
+        "status",
+        [HighsModelStatus.kSolveError, HighsModelStatus.kInfeasible, HighsModelStatus.kInterrupt],
+    )
+    def test_failed_master_yields_no_bound(self, toy_fork, monkeypatch, status):
+        model = build_model(toy_fork)
+        cuts = initial_cone_cuts(model)
+        assert lp.master_bound(model, cuts, 60.0) < np.inf
+        real = lp._loaded
+        monkeypatch.setattr(lp, "_loaded", lambda *args: _HighsSpy(real(*args), status))
+        assert lp.master_bound(model, cuts, 60.0) == np.inf
+
+
+class TestQuietStdout:
+    def test_fd_level_output_is_dropped(self, capfd):
+        libc = ctypes.CDLL(None)
+        print("before", flush=True)
+        with lp.quiet_stdout():
+            os.write(1, b"os.write inside\n")
+            libc.printf(b"printf inside\n")  # may wait in C's buffer until the block flushes it
+        print("after", flush=True)
+        libc.fflush(None)
+        assert capfd.readouterr().out == "before\nafter\n"
+
+    def test_fully_buffered_c_output_is_flushed_on_both_sides(self):
+        # C stdio on a pipe is fully buffered unless Python runs unbuffered
+        code = (
+            "import ctypes, os\n"
+            "from ugrestore.solver.lp import quiet_stdout\n"
+            "libc = ctypes.CDLL(None)\n"
+            "libc.printf(b'before ')\n"
+            "with quiet_stdout():\n"
+            "    os.write(1, b'os.write inside ')\n"
+            "    libc.printf(b'printf inside ')\n"
+            "libc.printf(b'after')\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(lp.__file__).parents[2])
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True
+        ).stdout
+        assert out == b"before after"
 
 
 class TestWarmStart:
