@@ -149,7 +149,13 @@ def _add_rows(highs: _Highs, cuts: list[Cut]) -> None:
     _check(status, "a cut row")
 
 
-_libc = ctypes.CDLL(None)
+def _c_fflush() -> None:
+    """Flush C's stdio buffers, where the C library can be loaded by ``CDLL(None)``."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # Windows has no CDLL(None)
+        return
+    libc.fflush(None)
 
 
 @contextmanager
@@ -158,10 +164,11 @@ def quiet_stdout():
 
     The HiGHS MIP solver prints some lines to stdout even with
     ``output_flag`` off; C-level buffers are flushed on both sides, so
-    nothing written inside the block leaks out after it.
+    nothing written inside the block leaks out after it.  Where the C
+    library cannot be loaded, only Python's buffer is flushed.
     """
     sys.stdout.flush()
-    _libc.fflush(None)
+    _c_fflush()
     saved = os.dup(1)
     null = os.open(os.devnull, os.O_WRONLY)
     try:
@@ -169,7 +176,7 @@ def quiet_stdout():
         yield
     finally:
         sys.stdout.flush()
-        _libc.fflush(None)
+        _c_fflush()
         os.dup2(saved, 1)
         os.close(null)
         os.close(saved)
@@ -247,9 +254,7 @@ class LpBackend:
             self._load()
         slots = self._cone_slots.setdefault(cone_idx, [])
         if len(slots) < CUTS_PER_CONE:
-            cols = np.array(cut.cols, dtype=np.int32)
-            coefs = np.array(cut.coefs, dtype=float)
-            _check(self.highs.addRow(-np.inf, cut.rhs, len(cols), cols, coefs), "a cut row")
+            _add_rows(self.highs, [cut])
             slots.append(len(self.cuts))
             self.cuts.append(cut)
             return

@@ -763,6 +763,17 @@ class TestQuietStdout:
         ).stdout
         assert out == b"before after"
 
+    def test_missing_c_library_still_silences_fd_1(self, capfd, monkeypatch):
+        def no_libc(name):
+            raise TypeError("no CDLL(None) here")
+
+        monkeypatch.setattr(lp.ctypes, "CDLL", no_libc)
+        print("before", flush=True)
+        with lp.quiet_stdout():
+            os.write(1, b"os.write inside\n")
+        print("after", flush=True)
+        assert capfd.readouterr().out == "before\nafter\n"
+
 
 class TestWarmStart:
     def test_zero_load_gives_zero(self):
