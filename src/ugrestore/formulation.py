@@ -6,9 +6,15 @@ single-commodity flow on a fictitious twin of the switch set) is decided
 once per run; switchgear closing, phase swapping, inverter dispatch and
 power flow are decided per period.
 
+Each restriction is stated once.  What a column bound says is not repeated
+as a row: a source's coverage of its own microgrid is a fixed column, and
+the renewable chance constraint is the bounds of ``res_p`` (forecast times
+:func:`derated_multiplier`) and ``res_q`` (the reactive rating).  No row is
+the sum of others either: the voltage cap of a covered node is its
+``volt-cover`` rows, not a second row over all microgrids.
+
 Row families (tags carried by every row):
 
-  coverage-root          grid-forming source node anchors its own microgrid
   coverage-parent        a node is covered only if its upstream node is
   coverage-unique        at most one microgrid covers a node
   switch-split           open switch endpoints cannot share a microgrid
@@ -41,8 +47,6 @@ Row families (tags carried by every row):
   ess-energy             stored energy bookkeeping with efficiencies
   ess-charge-lim         per-phase charging bound when enabled
   ess-discharge-lim      per-phase discharging bound when enabled
-  res-derate             risk-averse cap on forecast renewable output
-  res-reactive           renewable reactive support within its rating
   lateral-load-map-p/q   lateral demand routed through the swap matrix
   load-pickup-lim        covered feeder demand may be served, or shed
   load-pq-ratio          partial pickup preserves the load power factor
@@ -56,8 +60,9 @@ Row families (tags carried by every row):
   reorder-select         mismatch between swap and a reordering variant
   reorder-pick-one       at least one reordering variant is active
   ess-line-p/q-lim       microgrid line flows within the source rating
-  volt-range             covered node voltage within operating bounds
-  volt-cover             voltage is zero outside the covering microgrid
+  volt-range             a covered node's voltage is at least v_min
+  volt-cover             voltage at most v_max, and zero outside the covering
+                         microgrid
   current-lim            squared current within ampacity when covered
 """
 
@@ -82,7 +87,6 @@ class UnformulatableError(ValueError):
 
 
 FAMILY_DESCRIPTIONS: dict[str, str] = {
-    "coverage-root": "each grid-forming source anchors its own microgrid",
     "coverage-parent": "coverage grows outward from the source",
     "coverage-unique": "no node is covered by two microgrids",
     "switch-split": "open switch endpoints cannot share a microgrid",
@@ -114,8 +118,6 @@ FAMILY_DESCRIPTIONS: dict[str, str] = {
     "ess-energy": "stored energy bookkeeping with charge/discharge efficiencies",
     "ess-charge-lim": "per-phase charging power bound, enabled by the charge flag",
     "ess-discharge-lim": "per-phase discharging power bound, enabled by the discharge flag",
-    "res-derate": "risk-averse cap on forecast renewable output",
-    "res-reactive": "renewable reactive support within its rating",
     "lateral-load-map-p": "lateral active demand routed through the swap matrix",
     "lateral-load-map-q": "lateral reactive demand routed through the swap matrix",
     "load-pickup-lim": "covered feeder demand may be served or shed",
@@ -136,8 +138,8 @@ FAMILY_DESCRIPTIONS: dict[str, str] = {
     "reorder-pick-one": "at least one reordering variant stays selected",
     "ess-line-p-lim": "line active flow within the source per-phase rating",
     "ess-line-q-lim": "line reactive flow within the source reactive rating",
-    "volt-range": "covered node voltage within operating bounds",
-    "volt-cover": "voltage zero outside the covering microgrid",
+    "volt-range": "covered node voltage at least v_min",
+    "volt-cover": "voltage at most v_max, and zero outside the covering microgrid",
     "current-lim": "squared current within ampacity when covered",
 }
 
@@ -405,13 +407,15 @@ def _add_columns(ctx: _Ctx) -> None:
     )
 
     rtp = [(r, t, ph) for r in range(len(ctx.res)) for t in range(T) for ph in range(3)]
-    ctx.res_bound = {}
-    for r, unit in enumerate(ctx.res):
-        mult = derated_multiplier(unit.sigma, unit.confidence)
-        for t in range(T):
-            for ph in range(3):
-                ctx.res_bound[(r, t, ph)] = float(unit.forecast_pu[t, ph]) * mult
-    cat.add_group("res_p", rtp, lb=0.0, ub=[ctx.res_bound[key] for key in rtp])
+    # the chance constraint is these bounds: output within the derated
+    # forecast, reactive support within the rating
+    mult = [derated_multiplier(unit.sigma, unit.confidence) for unit in ctx.res]
+    cat.add_group(
+        "res_p",
+        rtp,
+        lb=0.0,
+        ub=[float(ctx.res[r].forecast_pu[t, ph]) * mult[r] for r, t, ph in rtp],
+    )
     cat.add_group(
         "res_q",
         rtp,
@@ -513,8 +517,6 @@ def _add_columns(ctx: _Ctx) -> None:
 def _encode_topology(ctx: _Ctx) -> None:
     case, cat, b = ctx.case, ctx.cat, ctx.b
     K = ctx.K
-    for k, e in enumerate(ctx.ess):
-        b.add("coverage-root", (e.node, k), [(cat.col("u", (e.node, k)), 1.0)], SENSE_EQ, 1.0)
     for k in range(K):
         o = ctx.orient[k]
         for nid in o.order:
@@ -981,26 +983,6 @@ def _encode_ess(ctx: _Ctx) -> None:
                 )
 
 
-def encode_chance_constraint(ctx: _Ctx, r: int, t: int) -> None:
-    """Derated output cap and reactive rating rows for one renewable unit."""
-    cat, b = ctx.cat, ctx.b
-    unit = ctx.res[r]
-    for ph in range(3):
-        if unit.forecast_pu[t, ph] <= 0.0 and unit.reactive_max_pu[ph] <= 0.0:
-            continue
-        b.add(
-            "res-derate",
-            (r, t, ph),
-            [(cat.col("res_p", (r, t, ph)), 1.0)],
-            SENSE_LE,
-            ctx.res_bound[(r, t, ph)],
-        )
-        if unit.reactive_max_pu[ph] > 0.0:
-            q = cat.col("res_q", (r, t, ph))
-            b.add("res-reactive", (r, t, ph), [(q, 1.0)], SENSE_LE, float(unit.reactive_max_pu[ph]))
-            b.add("res-reactive", (r, t, ph), [(q, -1.0)], SENSE_LE, float(unit.reactive_max_pu[ph]))
-
-
 # -- loads --------------------------------------------------------------------
 
 
@@ -1199,9 +1181,7 @@ def _encode_voltage_ranges(ctx: _Ctx) -> None:
         for t in range(ctx.T):
             for ph in live:
                 vs = [(cat.col("volt_sq", (n.id, k, t, ph)), 1.0) for k in range(ctx.K)]
-                us_max = [(cat.col("u", (n.id, k)), -vmax) for k in range(ctx.K)]
                 us_min = [(cat.col("u", (n.id, k)), -vmin) for k in range(ctx.K)]
-                b.add("volt-range", (n.id, t, ph), vs + us_max, SENSE_LE, 0.0)
                 b.add("volt-range", (n.id, t, ph), vs + us_min, SENSE_GE, 0.0)
                 for k in range(ctx.K):
                     b.add(
@@ -1270,9 +1250,6 @@ def build_model(case: FeederCase, options: BuildOptions | None = None) -> Linear
             if opts.fixed_reorder is None:
                 encode_linearized_products(ctx, g, t)
     _encode_ess(ctx)
-    for r in range(len(ctx.res)):
-        for t in range(ctx.T):
-            encode_chance_constraint(ctx, r, t)
     _encode_loads(ctx)
     _encode_power_flow(ctx)
     _encode_voltage_ranges(ctx)

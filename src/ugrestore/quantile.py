@@ -1,82 +1,27 @@
-"""Standard normal CDF and quantile used by the chance-constraint derating."""
+"""Standard normal CDF, density and quantile used by the chance-constraint derating.
+
+The standard library's :class:`statistics.NormalDist` does the work: the
+CDF through ``erfc`` and the quantile by Wichura's algorithm AS241, good to
+about 1e-16.
+"""
 
 from __future__ import annotations
 
-import math
+from statistics import NormalDist
 
-# Rational approximation coefficients (Acklam's inverse-normal algorithm).
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-_P_LOW = 0.02425
+_STANDARD = NormalDist()
 
 
 def normal_cdf(x: float) -> float:
-    """Phi(x) via the complementary error function (double precision)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return _STANDARD.cdf(x)
 
 
 def normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / (
-        ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    )
+    return _STANDARD.pdf(x)
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to better than 1e-9.
-
-    Rational initial guess refined by one Newton step on the erfc-based CDF;
-    a second step is taken in the extreme tails where one is not enough.
-    """
+    """Inverse standard normal CDF; ``ValueError`` outside (0, 1), NaN included."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    x = _acklam(p)
-    for _ in range(2):
-        err = normal_cdf(x) - p
-        if err == 0.0:
-            break
-        x -= err / normal_pdf(x)
-    return x
+    return _STANDARD.inv_cdf(p)

@@ -217,19 +217,6 @@ def svg_data_rows(path) -> list[dict]:
     return json.loads(meta.text)
 
 
-def _write_csv(path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            fh.write("\n")
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(plain(row))
-
-
 def rows_to_csv_text(rows: list[dict]) -> str:
     import csv
     import io
@@ -292,7 +279,7 @@ def emit_plots(bundle: ReportBundle, outdir) -> list[str]:
                 f'font-family="sans-serif" fill="{color}">{escape(z.gear_id)}</text>'
             )
     _write_file(out / "switching_zones.svg", _svg_document("allowable switching zones", body, zone_rows))
-    _write_csv(out / "switching_zones.csv", zone_rows)
+    _write_file(out / "switching_zones.csv", rows_to_csv_text(zone_rows))
     written += ["switching_zones.svg", "switching_zones.csv"]
 
     # q schedule
@@ -326,7 +313,7 @@ def emit_plots(bundle: ReportBundle, outdir) -> list[str]:
                 _polyline([(xs(0), ys(lim)), (xs(horizon - 1), ys(lim))], "#999999", width=0.8)
             )
     _write_file(out / "q_schedule.svg", _svg_document("quality factor schedule", body, q_rows))
-    _write_csv(out / "q_schedule.csv", q_rows)
+    _write_file(out / "q_schedule.csv", rows_to_csv_text(q_rows))
     written += ["q_schedule.svg", "q_schedule.csv"]
 
     # soc profiles
@@ -345,7 +332,7 @@ def emit_plots(bundle: ReportBundle, outdir) -> list[str]:
             pts = [(xs(t), ys(v)) for t, v in enumerate(info["soc_kwh"])]
             body.append(_polyline(pts, palette[int(k) % len(palette)]))
     _write_file(out / "soc_profiles.svg", _svg_document("storage state of charge", body, soc_rows))
-    _write_csv(out / "soc_profiles.csv", soc_rows)
+    _write_file(out / "soc_profiles.csv", rows_to_csv_text(soc_rows))
     written += ["soc_profiles.svg", "soc_profiles.csv"]
 
     # phase balance table (CSV only plus a bar chart svg)
@@ -369,11 +356,11 @@ def emit_plots(bundle: ReportBundle, outdir) -> list[str]:
                     f'height="{max(y1 - y0, 0):.2f}" fill="{colors[ph]}"/>'
                 )
     _write_file(out / "phase_balance.svg", _svg_document("phase load shares after swapping", body, table))
-    _write_csv(out / "phase_balance.csv", table)
+    _write_file(out / "phase_balance.csv", rows_to_csv_text(table))
     written += ["phase_balance.svg", "phase_balance.csv"]
     return [str(out / w) for w in written]
 
 
 def _write_file(path, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text)

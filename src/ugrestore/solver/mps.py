@@ -160,8 +160,9 @@ def _write_columns(fh, model: LinearModel, coefs: np.ndarray, relax_binaries: bo
     """One line per entry, the OBJ entry first in a column and ``OBJ 0.0`` in an empty one.
 
     The entries are those of a CSC matrix over the rows (OBJ, model rows,
-    tangent rows), so row indices come sorted within each column.  Runs of
-    integer columns are marked with INTORG/INTEND.
+    tangent rows), so row indices come sorted within each column.  A zero
+    tangent coefficient is left out; an explicit zero of a model row is
+    written.  Runs of integer columns are marked with INTORG/INTEND.
     """
     cone_cols = _cone_cols(model)
     n_tan = len(coefs) * len(cone_cols)
@@ -173,6 +174,7 @@ def _write_columns(fh, model: LinearModel, coefs: np.ndarray, relax_binaries: bo
         ),
         shape=(n_tan, model.ncols),
     )
+    tangents.eliminate_zeros()
     body = sp.vstack([model.matrix(), tangents], format="csr")
     empty = np.bincount(body.indices, minlength=model.ncols) == 0
     obj_cols = np.flatnonzero((model.obj != 0.0) | empty)

@@ -17,8 +17,6 @@ the search.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from ugrestore.feeder import FeederCase
@@ -86,56 +84,26 @@ def _forest(case: FeederCase, priority: dict[int, float] | None = None):
     return gamma, coverage
 
 
-def _commodity_flows(case: FeederCase, gamma: dict[int, float]) -> dict[int, float]:
-    """One unit per non-source node routed over the closed forest."""
-    closed = [l for l in case.lines if (not l.is_switch) or gamma.get(l.index, 0.0) > 0.5]
-    adj: dict[str, list] = {n.id: [] for n in case.nodes}
-    for l in closed:
-        adj[l.from_node].append(l)
-        adj[l.to_node].append(l)
-    flows: dict[int, float] = {l.index: 0.0 for l in case.lines}
-    seen: set[str] = set()
+def _balanced_permutation(
+    case: FeederCase, gear, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation landing the lateral's peak load on the least loaded phases.
 
-    def subtree(nid: str, from_line: int | None) -> int:
-        seen.add(nid)
-        size = 1
-        for l in adj[nid]:
-            if l.index == from_line:
-                continue
-            other = l.to_node if l.from_node == nid else l.from_node
-            if other in seen:
-                continue
-            sz = subtree(other, l.index)
-            sign = 1.0 if l.from_node == nid else -1.0
-            flows[l.index] = sign * sz
-            size += sz
-        return size
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(case.nodes) * 2 + 100))
-    try:
-        for e in case.ess_units:
-            if e.node not in seen:
-                subtree(e.node, None)
-    finally:
-        sys.setrecursionlimit(old)
-    return flows
-
-
-def _balanced_permutation(case: FeederCase, gear, base: np.ndarray) -> np.ndarray:
-    """Permutation landing the lateral's load on the least loaded phases."""
+    Returns the permutation and ``base`` with the lateral's load landed by it.
+    """
     peak_t = int(
         np.argmax([lateral_demand_pu(case, gear, t) for t in range(case.horizon)])
     )
     lat = np.zeros(3)
     for nid in gear.downstream_nodes:
         lat += case.node(nid).load_p[peak_t]
-    best, best_v = None, None
+    best, best_v, best_load = None, None, None
     for perm in PERMUTATIONS:
-        peak = float(np.max(base + perm @ lat))
+        load = base + perm @ lat
+        peak = float(np.max(load))
         if best is None or peak < best - 1e-12:
-            best, best_v = peak, perm
-    return best_v
+            best, best_v, best_load = peak, perm, load
+    return best_v, best_load
 
 
 def _schedule_from_case(case: FeederCase, ferro: bool, no_swap: bool) -> dict:
@@ -167,12 +135,7 @@ def _schedule_from_case(case: FeederCase, ferro: bool, no_swap: bool) -> dict:
         beta = [1 if close_at is not None and t >= close_at else 0 for t in range(case.horizon)]
         perm = np.eye(3)
         if not no_swap and close_at is not None:
-            perm = _balanced_permutation(case, g, base)
-            peak_t = int(np.argmax([lateral_demand_pu(case, g, t) for t in range(case.horizon)]))
-            lat = np.zeros(3)
-            for nid in g.downstream_nodes:
-                lat += case.node(nid).load_p[peak_t]
-            base = base + perm @ lat
+            perm, base = _balanced_permutation(case, g, base)
         swaps = [perm * b for b in beta]
         out[g.id] = (beta, bypass, swaps)
     return out
@@ -198,9 +161,6 @@ def _structural_fixes(
         if model.col_lb[col] == model.col_ub[col]:
             continue
         fixes[col] = val
-    flows = _commodity_flows(case, gamma)
-    for li, f in flows.items():
-        fixes[cat.col("fict_flow", li)] = f
     for g in case.switchgears:
         beta, bypass, swaps = schedule[g.id]
         if gamma.get(g.line_index, 1.0) < 0.5:

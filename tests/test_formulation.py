@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import check_export_bytes, load_minimal, minimal_doc, shipped_case, shipped_doc
+from conftest import (
+    check_export_bytes,
+    load_minimal,
+    minimal_doc,
+    shipped_case,
+    shipped_case_names,
+    shipped_doc,
+)
 from ugrestore import bigm
 from ugrestore.catalog import CatalogError, VariableCatalog
 from ugrestore.feeder import CaseInvariantError, load_case_dict
@@ -86,6 +93,27 @@ class TestBuildBasics:
         assert np.array_equal(a.col_lb, b.col_lb)
         assert np.array_equal(a.obj, b.obj)
         assert [c[:4] for c in a.cones] == [c[:4] for c in b.cones]
+
+    @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
+    def test_no_row_is_stated_twice(self, name):
+        """No two rows share their sorted entries, sense and right-hand side."""
+        model = build_model(shipped_case(name))
+        a = model.matrix().tocsr()
+        a.sort_indices()
+        first: dict[tuple, int] = {}
+        twice = []
+        for row in range(model.nrows):
+            span = slice(a.indptr[row], a.indptr[row + 1])
+            key = (
+                a.indices[span].tobytes(),
+                a.data[span].tobytes(),
+                int(model.sense[row]),
+                float(model.rhs[row]),
+            )
+            if key in first:
+                twice.append((model.families[first[key]], model.families[row]))
+            first.setdefault(key, row)
+        assert not twice, f"{len(twice)} duplicate rows, first {twice[:3]}"
 
     def test_row_family_catalog_documented(self):
         from ugrestore.formulation import FAMILY_DESCRIPTIONS
@@ -359,14 +387,31 @@ class TestChanceConstraint:
             assert derated_multiplier(0.3, t_hi) <= derated_multiplier(0.3, t_lo) + 1e-12
 
     def test_res_bound_rows(self, toy_pv):
+        """The chance constraint is the res_p and res_q bounds, repeated in no row."""
         model = build_model(toy_pv)
-        counts = model.family_counts()
-        assert counts.get("res-derate", 0) > 0
         cat = model.catalog
         mult = derated_multiplier(0.2, 0.9)
         col = cat.col("res_p", (0, 0, 0))
         # forecast 30 kW on a 1 MVA base
         assert model.col_ub[col] == pytest.approx(0.03 * mult)
+        assert toy_pv.res_units
+        for r, unit in enumerate(toy_pv.res_units):
+            derate = derated_multiplier(unit.sigma, unit.confidence)
+            for t in range(toy_pv.horizon):
+                for ph in range(3):
+                    p = cat.col("res_p", (r, t, ph))
+                    q = cat.col("res_q", (r, t, ph))
+                    rating = float(unit.reactive_max_pu[ph])
+                    assert model.col_lb[p] == 0.0
+                    assert model.col_ub[p] == float(unit.forecast_pu[t, ph]) * derate
+                    assert (model.col_lb[q], model.col_ub[q]) == (-rating, rating)
+        # a source's coverage of its own microgrid is a fixed column, not a row
+        for k, e in enumerate(toy_pv.ess_units):
+            u = cat.col("u", (e.node, k))
+            assert model.col_lb[u] == model.col_ub[u] == 1.0
+        families = set(model.family_counts())
+        assert not {f for f in families if f.startswith("res-")}
+        assert "coverage-root" not in families
 
 
 class TestBigM:

@@ -79,7 +79,8 @@ def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=F
         per_col.setdefault(int(c), []).append((f"R{int(r):07d}", float(v)))
     for ci, cut in enumerate(cuts):
         for col, coef in zip(cut.cols, cut.coefs):
-            per_col.setdefault(int(col), []).append((f"K{ci:07d}", float(coef)))
+            if coef != 0.0:  # a zero tangent coefficient is not written
+                per_col.setdefault(int(col), []).append((f"K{ci:07d}", float(coef)))
     with open(mps_path, "w") as fh:
         fh.write("* ugrestore mps export v1\n")
         if relax_binaries:
