@@ -1,10 +1,8 @@
-"""Deactivation bounds derived from case data, one per constraint family.
+"""Deactivation bounds derived from case data.
 
-Every big-M coefficient in the model comes through :func:`big_m` or one of
-the per-line helpers, computed from the case's variable ranges by interval
-arithmetic and then subjected to explicit per-family overrides from the case
-config.  There is deliberately no global fallback constant: an unknown
-family is a configuration error.
+Every big-M coefficient in the model comes from one of these functions,
+computed from the case's variable ranges by interval arithmetic.  There is
+deliberately no global fallback constant and no per-case override.
 """
 
 from __future__ import annotations
@@ -14,17 +12,13 @@ import numpy as np
 from ugrestore.feeder import FeederCase
 
 
-class BigMError(ValueError):
-    pass
-
-
 def _max_trapped_sq(case: FeederCase) -> float:
     if not case.switchgears:
         return 0.0
     return max(float(np.max(g.trapped_v_sq)) for g in case.switchgears)
 
 
-def _voltage_diff_bound(case: FeederCase) -> float:
+def voltage_diff_bound(case: FeederCase) -> float:
     """Largest |voltage difference| expressible at a closing event.
 
     The linearized difference is half the squared-magnitude spread plus the
@@ -69,37 +63,3 @@ def reorder_voltage_bracket(
         + 2.0 * 3.0 * entry_spread(x_hat) * flow
         + 3.0 * entry_spread(z_hat) * amp_sq
     )
-
-
-def _reorder_bound(case: FeederCase) -> float:
-    worst = 0.0
-    for g in case.switchgears:
-        for li in g.downstream_lines:
-            line = case.lines[li]
-            amp_sq = float(np.max(line.ampacity_pu)) ** 2
-            worst = max(worst, reorder_power_bracket(line.z.real, amp_sq))
-    return worst
-
-
-_FAMILIES = {
-    "inrush-pin": _voltage_diff_bound,
-    "inrush-zero": _voltage_diff_bound,
-    "volt-drop-open": lambda case: case.config.v_max_sq,
-    "slack-power": flow_bound,
-    "slack-voltage": lambda case: case.config.v_max_sq,
-    "gear-flow-gate": flow_bound,
-    "flow-gate": lambda case: float(len(case.nodes)),
-    "reorder-bracket": _reorder_bound,
-}
-
-
-def big_m(family: str, case: FeederCase) -> float:
-    """Smallest valid deactivation bound for a row family."""
-    override = case.config.big_m_overrides.get(family)
-    if override is not None:
-        return float(override)
-    try:
-        fn = _FAMILIES[family]
-    except KeyError:
-        raise BigMError(f"no deactivation bound rule for family {family!r}") from None
-    return float(fn(case))

@@ -1,9 +1,9 @@
 """Column bookkeeping for the restoration model.
 
 Every decision symbol gets a named group of columns with recorded kind and
-bounds; symbols that are reported but eliminated algebraically from the row
-system (for example the Q-factor, which the gate encodes through a load
-threshold) are registered as derived so the symbol inventory stays complete.
+bounds.  Symbols eliminated algebraically from the row system (for example
+the Q-factor, which the gate encodes through a load threshold) have no
+columns; the plan reports them from the solution.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class VariableCatalog:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._binary: list[bool] = []
-        self.derived: dict[str, str] = {}
         self._finalized = False
 
     @property
@@ -69,7 +68,7 @@ class VariableCatalog:
         """
         if self._finalized:
             raise CatalogError("catalog already finalized")
-        if name in self._groups or name in self.derived:
+        if name in self._groups:
             raise CatalogError(f"duplicate symbol {name!r}")
         keys = list(keys)
         g = Group(name=name, start=self.ncols, keys=keys, binary=binary)
@@ -85,12 +84,6 @@ class VariableCatalog:
         self._order.append(name)
         self._starts.append(g.start)
         return g
-
-    def register_derived(self, name: str, note: str) -> None:
-        """Record a symbol computed from a solution rather than optimized."""
-        if name in self._groups or name in self.derived:
-            raise CatalogError(f"duplicate symbol {name!r}")
-        self.derived[name] = note
 
     def group(self, name: str) -> Group:
         try:

@@ -73,7 +73,6 @@ class CaseConfig:
     v_max_sq: float
     inrush_rise_time_s: float
     angle_window_rad: float = math.radians(10.0)
-    swap_epsilon: float = 0.25
     q_gate_delay_limit_h: float = 2.0
     nominal_voltage_sq: float = 1.0
     base_kv: float = 4.16
@@ -81,7 +80,6 @@ class CaseConfig:
     delta_v_max_pu: float | None = None
     voltage_drop_quadratic_term: bool = True
     bypass_penalty: float = 1e-4
-    big_m_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.v_min_sq < self.v_max_sq:
@@ -303,7 +301,6 @@ def load_case_dict(data: dict) -> FeederCase:
         v_max_sq=cfg_raw["v_max_sq"],
         inrush_rise_time_s=cfg_raw["inrush_rise_time_s"],
         angle_window_rad=cfg_raw["angle_window_rad"],
-        swap_epsilon=cfg_raw["swap_epsilon"],
         q_gate_delay_limit_h=cfg_raw["q_gate_delay_limit_h"],
         nominal_voltage_sq=cfg_raw["nominal_voltage_sq"],
         base_kv=cfg_raw["base_kv"],
@@ -311,7 +308,6 @@ def load_case_dict(data: dict) -> FeederCase:
         delta_v_max_pu=cfg_raw["delta_v_max_pu"],
         voltage_drop_quadratic_term=cfg_raw["voltage_drop_quadratic_term"],
         bypass_penalty=cfg_raw["bypass_penalty"],
-        big_m_overrides=cfg_raw["big_m_overrides"],
     )
     kw_base = config.kw_base
 
@@ -654,13 +650,11 @@ def case_to_dict(case: FeederCase) -> dict:
             "v_max_sq": case.config.v_max_sq,
             "inrush_rise_time_s": case.config.inrush_rise_time_s,
             "angle_window_rad": case.config.angle_window_rad,
-            "swap_epsilon": case.config.swap_epsilon,
             "q_gate_delay_limit_h": case.config.q_gate_delay_limit_h,
             "nominal_voltage_sq": case.config.nominal_voltage_sq,
             "delta_v_max_pu": case.config.delta_v_max_pu,
             "voltage_drop_quadratic_term": case.config.voltage_drop_quadratic_term,
             "bypass_penalty": case.config.bypass_penalty,
-            "big_m_overrides": dict(case.config.big_m_overrides),
         },
         "nodes": [],
         "lines": [],

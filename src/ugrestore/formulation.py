@@ -56,7 +56,9 @@ Row families (tags carried by every row):
   slack-p/q/v-lim        balance and drop rows relax outside the microgrid
   gear-flow-gate         open switchgear carries no flow
   lateral-curr-gate      de-energized lateral carries no current
-  reorder-bracket-*      reordered-impedance products, big-M bracketed
+  reorder-bracket-*      reordered-impedance products, big-M bracketed, on a
+                         lateral line whose six reorderings differ (on any
+                         other line the products are plain coefficients)
   reorder-select         mismatch between swap and a reordering variant
   reorder-pick-one       at least one reordering variant is active
   ess-line-p/q-lim       microgrid line flows within the source rating
@@ -131,9 +133,9 @@ FAMILY_DESCRIPTIONS: dict[str, str] = {
     "slack-v-lim": "voltage drop relaxes outside the microgrid or across an open coupling",
     "gear-flow-gate": "an open switchgear carries no flow",
     "lateral-curr-gate": "a de-energized lateral carries no current",
-    "reorder-bracket-p": "active loss product under the selected reordering",
-    "reorder-bracket-q": "reactive loss product under the selected reordering",
-    "reorder-bracket-v": "voltage drop expression under the selected reordering",
+    "reorder-bracket-p": "active loss product under the selected reordering, where reorderings differ",
+    "reorder-bracket-q": "reactive loss product under the selected reordering, where reorderings differ",
+    "reorder-bracket-v": "voltage drop under the selected reordering, where reorderings differ",
     "reorder-select": "variant mismatch forces its selector off",
     "reorder-pick-one": "at least one reordering variant stays selected",
     "ess-line-p-lim": "line active flow within the source per-phase rating",
@@ -257,15 +259,16 @@ class _LineCoeffs:
     z_hat: np.ndarray
 
 
+def _line_coeffs(z: np.ndarray, quadratic_term: bool) -> _LineCoeffs:
+    r_hat, x_hat, z_hat = hat_matrices(z, quadratic_term)
+    return _LineCoeffs(r=z.real, x=z.imag, r_hat=r_hat, x_hat=x_hat, z_hat=z_hat)
+
+
 def line_variants(case: FeederCase, line_idx: int) -> list[_LineCoeffs]:
     """The six phase-reordered coefficient sets for one lateral line."""
     z = case.lines[line_idx].z
-    out = []
-    for perm in PERMUTATIONS:
-        zv = perm @ z @ perm.T
-        r_hat, x_hat, z_hat = hat_matrices(zv, case.config.voltage_drop_quadratic_term)
-        out.append(_LineCoeffs(r=zv.real, x=zv.imag, r_hat=r_hat, x_hat=x_hat, z_hat=z_hat))
-    return out
+    quad = case.config.voltage_drop_quadratic_term
+    return [_line_coeffs(perm @ z @ perm.T, quad) for perm in PERMUTATIONS]
 
 
 class _Ctx:
@@ -290,13 +293,33 @@ class _Ctx:
             for n in g.downstream_nodes:
                 self.lateral_gear_of_node[n] = g
         self.coupling_of_line = {g.line_index: g for g in case.switchgears}
-        self.m_dv = bigm.big_m("inrush-pin", case)
-        self.m_flow = bigm.big_m("slack-power", case)
-        self.m_volt = bigm.big_m("slack-voltage", case)
-        self.m_fict = bigm.big_m("flow-gate", case)
-        self.variants: dict[int, list[_LineCoeffs]] = {
-            li: line_variants(case, li) for li in self.lateral_gear_of_line
-        }
+        self.m_dv = bigm.voltage_diff_bound(case)
+        self.m_flow = bigm.flow_bound(case)
+        self.m_volt = case.config.v_max_sq
+        self.m_fict = float(len(case.nodes))
+        # A lateral line is bracketed when a phase swap changes its
+        # coefficients, that is when its six reorderings are not all equal;
+        # under ``fixed_reorder`` none is.  Every other line reads its one
+        # coefficient set from ``coeffs``.
+        self.coeffs: dict[int, _LineCoeffs] = {}
+        self.bracketed: dict[int, list[_LineCoeffs]] = {}
+        for line in case.lines:
+            li = line.index
+            gear = self.lateral_gear_of_line.get(li)
+            if gear is None:
+                self.coeffs[li] = _line_coeffs(line.z, case.config.voltage_drop_quadratic_term)
+                continue
+            variants = line_variants(case, li)
+            if opts.fixed_reorder is not None:
+                self.coeffs[li] = variants[opts.fixed_reorder.get(gear.id, 0)]
+            elif all(
+                np.array_equal(getattr(v, f), getattr(variants[0], f))
+                for v in variants[1:]
+                for f in ("r", "x", "r_hat", "x_hat", "z_hat")
+            ):
+                self.coeffs[li] = variants[0]
+            else:
+                self.bracketed[li] = variants
         self.gate_thr = {g.id: gate_threshold_pu(case, g) for g in case.switchgears}
         self.c_eq = {g.id: equivalent_capacitance(g, case) for g in case.switchgears}
 
@@ -459,35 +482,34 @@ def _add_columns(ctx: _Ctx) -> None:
     cat.add_group("slack_q", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
     cat.add_group("slack_v", lktp, lb=-ctx.m_volt, ub=ctx.m_volt)
 
-    if ctx.opts.fixed_reorder is None:
-        ylat = [
-            (l, k, t, ph)
-            for l in sorted(ctx.lateral_gear_of_line)
-            for k in range(K)
-            for t in range(T)
-            for ph in range(3)
-        ]
-        # Loss products inherit the coefficient signs: with non-negative
-        # resistance entries the active product cannot go negative, which
-        # keeps the relaxation from minting power through the loss term.
-        plb, pub, qlb, qub, vb = [], [], [], [], []
-        for l, k, t, ph in ylat:
-            amp_sq = ctx.amp_sq(l, 0)
-            var = ctx.variants[l]
-            stack_r = np.stack([c.r for c in var])
-            stack_x = np.stack([c.x for c in var])
-            plb.append(3.0 * min(0.0, float(np.min(stack_r))) * amp_sq)
-            pub.append(3.0 * max(0.0, float(np.max(stack_r))) * amp_sq)
-            qlb.append(3.0 * min(0.0, float(np.min(stack_x))) * amp_sq)
-            qub.append(3.0 * max(0.0, float(np.max(stack_x))) * amp_sq)
-            vb.append(
-                6.0 * float(np.max(np.abs(stack_r))) * ctx.m_flow
-                + 6.0 * float(np.max(np.abs(stack_x))) * ctx.m_flow
-                + 3.0 * float(np.max(np.abs(np.stack([c.z_hat for c in var])))) * amp_sq
-            )
-        cat.add_group("y_p", ylat, lb=plb, ub=pub)
-        cat.add_group("y_q", ylat, lb=qlb, ub=qub)
-        cat.add_group("y_v", ylat, lb=[-v for v in vb], ub=vb)
+    ylat = [
+        (l, k, t, ph)
+        for l in sorted(ctx.bracketed)
+        for k in range(K)
+        for t in range(T)
+        for ph in range(3)
+    ]
+    # Loss products inherit the coefficient signs: with non-negative
+    # resistance entries the active product cannot go negative, which
+    # keeps the relaxation from minting power through the loss term.
+    plb, pub, qlb, qub, vb = [], [], [], [], []
+    for l, k, t, ph in ylat:
+        amp_sq = ctx.amp_sq(l, 0)
+        var = ctx.bracketed[l]
+        stack_r = np.stack([c.r for c in var])
+        stack_x = np.stack([c.x for c in var])
+        plb.append(3.0 * min(0.0, float(np.min(stack_r))) * amp_sq)
+        pub.append(3.0 * max(0.0, float(np.max(stack_r))) * amp_sq)
+        qlb.append(3.0 * min(0.0, float(np.min(stack_x))) * amp_sq)
+        qub.append(3.0 * max(0.0, float(np.max(stack_x))) * amp_sq)
+        vb.append(
+            6.0 * float(np.max(np.abs(stack_r))) * ctx.m_flow
+            + 6.0 * float(np.max(np.abs(stack_x))) * ctx.m_flow
+            + 3.0 * float(np.max(np.abs(np.stack([c.z_hat for c in var])))) * amp_sq
+        )
+    cat.add_group("y_p", ylat, lb=plb, ub=pub)
+    cat.add_group("y_q", ylat, lb=qlb, ub=qub)
+    cat.add_group("y_v", ylat, lb=[-v for v in vb], ub=vb)
 
     # Phase masks: fix columns for conductors that do not exist.
     for n in case.nodes:
@@ -506,9 +528,6 @@ def _add_columns(ctx: _Ctx) -> None:
                         cat.fix(cat.col("flow_p", (l.index, k, t, ph)), 0.0)
                         cat.fix(cat.col("flow_q", (l.index, k, t, ph)), 0.0)
                         cat.fix(cat.col("curr_sq", (l.index, k, t, ph)), 0.0)
-
-    cat.register_derived("q_factor", "per-switchgear Q from the damping chain, reported per plan")
-    cat.register_derived("damping_resistance", "ZIP damping resistance, reported per plan")
 
 
 # -- topology ----------------------------------------------------------------
@@ -815,7 +834,9 @@ def encode_linearized_products(ctx: _Ctx, g: Switchgear, t: int) -> None:
         5.0,
     )
     for li in g.downstream_lines:
-        variants = ctx.variants[li]
+        variants = ctx.bracketed.get(li)
+        if variants is None:
+            continue
         amp_sq = ctx.amp_sq(li, 0)
         stack_r = np.stack([c.r for c in variants])
         stack_x = np.stack([c.x for c in variants])
@@ -1059,11 +1080,11 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                     if pline is not None and ph in ctx.line_phases(pline):
                         terms_p.append((cat.col("flow_p", (pline, k, t, ph)), -1.0))
                         terms_q.append((cat.col("flow_q", (pline, k, t, ph)), -1.0))
-                        if pline in ctx.lateral_gear_of_line and ctx.opts.fixed_reorder is None:
+                        if pline in ctx.bracketed:
                             terms_p.append((cat.col("y_p", (pline, k, t, ph)), 1.0))
                             terms_q.append((cat.col("y_q", (pline, k, t, ph)), 1.0))
                         else:
-                            coeffs = _line_rx(ctx, pline)
+                            coeffs = ctx.coeffs[pline]
                             for ps in ctx.line_phases(pline):
                                 if coeffs.r[ph, ps] != 0.0:
                                     terms_p.append(
@@ -1088,18 +1109,18 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                     b.add("balance-q", (nid, k, t, ph), terms_q, SENSE_EQ, 0.0)
             for li, (i, j) in o.direction.items():
                 live = ctx.line_phases(li)
-                lateral = li in ctx.lateral_gear_of_line and ctx.opts.fixed_reorder is None
-                coeffs = None if lateral else _line_rx(ctx, li)
+                bracketed = li in ctx.bracketed
                 for ph in live:
                     terms = [
                         (cat.col("volt_sq", (i, k, t, ph)), 1.0),
                         (cat.col("volt_sq", (j, k, t, ph)), -1.0),
                         (cat.col("slack_v", (li, k, t, ph)), -1.0),
                     ]
-                    if lateral:
+                    if bracketed:
                         terms.append((cat.col("y_v", (li, k, t, ph)), -1.0))
                     else:
-                        r_hat, x_hat, z_hat = coeffs.r_hat, coeffs.x_hat, coeffs.z_hat
+                        c = ctx.coeffs[li]
+                        r_hat, x_hat, z_hat = c.r_hat, c.x_hat, c.z_hat
                         for ps in live:
                             if r_hat[ph, ps] != 0.0:
                                 terms.append((cat.col("flow_p", (li, k, t, ps)), -2.0 * r_hat[ph, ps]))
@@ -1117,27 +1138,6 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                         cat.col("flow_q", (li, k, t, ph)),
                     )
                     _encode_line_limits(ctx, li, i, j, k, t, ph)
-
-
-_COEFF_CACHE_KEY = "_plain_coeffs"
-
-
-def _line_rx(ctx: _Ctx, li: int):
-    cache = getattr(ctx, _COEFF_CACHE_KEY, None)
-    if cache is None:
-        cache = {}
-        setattr(ctx, _COEFF_CACHE_KEY, cache)
-    got = cache.get(li)
-    if got is None:
-        line = ctx.case.lines[li]
-        if li in ctx.lateral_gear_of_line and ctx.opts.fixed_reorder is not None:
-            gid = ctx.lateral_gear_of_line[li].id
-            got = ctx.variants[li][ctx.opts.fixed_reorder.get(gid, 0)]
-        else:
-            r_hat, x_hat, z_hat = hat_matrices(line.z, ctx.case.config.voltage_drop_quadratic_term)
-            got = _LineCoeffs(r=line.z.real, x=line.z.imag, r_hat=r_hat, x_hat=x_hat, z_hat=z_hat)
-        cache[li] = got
-    return got
 
 
 def _encode_line_limits(ctx: _Ctx, li: int, i: str, j: str, k: int, t: int, ph: int) -> None:
@@ -1207,13 +1207,13 @@ def _encode_objective(ctx: _Ctx) -> None:
     for k in range(ctx.K):
         o = ctx.orient[k]
         for li in o.direction:
-            lateral = li in ctx.lateral_gear_of_line and ctx.opts.fixed_reorder is None
+            bracketed = li in ctx.bracketed
             for t in range(ctx.T):
                 for ph in ctx.line_phases(li):
-                    if lateral:
+                    if bracketed:
                         b.add_obj(cat.col("y_p", (li, k, t, ph)), -dt)
                     else:
-                        colsum = float(_line_rx(ctx, li).r[:, ph].sum())
+                        colsum = float(ctx.coeffs[li].r[:, ph].sum())
                         if colsum != 0.0:
                             b.add_obj(cat.col("curr_sq", (li, k, t, ph)), -colsum * dt)
     for g in case.switchgears:

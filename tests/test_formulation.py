@@ -420,26 +420,11 @@ class TestBigM:
         doc["config"]["v_max_sq"] = 1.21
         doc["config"]["v_min_sq"] = 0.81
         case = load_case_dict(doc)
-        assert bigm.big_m("inrush-pin", case) == pytest.approx(0.5 * 1.21 + 0.1745, abs=1e-3)
-
-    def test_zero_range_family(self):
-        case = load_minimal()  # no switchgears, no reorder coefficients
-        assert bigm.big_m("reorder-bracket", case) == 0.0
+        assert bigm.voltage_diff_bound(case) == pytest.approx(0.5 * 1.21 + 0.1745, abs=1e-3)
 
     def test_reorder_row_sum_bound(self):
         coeff = np.array([[0.5, 0.0], [0.1, 0.3]])
         assert bigm.reorder_power_bracket(coeff, 4.0) == pytest.approx(6.0)
-
-    def test_override(self):
-        doc = minimal_doc()
-        doc["config"]["big_m_overrides"] = {"slack-power": 123.0}
-        case = load_case_dict(doc)
-        assert bigm.big_m("slack-power", case) == 123.0
-
-    def test_unknown_family(self):
-        case = load_minimal()
-        with pytest.raises(bigm.BigMError):
-            bigm.big_m("no-such-family", case)
 
 
 class TestLinearizedProducts:
@@ -546,14 +531,47 @@ class TestLinearizedProducts:
                     assert hi.x[cat.col("y", ph)] == pytest.approx(want[ph], abs=1e-8)
 
 
+def _balanced_gear3():
+    """``toy_gear3`` with its lateral a balanced three-phase cable.
+
+    Equal self and equal mutual impedances make all six reorderings of the
+    lateral's coefficients the same matrix.
+    """
+    doc = shipped_doc("toy_gear3")
+    for node in doc["nodes"]:
+        if node["id"] == "l1":
+            node["phases"] = "abc"
+    (line,) = [ln for ln in doc["lines"] if ln["to"] == "l1"]
+    line["impedance_pu"] = {
+        key: [0.02268, 0.01148] if key[0] == key[1] else [0.0091, 0.0046]
+        for key in ("aa", "ab", "ac", "bb", "bc", "cc")
+    }
+    return load_case_dict(doc)
+
+
 class TestFixedReorderDifferential:
     """Bracket encoding equals direct substitution once binaries are pinned."""
 
     def test_gear_toy_all_variants(self):
+        self._default_matches_fixed(shipped_case("toy_gear3"))
+
+    def test_balanced_lateral_all_variants(self):
+        self._default_matches_fixed(_balanced_gear3())
+
+    def test_balanced_lateral_is_not_bracketed(self):
+        model = build_model(_balanced_gear3())
+        cat, families = model.catalog, model.family_counts()
+        assert [cat.group(name).size for name in ("y_p", "y_q", "y_v")] == [0, 0, 0]
+        assert not [f for f in families if f.startswith("reorder-bracket")]
+        # the warm start still pins the selectors
+        assert cat.group("reorder_sel").size == 12
+        assert families["reorder-pick-one"] == 2
+
+    @staticmethod
+    def _default_matches_fixed(case):
         from ugrestore.solver import warmstart as W
         from ugrestore.solver.lp import LpBackend
 
-        case = shipped_case("toy_gear3")
         for v_star in range(6):
             perm = PERMUTATIONS[v_star]
             schedule = {
