@@ -2,16 +2,19 @@
 
 The model is a mixed-binary linear program plus rotated second-order cone
 rows.  Static topology (microgrid membership, switch states, radiality via a
-single-commodity flow on a fictitious twin of the switch set) is decided
-once per run; switchgear closing, phase swapping, inverter dispatch and
-power flow are decided per period.
+single-commodity flow that only closed switches carry) is decided once per
+run; switchgear closing, phase swapping, inverter dispatch and power flow
+are decided per period.
 
 Each restriction is stated once.  What a column bound says is not repeated
 as a row: a source's coverage of its own microgrid is a fixed column, and
 the renewable chance constraint is the bounds of ``res_p`` (forecast times
 :func:`derated_multiplier`) and ``res_q`` (the reactive rating).  No row is
 the sum of others either: the voltage cap of a covered node is its
-``volt-cover`` rows, not a second row over all microgrids.
+``volt-cover`` rows, not a second row over all microgrids.  No column only
+renames what rows already fix: the event rows read the swap change
+``swap[t] - swap[t-1]`` directly, and a power balance or voltage drop that
+holds only inside a microgrid is two big-M rows on its own expression.
 
 Row families (tags carried by every row):
 
@@ -23,15 +26,12 @@ Row families (tags carried by every row):
   tree-count             closed line count equals nodes minus sources
   flow-demand            every non-source node draws one unit of commodity
   flow-root              every source ships at least one unit
-  flow-gate              commodity on a switch needs its fictitious twin
-  real-fict-link         a really closed switch is fictitiously closed
-  fict-count             fictitious closed count equals nodes minus sources
+  flow-gate              commodity flows only on a closed switch
   gear-in-topology       a switchgear can close only inside the topology
   gear-energize-cover    a switchgear can close only if its lateral is covered
   swap-col-once          a lateral conductor lands on at most one feeder phase
   swap-row-once          a feeder phase accepts at most one lateral conductor
   swap-open-or-full      fully open or a full permutation, tied to closing
-  swap-delta             period-over-period change of the swap matrix
   swap-event-extract     binary extraction of new-connection events
   swap-event-or          per-feeder-phase OR of connection events
   inrush-pin             closing pins the voltage difference to its physics
@@ -50,10 +50,13 @@ Row families (tags carried by every row):
   lateral-load-map-p/q   lateral demand routed through the swap matrix
   load-pickup-lim        covered feeder demand may be served, or shed
   load-pq-ratio          partial pickup preserves the load power factor
-  balance-p / balance-q  per-node per-microgrid branch flow balance
-  volt-drop              squared-voltage drop along a line
+  balance-p / balance-q  per-node per-microgrid branch flow balance; a node
+                         with a parent line holds it as two rows, relaxed by
+                         big-M outside the microgrid
+  volt-drop              squared-voltage drop along a line, two rows relaxed
+                         by big-M outside the microgrid or across an open
+                         coupling
   cone                   rotated cone relaxation of flow vs current
-  slack-p/q/v-lim        balance and drop rows relax outside the microgrid
   gear-flow-gate         open switchgear carries no flow
   lateral-curr-gate      de-energized lateral carries no current
   reorder-bracket-*      reordered-impedance products, big-M bracketed, on a
@@ -97,15 +100,12 @@ FAMILY_DESCRIPTIONS: dict[str, str] = {
     "tree-count": "closed lines equal nodes minus sources (forest count)",
     "flow-demand": "every non-source node draws one unit of fictitious commodity",
     "flow-root": "every source ships at least one unit of fictitious commodity",
-    "flow-gate": "fictitious commodity only flows on fictitiously closed switches",
-    "real-fict-link": "a really closed switch is fictitiously closed",
-    "fict-count": "fictitious closed count equals nodes minus sources",
+    "flow-gate": "fictitious commodity only flows on closed switches",
     "gear-in-topology": "closing a switchgear requires it in the chosen forest",
     "gear-energize-cover": "closing a switchgear requires a covered lateral",
     "swap-col-once": "each lateral conductor lands on at most one feeder phase",
     "swap-row-once": "each feeder phase accepts at most one lateral conductor",
     "swap-open-or-full": "the swap matrix is zero or a full permutation",
-    "swap-delta": "definition of the period-over-period swap change",
     "swap-event-extract": "event flag set exactly on new connections",
     "swap-event-or": "per-phase OR of connection events",
     "inrush-pin": "a closing event pins the voltage difference to its physical value",
@@ -124,13 +124,10 @@ FAMILY_DESCRIPTIONS: dict[str, str] = {
     "lateral-load-map-q": "lateral reactive demand routed through the swap matrix",
     "load-pickup-lim": "covered feeder demand may be served or shed",
     "load-pq-ratio": "partial pickup preserves the load power factor",
-    "balance-p": "per-node active power balance within a microgrid",
-    "balance-q": "per-node reactive power balance within a microgrid",
-    "volt-drop": "squared-voltage drop along a line",
+    "balance-p": "per-node active power balance, relaxed outside the covering microgrid",
+    "balance-q": "per-node reactive power balance, relaxed outside the covering microgrid",
+    "volt-drop": "squared-voltage drop along a line, relaxed outside the microgrid or across an open coupling",
     "cone": "rotated cone coupling of flows, voltage and squared current",
-    "slack-p-lim": "active balance relaxes outside the covering microgrid",
-    "slack-q-lim": "reactive balance relaxes outside the covering microgrid",
-    "slack-v-lim": "voltage drop relaxes outside the microgrid or across an open coupling",
     "gear-flow-gate": "an open switchgear carries no flow",
     "lateral-curr-gate": "a de-energized lateral carries no current",
     "reorder-bracket-p": "active loss product under the selected reordering, where reorderings differ",
@@ -349,11 +346,9 @@ def _add_columns(ctx: _Ctx) -> None:
         cat.fix(cat.col("u", (e.node, k)), 1.0)
 
     cat.add_group("gamma", [l.index for l in case.lines], binary=True)
-    cat.add_group("Gamma", [l.index for l in case.lines], binary=True)
     for l in case.lines:
         if not l.is_switch:
             cat.fix(cat.col("gamma", l.index), 1.0)
-            cat.fix(cat.col("Gamma", l.index), 1.0)
     cat.add_group(
         "fict_flow", [l.index for l in case.lines], lb=-ctx.m_fict, ub=ctx.m_fict
     )
@@ -370,7 +365,6 @@ def _add_columns(ctx: _Ctx) -> None:
                     for ps in range(3):
                         if ph != ps:
                             cat.fix(cat.col("swap", (g.id, t, ph, ps)), 0.0)
-    cat.add_group("swap_delta", gtpp, lb=-1.0, ub=1.0)
     cat.add_group("swap_event", gtpp, binary=True)
     gtp = [(g.id, t, ph) for g in gears for t in range(T) for ph in range(3)]
     cat.add_group("swap_any", gtp, binary=True)
@@ -478,9 +472,6 @@ def _add_columns(ctx: _Ctx) -> None:
         (n.id, k, t, ph) for n in case.nodes for k in range(K) for t in range(T) for ph in range(3)
     ]
     cat.add_group("volt_sq", nktp, lb=0.0, ub=case.config.v_max_sq)
-    cat.add_group("slack_p", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
-    cat.add_group("slack_q", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
-    cat.add_group("slack_v", lktp, lb=-ctx.m_volt, ub=ctx.m_volt)
 
     ylat = [
         (l, k, t, ph)
@@ -574,12 +565,12 @@ def _encode_topology(ctx: _Ctx) -> None:
 
 
 def encode_radiality(ctx: _Ctx) -> None:
-    """Spanning-forest rows: counts plus a single-commodity feasibility check.
+    """Spanning-forest rows: a count plus a single-commodity feasibility check.
 
-    The fictitious twin of each switch carries the commodity; the two count
-    rows together with the real-implies-fictitious link force the twin to
-    coincide with the real switch states, so commodity feasibility certifies
-    that every node is connected to exactly one source through closed lines.
+    The count row fixes the number of closed lines at nodes minus sources,
+    and ``flow-gate`` lets the commodity use a switch only while ``gamma``
+    closes it, so commodity feasibility certifies that every node is
+    connected to exactly one source through closed lines.
     """
     case, cat, b = ctx.case, ctx.cat, ctx.b
     n_nodes, n_roots = len(case.nodes), ctx.K
@@ -587,13 +578,6 @@ def encode_radiality(ctx: _Ctx) -> None:
         "tree-count",
         (),
         [(cat.col("gamma", l.index), 1.0) for l in case.lines],
-        SENSE_EQ,
-        float(n_nodes - n_roots),
-    )
-    b.add(
-        "fict-count",
-        (),
-        [(cat.col("Gamma", l.index), 1.0) for l in case.lines],
         SENSE_EQ,
         float(n_nodes - n_roots),
     )
@@ -614,16 +598,9 @@ def encode_radiality(ctx: _Ctx) -> None:
             b.add("flow-demand", (n.id,), terms, SENSE_EQ, 1.0)
     for l in case.switch_lines:
         fcol = cat.col("fict_flow", l.index)
-        gcol = cat.col("Gamma", l.index)
+        gcol = cat.col("gamma", l.index)
         b.add("flow-gate", (l.index,), [(fcol, 1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
         b.add("flow-gate", (l.index,), [(fcol, -1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
-        b.add(
-            "real-fict-link",
-            (l.index,),
-            [(cat.col("gamma", l.index), 1.0), (gcol, -1.0)],
-            SENSE_LE,
-            0.0,
-        )
 
 
 # -- switchgear scheduling ---------------------------------------------------
@@ -653,23 +630,22 @@ def encode_swap_structure(ctx: _Ctx, g: Switchgear, t: int) -> None:
 
 
 def encode_swap_transition(ctx: _Ctx, g: Switchgear, t: int) -> None:
-    """Difference, event-extraction and OR rows for one switchgear period.
+    """Event-extraction and OR rows for one switchgear period.
 
     The event flag per matrix entry is pinned by two inequalities to equal
-    ``max(0, delta)``, which reproduces the full connection scenario table;
-    the per-feeder-phase flag then ORs the three entries.
+    ``max(0, swap[t] - swap[t-1])`` (``swap[-1]`` reads as zero), which
+    reproduces the full connection scenario table; the per-feeder-phase flag
+    then ORs the three entries.
     """
     cat, b = ctx.cat, ctx.b
     for ph in range(3):
         for ps in range(3):
-            d = cat.col("swap_delta", (g.id, t, ph, ps))
-            terms = [(d, 1.0), (cat.col("swap", (g.id, t, ph, ps)), -1.0)]
+            delta = [(cat.col("swap", (g.id, t, ph, ps)), -1.0)]
             if t >= 1:
-                terms.append((cat.col("swap", (g.id, t - 1, ph, ps)), 1.0))
-            b.add("swap-delta", (g.id, t, ph, ps), terms, SENSE_EQ, 0.0)
+                delta.append((cat.col("swap", (g.id, t - 1, ph, ps)), 1.0))
             xp = cat.col("swap_event", (g.id, t, ph, ps))
-            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 1.0), (d, -1.0)], SENSE_GE, 0.0)
-            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 2.0), (d, -1.0)], SENSE_LE, 1.0)
+            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 1.0)] + delta, SENSE_GE, 0.0)
+            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 2.0)] + delta, SENSE_LE, 1.0)
     for ph in range(3):
         x = cat.col("swap_any", (g.id, t, ph))
         evs = [(cat.col("swap_event", (g.id, t, ph, ps)), 1.0) for ps in range(3)]
@@ -1060,6 +1036,24 @@ def _res_at_node(ctx: _Ctx) -> dict[str, list[int]]:
     return at
 
 
+def _add_where_on(b: ModelBuilder, family: str, loc, terms, on: list[int], m: float) -> None:
+    """``sum(terms) = 0`` wherever every ``on`` column is 1.
+
+    An equality row when ``on`` is empty, else two big-M rows stating
+    ``|sum(terms)| <= m * (len(on) - sum(on))``.
+    """
+    if not on:
+        b.add(family, loc, terms, SENSE_EQ, 0.0)
+        return
+    relax = [(c, m) for c in on]
+    rhs = m * len(on)
+    # The order of the two rows steers warm-started simplex runs; with the
+    # upper row first, one reduced13 workload seed ended a warm start 5e-11
+    # short of its LP optimum, on a point whose cone was not tight.
+    b.add(family, loc, [(c, -v) for c, v in terms] + relax, SENSE_LE, rhs)
+    b.add(family, loc, terms + relax, SENSE_LE, rhs)
+
+
 def _encode_power_flow(ctx: _Ctx) -> None:
     case, cat, b = ctx.case, ctx.cat, ctx.b
     res_at = _res_at_node(ctx)
@@ -1077,7 +1071,9 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                             terms_p.append((cat.col("flow_p", (li, k, t, ph)), 1.0))
                             terms_q.append((cat.col("flow_q", (li, k, t, ph)), 1.0))
                     pline = o.parent_line.get(nid)
+                    on = []  # a node outside microgrid k leaves its balance free
                     if pline is not None and ph in ctx.line_phases(pline):
+                        on.append(cat.col("u", (nid, k)))
                         terms_p.append((cat.col("flow_p", (pline, k, t, ph)), -1.0))
                         terms_q.append((cat.col("flow_q", (pline, k, t, ph)), -1.0))
                         if pline in ctx.bracketed:
@@ -1094,8 +1090,6 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                                     terms_q.append(
                                         (cat.col("curr_sq", (pline, k, t, ps)), coeffs.x[ph, ps])
                                     )
-                        terms_p.append((cat.col("slack_p", (pline, k, t, ph)), -1.0))
-                        terms_q.append((cat.col("slack_q", (pline, k, t, ph)), -1.0))
                     if nid == o.root:
                         terms_p.append((cat.col("ess_dis", (k, t, ph)), -1.0))
                         terms_p.append((cat.col("ess_ch", (k, t, ph)), 1.0))
@@ -1105,16 +1099,21 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                     for r in res_at.get(nid, ()):  # renewable injections
                         terms_p.append((cat.col("res_p", (r, t, ph)), -1.0))
                         terms_q.append((cat.col("res_q", (r, t, ph)), -1.0))
-                    b.add("balance-p", (nid, k, t, ph), terms_p, SENSE_EQ, 0.0)
-                    b.add("balance-q", (nid, k, t, ph), terms_q, SENSE_EQ, 0.0)
+                    _add_where_on(b, "balance-p", (nid, k, t, ph), terms_p, on, ctx.m_flow)
+                    _add_where_on(b, "balance-q", (nid, k, t, ph), terms_q, on, ctx.m_flow)
             for li, (i, j) in o.direction.items():
                 live = ctx.line_phases(li)
                 bracketed = li in ctx.bracketed
+                # the drop holds inside microgrid k, and across a coupling
+                # line only while its switchgear is closed
+                on = [cat.col("u", (j, k))]
+                gear = ctx.coupling_of_line.get(li)
+                if gear is not None:
+                    on.append(cat.col("beta", (gear.id, t)))
                 for ph in live:
                     terms = [
                         (cat.col("volt_sq", (i, k, t, ph)), 1.0),
                         (cat.col("volt_sq", (j, k, t, ph)), -1.0),
-                        (cat.col("slack_v", (li, k, t, ph)), -1.0),
                     ]
                     if bracketed:
                         terms.append((cat.col("y_v", (li, k, t, ph)), -1.0))
@@ -1128,7 +1127,7 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                                 terms.append((cat.col("flow_q", (li, k, t, ps)), -2.0 * x_hat[ph, ps]))
                             if quad and z_hat[ph, ps] != 0.0:
                                 terms.append((cat.col("curr_sq", (li, k, t, ps)), -z_hat[ph, ps]))
-                    b.add("volt-drop", (li, k, t, ph), terms, SENSE_EQ, 0.0)
+                    _add_where_on(b, "volt-drop", (li, k, t, ph), terms, on, ctx.m_volt)
                     b.add_cone(
                         "cone",
                         (li, k, t, ph),
@@ -1141,7 +1140,7 @@ def _encode_power_flow(ctx: _Ctx) -> None:
 
 
 def _encode_line_limits(ctx: _Ctx, li: int, i: str, j: str, k: int, t: int, ph: int) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
+    cat, b = ctx.cat, ctx.b
     rated_p = float(ctx.ess[k].rated_phase_pu[ph])
     rated_q = float(ctx.ess[k].reactive_max_pu[ph]) + sum(
         float(r.reactive_max_pu[ph]) for r in ctx.res
@@ -1155,22 +1154,6 @@ def _encode_line_limits(ctx: _Ctx, li: int, i: str, j: str, k: int, t: int, ph: 
     b.add("ess-line-q-lim", (li, k, t, ph), [(fq, -1.0), (uj, -rated_q)], SENSE_LE, 0.0)
     cc = cat.col("curr_sq", (li, k, t, ph))
     b.add("current-lim", (li, k, t, ph), [(cc, 1.0), (uj, -ctx.amp_sq(li, ph))], SENSE_LE, 0.0)
-    sp = cat.col("slack_p", (li, k, t, ph))
-    sq = cat.col("slack_q", (li, k, t, ph))
-    sv = cat.col("slack_v", (li, k, t, ph))
-    mf, mv = ctx.m_flow, ctx.m_volt
-    b.add("slack-p-lim", (li, k, t, ph), [(sp, 1.0), (uj, mf)], SENSE_LE, mf)
-    b.add("slack-p-lim", (li, k, t, ph), [(sp, -1.0), (uj, mf)], SENSE_LE, mf)
-    b.add("slack-q-lim", (li, k, t, ph), [(sq, 1.0), (uj, mf)], SENSE_LE, mf)
-    b.add("slack-q-lim", (li, k, t, ph), [(sq, -1.0), (uj, mf)], SENSE_LE, mf)
-    gear = ctx.coupling_of_line.get(li)
-    if gear is not None:
-        beta = cat.col("beta", (gear.id, t))
-        b.add("slack-v-lim", (li, k, t, ph), [(sv, 1.0), (uj, mv), (beta, mv)], SENSE_LE, 2.0 * mv)
-        b.add("slack-v-lim", (li, k, t, ph), [(sv, -1.0), (uj, mv), (beta, mv)], SENSE_LE, 2.0 * mv)
-    else:
-        b.add("slack-v-lim", (li, k, t, ph), [(sv, 1.0), (uj, mv)], SENSE_LE, mv)
-        b.add("slack-v-lim", (li, k, t, ph), [(sv, -1.0), (uj, mv)], SENSE_LE, mv)
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:

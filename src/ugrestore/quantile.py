@@ -1,4 +1,4 @@
-"""Standard normal CDF, density and quantile used by the chance-constraint derating.
+"""Standard normal CDF and quantile used by the chance-constraint derating.
 
 The standard library's :class:`statistics.NormalDist` does the work: the
 CDF through ``erfc`` and the quantile by Wichura's algorithm AS241, good to
@@ -14,10 +14,6 @@ _STANDARD = NormalDist()
 
 def normal_cdf(x: float) -> float:
     return _STANDARD.cdf(x)
-
-
-def normal_pdf(x: float) -> float:
-    return _STANDARD.pdf(x)
 
 
 def normal_quantile(p: float) -> float:

@@ -19,13 +19,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.sax.saxutils import escape
 
-import numpy as np
-
 from ugrestore import physics
 from ugrestore.feeder import FeederCase, equivalent_capacitance
 from ugrestore.jsonutil import plain
 from ugrestore.plan import RestorationPlan
-from ugrestore.validator import assess_switchgears, energy_accounting
+from ugrestore.validator import assess_switchgears, energy_accounting, worst_closing_inrush
 
 
 @dataclass
@@ -124,13 +122,7 @@ def build_report(case: FeederCase, plan: RestorationPlan) -> ReportBundle:
         }
 
     acct = energy_accounting(case, plan)
-    worst_inrush: dict[str, float] = {}
-    for a in assessments:
-        if a.closing:
-            worst_inrush[a.gear_id] = max(
-                worst_inrush.get(a.gear_id, 0.0), float(np.max(np.abs(a.inrush_pu)))
-            )
-    acct["max_inrush_pu"] = worst_inrush
+    acct["max_inrush_pu"] = worst_closing_inrush(assessments)
     for k, info in acct["microgrids"].items():
         bundle.phase_table.append(
             {

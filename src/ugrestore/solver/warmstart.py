@@ -155,7 +155,6 @@ def _structural_fixes(
     fixes: dict[int, float] = {}
     for li, val in gamma.items():
         fixes[cat.col("gamma", li)] = val
-        fixes[cat.col("Gamma", li)] = val
     for (nid, k), val in coverage.items():
         col = cat.col("u", (nid, k))
         if model.col_lb[col] == model.col_ub[col]:

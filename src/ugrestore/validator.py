@@ -322,6 +322,15 @@ def assess_switchgears(case: FeederCase, plan: RestorationPlan) -> list[PhysicsA
     return out
 
 
+def worst_closing_inrush(assessments: list[PhysicsAssessment]) -> dict[str, float]:
+    """Largest linearized inrush magnitude over each switchgear's closings."""
+    worst: dict[str, float] = {}
+    for a in assessments:
+        if a.closing:
+            worst[a.gear_id] = max(worst.get(a.gear_id, 0.0), float(np.max(np.abs(a.inrush_pu))))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # energy accounting
 
@@ -621,13 +630,7 @@ def check_plan(case: FeederCase, plan: RestorationPlan) -> ValidationReport:
 
     # summary metrics
     report = ValidationReport(records=[fams[k].result() for k in fams])
-    worst_inr = {}
-    for a in assessments:
-        if a.closing:
-            worst_inr[a.gear_id] = max(
-                worst_inr.get(a.gear_id, 0.0), float(np.max(np.abs(a.inrush_pu)))
-            )
-    facc["max_inrush_pu"] = worst_inr
+    facc["max_inrush_pu"] = worst_closing_inrush(assessments)
     report.metrics = facc
     report.metrics["approx_vs_exact_inrush"] = {
         f"{a.gear_id}@{a.t}": {

@@ -303,13 +303,3 @@ class TestRoundTrip:
         save_case(case, p1)
         save_case(load_case(p1), p2)
         assert p1.read_text() == p2.read_text()
-
-
-class TestSchemaCopies:
-    def test_repo_copy_matches_package_copy(self):
-        from importlib import resources
-        from pathlib import Path
-
-        pkg = resources.files("ugrestore.schema").joinpath("case.schema.json").read_text()
-        repo = Path(__file__).resolve().parent.parent / "schema" / "case.schema.json"
-        assert repo.read_text() == pkg

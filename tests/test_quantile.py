@@ -1,10 +1,8 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
 
-from ugrestore.quantile import normal_cdf, normal_pdf, normal_quantile
+from ugrestore.quantile import normal_cdf, normal_quantile
 
 mpmath.mp.dps = 40
 
@@ -50,6 +48,3 @@ class TestNormalQuantile:
         for p in (1e-6, 1e-4, 0.0012, 0.9988, 1 - 1e-4, 1 - 1e-6):
             q = normal_quantile(p)
             assert normal_cdf(q) == pytest.approx(p, abs=1e-12)
-
-    def test_pdf_normalization(self):
-        assert normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi))

@@ -387,7 +387,6 @@ def _gear_fixes(model, case, beta, perms, alphas, cd):
     for l in case.lines:
         if l.is_switch:
             fixes[cat.col("gamma", l.index)] = 1.0
-            fixes[cat.col("Gamma", l.index)] = 1.0
     for n in case.nodes:
         col = cat.col("u", (n.id, 0))
         if model.col_lb[col] < model.col_ub[col]:

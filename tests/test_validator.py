@@ -25,11 +25,9 @@ OPTS = SolverOptions(time_limit_s=90, rel_gap=1e-6, abs_gap=1e-9, oa_tol=1e-9)
 
 RADIALITY_FAMILIES = (
     "tree-count",
-    "fict-count",
     "flow-demand",
     "flow-root",
     "flow-gate",
-    "real-fict-link",
 )
 
 
