@@ -16,6 +16,17 @@ renames what rows already fix: the event rows read the swap change
 ``swap[t] - swap[t-1]`` directly, and a power balance or voltage drop that
 holds only inside a microgrid is two big-M rows on its own expression.
 
+Row order is part of the model: the export writes it and warm-started LP
+runs follow it, so the build emits every row in one fixed order.  The
+high-volume families go in as zero-padded numpy blocks through
+``ModelBuilder.add_rows``, in that same order: ``reorder-bracket-*`` one
+block per switchgear and period, and ``balance-p/q``, ``volt-drop``,
+``ess-line-p/q-lim`` and ``current-lim`` one block per microgrid and
+period, each a copy of the microgrid's period-0 rows with the columns
+moved on by the period.  Their columns come from index grids over the
+groups whose keys form a full product (``_Ctx.grid``).  Every other family
+is added row by row.
+
 Row families (tags carried by every row):
 
   coverage-parent        a node is covered only if its upstream node is
@@ -73,6 +84,7 @@ Row families (tags carried by every row):
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -83,7 +95,7 @@ from ugrestore import bigm
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import FeederCase, Switchgear, equivalent_capacitance
 from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel, ModelBuilder
-from ugrestore.physics import PERMUTATIONS, q_gate_load_threshold
+from ugrestore.physics import PERMUTATIONS, inrush_coefficient_pu, q_gate_load_threshold
 from ugrestore.quantile import normal_quantile
 
 
@@ -268,6 +280,43 @@ def line_variants(case: FeederCase, line_idx: int) -> list[_LineCoeffs]:
     return [_line_coeffs(perm @ z @ perm.T, quad) for perm in PERMUTATIONS]
 
 
+# The six bracket rows of one (line, microgrid, period, phase, variant), in
+# emission order: each product pair states <= then >=.
+_BRACKET_FAMILIES = ["reorder-bracket-p"] * 2 + ["reorder-bracket-q"] * 2 + ["reorder-bracket-v"] * 2
+_BRACKET_SENSE = np.array([SENSE_LE, SENSE_GE] * 3, dtype=np.int8)
+
+
+def _bracket_coefficients(variants: list[_LineCoeffs], amp_sq: float, m_flow: float) -> np.ndarray:
+    """Bracket row coefficients of one lateral line, shape (ph, variant, row, term).
+
+    Per phase and variant the rows are ``y_p - r I``, ``y_q - x I`` and
+    ``y_v - 2 r_hat P - 2 x_hat Q - z_hat I``, each held at 0 unless the
+    variant's selector z is 0 (``-/+ m z``, <= then >=), with I, P and Q
+    the line's three squared currents and flows.  A p or q row's terms are
+    y, the three I and z, zero-padded to the 11 of a v row: y, the three
+    P, the three Q, the three I and z.
+    """
+    stack = {f: np.stack([getattr(c, f) for c in variants]) for f in ("r", "x", "r_hat", "x_hat", "z_hat")}
+    m_p = bigm.reorder_power_bracket(stack["r"], amp_sq)
+    m_q = bigm.reorder_power_bracket(stack["x"], amp_sq)
+    m_v = bigm.reorder_voltage_bracket(stack["r_hat"], stack["x_hat"], stack["z_hat"], amp_sq, m_flow)
+
+    def by_phase(a: np.ndarray) -> np.ndarray:  # (variant, ph, ps) -> (ph, variant, 1, ps)
+        return a.transpose(1, 0, 2)[:, :, None, :]
+
+    vals = np.zeros((3, 6, 6, 11))
+    vals[..., 0] = 1.0
+    vals[:, :, 0:2, 1:4] = -by_phase(stack["r"])
+    vals[:, :, 2:4, 1:4] = -by_phase(stack["x"])
+    vals[:, :, 4:6, 1:4] = -by_phase(2.0 * stack["r_hat"])
+    vals[:, :, 4:6, 4:7] = -by_phase(2.0 * stack["x_hat"])
+    vals[:, :, 4:6, 7:10] = -by_phase(stack["z_hat"])
+    vals[:, :, 0:2, 4] = (-m_p, m_p)
+    vals[:, :, 2:4, 4] = (-m_q, m_q)
+    vals[:, :, 4:6, 10] = (-m_v, m_v)
+    return vals
+
+
 class _Ctx:
     """Shared build state threaded through the family encoders."""
 
@@ -319,6 +368,31 @@ class _Ctx:
                 self.bracketed[li] = variants
         self.gate_thr = {g.id: gate_threshold_pu(case, g) for g in case.switchgears}
         self.c_eq = {g.id: equivalent_capacitance(g, case) for g in case.switchgears}
+        # Squared ampacity per (line, phase).  A swap can land any conductor
+        # of a lateral or coupling line on any phase, so such a line takes
+        # its largest rating on all three.
+        self.amp_sq = np.array(
+            [
+                [float(np.max(line.ampacity_pu)) ** 2] * 3
+                if line.index in self.lateral_gear_of_line or line.index in self.coupling_of_line
+                else [float(line.ampacity_pu[ph]) ** 2 for ph in range(3)]
+                for line in case.lines
+            ]
+        ).reshape(len(case.lines), 3)
+        self.gear_pos = {g.id: i for i, g in enumerate(case.switchgears)}
+        self.bracket_pos = {li: i for i, li in enumerate(sorted(self.bracketed))}
+        self.bracket_lines = {
+            g.id: [li for li in g.downstream_lines if li in self.bracketed] for g in case.switchgears
+        }
+        self.bracket_coeffs = {
+            gid: np.stack(
+                [_bracket_coefficients(self.bracketed[li], self.amp_sq[li, 0], self.m_flow) for li in lines]
+            )
+            for gid, lines in self.bracket_lines.items()
+            if lines
+        }
+        # column index grids, filled by _add_columns
+        self.grid: dict[str, np.ndarray] = {}
 
     def node_phases(self, node_id: str) -> tuple[int, ...]:
         if node_id in self.lateral_gear_of_node:
@@ -330,18 +404,21 @@ class _Ctx:
             return (0, 1, 2)
         return self.case.lines[line_idx].phases
 
-    def amp_sq(self, line_idx: int, ph: int) -> float:
-        line = self.case.lines[line_idx]
-        if line_idx in self.lateral_gear_of_line or line_idx in self.coupling_of_line:
-            return float(np.max(line.ampacity_pu)) ** 2
-        return float(line.ampacity_pu[ph]) ** 2
+
+def _grid(cat: VariableCatalog, name: str, *shape: int) -> np.ndarray:
+    """Column indices of group ``name``, whose keys form the full product ``shape``."""
+    g = cat.group(name)
+    return g.start + np.arange(g.size).reshape(shape)
 
 
 def _add_columns(ctx: _Ctx) -> None:
     case, cat, T, K = ctx.case, ctx.cat, ctx.T, ctx.K
     gears = case.switchgears
+    N, L, G, B = len(case.nodes), len(case.lines), len(gears), len(ctx.bracketed)
+    grid = ctx.grid
 
     cat.add_group("u", [(n.id, k) for n in case.nodes for k in range(K)], binary=True)
+    grid["u"] = _grid(cat, "u", N, K)
     for k, e in enumerate(ctx.ess):
         cat.fix(cat.col("u", (e.node, k)), 1.0)
 
@@ -355,20 +432,19 @@ def _add_columns(ctx: _Ctx) -> None:
 
     gt = [(g.id, t) for g in gears for t in range(T)]
     cat.add_group("beta", gt, binary=True)
+    grid["beta"] = _grid(cat, "beta", G, T)
     cat.add_group("alpha", gt, binary=True)
     gtpp = [(g.id, t, ph, ps) for g in gears for t in range(T) for ph in range(3) for ps in range(3)]
     cat.add_group("swap", gtpp, binary=True)
+    grid["swap"] = _grid(cat, "swap", G, T, 3, 3)
     if ctx.opts.no_swap:
-        for g in gears:
-            for t in range(T):
-                for ph in range(3):
-                    for ps in range(3):
-                        if ph != ps:
-                            cat.fix(cat.col("swap", (g.id, t, ph, ps)), 0.0)
+        for col in grid["swap"][:, :, ~np.eye(3, dtype=bool)].ravel().tolist():
+            cat.fix(col, 0.0)
     cat.add_group("swap_event", gtpp, binary=True)
     gtp = [(g.id, t, ph) for g in gears for t in range(T) for ph in range(3)]
     cat.add_group("swap_any", gtp, binary=True)
     cat.add_group("reorder_sel", [(g.id, t, v) for g in gears for t in range(T) for v in range(6)], binary=True)
+    grid["reorder_sel"] = _grid(cat, "reorder_sel", G, T, 6)
     cat.add_group("gate_bypass", [g.id for g in gears], binary=True)
     for g in gears:
         if not (ctx.opts.ferro_gate and bypass_eligible(case, g)):
@@ -379,19 +455,13 @@ def _add_columns(ctx: _Ctx) -> None:
     cat.add_group("volt_diff", gtp, lb=-ctx.m_dv, ub=ctx.m_dv)
     cat.add_group("inrush_mag", gtp, lb=0.0, ub=ctx.m_dv)
     cat.add_group("inrush_ang", gtp, lb=0.0, ub=w)
-    inr_ub = []
-    from ugrestore.physics import inrush_coefficient_pu
-
     ctx.inr_coef = {
         g.id: inrush_coefficient_pu(
             ctx.c_eq[g.id], case.config.inrush_rise_time_s, case.config.base_kv, case.config.base_mva
         )
         for g in gears
     }
-    for g in gears:
-        for t in range(T):
-            for ph in range(3):
-                inr_ub.append(ctx.inr_coef[g.id] * ctx.m_dv)
+    inr_ub = [ctx.inr_coef[g.id] * ctx.m_dv for g in gears for t in range(T) for ph in range(3)]
     cat.add_group("inrush", gtp, lb=[-v for v in inr_ub], ub=inr_ub)
 
     kt = [(k, t) for k in range(K) for t in range(T)]
@@ -440,20 +510,21 @@ def _add_columns(ctx: _Ctx) -> None:
         ub=[ctx.res[r].reactive_max_pu[ph] for r, t, ph in rtp],
     )
 
+    # (t, ph) load bounds per node; a lateral node's conductor may land on
+    # any phase, so each phase takes the period's largest demand
     ntp = [(n.id, t, ph) for n in case.nodes for t in range(T) for ph in range(3)]
-    p_ub, q_lb, q_ub = [], [], []
-    for nid, t, ph in ntp:
-        node = case.node(nid)
-        if nid in ctx.lateral_gear_of_node:
-            p_ub.append(float(np.max(node.load_p[t])))
-            q_ub.append(float(np.max(np.abs(node.load_q[t]))))
+    p_ub, q_ub, q_lb = [], [], []
+    for n in case.nodes:
+        if n.id in ctx.lateral_gear_of_node:
+            p_ub.append(np.repeat(n.load_p.max(axis=1), 3))
+            q_ub.append(np.repeat(np.abs(n.load_q).max(axis=1), 3))
             q_lb.append(-q_ub[-1])
         else:
-            p_ub.append(float(node.load_p[t, ph]))
-            q_ub.append(float(max(node.load_q[t, ph], 0.0)))
-            q_lb.append(float(min(node.load_q[t, ph], 0.0)))
-    cat.add_group("load_p", ntp, lb=0.0, ub=p_ub)
-    cat.add_group("load_q", ntp, lb=q_lb, ub=q_ub)
+            p_ub.append(n.load_p.ravel())
+            q_ub.append(np.maximum(n.load_q, 0.0).ravel())
+            q_lb.append(np.minimum(n.load_q, 0.0).ravel())
+    cat.add_group("load_p", ntp, lb=0.0, ub=np.concatenate(p_ub))
+    cat.add_group("load_q", ntp, lb=np.concatenate(q_lb), ub=np.concatenate(q_ub))
 
     lktp = [
         (l.index, k, t, ph)
@@ -462,16 +533,18 @@ def _add_columns(ctx: _Ctx) -> None:
         for t in range(T)
         for ph in range(3)
     ]
-    ctx.lktp = lktp
     cat.add_group("flow_p", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
     cat.add_group("flow_q", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
     cat.add_group(
-        "curr_sq", lktp, lb=0.0, ub=[ctx.amp_sq(l, ph) for l, k, t, ph in lktp]
+        "curr_sq", lktp, lb=0.0, ub=np.broadcast_to(ctx.amp_sq[:, None, None, :], (L, K, T, 3)).ravel()
     )
     nktp = [
         (n.id, k, t, ph) for n in case.nodes for k in range(K) for t in range(T) for ph in range(3)
     ]
     cat.add_group("volt_sq", nktp, lb=0.0, ub=case.config.v_max_sq)
+    for name in ("flow_p", "flow_q", "curr_sq"):
+        grid[name] = _grid(cat, name, L, K, T, 3)
+    grid["volt_sq"] = _grid(cat, "volt_sq", N, K, T, 3)
 
     ylat = [
         (l, k, t, ph)
@@ -483,42 +556,40 @@ def _add_columns(ctx: _Ctx) -> None:
     # Loss products inherit the coefficient signs: with non-negative
     # resistance entries the active product cannot go negative, which
     # keeps the relaxation from minting power through the loss term.
-    plb, pub, qlb, qub, vb = [], [], [], [], []
-    for l, k, t, ph in ylat:
-        amp_sq = ctx.amp_sq(l, 0)
+    # Columns: p lower/upper, q lower/upper, |v|, one row per line.
+    ybounds = np.zeros((B, 5))
+    for l, i in ctx.bracket_pos.items():
+        amp_sq = ctx.amp_sq[l, 0]
         var = ctx.bracketed[l]
         stack_r = np.stack([c.r for c in var])
         stack_x = np.stack([c.x for c in var])
-        plb.append(3.0 * min(0.0, float(np.min(stack_r))) * amp_sq)
-        pub.append(3.0 * max(0.0, float(np.max(stack_r))) * amp_sq)
-        qlb.append(3.0 * min(0.0, float(np.min(stack_x))) * amp_sq)
-        qub.append(3.0 * max(0.0, float(np.max(stack_x))) * amp_sq)
-        vb.append(
+        ybounds[i] = (
+            3.0 * min(0.0, float(np.min(stack_r))) * amp_sq,
+            3.0 * max(0.0, float(np.max(stack_r))) * amp_sq,
+            3.0 * min(0.0, float(np.min(stack_x))) * amp_sq,
+            3.0 * max(0.0, float(np.max(stack_x))) * amp_sq,
             6.0 * float(np.max(np.abs(stack_r))) * ctx.m_flow
             + 6.0 * float(np.max(np.abs(stack_x))) * ctx.m_flow
-            + 3.0 * float(np.max(np.abs(np.stack([c.z_hat for c in var])))) * amp_sq
+            + 3.0 * float(np.max(np.abs(np.stack([c.z_hat for c in var])))) * amp_sq,
         )
-    cat.add_group("y_p", ylat, lb=plb, ub=pub)
-    cat.add_group("y_q", ylat, lb=qlb, ub=qub)
-    cat.add_group("y_v", ylat, lb=[-v for v in vb], ub=vb)
+    ybounds = np.repeat(ybounds, K * T * 3, axis=0)
+    cat.add_group("y_p", ylat, lb=ybounds[:, 0], ub=ybounds[:, 1])
+    cat.add_group("y_q", ylat, lb=ybounds[:, 2], ub=ybounds[:, 3])
+    cat.add_group("y_v", ylat, lb=-ybounds[:, 4], ub=ybounds[:, 4])
+    for name in ("y_p", "y_q", "y_v"):
+        grid[name] = _grid(cat, name, B, K, T, 3)
 
     # Phase masks: fix columns for conductors that do not exist.
+    dead: list[int] = []
     for n in case.nodes:
-        live = ctx.node_phases(n.id)
-        for ph in range(3):
-            if ph not in live:
-                for k in range(K):
-                    for t in range(T):
-                        cat.fix(cat.col("volt_sq", (n.id, k, t, ph)), 0.0)
+        for ph in set(range(3)) - set(ctx.node_phases(n.id)):
+            dead += grid["volt_sq"][case.node_index[n.id], :, :, ph].ravel().tolist()
     for l in case.lines:
-        live = ctx.line_phases(l.index)
-        for ph in range(3):
-            if ph not in live:
-                for k in range(K):
-                    for t in range(T):
-                        cat.fix(cat.col("flow_p", (l.index, k, t, ph)), 0.0)
-                        cat.fix(cat.col("flow_q", (l.index, k, t, ph)), 0.0)
-                        cat.fix(cat.col("curr_sq", (l.index, k, t, ph)), 0.0)
+        for ph in set(range(3)) - set(ctx.line_phases(l.index)):
+            for name in ("flow_p", "flow_q", "curr_sq"):
+                dead += grid[name][l.index, :, :, ph].ravel().tolist()
+    for col in dead:
+        cat.fix(col, 0.0)
 
 
 # -- topology ----------------------------------------------------------------
@@ -809,81 +880,35 @@ def encode_linearized_products(ctx: _Ctx, g: Switchgear, t: int) -> None:
         SENSE_LE,
         5.0,
     )
-    for li in g.downstream_lines:
-        variants = ctx.bracketed.get(li)
-        if variants is None:
-            continue
-        amp_sq = ctx.amp_sq(li, 0)
-        stack_r = np.stack([c.r for c in variants])
-        stack_x = np.stack([c.x for c in variants])
-        m_p = bigm.reorder_power_bracket(stack_r, amp_sq)
-        m_q = bigm.reorder_power_bracket(stack_x, amp_sq)
-        m_v = bigm.reorder_voltage_bracket(
-            np.stack([c.r_hat for c in variants]),
-            np.stack([c.x_hat for c in variants]),
-            np.stack([c.z_hat for c in variants]),
-            amp_sq,
-            ctx.m_flow,
-        )
-        for k in range(ctx.K):
-            for ph in range(3):
-                yp = cat.col("y_p", (li, k, t, ph))
-                yq = cat.col("y_q", (li, k, t, ph))
-                yv = cat.col("y_v", (li, k, t, ph))
-                curr = [cat.col("curr_sq", (li, k, t, ps)) for ps in range(3)]
-                fp = [cat.col("flow_p", (li, k, t, ps)) for ps in range(3)]
-                fq = [cat.col("flow_q", (li, k, t, ps)) for ps in range(3)]
-                for v, c in enumerate(variants):
-                    zcol = cat.col("reorder_sel", (g.id, t, v))
-                    prod_r = [(curr[ps], c.r[ph, ps]) for ps in range(3)]
-                    b.add(
-                        "reorder-bracket-p",
-                        (li, k, t, ph, v),
-                        [(yp, 1.0)] + [(cc, -vv) for cc, vv in prod_r] + [(zcol, -m_p)],
-                        SENSE_LE,
-                        0.0,
-                    )
-                    b.add(
-                        "reorder-bracket-p",
-                        (li, k, t, ph, v),
-                        [(yp, 1.0)] + [(cc, -vv) for cc, vv in prod_r] + [(zcol, m_p)],
-                        SENSE_GE,
-                        0.0,
-                    )
-                    prod_x = [(curr[ps], c.x[ph, ps]) for ps in range(3)]
-                    b.add(
-                        "reorder-bracket-q",
-                        (li, k, t, ph, v),
-                        [(yq, 1.0)] + [(cc, -vv) for cc, vv in prod_x] + [(zcol, -m_q)],
-                        SENSE_LE,
-                        0.0,
-                    )
-                    b.add(
-                        "reorder-bracket-q",
-                        (li, k, t, ph, v),
-                        [(yq, 1.0)] + [(cc, -vv) for cc, vv in prod_x] + [(zcol, m_q)],
-                        SENSE_GE,
-                        0.0,
-                    )
-                    drop = (
-                        [(fp[ps], 2.0 * c.r_hat[ph, ps]) for ps in range(3)]
-                        + [(fq[ps], 2.0 * c.x_hat[ph, ps]) for ps in range(3)]
-                        + [(curr[ps], c.z_hat[ph, ps]) for ps in range(3)]
-                    )
-                    b.add(
-                        "reorder-bracket-v",
-                        (li, k, t, ph, v),
-                        [(yv, 1.0)] + [(cc, -vv) for cc, vv in drop] + [(zcol, -m_v)],
-                        SENSE_LE,
-                        0.0,
-                    )
-                    b.add(
-                        "reorder-bracket-v",
-                        (li, k, t, ph, v),
-                        [(yv, 1.0)] + [(cc, -vv) for cc, vv in drop] + [(zcol, m_v)],
-                        SENSE_GE,
-                        0.0,
-                    )
+    lines = ctx.bracket_lines[g.id]
+    if not lines:
+        return
+    grid, K = ctx.grid, ctx.K
+    pos = [ctx.bracket_pos[li] for li in lines]
+    # one block, ordered (line, k, ph, variant, row, term) as
+    # _bracket_coefficients lays out the terms
+    curr, fp, fq = (grid[name][lines, :, t, None, None, None, :] for name in ("curr_sq", "flow_p", "flow_q"))
+    y = np.stack([grid[name][pos, :, t] for name in ("y_p", "y_q", "y_v")], axis=-1).repeat(2, axis=-1)
+    sel = grid["reorder_sel"][ctx.gear_pos[g.id], t, :, None]
+    cols = np.zeros((len(lines), K, 3, 6, 6, 11), dtype=np.int64)
+    cols[..., 0] = y[:, :, :, None, :]
+    cols[..., :4, 1:4] = curr
+    cols[..., :4, 4] = sel
+    cols[..., 4:, 1:4] = fp
+    cols[..., 4:, 4:7] = fq
+    cols[..., 4:, 7:10] = curr
+    cols[..., 4:, 10] = sel
+    vals = np.broadcast_to(ctx.bracket_coeffs[g.id][:, None], cols.shape)
+    groups = len(lines) * K * 3 * 6
+    locs = [loc for loc in itertools.product(lines, range(K), (t,), range(3), range(6)) for _ in range(6)]
+    ctx.b.add_rows(
+        _BRACKET_FAMILIES * groups,
+        locs,
+        cols.reshape(-1, 11),
+        vals.reshape(-1, 11),
+        np.tile(_BRACKET_SENSE, groups),
+        0.0,
+    )
 
 
 def _encode_gear_gates(ctx: _Ctx, g: Switchgear, t: int) -> None:
@@ -915,7 +940,7 @@ def _encode_gear_gates(ctx: _Ctx, g: Switchgear, t: int) -> None:
             b.add(
                 "gear-flow-gate",
                 (g.line_index, k, t, ph),
-                [(cc, 1.0), (beta, -ctx.amp_sq(g.line_index, ph))],
+                [(cc, 1.0), (beta, -ctx.amp_sq[g.line_index, ph])],
                 SENSE_LE,
                 0.0,
             )
@@ -926,7 +951,7 @@ def _encode_gear_gates(ctx: _Ctx, g: Switchgear, t: int) -> None:
                 b.add(
                     "lateral-curr-gate",
                     (li, k, t, ph),
-                    [(cc, 1.0), (beta, -ctx.amp_sq(li, ph))],
+                    [(cc, 1.0), (beta, -ctx.amp_sq[li, ph])],
                     SENSE_LE,
                     0.0,
                 )
@@ -1036,124 +1061,161 @@ def _res_at_node(ctx: _Ctx) -> dict[str, list[int]]:
     return at
 
 
-def _add_where_on(b: ModelBuilder, family: str, loc, terms, on: list[int], m: float) -> None:
-    """``sum(terms) = 0`` wherever every ``on`` column is 1.
+class _PeriodRows:
+    """The rows and cones of one microgrid's period 0, replicated over the horizon.
 
-    An equality row when ``on`` is empty, else two big-M rows stating
-    ``|sum(terms)| <= m * (len(on) - sum(on))``.
+    A term is ``(column at t = 0, column step per period, coefficient)``:
+    the step is 3 for a ``(..., t, ph)`` group, 1 for ``beta`` and 0 for
+    ``u``.  A row's ``head`` ``(id, k, ph)`` becomes its loc ``(id, k, t,
+    ph)``.  Period t is one block: every row and cone of period 0, in the
+    order stated, with each column moved by ``t * step``.
     """
-    if not on:
-        b.add(family, loc, terms, SENSE_EQ, 0.0)
-        return
-    relax = [(c, m) for c in on]
-    rhs = m * len(on)
-    # The order of the two rows steers warm-started simplex runs; with the
-    # upper row first, one reduced13 workload seed ended a warm start 5e-11
-    # short of its LP optimum, on a point whose cone was not tight.
-    b.add(family, loc, [(c, -v) for c, v in terms] + relax, SENSE_LE, rhs)
-    b.add(family, loc, terms + relax, SENSE_LE, rhs)
+
+    def __init__(self) -> None:
+        self.families: list[str] = []
+        self.terms: list[list[tuple[int, int, float]]] = []
+        self.sense: list[int] = []
+        self.rhs: list[float] = []
+        self.heads: list[tuple] = []
+        self.row_head: list[int] = []
+        self.cones: list[tuple[int, ...]] = []  # head, then the I, V, P, Q columns at t = 0
+
+    def _head(self, head: tuple) -> int:
+        if not self.heads or self.heads[-1] != head:
+            self.heads.append(head)
+        return len(self.heads) - 1
+
+    def add(self, family: str, head: tuple, terms, sense: int, rhs: float) -> None:
+        self.families.append(family)
+        self.row_head.append(self._head(head))
+        self.terms.append(terms)
+        self.sense.append(sense)
+        self.rhs.append(rhs)
+
+    def add_where_on(self, family: str, head: tuple, terms, on, m: float) -> None:
+        """``sum(terms) = 0`` wherever every ``on`` column is 1.
+
+        An equality row when ``on`` is empty, else two big-M rows stating
+        ``|sum(terms)| <= m * (len(on) - sum(on))``.
+        """
+        if not on:
+            self.add(family, head, terms, SENSE_EQ, 0.0)
+            return
+        relax = [(c, s, m) for c, s in on]
+        rhs = m * len(on)
+        # The order of the two rows steers warm-started simplex runs; with the
+        # upper row first, one reduced13 workload seed ended a warm start 5e-11
+        # short of its LP optimum, on a point whose cone was not tight.
+        self.add(family, head, [(c, s, -v) for c, s, v in terms] + relax, SENSE_LE, rhs)
+        self.add(family, head, terms + relax, SENSE_LE, rhs)
+
+    def add_cone(self, head: tuple, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
+        self.cones.append((self._head(head), int(col_i), int(col_v), int(col_p), int(col_q)))
+
+    def emit(self, b: ModelBuilder, T: int) -> None:
+        width = max(map(len, self.terms), default=0)
+        col0 = np.zeros((len(self.terms), width), dtype=np.int64)
+        step = np.zeros_like(col0)
+        vals = np.zeros(col0.shape)
+        for r, terms in enumerate(self.terms):
+            col0[r, : len(terms)], step[r, : len(terms)], vals[r, : len(terms)] = zip(*terms)
+        sense = np.array(self.sense, dtype=np.int8)
+        rhs = np.array(self.rhs)
+        for t in range(T):
+            locs = [(a, k, t, ph) for a, k, ph in self.heads]
+            b.add_rows(self.families, [locs[h] for h in self.row_head], col0 + t * step, vals, sense, rhs)
+            for h, ci, cv, cp, cq in self.cones:
+                b.add_cone("cone", locs[h], ci + 3 * t, cv + 3 * t, cp + 3 * t, cq + 3 * t)
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
+    """Balance, voltage-drop, cone and line-limit rows, per microgrid and period.
+
+    Within a period the balance rows come first, node by node in
+    breadth-first order, then per line and phase the drop pair, its cone
+    and its line limits.
+    """
+    case, cat, grid = ctx.case, ctx.cat, ctx.grid
     res_at = _res_at_node(ctx)
-    quad = case.config.voltage_drop_quadratic_term
     for k in range(ctx.K):
         o = ctx.orient[k]
-        for t in range(ctx.T):
-            for nid in o.order:
-                live = ctx.node_phases(nid)
-                for ph in live:
-                    terms_p = []
-                    terms_q = []
-                    for li, child in o.children.get(nid, ()):  # outgoing
-                        if ph in ctx.line_phases(li):
-                            terms_p.append((cat.col("flow_p", (li, k, t, ph)), 1.0))
-                            terms_q.append((cat.col("flow_q", (li, k, t, ph)), 1.0))
-                    pline = o.parent_line.get(nid)
-                    on = []  # a node outside microgrid k leaves its balance free
-                    if pline is not None and ph in ctx.line_phases(pline):
-                        on.append(cat.col("u", (nid, k)))
-                        terms_p.append((cat.col("flow_p", (pline, k, t, ph)), -1.0))
-                        terms_q.append((cat.col("flow_q", (pline, k, t, ph)), -1.0))
-                        if pline in ctx.bracketed:
-                            terms_p.append((cat.col("y_p", (pline, k, t, ph)), 1.0))
-                            terms_q.append((cat.col("y_q", (pline, k, t, ph)), 1.0))
-                        else:
-                            coeffs = ctx.coeffs[pline]
-                            for ps in ctx.line_phases(pline):
-                                if coeffs.r[ph, ps] != 0.0:
-                                    terms_p.append(
-                                        (cat.col("curr_sq", (pline, k, t, ps)), coeffs.r[ph, ps])
-                                    )
-                                if coeffs.x[ph, ps] != 0.0:
-                                    terms_q.append(
-                                        (cat.col("curr_sq", (pline, k, t, ps)), coeffs.x[ph, ps])
-                                    )
-                    if nid == o.root:
-                        terms_p.append((cat.col("ess_dis", (k, t, ph)), -1.0))
-                        terms_p.append((cat.col("ess_ch", (k, t, ph)), 1.0))
-                        terms_q.append((cat.col("ess_q", (k, t, ph)), -1.0))
-                    terms_p.append((cat.col("load_p", (nid, t, ph)), 1.0))
-                    terms_q.append((cat.col("load_q", (nid, t, ph)), 1.0))
-                    for r in res_at.get(nid, ()):  # renewable injections
-                        terms_p.append((cat.col("res_p", (r, t, ph)), -1.0))
-                        terms_q.append((cat.col("res_q", (r, t, ph)), -1.0))
-                    _add_where_on(b, "balance-p", (nid, k, t, ph), terms_p, on, ctx.m_flow)
-                    _add_where_on(b, "balance-q", (nid, k, t, ph), terms_q, on, ctx.m_flow)
-            for li, (i, j) in o.direction.items():
-                live = ctx.line_phases(li)
-                bracketed = li in ctx.bracketed
-                # the drop holds inside microgrid k, and across a coupling
-                # line only while its switchgear is closed
-                on = [cat.col("u", (j, k))]
-                gear = ctx.coupling_of_line.get(li)
-                if gear is not None:
-                    on.append(cat.col("beta", (gear.id, t)))
-                for ph in live:
-                    terms = [
-                        (cat.col("volt_sq", (i, k, t, ph)), 1.0),
-                        (cat.col("volt_sq", (j, k, t, ph)), -1.0),
-                    ]
-                    if bracketed:
-                        terms.append((cat.col("y_v", (li, k, t, ph)), -1.0))
+        e = ctx.ess[k]
+        rated_q = [
+            float(e.reactive_max_pu[ph]) + sum(float(r.reactive_max_pu[ph]) for r in ctx.res) for ph in range(3)
+        ]
+        # period-0 columns; a (..., t, ph) group steps 3 per period
+        fp, fq, cs = (grid[name][:, k, 0] for name in ("flow_p", "flow_q", "curr_sq"))
+        vs, u = grid["volt_sq"][:, k, 0], grid["u"][:, k]
+        y = {name: grid[name][:, k, 0] for name in ("y_p", "y_q", "y_v")}
+        rows = _PeriodRows()
+        for nid in o.order:
+            n = case.node_index[nid]
+            for ph in ctx.node_phases(nid):
+                terms_p = []
+                terms_q = []
+                for li, child in o.children.get(nid, ()):  # outgoing
+                    if ph in ctx.line_phases(li):
+                        terms_p.append((fp[li, ph], 3, 1.0))
+                        terms_q.append((fq[li, ph], 3, 1.0))
+                pline = o.parent_line.get(nid)
+                on = []  # a node outside microgrid k leaves its balance free
+                if pline is not None and ph in ctx.line_phases(pline):
+                    on.append((u[n], 0))
+                    terms_p.append((fp[pline, ph], 3, -1.0))
+                    terms_q.append((fq[pline, ph], 3, -1.0))
+                    if pline in ctx.bracketed:
+                        terms_p.append((y["y_p"][ctx.bracket_pos[pline], ph], 3, 1.0))
+                        terms_q.append((y["y_q"][ctx.bracket_pos[pline], ph], 3, 1.0))
                     else:
-                        c = ctx.coeffs[li]
-                        r_hat, x_hat, z_hat = c.r_hat, c.x_hat, c.z_hat
-                        for ps in live:
-                            if r_hat[ph, ps] != 0.0:
-                                terms.append((cat.col("flow_p", (li, k, t, ps)), -2.0 * r_hat[ph, ps]))
-                            if x_hat[ph, ps] != 0.0:
-                                terms.append((cat.col("flow_q", (li, k, t, ps)), -2.0 * x_hat[ph, ps]))
-                            if quad and z_hat[ph, ps] != 0.0:
-                                terms.append((cat.col("curr_sq", (li, k, t, ps)), -z_hat[ph, ps]))
-                    _add_where_on(b, "volt-drop", (li, k, t, ph), terms, on, ctx.m_volt)
-                    b.add_cone(
-                        "cone",
-                        (li, k, t, ph),
-                        cat.col("curr_sq", (li, k, t, ph)),
-                        cat.col("volt_sq", (j, k, t, ph)),
-                        cat.col("flow_p", (li, k, t, ph)),
-                        cat.col("flow_q", (li, k, t, ph)),
-                    )
-                    _encode_line_limits(ctx, li, i, j, k, t, ph)
-
-
-def _encode_line_limits(ctx: _Ctx, li: int, i: str, j: str, k: int, t: int, ph: int) -> None:
-    cat, b = ctx.cat, ctx.b
-    rated_p = float(ctx.ess[k].rated_phase_pu[ph])
-    rated_q = float(ctx.ess[k].reactive_max_pu[ph]) + sum(
-        float(r.reactive_max_pu[ph]) for r in ctx.res
-    )
-    uj = cat.col("u", (j, k))
-    fp = cat.col("flow_p", (li, k, t, ph))
-    fq = cat.col("flow_q", (li, k, t, ph))
-    b.add("ess-line-p-lim", (li, k, t, ph), [(fp, 1.0), (uj, -rated_p)], SENSE_LE, 0.0)
-    b.add("ess-line-p-lim", (li, k, t, ph), [(fp, -1.0), (uj, -rated_p)], SENSE_LE, 0.0)
-    b.add("ess-line-q-lim", (li, k, t, ph), [(fq, 1.0), (uj, -rated_q)], SENSE_LE, 0.0)
-    b.add("ess-line-q-lim", (li, k, t, ph), [(fq, -1.0), (uj, -rated_q)], SENSE_LE, 0.0)
-    cc = cat.col("curr_sq", (li, k, t, ph))
-    b.add("current-lim", (li, k, t, ph), [(cc, 1.0), (uj, -ctx.amp_sq(li, ph))], SENSE_LE, 0.0)
+                        coeffs = ctx.coeffs[pline]
+                        for ps in ctx.line_phases(pline):
+                            terms_p.append((cs[pline, ps], 3, coeffs.r[ph, ps]))
+                            terms_q.append((cs[pline, ps], 3, coeffs.x[ph, ps]))
+                if nid == o.root:
+                    terms_p.append((cat.col("ess_dis", (k, 0, ph)), 3, -1.0))
+                    terms_p.append((cat.col("ess_ch", (k, 0, ph)), 3, 1.0))
+                    terms_q.append((cat.col("ess_q", (k, 0, ph)), 3, -1.0))
+                terms_p.append((cat.col("load_p", (nid, 0, ph)), 3, 1.0))
+                terms_q.append((cat.col("load_q", (nid, 0, ph)), 3, 1.0))
+                for r in res_at.get(nid, ()):  # renewable injections
+                    terms_p.append((cat.col("res_p", (r, 0, ph)), 3, -1.0))
+                    terms_q.append((cat.col("res_q", (r, 0, ph)), 3, -1.0))
+                rows.add_where_on("balance-p", (nid, k, ph), terms_p, on, ctx.m_flow)
+                rows.add_where_on("balance-q", (nid, k, ph), terms_q, on, ctx.m_flow)
+        for li, (i, j) in o.direction.items():
+            live = ctx.line_phases(li)
+            ni, nj = case.node_index[i], case.node_index[j]
+            # the drop holds inside microgrid k, and across a coupling
+            # line only while its switchgear is closed
+            on = [(u[nj], 0)]
+            gear = ctx.coupling_of_line.get(li)
+            if gear is not None:
+                on.append((grid["beta"][ctx.gear_pos[gear.id], 0], 1))
+            for ph in live:
+                terms = [(vs[ni, ph], 3, 1.0), (vs[nj, ph], 3, -1.0)]
+                if li in ctx.bracketed:
+                    terms.append((y["y_v"][ctx.bracket_pos[li], ph], 3, -1.0))
+                else:
+                    c = ctx.coeffs[li]
+                    for ps in live:
+                        terms.append((fp[li, ps], 3, -2.0 * c.r_hat[ph, ps]))
+                        terms.append((fq[li, ps], 3, -2.0 * c.x_hat[ph, ps]))
+                        terms.append((cs[li, ps], 3, -c.z_hat[ph, ps]))
+                head = (li, k, ph)
+                rows.add_where_on("volt-drop", head, terms, on, ctx.m_volt)
+                rows.add_cone(head, cs[li, ph], vs[nj, ph], fp[li, ph], fq[li, ph])
+                # line limits: flows within the source's per-phase ratings,
+                # squared current within ampacity, all only when covered
+                limits = (
+                    ("ess-line-p-lim", fp[li, ph], float(e.rated_phase_pu[ph])),
+                    ("ess-line-q-lim", fq[li, ph], rated_q[ph]),
+                )
+                for family, col, rated in limits:
+                    rows.add(family, head, [(col, 3, 1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
+                    rows.add(family, head, [(col, 3, -1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
+                amp = [(cs[li, ph], 3, 1.0), (u[nj], 0, -ctx.amp_sq[li, ph])]
+                rows.add("current-lim", head, amp, SENSE_LE, 0.0)
+        rows.emit(ctx.b, ctx.T)
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:

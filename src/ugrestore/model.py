@@ -46,6 +46,17 @@ class Violation:
 
 
 class ModelBuilder:
+    """Row-by-row and block-wise assembly of a :class:`LinearModel`.
+
+    Rows land in the order they are appended, and that order is fixed: the
+    export and the LP both read it, and a warm-started simplex path depends
+    on it.  :meth:`add` appends one row; :meth:`add_rows` appends a
+    zero-padded block of rows and stores exactly what the same rows
+    appended one by one would store.  The formulation emits its bracket,
+    balance, voltage-drop and line-limit rows as blocks and the small
+    families row by row.
+    """
+
     def __init__(self, catalog: VariableCatalog) -> None:
         self.catalog = catalog
         self._coo_r = array("q")
@@ -75,6 +86,26 @@ class ModelBuilder:
         self._families.append(family)
         self._locs.append(tuple(loc) if loc is not None else None)
         return row
+
+    def add_rows(self, family, locs: list, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
+        """Append a block of rows of one width, row ``i`` tagged ``locs[i]``.
+
+        ``cols``/``vals`` are 2-D, one row per block row, zero-padded: like
+        :meth:`add`, every exact-zero coefficient (``-0.0`` too) is dropped
+        and every other one kept in its place, so a column repeated in a row
+        stays two entries.  ``family`` is one name or one per row; ``sense``
+        and ``rhs`` are scalars or one per row; ``locs`` holds tuples.
+        """
+        n = len(locs)
+        keep = vals != 0.0
+        rows = np.nonzero(keep)[0] + len(self._sense)
+        self._coo_r.frombytes(rows.astype(np.int64).tobytes())
+        self._coo_c.frombytes(np.asarray(cols, dtype=np.int64)[keep].tobytes())
+        self._coo_v.frombytes(np.asarray(vals, dtype=np.float64)[keep].tobytes())
+        self._sense.frombytes(np.broadcast_to(np.asarray(sense, dtype=np.int8), (n,)).tobytes())
+        self._rhs.frombytes(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (n,)).tobytes())
+        self._families.extend([family] * n if isinstance(family, str) else family)
+        self._locs.extend(locs)
 
     def add_cone(self, family: str, loc, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
         self._cones.append(ConeRow(col_i, col_v, col_p, col_q, family, tuple(loc)))

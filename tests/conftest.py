@@ -137,3 +137,34 @@ def check_export_bytes(name: str, model, directory) -> None:
     got = export_digests(model, directory)
     changed = [f for f in EXPORT_FILES if got[f] != golden[f]]
     assert not changed, f"{name}: {', '.join(changed)} differ from {GOLDEN_EXPORTS.name}"
+
+
+GOLDEN_ROWS = Path(__file__).parent / "data" / "rows_sha256.json"
+
+
+def rows_digest(model) -> str:
+    """sha256 of the per-row ``(family, loc)`` sequence, one ``repr`` line per row.
+
+    The export digests do not cover the row tags, which the infeasibility
+    hint and ``check_solution`` report, so this pins their order and types.
+    """
+    h = hashlib.sha256()
+    for family, loc in zip(model.families, model.locs):
+        h.update(f"{family}\t{loc!r}\n".encode())
+    return h.hexdigest()
+
+
+def check_row_metadata(name: str, model) -> None:
+    """The row tags of shipped case ``name`` match ``data/rows_sha256.json``.
+
+    Regenerate it only for an intended change of the rows, and log it::
+
+        PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests')
+        from conftest import rows_digest, shipped_case, shipped_case_names
+        from ugrestore.formulation import build_model
+        json.dump({n: rows_digest(build_model(shipped_case(n))) for n in shipped_case_names()},
+        open('tests/data/rows_sha256.json', 'w'), indent=1, sort_keys=True)"
+    """
+    with open(GOLDEN_ROWS) as fh:
+        golden = json.load(fh)[name]
+    assert rows_digest(model) == golden, f"{name}: row tags differ from {GOLDEN_ROWS.name}"

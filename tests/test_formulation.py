@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 from conftest import (
     check_export_bytes,
+    check_row_metadata,
     load_minimal,
     minimal_doc,
     shipped_case,
@@ -24,13 +25,15 @@ from ugrestore.feeder import CaseInvariantError, load_case_dict
 from ugrestore.formulation import (
     BuildOptions,
     UnformulatableError,
+    _add_columns,
+    _Ctx,
     build_model,
     derated_multiplier,
     gate_threshold_pu,
     hat_matrices,
     orient_from,
 )
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ModelBuilder
 from ugrestore.physics import (
     PERMUTATIONS,
     SwitchingPoint,
@@ -123,6 +126,87 @@ class TestBuildBasics:
             assert fam in FAMILY_DESCRIPTIONS, fam
         text = model.constraint_catalog(FAMILY_DESCRIPTIONS)
         assert "cone" in text
+
+
+@pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
+def test_row_tags_unchanged(name):
+    """Every row keeps its family and loc, in order (``data/rows_sha256.json``)."""
+    check_row_metadata(name, build_model(shipped_case(name)))
+
+
+class TestAddRows:
+    """A block of rows stores exactly what the same rows added one by one store."""
+
+    @staticmethod
+    def _state(b: ModelBuilder) -> tuple:
+        m = b.build()
+        return (m.coo_r.tolist(), m.coo_c.tolist(), m.coo_v.tobytes(), m.sense.tolist(),
+                m.rhs.tobytes(), m.families, m.locs)
+
+    @staticmethod
+    def _builder() -> ModelBuilder:
+        cat = VariableCatalog()
+        cat.add_group("x", list(range(6)))
+        b = ModelBuilder(cat)
+        b.add("head", (0,), [(5, 1.0)], SENSE_EQ, 1.0)  # blocks append after existing rows
+        return b
+
+    COLS = np.array([[0, 1, 2, 0], [3, 3, 4, 0], [5, 0, 0, 0]])
+    VALS = np.array([[1.5, 0.0, -2.0, 0.0], [1.0, -1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]])
+    LOCS = [(1, "a"), (2, "b"), (3, "c")]
+
+    @pytest.mark.parametrize(
+        "family, sense, rhs",
+        [
+            ("blk", SENSE_LE, 2.5),
+            (["f1", "f2", "f1"], np.array([SENSE_LE, SENSE_GE, SENSE_EQ]), np.array([0.0, -1.0, 3.0])),
+        ],
+    )
+    def test_block_equals_row_loop(self, family, sense, rhs):
+        fams = [family] * 3 if isinstance(family, str) else family
+        senses = np.broadcast_to(sense, (3,))
+        rhss = np.broadcast_to(rhs, (3,))
+        one = self._builder()
+        for i in range(3):
+            one.add(fams[i], self.LOCS[i], zip(self.COLS[i].tolist(), self.VALS[i].tolist()),
+                    int(senses[i]), float(rhss[i]))
+        block = self._builder()
+        block.add_rows(family, self.LOCS, self.COLS, self.VALS, sense, rhs)
+        got, want = self._state(block), self._state(one)
+        assert got == want
+        # zeros (and -0.0) are dropped; the repeated column 3 stays two entries
+        assert got[0] == [0, 1, 1, 2, 2] and got[1] == [5, 0, 2, 3, 3]
+
+    def test_empty_block(self):
+        b = self._builder()
+        b.add_rows("none", [], np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)), SENSE_LE, 0.0)
+        b.add("tail", (9,), [(2, 1.0)], SENSE_GE, 0.0)
+        ref = self._builder()
+        ref.add("tail", (9,), [(2, 1.0)], SENSE_GE, 0.0)
+        assert self._state(b) == self._state(ref)
+
+
+@pytest.mark.parametrize("name", ["reduced13", "toy_gear3"])
+def test_index_grids_match_catalog(name):
+    """Each index grid holds ``cat.col(group, key)`` at the key's position."""
+    case = shipped_case(name)
+    ctx = _Ctx(case, BuildOptions())
+    _add_columns(ctx)
+    nodes, gears = case.node_index, ctx.gear_pos
+    lines = {l.index: l.index for l in case.lines}
+    first = {
+        "u": nodes, "volt_sq": nodes, "beta": gears, "swap": gears, "reorder_sel": gears,
+        "flow_p": lines, "flow_q": lines, "curr_sq": lines,
+        "y_p": ctx.bracket_pos, "y_q": ctx.bracket_pos, "y_v": ctx.bracket_pos,
+    }
+    assert set(ctx.grid) == set(first)
+    assert ctx.bracket_pos, "the case must bracket some line"
+    for group, pos in first.items():
+        grid, keys = ctx.grid[group], ctx.cat.group(group).keys
+        assert grid.size == len(keys), group
+        for key in keys:
+            at = (pos[key[0]],) + tuple(key[1:])
+            assert grid[at] == ctx.cat.col(group, key), (group, key)
 
 
 @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
@@ -845,6 +929,9 @@ class TestStructuralSmoke:
 
     def test_feeder123_export_bytes_unchanged(self, feeder123, tmp_path):
         check_export_bytes("feeder123", feeder123[1], tmp_path)
+
+    def test_feeder123_row_tags_unchanged(self, feeder123):
+        check_row_metadata("feeder123", feeder123[1])
 
 
 def structural_counts(model) -> dict:
