@@ -35,6 +35,8 @@ A caller-supplied diving heuristic (see the warm-start module) is invoked
 periodically on the current relaxation point to pull the incumbent up
 without waiting for the tree to reach integer depth.  It dives in the
 search's backend, so its LPs share the cut pool and honour the deadline.
+It is given the incumbent's value as a cutoff and abandons the dive at its
+first LP that cannot beat it; such a dive adds no cut to the pool.
 """
 
 from __future__ import annotations
@@ -206,14 +208,15 @@ def solve(
     options: SolverOptions | None = None,
     warm_start: np.ndarray | None = None,
     warm_start_source: str = "caller",
-    diver: Callable[[np.ndarray, LpBackend], np.ndarray | None] | None = None,
+    diver: Callable[[np.ndarray, LpBackend, float], np.ndarray | None] | None = None,
 ) -> Solution:
     """Maximize the model; returns the best incumbent with a proven gap.
 
     ``warm_start`` must be a fully feasible point (it is replayed before
-    acceptance).  ``diver`` maps a relaxation point and the search's backend
-    to a feasible full vector, or None; it is consulted periodically for
-    incumbents.
+    acceptance).  ``diver`` maps a relaxation point, the search's backend and
+    a cutoff, the incumbent's value (-inf while there is none), to a feasible
+    full vector that scores above the cutoff, or None; it is consulted
+    periodically for incumbents.
     """
     opts = options or SolverOptions()
     t0 = time.monotonic()
@@ -279,7 +282,7 @@ def solve(
             and nodes % DIVE_EVERY == 1
             and time.monotonic() - t0 < 0.8 * opts.time_limit_s
         ):
-            dived = diver(res.x, search.backend)
+            dived = diver(res.x, search.backend, search.inc_val)
             if dived is not None:
                 search.offer_incumbent(dived, "dive")
 

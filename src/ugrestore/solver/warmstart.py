@@ -13,6 +13,14 @@ The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
 per-phase peak); the diver derives it from a relaxation point supplied by
 the search.
+
+The diver is also given a cutoff, the search's incumbent value, and stops
+at the first optimal LP whose objective is no better, before it separates,
+so a cut-off dive adds no cut to the shared pool.  That is exact: every LP
+of a dive relaxes the model with the dive's fixings (any subset of the
+valid cut pool keeps it a bound), and the later steps only add fixings and
+cuts, so no plan of the dive can score above that LP.  The warm start runs
+without a cutoff.
 """
 
 from __future__ import annotations
@@ -218,17 +226,20 @@ def greedy_warm_start(
 def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | None = None):
     """Factory for the search's diving heuristic.
 
-    The returned callable rounds a relaxation point into a structural
-    skeleton (forest from the relaxed switch states, closing schedule and
-    phase assignment from the relaxed swap matrices) and LP-resolves it in
-    the backend it is given.
+    The returned callable ``diver(x_lp, backend, cutoff)`` rounds a
+    relaxation point into a structural skeleton (forest from the relaxed
+    switch states, closing schedule and phase assignment from the relaxed
+    swap matrices) and LP-resolves it in the backend it is given.  The dive
+    returns None at its first LP whose objective is at most ``cutoff``: no
+    plan it could reach scores above that LP, so with the incumbent's value
+    as the cutoff it drops only dives that cannot improve.
     """
     opts = options or SolverOptions()
     cat = model.catalog
     ferro = bool(model.meta.get("ferro_gate", True))
-    last: dict = {}  # the last skeleton and its result; repeats come back to back
+    last: dict = {}  # the last (skeleton, cutoff) and its result; repeats come back to back
 
-    def diver(x_lp: np.ndarray, backend: LpBackend) -> np.ndarray | None:
+    def diver(x_lp: np.ndarray, backend: LpBackend, cutoff: float = -np.inf) -> np.ndarray | None:
         priority = {
             l.index: float(x_lp[cat.col("gamma", l.index)]) for l in case.switch_lines
         }
@@ -264,17 +275,23 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
         fixes = _structural_fixes(model, case, schedule, gamma_priority=priority)
         if fixes is None:
             return None
-        key = tuple(sorted(fixes.items()))
+        key = (tuple(sorted(fixes.items())), cutoff)
         if key not in last:
             last.clear()
-            last[key] = _resolve(model, backend, fixes, opts)
+            last[key] = _resolve(model, backend, fixes, opts, cutoff)
         return last[key]
 
     return diver
 
 
-def _resolve(model, backend: LpBackend, fixes: dict[int, float], opts: SolverOptions):
-    x = _lp_with_oa(backend, fixes, opts)
+def _resolve(
+    model,
+    backend: LpBackend,
+    fixes: dict[int, float],
+    opts: SolverOptions,
+    cutoff: float = -np.inf,
+):
+    x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None
     cat = model.catalog
@@ -294,7 +311,7 @@ def _resolve(model, backend: LpBackend, fixes: dict[int, float], opts: SolverOpt
             cat.col("ess_dis_on", (k, t)), 0.0
         ) > 0.5:
             fixes[cat.col("ess_ch_on", (k, t))] = 0.0
-    x = _lp_with_oa(backend, fixes, opts)
+    x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None
     frac = np.flatnonzero(
@@ -305,7 +322,7 @@ def _resolve(model, backend: LpBackend, fixes: dict[int, float], opts: SolverOpt
     for col in frac:
         fixes[int(col)] = float(np.round(x[col]))
     if frac.size:
-        x = _lp_with_oa(backend, fixes, opts)
+        x = _lp_with_oa(backend, fixes, opts, cutoff)
         if x is None:
             return None
     if model.check_solution(x, opts.replay_tol, opts.replay_tol):
@@ -313,11 +330,14 @@ def _resolve(model, backend: LpBackend, fixes: dict[int, float], opts: SolverOpt
     return x
 
 
-def _lp_with_oa(backend: LpBackend, fixes: dict[int, float], opts: SolverOptions):
+def _lp_with_oa(
+    backend: LpBackend, fixes: dict[int, float], opts: SolverOptions, cutoff: float = -np.inf
+):
+    """The refined LP point with ``fixes`` pinned; None once an LP fails or scores <= ``cutoff``."""
     model = backend.model
     res = backend.solve(fixes)
     for _ in range(MAX_OA_ROUNDS):
-        if not res.ok:
+        if not res.ok or res.objective <= cutoff:
             break
         viol = cone_violations(model, res.x, opts.oa_tol)
         if not viol:
@@ -326,4 +346,4 @@ def _lp_with_oa(backend: LpBackend, fixes: dict[int, float], opts: SolverOptions
             cone = model.cones[idx]
             backend.add_cut(idx, soc_cut(cone.point(res.x), cone), res.x)
         res = backend.solve(fixes)
-    return res.x if res.ok else None
+    return res.x if res.ok and res.objective > cutoff else None

@@ -531,6 +531,21 @@ class TestSearchBehavior:
         assert sol.status == "optimal"
         assert model.check_solution(sol.x, 1e-6, 1e-6) == []
 
+    def test_diver_gets_the_incumbent_as_cutoff(self, toy_fork):
+        model = build_model(toy_fork)
+        ws = greedy_warm_start(model, toy_fork)
+        cutoffs = []
+
+        def recording(x_lp, backend, cutoff):
+            cutoffs.append(cutoff)
+            return None
+
+        solve(model, SolverOptions(time_limit_s=60), warm_start=ws, diver=recording)
+        assert cutoffs and cutoffs[0] == model.objective_value(ws)
+        cutoffs.clear()
+        solve(model, SolverOptions(time_limit_s=60), diver=recording)
+        assert cutoffs and cutoffs[0] == -np.inf
+
 
 def _fail_once(monkeypatch, when):
     """Make the first ``LpBackend.solve`` call whose fixings match ``when`` end as error.
@@ -860,3 +875,47 @@ class TestWarmStart:
         n = len(calls)
         diver(x_lp, backend)
         assert len(calls) > n
+        # a None cut off at a high cutoff answers the same cutoff, not a lower one
+        n = len(calls)
+        assert diver(x_lp, backend, np.inf) is None and len(calls) == n + 1
+        assert diver(x_lp, backend, np.inf) is None and len(calls) == n + 1
+        again = diver(x_lp, backend, -np.inf)
+        assert again is not None and len(calls) > n + 1
+
+    @staticmethod
+    def _gear_closed_point(model):
+        """A relaxation point that dives into a plan with the gear closed throughout."""
+        x = LpBackend(model).solve().x
+        beta = model.catalog.group("beta")
+        x[beta.start : beta.start + beta.size] = 1.0
+        return x
+
+    @pytest.mark.parametrize("above", [0.0, 1e-3])
+    def test_diver_cut_off_at_its_first_lp(self, toy_gear3, monkeypatch, above):
+        model = build_model(toy_gear3)
+        x_lp = self._gear_closed_point(model)
+        lps = []
+        real = LpBackend.solve
+
+        def recorded(self, fixes=None):
+            lps.append(real(self, fixes))
+            return lps[-1]
+
+        monkeypatch.setattr(LpBackend, "solve", recorded)
+        uncut = LpBackend(model)
+        make_diver(model, toy_gear3)(x_lp, uncut)
+        first = lps[0].objective
+        assert len(uncut.cuts) > 0  # the same dive without a cutoff separates
+        lps.clear()
+        backend = LpBackend(model)
+        assert make_diver(model, toy_gear3)(x_lp, backend, first + above) is None
+        assert len(lps) == 1 and len(backend.cuts) == 0
+
+    def test_cutoff_below_the_plan_keeps_the_plan(self, toy_gear3):
+        model = build_model(toy_gear3)
+        x_lp = self._gear_closed_point(model)
+        plan = make_diver(model, toy_gear3)(x_lp, LpBackend(model))
+        assert plan is not None and model.objective_value(plan) > 0.1
+        cutoff = model.objective_value(plan) - 1e-9
+        same = make_diver(model, toy_gear3)(x_lp, LpBackend(model), cutoff)
+        assert same is not None and np.array_equal(same, plan)
