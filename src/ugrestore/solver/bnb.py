@@ -16,7 +16,10 @@ root, one outer-approximation master (:func:`lp.master_bound`: the model as
 a MIP in HiGHS, its cone rows replaced by the seed tangents of
 ``initial_cone_cuts``) gets at most half the time left.  Its MIP dual bound
 caps every node's bound, so when the incumbent dominates it the search ends
-at the root.  The search's backend is released while the master runs.
+at the root.  The master is given the incumbent's dominance threshold (see
+below) and stops as soon as its dual bound reaches it, since a tighter
+bound would prove nothing more; without an incumbent it runs to its own
+gap.  The search's backend is released while the master runs.
 
 The proven bound is the largest of the bounds still open: the best node left
 in the heap, the largest bound the incumbent pruned (within the dominance
@@ -89,7 +92,9 @@ class Solution:
     node_count: int
     cut_count: int
     runtime_s: float
-    master_bound: float = np.inf  # the outer-approximation master's; +inf when not run
+    # the outer-approximation master's, where it stopped (at most the incumbent's
+    # dominance threshold once reached); +inf when not run
+    master_bound: float = np.inf
     kwh_factor: float = 1.0
     infeasible_hint: str = ""
     incumbent_source: str = ""
@@ -137,11 +142,15 @@ class _Search:
             self.inc_x, self.inc_val, self.inc_src = x.copy(), val, source
         return True
 
-    def dominated(self, bound: float) -> bool:
+    def dominance_threshold(self) -> float:
+        """The largest bound the incumbent dominates; -inf while there is none."""
         if self.inc_x is None:
-            return False
+            return -np.inf
         tol = max(self.opts.abs_gap, self.opts.rel_gap * max(1.0, abs(self.inc_val)))
-        return bound <= self.inc_val + tol
+        return self.inc_val + tol
+
+    def dominated(self, bound: float) -> bool:
+        return self.inc_x is not None and bound <= self.dominance_threshold()
 
     def prune(self, bound: float) -> bool:
         """True if the incumbent dominates ``bound``, which then stays in the proven bound."""
@@ -153,13 +162,17 @@ class _Search:
     def run_master(self) -> float:
         """The bound of one outer-approximation master, given half the time left.
 
-        The search's HiGHS instance is released while the master runs, so the
+        The master stops once its bound reaches the incumbent's dominance
+        threshold, where a tighter bound would prove nothing more.  The
+        search's HiGHS instance is released while the master runs, so the
         two never sit in memory together.
         """
         left = self.backend.deadline - time.monotonic()
         if left > 0.0:
             self.backend.release()
-            self.master_bound = master_bound(self.model, initial_cone_cuts(self.model), 0.5 * left)
+            self.master_bound = master_bound(
+                self.model, initial_cone_cuts(self.model), 0.5 * left, self.dominance_threshold()
+            )
         return self.master_bound
 
     # -- relaxation -------------------------------------------------------------

@@ -31,7 +31,10 @@ while another one runs.
 :func:`master_bound` solves the model once as a MIP, with a list of cuts in
 place of the cone rows, and returns its MIP dual bound; file descriptor 1
 is silenced during that run (:func:`quiet_stdout`), because the HiGHS MIP
-solver prints there even with ``output_flag`` off.
+solver prints there even with ``output_flag`` off.  Given a stop target, a
+``kCallbackMipInterrupt`` callback ends the run as soon as the dual bound
+reaches it; the dual bound of a MIP search bounds every node still open,
+so one read before the end is a bound as much as the final one.
 
 :func:`infeasibility_hint` names an irreducible infeasible subset (IIS)
 found by the same HiGHS, and :func:`read_lp` reads an exported MPS file
@@ -57,6 +60,7 @@ from scipy.optimize._highspy._core import (  # private; a test pins every member
     HighsStatus,
     MatrixFormat,
     _Highs,
+    cb,
 )
 
 from ugrestore.model import SENSE_GE, SENSE_LE, LinearModel
@@ -182,13 +186,23 @@ def quiet_stdout():
         os.close(saved)
 
 
-def master_bound(model: LinearModel, cuts: list[Cut], time_limit: float) -> float:
+def master_bound(
+    model: LinearModel, cuts: list[Cut], time_limit: float, stop_at: float = -np.inf
+) -> float:
     """Upper bound from the MIP over the model rows and ``cuts``, binaries integral.
 
     With valid cone cuts in place of the cone rows this is an
     outer-approximation master (Duran & Grossmann 1986): its MIP dual bound
     bounds the model.  Only an optimal or time-limited run with a finite
     dual bound yields one; any other outcome is +inf.
+
+    ``stop_at`` is a target: a ``kCallbackMipInterrupt`` callback stops the
+    run as soon as the MIP dual bound reaches it, and that dual bound is
+    returned.  At every moment of the MIP search the dual bound is the best
+    bound of the nodes still open, so the one at the stop bounds the model as
+    the final one does; it is at most ``stop_at`` and may sit above the
+    master's own optimum.  An interrupt the callback did not ask for yields
+    +inf.  The default, -inf, never stops the run.
     """
     h = _loaded(model, -model.obj)
     binary = np.flatnonzero(model.col_binary).astype(np.int32)
@@ -199,8 +213,19 @@ def master_bound(model: LinearModel, cuts: list[Cut], time_limit: float) -> floa
     for name, value in _MASTER_OPTIONS.items():
         h.setOptionValue(name, value)
     h.setOptionValue("time_limit", max(0.0, time_limit))
+    stopped = []  # the bound at which the callback interrupted the run
+
+    def interrupt(kind, message, out, into, data):
+        if -out.mip_dual_bound <= stop_at:  # of the minimized -obj
+            stopped.append(-out.mip_dual_bound)
+            into.user_interrupt = True
+
+    _check(h.setCallback(interrupt, None), "the callback")
+    _check(h.startCallback(cb.HighsCallbackType.kCallbackMipInterrupt), "the callback")
     with quiet_stdout():
         h.run()
+    if h.getModelStatus() == HighsModelStatus.kInterrupt:
+        return stopped[-1] if stopped else np.inf
     dual = h.getInfo().mip_dual_bound  # of the minimized -obj
     ok = h.getModelStatus() in (HighsModelStatus.kOptimal, HighsModelStatus.kTimeLimit)
     return -dual if ok and np.isfinite(dual) else np.inf

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -218,10 +219,16 @@ class TestLpBackend:
             "getLp",
             "getBasis",
             "setBasis",
+            "setCallback",
+            "startCallback",
         ):
             assert hasattr(core._Highs, method), f"{where}._Highs.{method} is gone; update lp.py"
         assert hasattr(core.HighsInfo(), "mip_dual_bound"), "HighsInfo.mip_dual_bound is gone"
-        assert lp._Highs is core._Highs
+        assert hasattr(core.HighsModelStatus, "kInterrupt"), "HighsModelStatus.kInterrupt is gone"
+        assert hasattr(core.cb.HighsCallbackType, "kCallbackMipInterrupt"), "the MIP interrupt is gone"
+        assert hasattr(core.cb.HighsCallbackOutput, "mip_dual_bound"), "the callback's bound is gone"
+        assert hasattr(core.cb.HighsCallbackInput, "user_interrupt"), "the callback's stop is gone"
+        assert lp._Highs is core._Highs and lp.cb is core.cb
 
     def test_release_then_solve_matches_unreleased(self, reduced13):
         model = build_model(reduced13)
@@ -268,6 +275,27 @@ class _HighsSpy:
     def getModelStatus(self):
         self.calls.append("getModelStatus")
         return self.status if self.status is not None else self.highs.getModelStatus()
+
+
+class _MasterSpy(_HighsSpy):
+    """A HiGHS instance that records whether its callback ever asked the run to stop."""
+
+    asked = False
+
+    def setCallback(self, fn, data):
+        def spy(kind, message, out, into, user_data):
+            fn(kind, message, out, into, user_data)
+            self.asked = self.asked or bool(into.user_interrupt)
+
+        return self.highs.setCallback(spy, data)
+
+
+def _spy_masters(monkeypatch):
+    """Every HiGHS instance loaded from now on, as a :class:`_MasterSpy`, in load order."""
+    runs = []
+    real = lp._loaded
+    monkeypatch.setattr(lp, "_loaded", lambda *args: runs.append(_MasterSpy(real(*args))) or runs[-1])
+    return runs
 
 
 def _last(calls, name):
@@ -415,6 +443,16 @@ def _gear_fixes(model, case, beta, perms, alphas, cd):
     return fixes
 
 
+@functools.cache
+def _enumerated_optimum(name):
+    """The optimum of a shipped toy by enumeration: structured for toy_gear3, else exhaustive."""
+    case = shipped_case(name)
+    model = build_model(case)
+    if name == "toy_gear3":
+        return _structured_enumeration(model, case)
+    return exhaustive_solve(model)[0]
+
+
 def _structured_enumeration(model, case):
     """Best objective over all switchgear schedules with LP resolve."""
     best = -np.inf
@@ -452,7 +490,7 @@ def _structured_enumeration(model, case):
 class TestGearToyEnumeration:
     def test_matches_structured_enumeration(self, toy_gear3):
         model = build_model(toy_gear3)
-        enum_val = _structured_enumeration(model, toy_gear3)
+        enum_val = _enumerated_optimum("toy_gear3")
         ws = greedy_warm_start(model, toy_gear3, EXACT)
         sol = solve(model, EXACT, warm_start=ws, warm_start_source="greedy")
         assert sol.status == "optimal"
@@ -545,6 +583,26 @@ class TestSearchBehavior:
         cutoffs.clear()
         solve(model, SolverOptions(time_limit_s=60), diver=recording)
         assert cutoffs and cutoffs[0] == -np.inf
+
+    def test_master_gets_the_dominance_threshold_as_target(self, reduced13, monkeypatch):
+        model = build_model(reduced13)  # swap and gate: the root leaves a gap
+        ws = greedy_warm_start(model, reduced13)
+        targets = []
+
+        class Handed(Exception):
+            """Ends the solve at the master: its target is all this test reads."""
+
+        def recording(model, cuts, time_limit, stop_at):
+            targets.append(stop_at)
+            raise Handed
+
+        monkeypatch.setattr(bnb, "master_bound", recording)
+        opts = SolverOptions()
+        for warm in (ws, None):
+            with pytest.raises(Handed):
+                solve(model, opts, warm_start=warm)
+        val = model.objective_value(ws)
+        assert targets == [val + max(opts.abs_gap, opts.rel_gap * max(1.0, abs(val))), -np.inf]
 
 
 def _fail_once(monkeypatch, when):
@@ -733,6 +791,31 @@ class TestMasterBound:
         assert sol.objective == model.objective_value(ws)
         assert sol.bound == sol.master_bound >= sol.objective
         assert 0.0 < sol.gap <= SolverOptions().rel_gap  # the bound proved, not the incumbent
+
+    @pytest.mark.parametrize("name", ["toy_fork", "toy_gear3"])
+    def test_stops_between_the_optimum_and_the_target(self, name):
+        model = build_model(shipped_case(name))
+        best = _enumerated_optimum(name)
+        stop_at = best + SolverOptions().rel_gap * max(1.0, abs(best))
+        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0, stop_at)
+        assert best - 1e-9 * max(1.0, abs(best)) <= bound <= stop_at
+
+    def test_no_target_never_stops(self, toy_fork, monkeypatch):
+        model = build_model(toy_fork)
+        cuts = initial_cone_cuts(model)
+        runs = _spy_masters(monkeypatch)
+        assert lp.master_bound(model, cuts, 60.0, -np.inf) == lp.master_bound(model, cuts, 60.0)
+        assert len(runs) == 2 and not any(run.asked for run in runs)
+
+    def test_stops_at_the_greedys_threshold_on_reduced13(self, reduced13, monkeypatch):
+        model = build_model(reduced13)  # swap and gate
+        greedy = model.objective_value(greedy_warm_start(model, reduced13))
+        opts = SolverOptions()
+        stop_at = greedy + max(opts.abs_gap, opts.rel_gap * max(1.0, abs(greedy)))
+        runs = _spy_masters(monkeypatch)
+        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0, stop_at)
+        assert greedy <= bound <= stop_at
+        assert runs[-1].asked
 
     @pytest.mark.parametrize(
         "status",
