@@ -5,11 +5,11 @@ LP from the last basis.  It pins each node's fixings, keeps the
 outer-approximation cut pool (shared across the tree, capped per cone) and
 hands HiGHS the time left before the deadline.  Nodes store only their
 fixings and an inherited bound; the LP is solved at pop time, refined by a
-small outer-approximation budget (separate, add the worst tangents, re-solve)
-and branched most-fractional-first (ties by catalog order, then by the seeded
-tie-breaker).  Integral candidates get a full refinement loop and are
-accepted as incumbents only after an independent replay of every linear row,
-cone row and column bound.
+small outer-approximation budget (separate, add one tangent at every violated
+cone, re-solve) and branched most-fractional-first (ties by catalog order,
+then by the seeded tie-breaker).  Integral candidates get a full refinement
+loop and are accepted as incumbents only after an independent replay of
+every linear row, cone row and column bound.
 
 After the root LP and the diver, if the incumbent does not yet dominate the
 root, one outer-approximation master (:func:`lp.master_bound`: the model as
@@ -58,7 +58,6 @@ from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint, master_
 
 MAX_OA_ROUNDS = 80  # at the root and at integral candidates
 OA_ROUNDS_FRACTIONAL = 2  # at every other node
-CUTS_PER_ROUND = 20  # tangents added per round, at the worst violated cones
 INT_TOL = 1e-6
 DIVE_EVERY = 20  # nodes between diver calls
 
@@ -195,9 +194,9 @@ class _Search:
             viol = cone_violations(self.model, res.x, tol)
             if not viol:
                 break
-            for idx, _ in viol[:CUTS_PER_ROUND]:
-                cone = self.model.cones[idx]
-                self.backend.add_cut(idx, soc_cut(cone.point(res.x), cone), res.x)
+            cones = self.model.cones
+            cuts = [(idx, soc_cut(cones[idx].point(res.x), cones[idx])) for idx, _ in viol]
+            self.backend.add_cuts(cuts, res.x)
             res = self.backend.solve(fixes)
         return res
 

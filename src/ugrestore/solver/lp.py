@@ -6,9 +6,10 @@ scipy bundles, and owns everything that changes between solves:
 - the fixings: ``solve(fixes)`` pins them and pushes only the column bounds
   that moved since the last solve; a fixing outside the column bounds is
   ``infeasible`` without running an LP;
-- the outer-approximation cut pool: ``add_cut`` appends a row and keeps at
-  most ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut rewrites,
-  in place, the row of the cut with the most slack at the point it
+- the outer-approximation cut pool: ``add_cuts`` takes one round's cuts, at
+  most one per cone, appends the rows of the new ones in one HiGHS call and
+  keeps at most ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut
+  rewrites, in place, the row of the cut with the most slack at the point it
   separates, so the cuts that hold that point stay and the separation loops
   do not cycle.  Every cut is valid for the full model, so any subset keeps
   the relaxation a bound;
@@ -19,12 +20,16 @@ scipy bundles, and owns everything that changes between solves:
 Every LP is a dual simplex re-solve from the last basis.  Warm-started
 primal values can drift past the tolerance HiGHS reports, so a result is
 accepted only if it is optimal and its point meets every model row within
-``MAX_ROW_RESIDUAL``.  Otherwise the same instance runs once more from
-scratch, and that verdict is final (a drifted cold point is an ``error``).
+``MAX_ROW_RESIDUAL``.  Otherwise HiGHS is handed back the basis it ended on
+(``setBasis(getBasis())``), which refactorizes that basis and recomputes
+the point from it, and runs again; that fixes a drift or an ``Unknown`` in
+a few iterations.  Only if that run fails too does the same instance run
+once more from scratch, and that verdict is final (a drifted cold point is
+an ``error``).  ``clear_basis`` makes the next solve start from scratch.
 
 The greedy warm start owns one backend; the search owns another, which the
 diver borrows.  ``release()`` drops the HiGHS instance but keeps the cut
-pool and the basis; the next ``solve`` or ``add_cut`` reloads the model and
+pool and the basis; the next ``solve`` or ``add_cuts`` reloads the model and
 the pool rows and restores the basis, so the search can free its instance
 while another one runs.
 
@@ -267,31 +272,47 @@ class LpBackend:
             self._basis = None
 
     def release(self) -> None:
-        """Drop the HiGHS instance; the next solve or add_cut reloads it from the basis."""
+        """Drop the HiGHS instance; the next solve or add_cuts reloads it from the basis."""
         if self.highs is not None:
             basis = self.highs.getBasis()
             self._basis = basis if basis.valid else None
             self.highs = None
 
-    def add_cut(self, cone_idx: int, cut: Cut, x: np.ndarray) -> None:
-        """Add ``cut``, which separates ``x``; a full cone drops its slackest cut at ``x``."""
+    def add_cuts(self, cuts: list[tuple[int, Cut]], x: np.ndarray) -> None:
+        """Add ``(cone, cut)`` pairs whose cuts separate ``x``, at most one per cone.
+
+        The rows of the cuts that take a free slot are appended in one HiGHS
+        call, in the order given; a full cone drops its slackest cut at ``x``,
+        whose row the new cut rewrites in place.
+        """
+        if len({idx for idx, _ in cuts}) < len(cuts):
+            raise ValueError("a batch of cuts holds at most one cut per cone")
         if self.highs is None:
             self._load()
-        slots = self._cone_slots.setdefault(cone_idx, [])
-        if len(slots) < CUTS_PER_CONE:
-            _add_rows(self.highs, [cut])
-            slots.append(len(self.cuts))
-            self.cuts.append(cut)
-            return
-        held = [self.cuts[pos] for pos in slots]
-        slack = [c.rhs - np.dot(c.coefs, x[list(c.cols)]) for c in held]
-        pos = slots[int(np.argmax(slack))]
-        row = self.model.nrows + pos
-        old = [(col, 0.0) for col in set(self.cuts[pos].cols) - set(cut.cols)]
-        for col, coef in old + list(zip(cut.cols, cut.coefs)):
-            _check(self.highs.changeCoeff(row, col, coef), "a cut coefficient")
-        _check(self.highs.changeRowBounds(row, -np.inf, cut.rhs), "a cut bound")
-        self.cuts[pos] = cut
+        fresh = [cut for idx, cut in cuts if len(self._cone_slots.get(idx, ())) < CUTS_PER_CONE]
+        if fresh:
+            _add_rows(self.highs, fresh)
+        for idx, cut in cuts:
+            slots = self._cone_slots.setdefault(idx, [])
+            if len(slots) < CUTS_PER_CONE:  # a fresh cut, its row already appended
+                slots.append(len(self.cuts))
+                self.cuts.append(cut)
+                continue
+            held = [self.cuts[pos] for pos in slots]
+            slack = [c.rhs - np.dot(c.coefs, x[list(c.cols)]) for c in held]
+            pos = slots[int(np.argmax(slack))]
+            row = self.model.nrows + pos
+            old = [(col, 0.0) for col in set(self.cuts[pos].cols) - set(cut.cols)]
+            for col, coef in old + list(zip(cut.cols, cut.coefs)):
+                _check(self.highs.changeCoeff(row, col, coef), "a cut coefficient")
+            _check(self.highs.changeRowBounds(row, -np.inf, cut.rhs), "a cut bound")
+            self.cuts[pos] = cut
+
+    def clear_basis(self) -> None:
+        """The next solve runs from scratch, not from the last basis."""
+        self._basis = None
+        if self.highs is not None:
+            self.highs.clearSolver()
 
     def solve(self, fixes: dict[int, float] | None = None) -> LpResult:
         """Relaxation with ``fixes`` (column -> value) pinned, over the rows and the cut pool."""
@@ -312,7 +333,12 @@ class LpBackend:
             _check(status, "the column bounds")
             self._lb, self._ub = lb, ub
         res = self._run()
-        if not res.ok:  # drifted, Unknown or any other verdict: once more from scratch
+        if not res.ok:  # drifted, Unknown or any other verdict: refactorize the basis it ended on
+            basis = self.highs.getBasis()
+            if basis.valid:
+                _check(self.highs.setBasis(basis), "the basis")
+                res = self._run()
+        if not res.ok:  # once more from scratch, a final verdict
             self.highs.clearSolver()
             res = self._run()
         return res

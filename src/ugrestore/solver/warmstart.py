@@ -14,6 +14,13 @@ gate-feasible closing, phase assignment chosen to balance the projected
 per-phase peak); the diver derives it from a relaxation point supplied by
 the search.
 
+The last LP of a skeleton is solved once more from scratch
+(``LpBackend.clear_basis``), and refined again if it needs it, before the
+replay.  A warm re-solve can stop a few 1e-11 short of its optimum at a
+point where a cone carrying little current is not tight, and the
+validator's ``cone-tightness`` rejects such a plan; the cold run reaches
+the optimum, where the loss pressure makes the cones tight.
+
 The diver is also given a cutoff, the search's incumbent value, and stops
 at the first optimal LP whose objective is no better, before it separates,
 so a cut-off dive adds no cut to the shared pool.  That is exact: every LP
@@ -31,7 +38,7 @@ from ugrestore.feeder import FeederCase
 from ugrestore.formulation import bypass_eligible, gate_threshold_pu, lateral_demand_pu
 from ugrestore.model import LinearModel
 from ugrestore.physics import PERMUTATIONS
-from ugrestore.solver.bnb import CUTS_PER_ROUND, INT_TOL, MAX_OA_ROUNDS, SolverOptions
+from ugrestore.solver.bnb import INT_TOL, MAX_OA_ROUNDS, SolverOptions
 from ugrestore.solver.cuts import cone_violations, soc_cut
 from ugrestore.solver.lp import LpBackend
 
@@ -325,6 +332,10 @@ def _resolve(
         x = _lp_with_oa(backend, fixes, opts, cutoff)
         if x is None:
             return None
+    backend.clear_basis()  # the final LP from scratch: see the module docstring
+    x = _lp_with_oa(backend, fixes, opts, cutoff)
+    if x is None:
+        return None
     if model.check_solution(x, opts.replay_tol, opts.replay_tol):
         return None
     return x
@@ -342,8 +353,8 @@ def _lp_with_oa(
         viol = cone_violations(model, res.x, opts.oa_tol)
         if not viol:
             break
-        for idx, _ in viol[:CUTS_PER_ROUND]:
-            cone = model.cones[idx]
-            backend.add_cut(idx, soc_cut(cone.point(res.x), cone), res.x)
+        cones = model.cones
+        cuts = [(idx, soc_cut(cones[idx].point(res.x), cones[idx])) for idx, _ in viol]
+        backend.add_cuts(cuts, res.x)
         res = backend.solve(fixes)
     return res.x if res.ok and res.objective > cutoff else None

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,22 +11,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import load_minimal, shipped_case
+from conftest import load_minimal, shipped_case, shipped_doc
 from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
+from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import BuildOptions, build_model
 from ugrestore.model import SENSE_LE, ConeRow, ModelBuilder, Violation
 from ugrestore.physics import PERMUTATIONS
+from ugrestore.plan import RestorationPlan
 from ugrestore.solver import (
     SolverOptions,
     greedy_warm_start,
     make_diver,
     solve,
 )
-from ugrestore.solver import bnb, lp
+from ugrestore.solver import bnb, lp, warmstart
 from ugrestore.solver.cuts import NoCutError, cone_violations, initial_cone_cuts, soc_cut
 from ugrestore.solver.lp import CUTS_PER_CONE, Cut, HighsModelStatus, LpBackend, LpResult
+from ugrestore.validator import check_plan
 
 EXACT = SolverOptions(time_limit_s=120, rel_gap=0.0, abs_gap=1e-11, oa_tol=1e-9, oa_search_tol=1e-8)
 
@@ -70,11 +75,11 @@ class TestLpBackend:
         rhs = [4.0 + (3 * k) % CUTS_PER_CONE for k in range(CUTS_PER_CONE - 1)]
         cuts = [binding] + [Cut(cols=(0,), coefs=(1.0,), rhs=r) for r in rhs]
         for cut in cuts:
-            backend.add_cut(0, cut, x)
+            backend.add_cuts([(0, cut)], x)
         new = [Cut(cols=(0,), coefs=(1.0,), rhs=1.0 + k) for k in range(3)]
         for cut in new:
-            backend.add_cut(0, cut, x)
-        backend.add_cut(1, cuts[1], x)
+            backend.add_cuts([(0, cut)], x)
+        backend.add_cuts([(1, cuts[1])], x)
         # each new cut took the place of the slackest one at x, largest rhs first;
         # the oldest cut is binding at x and stays
         want = list(cuts)
@@ -88,7 +93,7 @@ class TestLpBackend:
         cat, model = _cone_fixture()
         backend = LpBackend(model)
         with pytest.raises(RuntimeError, match="refused a cut row"):
-            backend.add_cut(0, Cut(cols=(model.ncols,), coefs=(1.0,), rhs=1.0), np.zeros(model.ncols))
+            backend.add_cuts([(0, Cut(cols=(model.ncols,), coefs=(1.0,), rhs=1.0))], np.zeros(model.ncols))
         assert backend.cuts == [] and backend.highs.getNumRow() == model.nrows
 
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
@@ -146,8 +151,7 @@ class TestLpBackend:
         def both(self, fixes=None):
             warm = real(self, fixes)
             fresh = LpBackend(self.model)
-            for k, cut in enumerate(self.cuts):  # one cone each: same rows, same order
-                fresh.add_cut(k, cut, None)
+            fresh.add_cuts(list(enumerate(self.cuts)), None)  # one cone each: same rows, same order
             pairs.append((warm, real(fresh, fixes)))
             return warm
 
@@ -161,7 +165,7 @@ class TestLpBackend:
                 for res in (warm, cold):
                     assert -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
 
-    def test_drifted_warm_point_is_rerun_cold(self, monkeypatch):
+    def test_drifted_warm_point_is_rerun_from_its_basis(self, monkeypatch):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
         assert backend.solve().ok
@@ -177,18 +181,48 @@ class TestLpBackend:
 
         monkeypatch.setattr(lp, "linprog", drift_once)
         res = backend.solve()
-        assert spy.calls.count("run") == 2
-        assert spy.calls.index("run") < spy.calls.index("clearSolver") < _last(spy.calls, "run")
+        assert spy.calls.count("run") == 2 and "clearSolver" not in spy.calls
+        assert spy.calls.index("run") < spy.calls.index("setBasis") < _last(spy.calls, "run")
         assert res.ok and -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
 
-    def test_unknown_warm_status_is_rerun_cold(self):
+    def test_unknown_warm_status_is_rerun_from_its_basis_then_cold(self):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
         assert backend.solve().ok
         backend.highs = spy = _HighsSpy(backend.highs, HighsModelStatus.kUnknown)
         assert backend.solve().status == "error"  # the cold run said Unknown too
-        assert spy.calls.count("run") == 2
-        assert spy.calls.index("run") < spy.calls.index("clearSolver") < _last(spy.calls, "run")
+        runs = [k for k, name in enumerate(spy.calls) if name == "run"]
+        assert len(runs) == 3
+        assert runs[0] < spy.calls.index("setBasis") < runs[1]
+        assert runs[1] < spy.calls.index("clearSolver") < runs[2]
+
+    def test_batch_of_cuts_matches_cuts_one_at_a_time(self, reduced13):
+        model = build_model(reduced13)
+        one, batch = LpBackend(model), LpBackend(model)
+        x = one.solve().x
+        full = cone_violations(model, x, 1e-9)[0][0]
+        seeds = initial_cone_cuts(model)[full * CUTS_PER_CONE : (full + 1) * CUTS_PER_CONE]
+        for backend in (one, batch):  # the worst violated cone's slots all taken
+            for cut in seeds:
+                backend.add_cuts([(full, cut)], x)
+        cuts = _round_of_cuts(model, x, 1e-9)
+        assert len(cuts) > 1 and full in dict(cuts)
+        for pair in cuts:
+            one.add_cuts([pair], x)
+        batch.highs = spy = _HighsSpy(batch.highs)
+        batch.add_cuts(cuts, x)
+        batch.highs = spy.highs
+        assert spy.calls.count("addRows") == 1 and "changeCoeff" in spy.calls  # one eviction
+        assert batch.cuts == one.cuts and batch._cone_slots == one._cone_slots
+        assert dict(cuts)[full] in batch.cuts and sum(c in batch.cuts for c in seeds) == CUTS_PER_CONE - 1
+        assert len(batch.cuts) == CUTS_PER_CONE + len(cuts) - 1
+        lps = [backend.highs.getLp() for backend in (one, batch)]
+        for name in ("row_lower_", "row_upper_", "col_lower_", "col_upper_"):
+            assert np.array_equal(getattr(lps[0], name), getattr(lps[1], name))
+        rows = [_row_matrix(got) for got in lps]
+        assert (rows[0] != rows[1]).nnz == 0
+        with pytest.raises(ValueError, match="one cut per cone"):
+            batch.add_cuts([cuts[0], cuts[0]], x)
 
     def test_bundled_highs_iis_api(self):
         import importlib
@@ -235,11 +269,9 @@ class TestLpBackend:
         kept, released = LpBackend(model), LpBackend(model)
         res = kept.solve()
         for _ in range(3):  # the same cut pool in both
-            for idx, _ in cone_violations(model, res.x, 1e-6)[:20]:
-                cone = model.cones[idx]
-                cut = soc_cut(cone.point(res.x), cone)
-                kept.add_cut(idx, cut, res.x)
-                released.add_cut(idx, cut, res.x)
+            cuts = _round_of_cuts(model, res.x, 1e-6)
+            kept.add_cuts(cuts, res.x)
+            released.add_cuts(cuts, res.x)
             res = kept.solve()
         assert released.solve().objective == pytest.approx(res.objective, rel=1e-9)
         released.release()
@@ -253,13 +285,43 @@ class TestLpBackend:
         got = released.solve(fix)
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
-        released.release()  # add_cut reloads too
-        idx, _ = cone_violations(model, want.x, 1e-6)[0]
-        cut = soc_cut(model.cones[idx].point(want.x), model.cones[idx])
+        released.release()  # add_cuts reloads too
+        cuts = _round_of_cuts(model, want.x, 1e-6)[:1]
         for backend in (kept, released):
-            backend.add_cut(idx, cut, want.x)
+            backend.add_cuts(cuts, want.x)
         got, want = released.solve(fix), kept.solve(fix)
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+
+
+class TestOaRound:
+    """A separation round cuts every violated cone once; a full cone swaps a cut for it."""
+
+    @pytest.mark.parametrize("loop", ["search", "warm start"])
+    def test_one_round_grows_the_pool_by_the_violated_cones(self, reduced13, monkeypatch, loop):
+        model = build_model(reduced13)
+        opts = SolverOptions()
+        search = bnb._Search(model, opts, deadline=time.monotonic() + 60.0)
+        backend = search.backend
+        x = backend.solve().x
+        full = cone_violations(model, x, opts.oa_tol)[0][0]
+        for cut in initial_cone_cuts(model)[full * CUTS_PER_CONE : (full + 1) * CUTS_PER_CONE]:
+            backend.add_cuts([(full, cut)], x)
+        separated = []
+        module = bnb if loop == "search" else warmstart
+        real = module.cone_violations
+        monkeypatch.setattr(module, "cone_violations", lambda *a: separated.append(real(*a)) or separated[-1])
+        slots = {idx: len(held) for idx, held in backend._cone_slots.items()}
+        before = len(backend.cuts)
+        if loop == "search":
+            search.oa_refine({}, backend.solve(), 1)
+        else:
+            monkeypatch.setattr(warmstart, "MAX_OA_ROUNDS", 1)
+            warmstart._lp_with_oa(backend, {}, opts)
+        assert len(separated) == 1
+        viol = [idx for idx, _ in separated[0]]
+        assert full in viol and len(viol) > 20  # more than the old 20 per round
+        assert len(backend.cuts) - before == len(viol) - 1  # all but the full cone
+        assert all(len(backend._cone_slots[idx]) == min(slots.get(idx, 0) + 1, CUTS_PER_CONE) for idx in viol)
 
 
 class _HighsSpy:
@@ -296,6 +358,21 @@ def _spy_masters(monkeypatch):
     real = lp._loaded
     monkeypatch.setattr(lp, "_loaded", lambda *args: runs.append(_MasterSpy(real(*args))) or runs[-1])
     return runs
+
+
+def _round_of_cuts(model, x, tol):
+    """One tangent per cone that ``x`` violates beyond ``tol``, worst first."""
+    return [(idx, soc_cut(model.cones[idx].point(x), model.cones[idx])) for idx, _ in cone_violations(model, x, tol)]
+
+
+def _row_matrix(highs_lp):
+    """The constraint matrix of a ``HighsLp`` as a scipy matrix, whatever its format."""
+    a = highs_lp.a_matrix_
+    shape = (highs_lp.num_row_, highs_lp.num_col_)
+    data = (np.array(a.value_), np.array(a.index_), np.array(a.start_))
+    if a.format_ == lp.MatrixFormat.kRowwise:
+        return sp.csr_matrix(data, shape=shape)
+    return sp.csc_matrix(data, shape=shape).tocsr()
 
 
 def _last(calls, name):
@@ -352,7 +429,7 @@ class TestSocCut:
             if not viol:
                 break
             cone = model.cones[viol[0][0]]
-            backend.add_cut(viol[0][0], soc_cut(cone.point(x), cone), x)
+            backend.add_cuts([(viol[0][0], soc_cut(cone.point(x), cone))], x)
         assert rounds < 50
         slack = model.cone_values(x)[0]
         assert slack >= -1e-6
@@ -786,7 +863,8 @@ class TestMasterBound:
     def test_proves_reduced13_with_swap_and_gate_at_the_root(self, reduced13):
         model = build_model(reduced13)
         ws = greedy_warm_start(model, reduced13)
-        sol = solve(model, SolverOptions(), warm_start=ws, warm_start_source="greedy")
+        # a master that proves nothing leaves the search branching until the limit
+        sol = solve(model, SolverOptions(time_limit_s=30), warm_start=ws, warm_start_source="greedy")
         assert sol.status == "optimal" and sol.node_count == 1
         assert sol.objective == model.objective_value(ws)
         assert sol.bound == sol.master_bound >= sol.objective
@@ -925,6 +1003,24 @@ class TestWarmStart:
         cat = model.catalog
         for t in range(case.horizon):
             assert ws[cat.col("beta", ("G1", t))] == pytest.approx(0.0)
+
+    def test_greedy_plan_passes_the_validator_on_scaled_loads(self):
+        # reduced13 with each node's load scaled by one U(0.95, 1.05) factor of
+        # random.Random(6): the greedy's last LP, warm-started, stopped 2.7e-11
+        # short of its optimum with line m5-m6 (t 0, phase a) 2.8e-4 off tight
+        # on its cone; solved from scratch, every cone is tight
+        doc = shipped_doc("reduced13")
+        rng = random.Random(6)
+        for node in doc["nodes"]:
+            factor = rng.uniform(0.95, 1.05)
+            for key in ("load_kw", "load_kvar"):
+                if key in node:
+                    node[key] = {ph: [v * factor for v in vals] for ph, vals in node[key].items()}
+        case = load_case_dict(doc)
+        model = build_model(case)
+        ws = greedy_warm_start(model, case)
+        report = check_plan(case, RestorationPlan.from_solution(model, ws, status="feasible", gap=np.inf))
+        assert report.passed, [(r.family, r.worst_residual) for r in report.records if not r.passed]
 
     def test_diver_returns_feasible(self, toy_gear3):
         model = build_model(toy_gear3)
