@@ -3,7 +3,10 @@
 The search owns one :class:`LpBackend`, whose HiGHS instance re-solves each
 LP from the last basis.  It pins each node's fixings, keeps the
 outer-approximation cut pool (shared across the tree, capped per cone) and
-hands HiGHS the time left before the deadline.  Nodes store only their
+hands HiGHS the time left before the deadline.  When the warm start passes
+the replay, the pool starts, before the root LP, with one tangent per cone
+that carries flow there (:func:`incumbent_tangents`): outer approximation
+first linearizes at its first fixed-integer point.  Nodes store only their
 fixings and an inherited bound; the LP is solved at pop time, refined by a
 small outer-approximation budget (separate, add one tangent at every violated
 cone, re-solve) and branched most-fractional-first (ties by catalog order,
@@ -53,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from ugrestore.model import LinearModel
-from ugrestore.solver.cuts import cone_violations, initial_cone_cuts, soc_cut
+from ugrestore.solver.cuts import cone_violations, incumbent_tangents, initial_cone_cuts, soc_cut
 from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint, master_bound
 
 MAX_OA_ROUNDS = 80  # at the root and at integral candidates
@@ -237,6 +240,8 @@ def solve(
 
     if warm_start is not None:
         search.offer_incumbent(warm_start, warm_start_source)
+    if search.inc_x is not None:
+        search.backend.add_cuts(incumbent_tangents(model, search.inc_x), search.inc_x)
 
     tie = itertools.count()
     heap: list[_Node] = []

@@ -5,8 +5,17 @@ standard cone ``||(2P, 2Q, I-V)|| <= I + V``; its violation function
 
     f(I, V, P, Q) = sqrt(4P^2 + 4Q^2 + (I-V)^2) - (I + V)
 
-is convex, so a subgradient at any violating point yields a supporting
-hyperplane that separates the point from the cone.
+is convex, so its linearization at a point of the cone's boundary is a
+supporting hyperplane, valid for the whole model (:func:`tangent`).  The
+boundary points:
+
+- :func:`soc_cut` lifts a violating point onto the boundary along the
+  squared-current axis, I = (P^2 + Q^2) / V, and the cut separates it;
+- :func:`incumbent_tangents` lifts a feasible incumbent the same way: outer
+  approximation's first linearization, which the search loads before its
+  root LP;
+- :func:`unit_tangents` sweeps unit-voltage points, the seed rows of the
+  MPS export and of the outer-approximation master.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from ugrestore.solver.lp import Cut
 
 CONE_TANGENTS = 8  # seed tangent planes per cone, in the MPS export
 SNAP = 1e-12  # |coefficient| or |rhs| of a seed tangent below this is rounding residue
+V_MIN = 1e-9  # at or below this V a point is not lifted to I = (P^2 + Q^2) / V
 
 
 class NoCutError(ValueError):
@@ -30,23 +40,15 @@ def _violation(i: float, v: float, p: float, q: float) -> float:
     return math.sqrt(4.0 * p * p + 4.0 * q * q + (i - v) ** 2) - (i + v)
 
 
-def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float = 1e-12) -> Cut:
-    """Supporting-hyperplane cut separating a cone-violating point.
+def tangent(point: tuple[float, float, float, float], cone: ConeRow) -> Cut:
+    """Linearization ``f(b) + g . (x - b) <= 0`` of the violation function at ``b = point``.
 
-    The tangent is taken at the boundary point directly above the violating
-    point along the squared-current axis (the point a loss-pressured optimum
-    converges to), which cuts far deeper than the subgradient at the point
-    itself.  Every tangent plane of the homogeneous cone passes through the
-    apex, so the apex always satisfies the cut with equality.
+    At a point of the cone's boundary (f(b) = 0) this is the tangent plane
+    there, a supporting hyperplane of the cone.  Every tangent plane of
+    the homogeneous cone passes through the apex, so the apex always
+    satisfies it with equality.
     """
-    i0, v0, p0, q0 = point
-    f0 = _violation(i0, v0, p0, q0)
-    if f0 <= tol:
-        raise NoCutError(f"point violates the cone by {f0:.3e} <= {tol:.0e}")
-    if v0 > 1e-9:
-        i_b, v_b, p_b, q_b = (p0 * p0 + q0 * q0) / v0, v0, p0, q0
-    else:
-        i_b, v_b, p_b, q_b = i0, v0, p0, q0
+    i_b, v_b, p_b, q_b = point
     n = math.sqrt(4.0 * p_b * p_b + 4.0 * q_b * q_b + (i_b - v_b) ** 2)
     if n <= 0.0:
         # apex neighborhood: separate with the face i + v >= 0 complement
@@ -65,6 +67,40 @@ def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float 
     )
 
 
+def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float = 1e-12) -> Cut:
+    """Supporting-hyperplane cut separating a cone-violating point.
+
+    The tangent is taken at the boundary point directly above the violating
+    point along the squared-current axis (the point a loss-pressured optimum
+    converges to), which cuts far deeper than the subgradient at the point
+    itself.  At V <= ``V_MIN`` there is no such point, and the cut is the
+    linearization at the point itself.
+    """
+    i0, v0, p0, q0 = point
+    f0 = _violation(i0, v0, p0, q0)
+    if f0 <= tol:
+        raise NoCutError(f"point violates the cone by {f0:.3e} <= {tol:.0e}")
+    if v0 > V_MIN:
+        i0 = (p0 * p0 + q0 * q0) / v0
+    return tangent((i0, v0, p0, q0), cone)
+
+
+def incumbent_tangents(model: LinearModel, x: np.ndarray) -> list[tuple[int, Cut]]:
+    """``(cone, cut)``: the tangent above ``x`` of every cone that carries flow at ``x``.
+
+    Each tangent is taken at the boundary point above ``x``'s (V, P, Q),
+    I = (P^2 + Q^2) / V, so it is valid whether or not the cone is tight at
+    ``x``.  A cone with V <= ``V_MIN`` or P = Q = 0 gets none: its tangent
+    there is I >= 0 or degenerate, which the column bounds already imply.
+    """
+    out = []
+    for idx, cone in enumerate(model.cones):
+        _, v, p, q = cone.point(x)
+        if v > V_MIN and (p != 0.0 or q != 0.0):
+            out.append((idx, tangent(((p * p + q * q) / v, v, p, q), cone)))
+    return out
+
+
 def cone_violations(model: LinearModel, x: np.ndarray, tol: float) -> list[tuple[int, float]]:
     """Indices and magnitudes of cone rows violated beyond ``tol``, worst first."""
     slack = model.cone_values(x)
@@ -79,29 +115,22 @@ def unit_tangents(
 ) -> list[tuple[tuple[float, float, float, float], float]]:
     """Coefficients on (I, V, P, Q) and right-hand side of each seed tangent plane.
 
-    Tangents are taken at unit-voltage points with flow direction swept over
-    ``n_angles`` angles; they are supporting planes (violation zero), built
-    directly from the subgradient formula.  They depend on the angle only, so
-    every cone shares them.  Rounding residue below ``SNAP`` (cos and sin at
-    multiples of pi/2, and the right-hand sides, which are exactly 0 since
-    every plane passes through the apex) is set to an exact 0.
+    Tangents are taken at unit-voltage boundary points with flow direction
+    swept over ``n_angles`` angles (:func:`tangent`).  They depend on the
+    angle only, so every cone shares them.  Rounding residue below ``SNAP``
+    (cos and sin at multiples of pi/2, and the right-hand sides, which are
+    exactly 0 since every plane passes through the apex) is set to an exact 0.
     """
 
     def snap(v: float) -> float:
         return 0.0 if abs(v) < SNAP else v
 
+    axes = ConeRow(0, 1, 2, 3, "", ())
     planes = []
     for m in range(n_angles):
         ang = 2.0 * math.pi * m / n_angles
-        p0, q0 = math.cos(ang), math.sin(ang)
-        i0 = v0 = 1.0
-        n = math.sqrt(4.0 * p0 * p0 + 4.0 * q0 * q0 + (i0 - v0) ** 2)
-        gi = (i0 - v0) / n - 1.0
-        gv = -(i0 - v0) / n - 1.0
-        gp = 4.0 * p0 / n
-        gq = 4.0 * q0 / n
-        rhs = gi * i0 + gv * v0 + gp * p0 + gq * q0
-        planes.append(((snap(gi), snap(gv), snap(gp), snap(gq)), snap(rhs)))
+        cut = tangent((1.0, 1.0, math.cos(ang), math.sin(ang)), axes)
+        planes.append((tuple(snap(a) for a in cut.coefs), snap(cut.rhs)))
     return planes
 
 

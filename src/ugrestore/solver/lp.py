@@ -279,7 +279,7 @@ class LpBackend:
             self.highs = None
 
     def add_cuts(self, cuts: list[tuple[int, Cut]], x: np.ndarray) -> None:
-        """Add ``(cone, cut)`` pairs whose cuts separate ``x``, at most one per cone.
+        """Add ``(cone, cut)`` pairs taken at the point ``x``, at most one per cone.
 
         The rows of the cuts that take a free slot are appended in one HiGHS
         call, in the order given; a full cone drops its slackest cut at ``x``,

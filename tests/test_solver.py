@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import load_minimal, shipped_case, shipped_doc
 from enum_oracle import _lp_with_cones, exhaustive_solve
@@ -28,7 +30,14 @@ from ugrestore.solver import (
     solve,
 )
 from ugrestore.solver import bnb, lp, warmstart
-from ugrestore.solver.cuts import NoCutError, cone_violations, initial_cone_cuts, soc_cut
+from ugrestore.solver.cuts import (
+    NoCutError,
+    cone_violations,
+    incumbent_tangents,
+    initial_cone_cuts,
+    soc_cut,
+    tangent,
+)
 from ugrestore.solver.lp import CUTS_PER_CONE, Cut, HighsModelStatus, LpBackend, LpResult
 from ugrestore.validator import check_plan
 
@@ -449,6 +458,86 @@ class TestSocCut:
                 i = (p * p + q * q) / v * rng.uniform(1.0, 2.0)
                 lhs = cut.coefs[0] * i + cut.coefs[1] * v + cut.coefs[2] * p + cut.coefs[3] * q
                 assert lhs <= cut.rhs + 1e-9
+
+
+class TestIncumbentTangents:
+    """The search's pool starts with one tangent above the incumbent per cone that carries flow."""
+
+    @staticmethod
+    def _excess(cut, point):
+        """``coefs . point - rhs`` and the scale 1e-9 relative tolerances are taken against."""
+        terms = [a * x for a, x in zip(cut.coefs, point)]
+        return sum(terms) - cut.rhs, max(1.0, sum(abs(t) for t in terms), abs(cut.rhs))
+
+    # per-unit magnitudes; a cone point is (i, v) and a flow of r * sqrt(i v) at angle th
+    @given(
+        v=st.floats(1e-3, 4.0),
+        p=st.floats(-4.0, 4.0),
+        q=st.floats(-4.0, 4.0),
+        samples=st.lists(
+            st.tuples(
+                st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tangent_at_the_lifted_point_supports_the_cone(self, v, p, q, samples):
+        assume(p != 0.0 or q != 0.0)
+        lifted = ((p * p + q * q) / v, v, p, q)
+        cut = tangent(lifted, ConeRow(0, 1, 2, 3, "cone", ()))
+        excess, scale = self._excess(cut, lifted)
+        assert abs(excess) <= 1e-9 * scale
+        for i_s, v_s, r, th in samples:
+            flow = r * math.sqrt(i_s * v_s)
+            excess, scale = self._excess(cut, (i_s, v_s, flow * math.cos(th), flow * math.sin(th)))
+            assert excess <= 1e-9 * scale
+
+    @staticmethod
+    def _first_lp_pool(model, monkeypatch, warm):
+        """The search's cut pool, as (cuts, cone -> slots), when its first LP is asked for."""
+        seen = []
+
+        class Asked(Exception):
+            """Ends the solve at its first LP: the pool then is all this test reads."""
+
+        def spy(self, fixes=None):
+            slots = {idx: list(held) for idx, held in self._cone_slots.items()}
+            seen.append((list(self.cuts), slots))
+            raise Asked
+
+        monkeypatch.setattr(LpBackend, "solve", spy)
+        with pytest.raises(Asked):
+            solve(model, SolverOptions(), warm_start=warm, warm_start_source="greedy")
+        return seen[0]
+
+    def test_pool_holds_one_tangent_per_loaded_cone_before_the_root_lp(self, reduced13, monkeypatch):
+        model = build_model(reduced13)
+        ws = greedy_warm_start(model, reduced13)
+        cuts, slots = self._first_lp_pool(model, monkeypatch, ws)
+        loaded = [
+            idx
+            for idx, cone in enumerate(model.cones)
+            if ws[cone.col_v] > 1e-9 and (ws[cone.col_p] != 0.0 or ws[cone.col_q] != 0.0)
+        ]
+        assert 0 < len(loaded) < len(model.cones)
+        assert sorted(slots) == loaded and all(len(held) == 1 for held in slots.values())
+        assert cuts == [cut for _, cut in incumbent_tangents(model, ws)]
+        # the incumbent meets its cones within the replay tolerance, so its tangents too
+        for cut in cuts:
+            excess, _ = self._excess(cut, ws[list(cut.cols)])
+            assert excess <= SolverOptions().replay_tol
+
+    @pytest.mark.parametrize("warm", ["fails the replay", "none"])
+    def test_no_incumbent_seeds_nothing(self, reduced13, monkeypatch, warm):
+        model = build_model(reduced13)
+        ws = None
+        if warm == "fails the replay":
+            ws = greedy_warm_start(model, reduced13).copy()
+            ws[model.cones[0].col_v] = model.col_ub[model.cones[0].col_v] + 1.0
+            assert model.check_solution(ws)
+        assert self._first_lp_pool(model, monkeypatch, ws) == ([], {})
 
 
 class TestExactnessAtToyScale:
