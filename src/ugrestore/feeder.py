@@ -1,15 +1,16 @@
 """Feeder case data model, JSON loader/saver and per-switchgear aggregates.
 
 A loaded :class:`FeederCase` is treated as immutable: derived quantities
-(downstream node/line sets, equivalent cable capacitance) are populated once
-by the loader and never mutated afterwards, so instances are safe to share
-across threads.
+(downstream node/line sets, the switchgear maps, equivalent cable
+capacitance) are populated once by the loader and never mutated afterwards,
+so instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -171,6 +172,15 @@ DerUnit = EssUnit | ResUnit
 
 @dataclass
 class FeederCase:
+    """A loaded case: topology, switchgears, DERs, horizon and config.
+
+    The loader fills three switchgear maps once (:func:`derive_downstream_sets`):
+    coupling line to its switchgear, and lateral line or node to the
+    switchgear that energizes it.  :meth:`gear_of_line`,
+    :meth:`gear_of_downstream_line` and :meth:`gear_of_downstream_node` look
+    them up; the build, the warm start and the validator all ask them.
+    """
+
     name: str
     notes: str
     nodes: list[Node]
@@ -183,6 +193,9 @@ class FeederCase:
 
     node_index: dict[str, int] = field(default_factory=dict)
     _adjacency: dict[str, list[int]] = field(default_factory=dict)
+    _gear_of_coupling: dict[int, Switchgear] = field(default_factory=dict)
+    _gear_of_lateral_line: dict[int, Switchgear] = field(default_factory=dict)
+    _gear_of_lateral_node: dict[str, Switchgear] = field(default_factory=dict)
 
     # -- convenience views -------------------------------------------------
 
@@ -203,8 +216,8 @@ class FeederCase:
         return [l for l in self.lines if not l.is_switch]
 
     @property
-    def coupling_line_indices(self) -> set[int]:
-        return {g.line_index for g in self.switchgears}
+    def coupling_line_indices(self) -> KeysView[int]:
+        return self._gear_of_coupling.keys()
 
     @property
     def feeder_switch_lines(self) -> list[Line]:
@@ -219,22 +232,16 @@ class FeederCase:
         return [self.lines[i] for i in self._adjacency.get(node_id, [])]
 
     def gear_of_line(self, line_index: int) -> Switchgear | None:
-        for g in self.switchgears:
-            if g.line_index == line_index:
-                return g
-        return None
+        """The switchgear whose coupling line this is."""
+        return self._gear_of_coupling.get(line_index)
 
     def gear_of_downstream_line(self, line_index: int) -> Switchgear | None:
-        for g in self.switchgears:
-            if line_index in g.downstream_lines:
-                return g
-        return None
+        """The switchgear whose lateral holds this line."""
+        return self._gear_of_lateral_line.get(line_index)
 
     def gear_of_downstream_node(self, node_id: str) -> Switchgear | None:
-        for g in self.switchgears:
-            if node_id in g.downstream_nodes:
-                return g
-        return None
+        """The switchgear whose lateral holds this node."""
+        return self._gear_of_lateral_node.get(node_id)
 
     def ess_energy_pu_h(self, ess: EssUnit) -> float:
         return ess.energy_max_kwh / self.config.kw_base
@@ -560,10 +567,14 @@ def derive_downstream_sets(case: FeederCase) -> FeederCase:
     """Populate each switchgear's downstream node/line sets by traversal.
 
     Traversal starts at the lateral node and never crosses a switchgear
-    coupling, so nested switchgears own disjoint regions.
+    coupling, so nested switchgears own disjoint regions.  Also fills the
+    case's three switchgear maps: by coupling line, by lateral line and by
+    lateral node.
     """
+    case._gear_of_coupling = {g.line_index: g for g in case.switchgears}
+    case._gear_of_lateral_line = {}
+    case._gear_of_lateral_node = claimed = {}
     couplings = case.coupling_line_indices
-    claimed: dict[str, str] = {}
     for g in case.switchgears:
         seen_nodes = {g.lateral_node}
         seen_lines: list[int] = []
@@ -587,11 +598,12 @@ def derive_downstream_sets(case: FeederCase) -> FeederCase:
             if nid in claimed:
                 raise CaseInvariantError(
                     f"node {nid!r} is downstream of both switchgears "
-                    f"{claimed[nid]!r} and {g.id!r}"
+                    f"{claimed[nid].id!r} and {g.id!r}"
                 )
-            claimed[nid] = g.id
+            claimed[nid] = g
         g.downstream_nodes = tuple(sorted(seen_nodes, key=lambda x: case.node_index[x]))
         g.downstream_lines = tuple(sorted(seen_lines))
+        case._gear_of_lateral_line.update((li, g) for li in seen_lines)
     return case
 
 

@@ -58,24 +58,30 @@ Row families (tags carried by every row):
   ess-energy             stored energy bookkeeping with efficiencies
   ess-charge-lim         per-phase charging bound when enabled
   ess-discharge-lim      per-phase discharging bound when enabled
-  lateral-load-map-p/q   lateral demand routed through the swap matrix
+  lateral-load-map-p     lateral active demand routed through the swap matrix
+  lateral-load-map-q     lateral reactive demand routed through the swap matrix
   load-pickup-lim        covered feeder demand may be served, or shed
   load-pq-ratio          partial pickup preserves the load power factor
-  balance-p / balance-q  per-node per-microgrid branch flow balance; a node
+  balance-p              per-node per-microgrid active power balance; a node
                          with a parent line holds it as two rows, relaxed by
                          big-M outside the microgrid
+  balance-q              the same for reactive power
   volt-drop              squared-voltage drop along a line, two rows relaxed
                          by big-M outside the microgrid or across an open
                          coupling
   cone                   rotated cone relaxation of flow vs current
   gear-flow-gate         open switchgear carries no flow
   lateral-curr-gate      de-energized lateral carries no current
-  reorder-bracket-*      reordered-impedance products, big-M bracketed, on a
-                         lateral line whose six reorderings differ (on any
-                         other line the products are plain coefficients)
+  reorder-bracket-p      active loss product under the selected reordering,
+                         big-M bracketed, on a lateral line whose six
+                         reorderings differ (on any other line the products
+                         are plain coefficients)
+  reorder-bracket-q      the same for the reactive loss product
+  reorder-bracket-v      the same for the voltage drop
   reorder-select         mismatch between swap and a reordering variant
   reorder-pick-one       at least one reordering variant is active
-  ess-line-p/q-lim       microgrid line flows within the source rating
+  ess-line-p-lim         microgrid line active flow within the source rating
+  ess-line-q-lim         microgrid line reactive flow within the source rating
   volt-range             a covered node's voltage is at least v_min
   volt-cover             voltage at most v_max, and zero outside the covering
                          microgrid
@@ -101,58 +107,6 @@ from ugrestore.quantile import normal_quantile
 
 class UnformulatableError(ValueError):
     pass
-
-
-FAMILY_DESCRIPTIONS: dict[str, str] = {
-    "coverage-parent": "coverage grows outward from the source",
-    "coverage-unique": "no node is covered by two microgrids",
-    "switch-split": "open switch endpoints cannot share a microgrid",
-    "switch-join": "closed switch endpoints share coverage",
-    "wire-consistent": "non-switch line endpoints always share coverage",
-    "tree-count": "closed lines equal nodes minus sources (forest count)",
-    "flow-demand": "every non-source node draws one unit of fictitious commodity",
-    "flow-root": "every source ships at least one unit of fictitious commodity",
-    "flow-gate": "fictitious commodity only flows on closed switches",
-    "gear-in-topology": "closing a switchgear requires it in the chosen forest",
-    "gear-energize-cover": "closing a switchgear requires a covered lateral",
-    "swap-col-once": "each lateral conductor lands on at most one feeder phase",
-    "swap-row-once": "each feeder phase accepts at most one lateral conductor",
-    "swap-open-or-full": "the swap matrix is zero or a full permutation",
-    "swap-event-extract": "event flag set exactly on new connections",
-    "swap-event-or": "per-phase OR of connection events",
-    "inrush-pin": "a closing event pins the voltage difference to its physical value",
-    "inrush-zero": "without a closing event the voltage difference is zero",
-    "inrush-def": "inrush current proportional to the closing voltage step",
-    "inrush-limit": "inrush magnitude within the switchgear rating",
-    "inrush-guard": "closing-step magnitude and angle components jointly capped",
-    "voltdiff-cap": "explicit cap on the closing voltage step",
-    "ferro-gate": "energizing requires enough damping load downstream",
-    "ferro-sequence": "the damping gate is checked at every closing transition",
-    "ess-exclusive": "storage does not charge and discharge simultaneously",
-    "ess-energy": "stored energy bookkeeping with charge/discharge efficiencies",
-    "ess-charge-lim": "per-phase charging power bound, enabled by the charge flag",
-    "ess-discharge-lim": "per-phase discharging power bound, enabled by the discharge flag",
-    "lateral-load-map-p": "lateral active demand routed through the swap matrix",
-    "lateral-load-map-q": "lateral reactive demand routed through the swap matrix",
-    "load-pickup-lim": "covered feeder demand may be served or shed",
-    "load-pq-ratio": "partial pickup preserves the load power factor",
-    "balance-p": "per-node active power balance, relaxed outside the covering microgrid",
-    "balance-q": "per-node reactive power balance, relaxed outside the covering microgrid",
-    "volt-drop": "squared-voltage drop along a line, relaxed outside the microgrid or across an open coupling",
-    "cone": "rotated cone coupling of flows, voltage and squared current",
-    "gear-flow-gate": "an open switchgear carries no flow",
-    "lateral-curr-gate": "a de-energized lateral carries no current",
-    "reorder-bracket-p": "active loss product under the selected reordering, where reorderings differ",
-    "reorder-bracket-q": "reactive loss product under the selected reordering, where reorderings differ",
-    "reorder-bracket-v": "voltage drop under the selected reordering, where reorderings differ",
-    "reorder-select": "variant mismatch forces its selector off",
-    "reorder-pick-one": "at least one reordering variant stays selected",
-    "ess-line-p-lim": "line active flow within the source per-phase rating",
-    "ess-line-q-lim": "line reactive flow within the source reactive rating",
-    "volt-range": "covered node voltage at least v_min",
-    "volt-cover": "voltage at most v_max, and zero outside the covering microgrid",
-    "current-lim": "squared current within ampacity when covered",
-}
 
 
 @dataclass(frozen=True)
@@ -331,14 +285,6 @@ class _Ctx:
         self.K = len(self.ess)
         self.res = case.res_units
         self.orient = [orient_from(case, e.node) for e in self.ess]
-        self.lateral_gear_of_line: dict[int, Switchgear] = {}
-        self.lateral_gear_of_node: dict[str, Switchgear] = {}
-        for g in case.switchgears:
-            for li in g.downstream_lines:
-                self.lateral_gear_of_line[li] = g
-            for n in g.downstream_nodes:
-                self.lateral_gear_of_node[n] = g
-        self.coupling_of_line = {g.line_index: g for g in case.switchgears}
         self.m_dv = bigm.voltage_diff_bound(case)
         self.m_flow = bigm.flow_bound(case)
         self.m_volt = case.config.v_max_sq
@@ -351,7 +297,7 @@ class _Ctx:
         self.bracketed: dict[int, list[_LineCoeffs]] = {}
         for line in case.lines:
             li = line.index
-            gear = self.lateral_gear_of_line.get(li)
+            gear = case.gear_of_downstream_line(li)
             if gear is None:
                 self.coeffs[li] = _line_coeffs(line.z, case.config.voltage_drop_quadratic_term)
                 continue
@@ -374,7 +320,7 @@ class _Ctx:
         self.amp_sq = np.array(
             [
                 [float(np.max(line.ampacity_pu)) ** 2] * 3
-                if line.index in self.lateral_gear_of_line or line.index in self.coupling_of_line
+                if self.swappable_line(line.index)
                 else [float(line.ampacity_pu[ph]) ** 2 for ph in range(3)]
                 for line in case.lines
             ]
@@ -394,13 +340,18 @@ class _Ctx:
         # column index grids, filled by _add_columns
         self.grid: dict[str, np.ndarray] = {}
 
+    def swappable_line(self, line_idx: int) -> bool:
+        """A lateral or coupling line, whose conductors a swap can land on any phase."""
+        case = self.case
+        return case.gear_of_downstream_line(line_idx) is not None or case.gear_of_line(line_idx) is not None
+
     def node_phases(self, node_id: str) -> tuple[int, ...]:
-        if node_id in self.lateral_gear_of_node:
+        if self.case.gear_of_downstream_node(node_id) is not None:
             return (0, 1, 2)
         return self.case.node(node_id).phases
 
     def line_phases(self, line_idx: int) -> tuple[int, ...]:
-        if line_idx in self.lateral_gear_of_line or line_idx in self.coupling_of_line:
+        if self.swappable_line(line_idx):
             return (0, 1, 2)
         return self.case.lines[line_idx].phases
 
@@ -515,7 +466,7 @@ def _add_columns(ctx: _Ctx) -> None:
     ntp = [(n.id, t, ph) for n in case.nodes for t in range(T) for ph in range(3)]
     p_ub, q_ub, q_lb = [], [], []
     for n in case.nodes:
-        if n.id in ctx.lateral_gear_of_node:
+        if case.gear_of_downstream_node(n.id) is not None:
             p_ub.append(np.repeat(n.load_p.max(axis=1), 3))
             q_ub.append(np.repeat(np.abs(n.load_q).max(axis=1), 3))
             q_lb.append(-q_ub[-1])
@@ -1011,7 +962,7 @@ def _encode_ess(ctx: _Ctx) -> None:
 def _encode_loads(ctx: _Ctx) -> None:
     case, cat, b = ctx.case, ctx.cat, ctx.b
     for n in case.nodes:
-        gear = ctx.lateral_gear_of_node.get(n.id)
+        gear = case.gear_of_downstream_node(n.id)
         for t in range(ctx.T):
             if gear is not None:
                 for ph in range(3):
@@ -1188,7 +1139,7 @@ def _encode_power_flow(ctx: _Ctx) -> None:
             # the drop holds inside microgrid k, and across a coupling
             # line only while its switchgear is closed
             on = [(u[nj], 0)]
-            gear = ctx.coupling_of_line.get(li)
+            gear = case.gear_of_line(li)
             if gear is not None:
                 on.append((grid["beta"][ctx.gear_pos[gear.id], 0], 1))
             for ph in live:

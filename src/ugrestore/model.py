@@ -207,7 +207,12 @@ class LinearModel:
         return vi * vv - (vp * vp + vq * vq)
 
     def check_solution(self, x: np.ndarray, tol: float = 1e-6, cone_tol: float = 1e-6) -> list[Violation]:
-        """All violations beyond tolerance: rows, cones and column bounds."""
+        """All violations beyond tolerance, worst first.
+
+        Rows, cones (``cone_tol``), column bounds, and integrality: a binary
+        column farther than ``tol`` from 0 and 1 is an ``integrality``
+        violation, so a relaxation point never replays as a plan.
+        """
         out: list[Violation] = []
         resid = self.row_residuals(x)
         bad = np.flatnonzero(resid < -tol)
@@ -244,15 +249,17 @@ class LinearModel:
                     residual=float(x[col] - self.col_ub[col]),
                 )
             )
+        frac = np.abs(x - np.round(x))
+        for col in np.flatnonzero(self.col_binary & (frac > tol)):
+            out.append(
+                Violation(
+                    family="integrality",
+                    loc=(self.catalog.name_of(int(col)),),
+                    residual=float(frac[col]),
+                )
+            )
         out.sort(key=lambda v: -v.residual)
         return out
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.obj @ x)
-
-    def constraint_catalog(self, descriptions: dict[str, str]) -> str:
-        lines = ["constraint families:"]
-        for fam, count in sorted(self.family_counts().items()):
-            desc = descriptions.get(fam, "")
-            lines.append(f"  {fam} ({count} rows): {desc}")
-        return "\n".join(lines)

@@ -12,7 +12,7 @@ small outer-approximation budget (separate, add one tangent at every violated
 cone, re-solve) and branched most-fractional-first (ties by catalog order,
 then by the seeded tie-breaker).  Integral candidates get a full refinement
 loop and are accepted as incumbents only after an independent replay of
-every linear row, cone row and column bound.
+every linear row, cone row, column bound and binary's integrality.
 
 After the root LP and the diver, if the incumbent does not yet dominate the
 root, one outer-approximation master (:func:`lp.master_bound`: the model as
@@ -104,9 +104,6 @@ class Solution:
     @property
     def objective_kwh(self) -> float:
         return self.objective * self.kwh_factor
-
-    def value(self, model: LinearModel, group: str, key) -> float:
-        return float(self.x[model.catalog.col(group, key)])
 
 
 @dataclass(order=True)

@@ -3,11 +3,15 @@
 Both build the same kind of structural skeleton: a spanning forest anchoring
 the microgrids, a closing schedule per switchgear, one phase assignment per
 closed period, and the implied event/selector binaries.  The LP relaxation
-with the skeleton pinned then produces the dispatch; storage on/off flags
-are rounded from the first pass and the LP is re-solved.  The warm start
-owns one :class:`LpBackend`, freed when it returns, so its HiGHS instance
-never lives beside the search's.  The diver owns none: it dives in the
-backend the search lends it, whose capped cut pool and deadline it shares.
+with the skeleton pinned then produces the dispatch (:func:`_resolve`):
+storage on/off flags are rounded from that first pass and pinned, and the
+LP is re-solved.  The skeleton and the storage flags pin every binary of
+the model, so the point is integral; the replay, which checks integrality,
+rejects it should a binary ever be left free.  The warm start owns one
+:class:`LpBackend`, freed when it returns, so its HiGHS instance never
+lives beside the search's.  The diver owns none: it dives in the backend
+the search lends it, whose capped cut pool and deadline it shares, and
+every call dives afresh.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
@@ -38,7 +42,7 @@ from ugrestore.feeder import FeederCase
 from ugrestore.formulation import bypass_eligible, gate_threshold_pu, lateral_demand_pu
 from ugrestore.model import LinearModel
 from ugrestore.physics import PERMUTATIONS
-from ugrestore.solver.bnb import INT_TOL, MAX_OA_ROUNDS, SolverOptions
+from ugrestore.solver.bnb import MAX_OA_ROUNDS, SolverOptions
 from ugrestore.solver.cuts import cone_violations, soc_cut
 from ugrestore.solver.lp import LpBackend
 
@@ -244,7 +248,6 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
     opts = options or SolverOptions()
     cat = model.catalog
     ferro = bool(model.meta.get("ferro_gate", True))
-    last: dict = {}  # the last (skeleton, cutoff) and its result; repeats come back to back
 
     def diver(x_lp: np.ndarray, backend: LpBackend, cutoff: float = -np.inf) -> np.ndarray | None:
         priority = {
@@ -282,11 +285,7 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
         fixes = _structural_fixes(model, case, schedule, gamma_priority=priority)
         if fixes is None:
             return None
-        key = (tuple(sorted(fixes.items())), cutoff)
-        if key not in last:
-            last.clear()
-            last[key] = _resolve(model, backend, fixes, opts, cutoff)
-        return last[key]
+        return _resolve(model, backend, fixes, opts, cutoff)
 
     return diver
 
@@ -298,6 +297,13 @@ def _resolve(
     opts: SolverOptions,
     cutoff: float = -np.inf,
 ):
+    """The replayed point of a skeleton, or None.
+
+    Three LP passes with ``fixes`` pinned, each refined by cone cuts: the
+    first gives the dispatch, whose storage on/off flags are then rounded
+    and pinned; the second re-solves with them; the third is the second
+    from scratch (see the module docstring).
+    """
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None
@@ -321,17 +327,6 @@ def _resolve(
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None
-    frac = np.flatnonzero(
-        model.col_binary
-        & (model.col_lb < model.col_ub)
-        & (np.abs(x - np.round(x)) > INT_TOL)
-    )
-    for col in frac:
-        fixes[int(col)] = float(np.round(x[col]))
-    if frac.size:
-        x = _lp_with_oa(backend, fixes, opts, cutoff)
-        if x is None:
-            return None
     backend.clear_basis()  # the final LP from scratch: see the module docstring
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ugrestore import physics
-from ugrestore.feeder import FeederCase, Switchgear, equivalent_capacitance
-from ugrestore.formulation import derated_multiplier, gate_threshold_pu
+from ugrestore.feeder import FeederCase, equivalent_capacitance
+from ugrestore.formulation import derated_multiplier
 from ugrestore.plan import RestorationPlan
 
 LINEAR_TOL = 1e-6
@@ -519,6 +519,8 @@ def check_plan(case: FeederCase, plan: RestorationPlan) -> ValidationReport:
     # inrush physics
     finr = fam("inrush")
     fbr = fam("inrush-exact-bracket")
+    # the explicit cap on the closing voltage step, where the case sets one
+    fcap = fam("voltdiff-cap") if cfg.delta_v_max_pu is not None else None
     for a in assessments:
         g = next(g for g in case.switchgears if g.id == a.gear_id)
         for ph in range(3):
@@ -527,6 +529,8 @@ def check_plan(case: FeederCase, plan: RestorationPlan) -> ValidationReport:
                 if abs(a.delta_v_pu[ph]) > LINEAR_TOL:
                     finr.hit(abs(a.delta_v_pu[ph]), (a.gear_id, a.t, ph), "step without event")
                 continue
+            if fcap is not None:
+                fcap.hit(abs(a.delta_v_pu[ph]) - cfg.delta_v_max_pu, (a.gear_id, a.t, ph), "step above the cap")
             if abs(a.inrush_pu[ph]) > g.inrush_limit_pu + LINEAR_TOL:
                 finr.hit(
                     abs(a.inrush_pu[ph]) - g.inrush_limit_pu,

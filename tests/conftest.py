@@ -26,6 +26,13 @@ def shipped_doc(name: str) -> dict:
         return json.load(fh)
 
 
+def voltdiff_capped(name: str, cap: float):
+    """Shipped case ``name`` with ``config.delta_v_max_pu`` set to ``cap``."""
+    doc = shipped_doc(name)
+    doc["config"]["delta_v_max_pu"] = cap
+    return load_case_dict(doc)
+
+
 @pytest.fixture(scope="session")
 def toy_pair():
     return shipped_case("toy_pair")

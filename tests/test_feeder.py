@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import load_minimal, minimal_doc, shipped_case
+from conftest import load_minimal, minimal_doc, shipped_case, shipped_case_names
 from ugrestore.feeder import (
     CaseInvariantError,
     CaseSchemaError,
@@ -274,6 +274,21 @@ class TestDownstreamSets:
         )
         with pytest.raises(CaseInvariantError, match="downstream of both"):
             load_case_dict(doc)
+
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_switchgear_maps_match_a_scan(self, name):
+        """The three lookups answer what a scan over the switchgears answers, after a re-derivation too."""
+        case = derive_downstream_sets(shipped_case(name))
+
+        def scan(pred):
+            return next((g for g in case.switchgears if pred(g)), None)
+
+        for l in case.lines:
+            assert case.gear_of_line(l.index) is scan(lambda g: g.line_index == l.index)
+            assert case.gear_of_downstream_line(l.index) is scan(lambda g: l.index in g.downstream_lines)
+        for n in case.nodes:
+            assert case.gear_of_downstream_node(n.id) is scan(lambda g: n.id in g.downstream_nodes)
+        assert set(case.coupling_line_indices) == {g.line_index for g in case.switchgears}
 
 
 class TestRoundTrip:

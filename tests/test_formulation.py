@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     shipped_case,
     shipped_case_names,
     shipped_doc,
+    voltdiff_capped,
 )
 from ugrestore import bigm
 from ugrestore.catalog import CatalogError, VariableCatalog
@@ -118,14 +120,32 @@ class TestBuildBasics:
         assert not twice, f"{len(twice)} duplicate rows, first {twice[:3]}"
 
     def test_row_family_catalog_documented(self):
-        from ugrestore.formulation import FAMILY_DESCRIPTIONS
+        """The module docstring names, one per line, exactly the families the build emits."""
+        import ugrestore.formulation
 
-        case = shipped_case("toy_gear3")
-        model = build_model(case)
-        for fam in model.family_counts():
-            assert fam in FAMILY_DESCRIPTIONS, fam
-        text = model.constraint_catalog(FAMILY_DESCRIPTIONS)
-        assert "cone" in text
+        catalog = set(re.findall(r"^  ([a-z][a-z0-9-]*) {2,}\S", ugrestore.formulation.__doc__, re.M))
+        built = set(build_model(voltdiff_capped("toy_gear3", 0.05)).family_counts())
+        for name in shipped_case_names():
+            if name != "feeder123":
+                built |= set(build_model(shipped_case(name)).family_counts())
+        assert built == catalog
+
+
+def test_voltdiff_cap_rows():
+    """A cap on the closing voltage step is two rows per switchgear, period and phase."""
+    case = voltdiff_capped("toy_gear3", 0.05)
+    model = build_model(case)
+    rows = [r for r, fam in enumerate(model.families) if fam == "voltdiff-cap"]
+    keys = [(g.id, t, ph) for g in case.switchgears for t in range(case.horizon) for ph in range(3)]
+    assert len(rows) == 2 * len(keys) and len(keys) > 0
+    a = model.matrix().tocsr()
+    for key, up, down in zip(keys, rows[0::2], rows[1::2]):
+        col = model.catalog.col("volt_diff", key)
+        assert model.locs[up] == model.locs[down] == key
+        for row, sign in ((up, 1.0), (down, -1.0)):
+            assert a[row].indices.tolist() == [col] and a[row].data.tolist() == [sign]
+            assert model.sense[row] == SENSE_LE and model.rhs[row] == 0.05
+    assert "voltdiff-cap" not in build_model(shipped_case("toy_gear3")).families
 
 
 @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -267,6 +269,24 @@ class TestImport:
         path = tmp_path / "bad.txt"
         path.write_text("no_such_column[zz] 1.0\n")
         with pytest.raises(SolutionImportError, match="unknown column"):
+            import_external_solution(model, path)
+
+    def test_fractional_binary_names_integrality(self, tmp_path):
+        case = shipped_case("toy_gear3")
+        model = build_model(case)
+        sol = solve(model, OPTS, warm_start=greedy_warm_start(model, case, OPTS))
+        # a binary whose half value breaks no row: only integrality can reject the file
+        for col in model.free_binary_columns:
+            x = sol.x.copy()
+            x[col] = 0.5
+            if [v.family for v in model.check_solution(x)] == ["integrality"]:
+                break
+        else:
+            pytest.fail("every half binary breaks a row")
+        path = tmp_path / "half.txt"
+        write_solution_file(model, x, path)
+        name = model.catalog.name_of(int(col))
+        with pytest.raises(SolutionImportError, match=rf"integrality at \('{re.escape(name)}',\) by 5\.000e-01"):
             import_external_solution(model, path)
 
     def test_flipped_binary_names_violated_row(self, tmp_path):

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_minimal, shipped_case, shipped_doc
+from conftest import load_minimal, shipped_case, shipped_case_names, shipped_doc
 from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case_dict
@@ -735,6 +735,20 @@ class TestSearchBehavior:
         assert sol.status == "optimal"
         assert model.check_solution(sol.x, 1e-6, 1e-6) == []
 
+    def test_relaxation_point_is_not_an_incumbent(self, toy_fork):
+        """The refined root relaxation meets every row and cone, but its binaries are fractional."""
+        model = build_model(toy_fork)
+        x = warmstart._lp_with_oa(LpBackend(model), {}, EXACT)
+        frac = [c for c in model.free_binary_columns if abs(x[c] - round(x[c])) > 1e-6]
+        violations = model.check_solution(x, 1e-6, 1e-6)
+        assert len(frac) > 0 and {v.family for v in violations} == {"integrality"}
+        assert sorted(model.catalog.lookup(v.loc[0]) for v in violations) == sorted(frac)
+        enum_val = exhaustive_solve(model)[0]
+        assert model.objective_value(x) > enum_val + 1e-3  # it would claim a value no plan has
+        sol = solve(model, EXACT, warm_start=x)
+        assert sol.status == "optimal" and sol.incumbent_source != "caller"
+        assert sol.objective == pytest.approx(enum_val, abs=1e-9 * max(1.0, abs(enum_val)))
+
     def test_diver_gets_the_incumbent_as_cutoff(self, toy_fork):
         model = build_model(toy_fork)
         ws = greedy_warm_start(model, toy_fork)
@@ -1040,6 +1054,35 @@ class TestQuietStdout:
 
 
 class TestWarmStart:
+    @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
+    @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
+    def test_skeleton_and_storage_pin_every_binary(self, name, build, monkeypatch):
+        """The skeleton pins every binary but the storage flags, and the storage step pins those.
+
+        So the warm start's final LP has no free binary left.  On ``rad_loop4``
+        the skeleton's LP is infeasible (one microgrid, so ``switch-split``
+        forbids the forest's open switches) and no storage step runs.
+        """
+        case = shipped_case(name)
+        model = build_model(case, BuildOptions(**build))
+        free = set(model.free_binary_columns.tolist())
+        cat = model.catalog
+        storage = {cat.col(g, key) for g in ("ess_ch_on", "ess_dis_on") for key in cat.group(g).keys}
+        schedule = warmstart._schedule_from_case(case, build.get("ferro_gate", True), build.get("no_swap", False))
+        assert free - set(warmstart._structural_fixes(model, case, schedule)) <= storage
+        pinned = []
+        real = warmstart._lp_with_oa
+
+        def recorded(backend, fixes, *args):
+            pinned.append(set(fixes))
+            return real(backend, fixes, *args)
+
+        monkeypatch.setattr(warmstart, "_lp_with_oa", recorded)
+        ws = greedy_warm_start(model, case)
+        assert (ws is None) == (name == "rad_loop4")
+        if ws is not None:
+            assert free <= pinned[-1] and model.check_solution(ws) == []
+
     def test_zero_load_gives_zero(self):
         doc_case = load_minimal()
         import copy
@@ -1118,37 +1161,6 @@ class TestWarmStart:
         x = diver(res.x, LpBackend(model))
         assert x is not None
         assert model.check_solution(x, 1e-6, 1e-6) == []
-
-    def test_diver_remembers_only_last_skeleton(self, toy_gear3, monkeypatch):
-        model = build_model(toy_gear3)
-        backend = LpBackend(model)
-        x_lp = backend.solve().x
-        diver = make_diver(model, toy_gear3)
-        calls = []
-        real = LpBackend.solve
-
-        def counted(self, fixes=None):
-            calls.append(1)
-            return real(self, fixes)
-
-        monkeypatch.setattr(LpBackend, "solve", counted)
-        first = diver(x_lp, backend)
-        n = len(calls)
-        assert n > 0 and diver(x_lp, backend) is first and len(calls) == n
-        # a different skeleton (the gear closed throughout) replaces the remembered one
-        x_closed = x_lp.copy()
-        beta = model.catalog.group("beta")
-        x_closed[beta.start : beta.start + beta.size] = 1.0
-        assert diver(x_closed, backend) is not first
-        n = len(calls)
-        diver(x_lp, backend)
-        assert len(calls) > n
-        # a None cut off at a high cutoff answers the same cutoff, not a lower one
-        n = len(calls)
-        assert diver(x_lp, backend, np.inf) is None and len(calls) == n + 1
-        assert diver(x_lp, backend, np.inf) is None and len(calls) == n + 1
-        again = diver(x_lp, backend, -np.inf)
-        assert again is not None and len(calls) > n + 1
 
     @staticmethod
     def _gear_closed_point(model):

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from conftest import load_minimal, minimal_doc, shipped_case
+from conftest import load_minimal, minimal_doc, shipped_case, voltdiff_capped
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import build_model
 from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE
@@ -265,6 +265,41 @@ class TestCheckPlan:
         plan.__dict__.pop("_cache", None)
         report = check_plan(toy_pair, plan)
         assert not report.record("ess-energy").passed
+
+
+class TestVoltdiffCap:
+    """``config.delta_v_max_pu`` caps |volt_diff| at every closing event."""
+
+    CAP = 0.05
+
+    @staticmethod
+    def _steps(plan):
+        return {tuple(e[:3]): e[3] for e in plan.groups["volt_diff"]}
+
+    def test_binding_cap_is_respected(self, toy_gear3):
+        _, _, free = _solved_plan(toy_gear3)
+        assert max(abs(v) for v in self._steps(free).values()) > self.CAP  # the cap binds
+        case = voltdiff_capped("toy_gear3", self.CAP)
+        _, _, plan = _solved_plan(case)
+        assert max(abs(v) for v in self._steps(plan).values()) <= self.CAP + 1e-9
+        report = check_plan(case, plan)
+        assert report.passed and report.record("voltdiff-cap").passed
+        assert not check_plan(case, free).record("voltdiff-cap").passed
+        with pytest.raises(KeyError):  # no cap, no family
+            check_plan(toy_gear3, free).record("voltdiff-cap")
+
+    def test_step_past_the_cap_fails(self):
+        case = voltdiff_capped("toy_gear3", self.CAP)
+        _, _, plan = _solved_plan(case)
+        entry = next(
+            e for e in plan.groups["volt_diff"] if plan.value("swap_any", tuple(e[:3]), 0.0) > 0.5
+        )
+        entry[3] = -(self.CAP + 0.01)
+        plan.__dict__.pop("_cache", None)
+        rec = check_plan(case, plan).record("voltdiff-cap")
+        assert not rec.passed
+        assert rec.worst_residual == pytest.approx(0.01)
+        assert rec.location == tuple(entry[:3])
 
 
 def _coef(case, gear):
