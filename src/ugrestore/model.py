@@ -3,12 +3,18 @@
 Rows are stored as flat COO triplets plus per-row sense/rhs/family/location
 so the model stays cheap to build for large cases and easy to replay against
 a candidate solution.  The objective is a dense vector, maximized.
+
+:meth:`LinearModel.restrict` reduces a model to the part that a set of
+column bounds leaves live, by the exact primal reductions of LP presolve
+(Andersen & Andersen 1995): fixed columns are substituted, a row with one
+non-fixed column becomes bounds on it, and a row that its activity bounds
+prove redundant is dropped.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +40,23 @@ class ConeRow(NamedTuple):
     def point(self, x: np.ndarray) -> tuple[float, float, float, float]:
         """The cone's (I, V, P, Q) values in the full vector ``x``."""
         return tuple(float(x[c]) for c in (self.col_i, self.col_v, self.col_p, self.col_q))
+
+
+class Restriction(NamedTuple):
+    """A model reduced to the part that its column bounds leave live (:meth:`LinearModel.restrict`)."""
+
+    model: "LinearModel"  # the kept rows over the kept columns, at the tightened bounds
+    keep: np.ndarray  # the full-model column of each restricted column
+    fixed: np.ndarray  # full vector: each eliminated column's value, 0 at the kept ones
+    col_lb: np.ndarray  # the tightened full column bounds
+    col_ub: np.ndarray
+    offset: float  # the objective of the eliminated columns, a constant of the restricted model
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """The full vector of a point of the restricted model."""
+        full = self.fixed.copy()
+        full[self.keep] = x
+        return full
 
 
 @dataclass
@@ -153,6 +176,7 @@ class LinearModel:
     cones: list[ConeRow]
     meta: dict = field(default_factory=dict)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    _cone_cols: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ncols(self) -> int:
@@ -173,6 +197,13 @@ class LinearModel:
             ).tocsr()
         return self._matrix
 
+    @property
+    def cone_cols(self) -> np.ndarray:
+        """The (I, V, P, Q) columns of each cone, one row per cone, built once."""
+        if self._cone_cols is None:
+            self._cone_cols = np.array([c[:4] for c in self.cones], dtype=np.int64).reshape(-1, 4)
+        return self._cone_cols
+
     def family_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for fam in self.families:
@@ -180,6 +211,88 @@ class LinearModel:
         for cone in self.cones:
             counts[cone.family] = counts.get(cone.family, 0) + 1
         return counts
+
+    # -- restriction ----------------------------------------------------------
+
+    def restrict(self, lb: np.ndarray, ub: np.ndarray) -> Restriction:
+        """The model over what the column bounds ``lb``/``ub`` leave live.
+
+        Exact primal reductions only, iterated to a fixpoint:
+
+        1. a fixed column (``lb == ub``) is substituted into the row bounds
+           and into a constant objective offset;
+        2. a row with one non-fixed column becomes bounds on that column,
+           its row bounds divided by the coefficient, with no tolerance;
+        3. a row whose minimum and maximum activity over the column bounds
+           lie within its row bounds is dropped.  An infinite bound is
+           counted, never multiplied.
+
+        The first pass reads every row; each later one only the rows that
+        touch a column whose bound moved.  No dual reduction is made, so
+        the restriction holds for any objective and any valid cut.  A cone
+        with a non-fixed column keeps all four columns (fixed or not), so
+        every cone and every cut maps; a cone whose columns are all fixed
+        drops out.  The restricted model has no catalog.
+
+        If the propagation proves the bounds inconsistent (a column bound
+        crossing the other, or a row whose activity range misses its row
+        bounds), nothing is removed: the restriction is the whole model at
+        ``lb``/``ub``, and an LP over it finds the infeasibility itself.
+        """
+        lb = np.array(lb, dtype=float)
+        ub = np.array(ub, dtype=float)
+        given = lb.copy(), ub.copy()
+        a = self.matrix().copy()
+        a.eliminate_zeros()  # a summed-out duplicate would be a non-fixed term with coefficient 0
+        at = a.tocsc()
+        row_lo = np.where(self.sense == SENSE_LE, -np.inf, self.rhs)
+        row_hi = np.where(self.sense == SENSE_GE, np.inf, self.rhs)
+        alive = np.ones(self.nrows, dtype=bool)
+        consistent = bool(np.all(lb <= ub))
+        rows = np.arange(self.nrows)
+        while consistent and rows.size:
+            consistent, moved = _propagate(a[rows], rows, lb, ub, row_lo, row_hi, alive)
+            touched = np.zeros(self.nrows, dtype=bool)
+            touched[at[:, moved].indices] = True
+            rows = np.flatnonzero(touched & alive)
+        if not consistent:
+            lb, ub = given
+            return Restriction(
+                replace(self, col_lb=lb, col_ub=ub), np.arange(self.ncols), np.zeros(self.ncols), lb, ub, 0.0
+            )
+        fixed = lb == ub
+        kept = ~fixed
+        cone_cols = self.cone_cols
+        live = ~fixed[cone_cols].all(axis=1)
+        kept[cone_cols[live].ravel()] = True
+        keep = np.flatnonzero(kept)
+        pos = np.full(self.ncols, -1)
+        pos[keep] = np.arange(keep.size)
+        values = np.where(kept, 0.0, lb)
+        rows = np.flatnonzero(alive)
+        sub = a[rows][:, keep].tocsr()
+        coo = sub.tocoo()
+        cones = [
+            ConeRow(*(int(pos[j]) for j in self.cones[k][:4]), self.cones[k].family, self.cones[k].loc)
+            for k in np.flatnonzero(live)
+        ]
+        restricted = LinearModel(
+            catalog=None,
+            col_lb=lb[keep],
+            col_ub=ub[keep],
+            col_binary=self.col_binary[keep],
+            obj=self.obj[keep],
+            coo_r=coo.row.astype(np.int64),
+            coo_c=coo.col.astype(np.int64),
+            coo_v=coo.data,
+            sense=self.sense[rows],
+            rhs=self.rhs[rows] - (a @ values)[rows],
+            families=[self.families[r] for r in rows],
+            locs=[self.locs[r] for r in rows],
+            cones=cones,
+            _matrix=sub,
+        )
+        return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values))
 
     # -- solution replay ----------------------------------------------------
 
@@ -197,13 +310,7 @@ class LinearModel:
 
     def cone_values(self, x: np.ndarray) -> np.ndarray:
         """Cone slack I*V - (P^2 + Q^2) per cone row; negative means violated."""
-        if not self.cones:
-            return np.zeros(0)
-        idx = np.array([(c.col_i, c.col_v, c.col_p, c.col_q) for c in self.cones])
-        vi = x[idx[:, 0]]
-        vv = x[idx[:, 1]]
-        vp = x[idx[:, 2]]
-        vq = x[idx[:, 3]]
+        vi, vv, vp, vq = x[self.cone_cols.T]
         return vi * vv - (vp * vp + vq * vq)
 
     def check_solution(self, x: np.ndarray, tol: float = 1e-6, cone_tol: float = 1e-6) -> list[Violation]:
@@ -263,3 +370,43 @@ class LinearModel:
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.obj @ x)
+
+
+def _propagate(a, rows, lb, ub, row_lo, row_hi, alive) -> tuple[bool, np.ndarray]:
+    """One pass of :meth:`LinearModel.restrict` over ``rows`` (``a`` holds their coefficients).
+
+    Drops the rows it proves redundant or turns into bounds from ``alive``
+    and tightens ``lb``/``ub`` in place.  Returns whether the bounds are
+    still consistent and the columns whose bounds moved.
+    """
+    n = rows.size
+    entry_row = np.repeat(np.arange(n), np.diff(a.indptr))
+    col, coef = a.indices, a.data
+    lo, hi = lb[col], ub[col]
+    free = lo < hi
+    n_free = np.bincount(entry_row, free, minlength=n)
+    const = np.bincount(entry_row, np.where(free, 0.0, lo) * coef, minlength=n)
+
+    def activity(at: np.ndarray, infinite: float) -> np.ndarray:
+        """Per row: the activity with each free term at its bound ``at``, infinite ones counted."""
+        finite = np.isfinite(at)
+        act = const + np.bincount(entry_row, np.where(free & finite, at, 0.0) * coef, minlength=n)
+        act[np.bincount(entry_row, free & ~finite, minlength=n) > 0] = infinite
+        return act
+
+    act_min = activity(np.where(coef > 0, lo, hi), -np.inf)
+    act_max = activity(np.where(coef > 0, hi, lo), np.inf)
+    r_lo, r_hi = row_lo[rows], row_hi[rows]
+    if np.any((act_min > r_hi) | (act_max < r_lo)):
+        return False, np.zeros(0, dtype=np.int64)
+    redundant = (act_min >= r_lo) & (act_max <= r_hi)
+    single = ~redundant & (n_free == 1)
+    entry = np.flatnonzero(free & single[entry_row])
+    j, c, r = col[entry], coef[entry], entry_row[entry]
+    low, high = (r_lo[r] - const[r]) / c, (r_hi[r] - const[r]) / c
+    old_lb, old_ub = lb.copy(), ub.copy()
+    np.maximum.at(lb, j, np.where(c > 0, low, high))
+    np.minimum.at(ub, j, np.where(c > 0, high, low))
+    alive[rows[redundant | single]] = False
+    moved = np.flatnonzero((lb != old_lb) | (ub != old_ub))
+    return bool(np.all(lb[moved] <= ub[moved])), moved

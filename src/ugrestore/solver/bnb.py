@@ -1,9 +1,11 @@
 """Best-first branch-and-bound over the LP relaxation with lazy cone cuts.
 
 The search owns one :class:`LpBackend`, whose HiGHS instance re-solves each
-LP from the last basis.  It pins each node's fixings, keeps the
-outer-approximation cut pool (shared across the tree, capped per cone) and
-hands HiGHS the time left before the deadline.  When the warm start passes
+LP from the last basis.  It holds the model restricted to the root's column
+bounds (see the lp module), which hold at every node since nodes only
+tighten bounds.  It pins each node's fixings, keeps the outer-approximation
+cut pool (shared across the tree, capped per cone) and hands HiGHS the time
+left before the deadline.  When the warm start passes
 the replay, the pool starts, before the root LP, with one tangent per cone
 that carries flow there (:func:`incumbent_tangents`): outer approximation
 first linearizes at its first fixed-integer point.  Nodes store only their

@@ -1,42 +1,60 @@
 """The LP relaxation, reached only through :class:`LpBackend`.
 
-A backend loads the model rows once into one instance of the HiGHS that
-scipy bundles, and owns everything that changes between solves:
+A backend loads one instance of the HiGHS that scipy bundles with the
+model restricted to its column bounds plus a set of base fixings
+(:meth:`LinearModel.restrict`): fixed columns are substituted into the row
+bounds and a constant objective offset, a row with one non-fixed column
+becomes bounds on it, and a row that its activity bounds prove redundant
+is dropped.  These are exact primal reductions, with no dual ones, so the
+restriction holds for any objective and any valid cut; a restriction that
+removes nothing is the same code.  The greedy warm start gives a backend
+its skeleton; the search gives it nothing beyond the model's bounds, which
+hold at every node.  Points come back as full vectors, and the objective
+as the full model's (the constant is the ``passModel`` offset).  When the
+propagation proves the bounds inconsistent, the backend loads the whole
+model, so ``infeasible`` is always a verdict of HiGHS on an LP, and
+:func:`infeasibility_hint` names an IIS of the full model.
 
-- the fixings: ``solve(fixes)`` pins them and pushes only the column bounds
-  that moved since the last solve; a fixing outside the column bounds is
-  ``infeasible`` without running an LP;
+The backend owns everything that changes between solves:
+
+- the fixings: ``solve(fixes)`` pins them on the kept columns and pushes
+  only the column bounds that moved since the last solve; a fixing outside
+  the restriction's bounds (on an eliminated column: different from its
+  value) is ``infeasible`` without running an LP;
 - the outer-approximation cut pool: ``add_cuts`` takes one round's cuts, at
   most one per cone, appends the rows of the new ones in one HiGHS call and
   keeps at most ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut
   rewrites, in place, the row of the cut with the most slack at the point it
   separates, so the cuts that hold that point stay and the separation loops
   do not cycle.  Every cut is valid for the full model, so any subset keeps
-  the relaxation a bound;
+  the relaxation a bound.  The pool is kept over the full model's columns,
+  so eviction reads the full point; the row HiGHS holds for a cut has its
+  terms on eliminated columns moved into the right-hand side;
 - the deadline: HiGHS compares its time limit with the instance's cumulative
   run time, so it gets that run time plus the seconds left; an LP cut off by
   it ends as ``error``.
 
 Every LP is a dual simplex re-solve from the last basis.  Warm-started
 primal values can drift past the tolerance HiGHS reports, so a result is
-accepted only if it is optimal and its point meets every model row within
-``MAX_ROW_RESIDUAL``.  Otherwise HiGHS is handed back the basis it ended on
-(``setBasis(getBasis())``), which refactorizes that basis and recomputes
-the point from it, and runs again; that fixes a drift or an ``Unknown`` in
+accepted only if it is optimal and its point meets every row and column
+bound HiGHS holds within ``MAX_ROW_RESIDUAL`` (the column bounds too, since
+the restriction turned rows into them).  Otherwise HiGHS is handed back the
+basis it ended on (``setBasis(getBasis())``), which refactorizes that basis
+and recomputes the point from it, and runs again; that fixes a drift or an ``Unknown`` in
 a few iterations.  Only if that run fails too does the same instance run
 once more from scratch, and that verdict is final (a drifted cold point is
 an ``error``).  ``clear_basis`` makes the next solve start from scratch.
 
-The greedy warm start owns one backend; the search owns another, which the
-diver borrows.  ``release()`` drops the HiGHS instance but keeps the cut
-pool and the basis; the next ``solve`` or ``add_cuts`` reloads the model and
-the pool rows and restores the basis, so the search can free its instance
-while another one runs.
+The greedy warm start builds one backend per skeleton; the search owns
+another, which the diver borrows.  ``release()`` drops the HiGHS instance
+but keeps the restriction, the cut pool and the basis; the next ``solve`` or
+``add_cuts`` reloads the restricted model and the pool rows and restores the
+basis, so the search can free its instance while another one runs.
 
-:func:`master_bound` solves the model once as a MIP, with a list of cuts in
-place of the cone rows, and returns its MIP dual bound; file descriptor 1
-is silenced during that run (:func:`quiet_stdout`), because the HiGHS MIP
-solver prints there even with ``output_flag`` off.  Given a stop target, a
+:func:`master_bound` solves the full model once as a MIP, with a list of
+cuts in place of the cone rows, and returns its MIP dual bound; file
+descriptor 1 is silenced during that run (:func:`quiet_stdout`), because
+the HiGHS MIP solver prints there even with ``output_flag`` off.  Given a stop target, a
 ``kCallbackMipInterrupt`` callback ends the run as soon as the dual bound
 reaches it; the dual bound of a MIP search bounds every node still open,
 so one read before the end is a bound as much as the final one.
@@ -122,8 +140,8 @@ def _check(status: HighsStatus, what: str) -> None:
         raise RuntimeError(f"HiGHS refused {what}")
 
 
-def _loaded(model: LinearModel, cost: np.ndarray) -> _Highs:
-    """A quiet HiGHS instance holding the model's rows and bounds, minimizing ``cost``."""
+def _loaded(model: LinearModel, cost: np.ndarray, offset: float = 0.0) -> _Highs:
+    """A quiet HiGHS instance holding the model's rows and bounds, minimizing ``cost`` + ``offset``."""
     m = model.matrix()
     h = _Highs()
     h.setOptionValue("output_flag", False)
@@ -133,7 +151,7 @@ def _loaded(model: LinearModel, cost: np.ndarray) -> _Highs:
         m.nnz,
         int(MatrixFormat.kRowwise),
         1,  # minimize
-        0.0,
+        offset,
         cost.astype(float),
         model.col_lb.astype(float),
         model.col_ub.astype(float),
@@ -146,6 +164,19 @@ def _loaded(model: LinearModel, cost: np.ndarray) -> _Highs:
     )
     _check(status, "the model")
     return h
+
+
+def _pinned(lb: np.ndarray, ub: np.ndarray, fixes: dict[int, float]):
+    """Copies of the bounds with ``fixes`` (column -> value) pinned; None if one lies outside them."""
+    lb, ub = lb.astype(float), ub.astype(float)
+    if fixes:
+        cols = np.fromiter(fixes.keys(), dtype=np.int64, count=len(fixes))
+        vals = np.fromiter(fixes.values(), dtype=float, count=len(fixes))
+        if np.any(vals < lb[cols] - 1e-9) or np.any(vals > ub[cols] + 1e-9):
+            return None
+        lb[cols] = vals
+        ub[cols] = vals
+    return lb, ub
 
 
 def _add_rows(highs: _Highs, cuts: list[Cut]) -> None:
@@ -250,26 +281,51 @@ def linprog(highs: _Highs, time_limit: float) -> LpResult:
 
 
 class LpBackend:
-    def __init__(self, model: LinearModel, deadline: float | None = None) -> None:
+    def __init__(
+        self, model: LinearModel, deadline: float | None = None, fixes: dict[int, float] | None = None
+    ) -> None:
         self.model = model
         self.deadline = deadline  # time.monotonic() value, or None for no limit
-        self.cuts: list[Cut] = []  # cut k is row model.nrows + k
+        # base fixings outside the bounds restrict nothing; solve() then reports them infeasible
+        bounds = _pinned(model.col_lb, model.col_ub, fixes) or (model.col_lb, model.col_ub)
+        self.restriction = model.restrict(*bounds)
+        self.cuts: list[Cut] = []  # cut k is row restriction.model.nrows + k
         self._cone_slots: dict[int, list[int]] = {}  # cone -> positions in cuts
         self._basis = None  # kept by release()
+        pos = np.full(model.ncols, -1)
+        pos[self.restriction.keep] = np.arange(self.restriction.keep.size)
+        self._pos = pos.tolist()  # full column -> restricted column, -1 if eliminated
         self._load()
 
     def _load(self) -> None:
-        """A HiGHS instance holding the model, the cut pool and the basis kept by release()."""
-        self.highs = _loaded(self.model, -self.model.obj)
+        """A HiGHS instance holding the restriction, the cut pool and the basis kept by release()."""
+        sub = self.restriction.model
+        self.highs = _loaded(sub, -sub.obj, -self.restriction.offset)
         for name, value in _HIGHS_OPTIONS.items():
             self.highs.setOptionValue(name, value)
-        self._lb = self.model.col_lb.astype(float)  # the column bounds HiGHS holds
-        self._ub = self.model.col_ub.astype(float)
+        self._lb = sub.col_lb.astype(float)  # the column bounds HiGHS holds
+        self._ub = sub.col_ub.astype(float)
         if self.cuts:
-            _add_rows(self.highs, self.cuts)
+            _add_rows(self.highs, [self._mapped(cut) for cut in self.cuts])
         if self._basis is not None:
             _check(self.highs.setBasis(self._basis), "the basis")
             self._basis = None
+
+    def _mapped(self, cut: Cut) -> Cut:
+        """``cut`` over the restricted columns: its terms on eliminated columns move to the rhs.
+
+        A column the model does not have maps past the restricted ones, for
+        HiGHS to refuse.
+        """
+        pos, cols, coefs, rhs = self._pos, [], [], cut.rhs
+        for col, coef in zip(cut.cols, cut.coefs):
+            j = pos[col] if 0 <= col < len(pos) else self.restriction.model.ncols
+            if j < 0:
+                rhs -= coef * self.restriction.fixed[col]
+            else:
+                cols.append(j)
+                coefs.append(coef)
+        return Cut(tuple(cols), tuple(coefs), rhs)
 
     def release(self) -> None:
         """Drop the HiGHS instance; the next solve or add_cuts reloads it from the basis."""
@@ -279,7 +335,7 @@ class LpBackend:
             self.highs = None
 
     def add_cuts(self, cuts: list[tuple[int, Cut]], x: np.ndarray) -> None:
-        """Add ``(cone, cut)`` pairs taken at the point ``x``, at most one per cone.
+        """Add ``(cone, cut)`` pairs taken at the full point ``x``, at most one per cone.
 
         The rows of the cuts that take a free slot are appended in one HiGHS
         call, in the order given; a full cone drops its slackest cut at ``x``,
@@ -291,7 +347,7 @@ class LpBackend:
             self._load()
         fresh = [cut for idx, cut in cuts if len(self._cone_slots.get(idx, ())) < CUTS_PER_CONE]
         if fresh:
-            _add_rows(self.highs, fresh)
+            _add_rows(self.highs, [self._mapped(cut) for cut in fresh])
         for idx, cut in cuts:
             slots = self._cone_slots.setdefault(idx, [])
             if len(slots) < CUTS_PER_CONE:  # a fresh cut, its row already appended
@@ -301,11 +357,12 @@ class LpBackend:
             held = [self.cuts[pos] for pos in slots]
             slack = [c.rhs - np.dot(c.coefs, x[list(c.cols)]) for c in held]
             pos = slots[int(np.argmax(slack))]
-            row = self.model.nrows + pos
-            old = [(col, 0.0) for col in set(self.cuts[pos].cols) - set(cut.cols)]
-            for col, coef in old + list(zip(cut.cols, cut.coefs)):
+            row = self.restriction.model.nrows + pos
+            old, new = self._mapped(self.cuts[pos]), self._mapped(cut)
+            gone = [(col, 0.0) for col in set(old.cols) - set(new.cols)]
+            for col, coef in gone + list(zip(new.cols, new.coefs)):
                 _check(self.highs.changeCoeff(row, col, coef), "a cut coefficient")
-            _check(self.highs.changeRowBounds(row, -np.inf, cut.rhs), "a cut bound")
+            _check(self.highs.changeRowBounds(row, -np.inf, new.rhs), "a cut bound")
             self.cuts[pos] = cut
 
     def clear_basis(self) -> None:
@@ -316,13 +373,11 @@ class LpBackend:
 
     def solve(self, fixes: dict[int, float] | None = None) -> LpResult:
         """Relaxation with ``fixes`` (column -> value) pinned, over the rows and the cut pool."""
-        lb = self.model.col_lb.astype(float)
-        ub = self.model.col_ub.astype(float)
-        for col, val in (fixes or {}).items():
-            if val < lb[col] - 1e-9 or val > ub[col] + 1e-9:
-                return _INFEASIBLE
-            lb[col] = val
-            ub[col] = val
+        bounds = _pinned(self.restriction.col_lb, self.restriction.col_ub, fixes)
+        if bounds is None:
+            return _INFEASIBLE
+        keep = self.restriction.keep
+        lb, ub = bounds[0][keep], bounds[1][keep]
         if self.highs is None:
             self._load()
         moved = np.flatnonzero((lb != self._lb) | (ub != self._ub))
@@ -348,9 +403,14 @@ class LpBackend:
         if self.deadline is not None:
             limit = self.highs.getRunTime() + max(0.0, self.deadline - time.monotonic())
         res = linprog(self.highs, limit)
-        if res.ok and -self.model.row_residuals(res.x).min(initial=0.0) > MAX_ROW_RESIDUAL:
+        if not res.ok:
+            return res
+        x = res.x
+        slack = self.restriction.model.row_residuals(x).min(initial=0.0)
+        slack = min(slack, (x - self._lb).min(initial=0.0), (self._ub - x).min(initial=0.0))
+        if -slack > MAX_ROW_RESIDUAL:  # a row or column bound HiGHS holds, missed
             return LpResult(status="error", x=None, objective=-np.inf, nit=res.nit)
-        return res
+        return LpResult(res.status, self.restriction.expand(x), res.objective, res.nit)
 
 
 def infeasibility_hint(model: LinearModel) -> str:

@@ -132,13 +132,6 @@ def _write_chunked(fh, n: int, lines) -> None:
         fh.write(lines(lo, min(n, lo + CHUNK_LINES)))
 
 
-def _cone_cols(model: LinearModel) -> np.ndarray:
-    """The (I, V, P, Q) columns of each cone, one row per cone."""
-    return np.array(
-        [(c.col_i, c.col_v, c.col_p, c.col_q) for c in model.cones], dtype=np.int64
-    ).reshape(-1, 4)
-
-
 def _write_rows(fh, model: LinearModel, n_tan: int) -> None:
     sense = np.zeros(3, dtype=np.uint8)
     sense[[SENSE_LE, SENSE_GE, SENSE_EQ]] = np.frombuffer(b"LGE", dtype=np.uint8)
@@ -164,7 +157,7 @@ def _write_columns(fh, model: LinearModel, coefs: np.ndarray, relax_binaries: bo
     tangent coefficient is left out; an explicit zero of a model row is
     written.  Runs of integer columns are marked with INTORG/INTEND.
     """
-    cone_cols = _cone_cols(model)
+    cone_cols = model.cone_cols
     n_tan = len(coefs) * len(cone_cols)
     tangents = sp.csr_matrix(
         (
@@ -283,7 +276,7 @@ def export_mps(
         _write_bounds(fh, model)
         fh.write(b"ENDATA\n")
     if cone_path is not None:
-        quads = _cone_cols(model)
+        quads = model.cone_cols
         with open(cone_path, "wb") as fh:
             fh.write(f"{CONE_HEADER}\n".encode())
             fh.write(b"* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")

@@ -7,11 +7,14 @@ with the skeleton pinned then produces the dispatch (:func:`_resolve`):
 storage on/off flags are rounded from that first pass and pinned, and the
 LP is re-solved.  The skeleton and the storage flags pin every binary of
 the model, so the point is integral; the replay, which checks integrality,
-rejects it should a binary ever be left free.  The warm start owns one
-:class:`LpBackend`, freed when it returns, so its HiGHS instance never
-lives beside the search's.  The diver owns none: it dives in the backend
-the search lends it, whose capped cut pool and deadline it shares, and
-every call dives afresh.
+rejects it should a binary ever be left free.  The warm start builds one
+:class:`LpBackend` per skeleton, with the skeleton as its base fixings, so
+HiGHS holds only the part of the model the skeleton leaves live (on
+``reduced13`` about a sixth of the rows); the storage flags pinned later
+are ordinary ``solve`` fixings.  Each backend is freed when its skeleton is
+done, so its HiGHS instance never lives beside the search's.  The diver
+owns none: it dives in the backend the search lends it, whose capped cut
+pool and deadline it shares, and every call dives afresh.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
@@ -217,7 +220,6 @@ def greedy_warm_start(
 ) -> np.ndarray | None:
     """Feasible full solution vector, or None when construction fails."""
     opts = options or SolverOptions()
-    backend = LpBackend(model)
     ferro = bool(model.meta.get("ferro_gate", True))
     no_swap = bool(model.meta.get("no_swap", False))
     zero = {
@@ -228,7 +230,7 @@ def greedy_warm_start(
         fixes = _structural_fixes(model, case, schedule)
         if fixes is None:
             return None
-        x = _resolve(model, backend, fixes, opts)
+        x = _resolve(model, LpBackend(model, fixes=fixes), fixes, opts)
         if x is not None:
             return x
     return None

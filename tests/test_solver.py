@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import functools
 import itertools
 import math
@@ -20,7 +21,7 @@ from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import BuildOptions, build_model
-from ugrestore.model import SENSE_LE, ConeRow, ModelBuilder, Violation
+from ugrestore.model import SENSE_GE, SENSE_LE, ConeRow, ModelBuilder, Violation
 from ugrestore.physics import PERMUTATIONS
 from ugrestore.plan import RestorationPlan
 from ugrestore.solver import (
@@ -30,6 +31,7 @@ from ugrestore.solver import (
     solve,
 )
 from ugrestore.solver import bnb, lp, warmstart
+from ugrestore.solver import cuts as cuts_mod
 from ugrestore.solver.cuts import (
     NoCutError,
     cone_violations,
@@ -103,7 +105,7 @@ class TestLpBackend:
         backend = LpBackend(model)
         with pytest.raises(RuntimeError, match="refused a cut row"):
             backend.add_cuts([(0, Cut(cols=(model.ncols,), coefs=(1.0,), rhs=1.0))], np.zeros(model.ncols))
-        assert backend.cuts == [] and backend.highs.getNumRow() == model.nrows
+        assert backend.cuts == [] and backend.highs.getNumRow() == backend.restriction.model.nrows
 
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
         cat, model = _cone_fixture()
@@ -287,7 +289,7 @@ class TestLpBackend:
         assert released.highs is None and released.cuts == kept.cuts
         again = released.solve()  # from the kept basis: nothing left to pivot
         assert again.objective == pytest.approx(res.objective, rel=1e-9) and again.nit == 0
-        assert released.highs.getNumRow() == model.nrows + len(kept.cuts)
+        assert released.highs.getNumRow() == released.restriction.model.nrows + len(kept.cuts)
         fix = {int(model.free_binary_columns[0]): 1.0}
         want = kept.solve(fix)
         released.release()
@@ -300,6 +302,116 @@ class TestLpBackend:
             backend.add_cuts(cuts, want.x)
         got, want = released.solve(fix), kept.solve(fix)
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+
+
+def _full_lp(model, fixes, cuts=()):
+    """The LP over every row of ``model`` and ``cuts``, ``fixes`` pinned, solved from scratch."""
+    lb, ub = lp._pinned(model.col_lb, model.col_ub, fixes)
+    h = lp._loaded(dataclasses.replace(model, col_lb=lb, col_ub=ub), -model.obj)
+    for name, value in lp._HIGHS_OPTIONS.items():
+        h.setOptionValue(name, value)
+    if cuts:
+        lp._add_rows(h, list(cuts))
+    return lp.linprog(h, np.inf), lb, ub
+
+
+def _greedy_fixings(model, case, monkeypatch):
+    """The fixings of the greedy's first skeleton, then with its storage flags, as it pins them."""
+    pinned = []
+    real = warmstart._lp_with_oa
+
+    def recorded(backend, fixes, *args):
+        pinned.append(dict(fixes))
+        return real(backend, fixes, *args)
+
+    monkeypatch.setattr(warmstart, "_lp_with_oa", recorded)
+    greedy_warm_start(model, case)
+    monkeypatch.undo()
+    return pinned[0], pinned[-1]
+
+
+class TestRestriction:
+    """Every backend loads HiGHS with the model restricted to what its bounds leave live."""
+
+    def test_reductions_are_exact(self):
+        cat = VariableCatalog()
+        cat.add_group("x", [0], lb=0.0, ub=np.inf)
+        cat.add_group("y", [0], lb=0.0, ub=1.0)
+        cat.add_group("z", [0], lb=2.0, ub=2.0)
+        cat.add_group("w", [0], lb=0.0, ub=np.inf)
+        x, y, z, w = (cat.col(name, 0) for name in "xyzw")
+        b = ModelBuilder(cat)
+        b.add("single", (), [(x, 3.0)], SENSE_LE, 1.0)  # x <= 1/3, divided exactly
+        b.add("after-single", (), [(x, 1.0), (y, 1.0)], SENSE_LE, 5.0)  # redundant once x <= 1/3
+        b.add("fixed", (), [(z, 1.0), (y, 4.0)], SENSE_LE, 4.0)  # z substituted: y <= 1/2
+        b.add("floor", (), [(w, 1.0), (y, 1.0)], SENSE_GE, 0.0)  # redundant: activity >= 0
+        b.add("open", (), [(w, 1.0), (y, -1.0)], SENSE_LE, 3.0)  # infinite maximum: kept
+        b.add_obj(x, 1.0)
+        b.add_obj(z, 0.5)
+        b.add_cone("cone", (0,), w, y, x, x)
+        model = b.build({})
+        got = model.restrict(model.col_lb, model.col_ub)
+        assert got.col_ub[x] == 1.0 / 3.0 and got.col_ub[y] == 0.5 and got.col_ub[w] == np.inf
+        assert got.model.families == ["open"] and got.keep.tolist() == [x, y, w]
+        assert got.fixed[z] == 2.0 and got.offset == 1.0 and got.model.rhs.tolist() == [3.0]
+        assert got.model.cones == [ConeRow(2, 1, 0, 0, "cone", (0,))]
+        res = LpBackend(model).solve()
+        assert res.ok and res.x[z] == 2.0 and res.objective == pytest.approx(1.0 / 3.0 + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
+    @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
+    def test_restricted_lp_matches_the_full_model(self, name, build, monkeypatch):
+        case = shipped_case(name)
+        model = build_model(case, BuildOptions(**build))
+        skeleton, storage = _greedy_fixings(model, case, monkeypatch)
+        assert set(skeleton) < set(storage) or name == "rad_loop4"  # its skeleton LP is infeasible
+        for base, fixes in (({}, {}), ({}, skeleton), (skeleton, skeleton), (skeleton, storage)):
+            backend = LpBackend(model, fixes=base)
+            got = backend.solve(fixes)
+            want, lb, ub = _full_lp(model, fixes)
+            assert got.status == want.status
+            if got.ok:
+                assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+                assert -model.row_residuals(got.x).min() <= 1e-7
+                assert np.all(got.x >= lb - 1e-9) and np.all(got.x <= ub + 1e-9)
+                assert backend.restriction.model.nrows < model.nrows or not base
+
+    def test_cut_on_an_eliminated_column_matches_the_full_model(self, reduced13, monkeypatch):
+        model = build_model(reduced13)
+        skeleton, fixes = _greedy_fixings(model, reduced13, monkeypatch)
+        backend = LpBackend(model, fixes=skeleton)
+        res = backend.solve(fixes)
+        gone = np.setdiff1d(np.arange(model.ncols), backend.restriction.keep)
+        e = int(gone[np.flatnonzero(backend.restriction.fixed[gone] == 1.0)[0]])
+        cuts = _round_of_cuts(model, res.x, 1e-9)
+        idx, cut = cuts[0]
+        for seed in initial_cone_cuts(model)[idx * CUTS_PER_CONE : (idx + 1) * CUTS_PER_CONE]:
+            backend.add_cuts([(idx, seed)], res.x)  # the slots of the cone full
+        # the same cut with a term on the eliminated column e, its value moved into the rhs
+        cut = Cut(cut.cols + (e,), cut.coefs + (2.0,), cut.rhs + 2.0)
+        backend.add_cuts([(idx, cut)] + [pair for pair in cuts[1:4]], res.x)  # one rewritten in place
+        assert cut in backend.cuts and len(backend.cuts) == CUTS_PER_CONE + 3
+        got = backend.solve(fixes)
+        want, _, _ = _full_lp(model, fixes, backend.cuts)
+        assert got.ok and want.ok and got.objective < res.objective - 1e-9
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        backend.release()
+        again = backend.solve(fixes)
+        assert again.objective == pytest.approx(got.objective, rel=1e-9) and again.nit == 0
+
+    @pytest.mark.parametrize("via", ["model bounds", "base fixings"])
+    def test_bound_conflict_is_infeasible_with_its_iis(self, via):
+        model = build_model(load_minimal())
+        col = model.catalog.col("u", ("n1", 0))
+        if via == "model bounds":
+            model.col_lb[col] = model.col_ub[col] = 0.0
+            backend = LpBackend(model)
+        else:
+            backend = LpBackend(model, fixes={col: 0.0})
+        assert backend.restriction.keep.size == model.ncols  # nothing removed
+        assert backend.solve({col: 0.0}).status == "infeasible"
+        model.col_lb[col] = model.col_ub[col] = 0.0
+        assert "wire-consistent" in lp.infeasibility_hint(model)
 
 
 class TestOaRound:
@@ -493,6 +605,16 @@ class TestIncumbentTangents:
             flow = r * math.sqrt(i_s * v_s)
             excess, scale = self._excess(cut, (i_s, v_s, flow * math.cos(th), flow * math.sin(th)))
             assert excess <= 1e-9 * scale
+
+    @given(points=st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 4), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_vectorized_tangents_match_tangent_bit_for_bit(self, points):
+        points.append((0.5, 0.5, 0.0, 0.0))  # the apex
+        cone = ConeRow(0, 1, 2, 3, "cone", ())
+        coefs, rhs = cuts_mod._tangents(*np.array(points).T)
+        for point, g, r in zip(points, coefs.tolist(), rhs.tolist()):
+            cut = tangent(point, cone)
+            assert cut.coefs == tuple(g) and cut.rhs == r
 
     @staticmethod
     def _first_lp_pool(model, monkeypatch, warm):
