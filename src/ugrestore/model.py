@@ -51,6 +51,7 @@ class Restriction(NamedTuple):
     col_lb: np.ndarray  # the tightened full column bounds
     col_ub: np.ndarray
     offset: float  # the objective of the eliminated columns, a constant of the restricted model
+    pos: list[int]  # the restricted column of each full-model column, -1 at the eliminated ones
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """The full vector of a point of the restricted model."""
@@ -257,9 +258,9 @@ class LinearModel:
             rows = np.flatnonzero(touched & alive)
         if not consistent:
             lb, ub = given
-            return Restriction(
-                replace(self, col_lb=lb, col_ub=ub), np.arange(self.ncols), np.zeros(self.ncols), lb, ub, 0.0
-            )
+            keep = np.arange(self.ncols)
+            whole = replace(self, col_lb=lb, col_ub=ub)
+            return Restriction(whole, keep, np.zeros(self.ncols), lb, ub, 0.0, keep.tolist())
         fixed = lb == ub
         kept = ~fixed
         cone_cols = self.cone_cols
@@ -292,7 +293,7 @@ class LinearModel:
             cones=cones,
             _matrix=sub,
         )
-        return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values))
+        return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values), pos.tolist())
 
     # -- solution replay ----------------------------------------------------
 

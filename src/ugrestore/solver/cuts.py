@@ -85,24 +85,6 @@ def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float 
     return tangent((i0, v0, p0, q0), cone)
 
 
-def _tangents(i: np.ndarray, v: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """:func:`tangent` at each point of the arrays: the coefficients on (I, V, P, Q) and the rhs.
-
-    The same operations in the same order, so the same values bit for bit.
-    """
-    n = np.sqrt(4.0 * p * p + 4.0 * q * q + (i - v) ** 2)
-    apex = n <= 0.0
-    n = np.where(apex, 1.0, n)
-    i = np.where(apex, 0.5, i)
-    v = np.where(apex, 0.5, v)
-    gi = (i - v) / n - 1.0
-    gv = -(i - v) / n - 1.0
-    gp = 4.0 * p / n
-    gq = 4.0 * q / n
-    f = np.sqrt(4.0 * p * p + 4.0 * q * q + (i - v) ** 2) - (i + v)
-    return np.column_stack([gi, gv, gp, gq]), gi * i + gv * v + gp * p + gq * q - f
-
-
 def incumbent_tangents(model: LinearModel, x: np.ndarray) -> list[tuple[int, Cut]]:
     """``(cone, cut)``: the tangent above ``x`` of every cone that carries flow at ``x``.
 
@@ -111,15 +93,12 @@ def incumbent_tangents(model: LinearModel, x: np.ndarray) -> list[tuple[int, Cut
     ``x``.  A cone with V <= ``V_MIN`` or P = Q = 0 gets none: its tangent
     there is I >= 0 or degenerate, which the column bounds already imply.
     """
-    _, v, p, q = x[model.cone_cols.T]
-    idx = np.flatnonzero((v > V_MIN) & ((p != 0.0) | (q != 0.0)))
-    v, p, q = v[idx], p[idx], q[idx]
-    coefs, rhs = _tangents((p * p + q * q) / v, v, p, q)
-    cols = model.cone_cols[idx].tolist()
-    return [
-        (k, Cut(cols=tuple(c), coefs=tuple(g), rhs=r))
-        for k, c, g, r in zip(idx.tolist(), cols, coefs.tolist(), rhs.tolist())
-    ]
+    out = []
+    for idx, cone in enumerate(model.cones):
+        _, v, p, q = cone.point(x)
+        if v > V_MIN and (p != 0.0 or q != 0.0):
+            out.append((idx, tangent(((p * p + q * q) / v, v, p, q), cone)))
+    return out
 
 
 def cone_violations(model: LinearModel, x: np.ndarray, tol: float) -> list[tuple[int, float]]:

@@ -292,9 +292,6 @@ class LpBackend:
         self.cuts: list[Cut] = []  # cut k is row restriction.model.nrows + k
         self._cone_slots: dict[int, list[int]] = {}  # cone -> positions in cuts
         self._basis = None  # kept by release()
-        pos = np.full(model.ncols, -1)
-        pos[self.restriction.keep] = np.arange(self.restriction.keep.size)
-        self._pos = pos.tolist()  # full column -> restricted column, -1 if eliminated
         self._load()
 
     def _load(self) -> None:
@@ -317,7 +314,7 @@ class LpBackend:
         A column the model does not have maps past the restricted ones, for
         HiGHS to refuse.
         """
-        pos, cols, coefs, rhs = self._pos, [], [], cut.rhs
+        pos, cols, coefs, rhs = self.restriction.pos, [], [], cut.rhs
         for col, coef in zip(cut.cols, cut.coefs):
             j = pos[col] if 0 <= col < len(pos) else self.restriction.model.ncols
             if j < 0:

@@ -31,7 +31,6 @@ from ugrestore.solver import (
     solve,
 )
 from ugrestore.solver import bnb, lp, warmstart
-from ugrestore.solver import cuts as cuts_mod
 from ugrestore.solver.cuts import (
     NoCutError,
     cone_violations,
@@ -177,17 +176,26 @@ class TestLpBackend:
                     assert -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
 
     def test_drifted_warm_point_is_rerun_from_its_basis(self, monkeypatch):
-        cat, model = _cone_fixture()
+        self._drift_is_rerun(monkeypatch, ("p",))  # the demand row over p alone is a bound on p
+
+    def test_drifted_warm_point_on_a_held_row_is_rerun_from_its_basis(self, monkeypatch):
+        self._drift_is_rerun(monkeypatch, ("p", "q"))  # over p and q a row HiGHS holds
+
+    @staticmethod
+    def _drift_is_rerun(monkeypatch, demand):
+        cat, model = _cone_fixture(demand)
         backend = LpBackend(model)
+        assert backend.restriction.model.nrows == len(demand) - 1
         assert backend.solve().ok
         backend.highs = spy = _HighsSpy(backend.highs)
         real = lp.linprog
+        p = backend.restriction.pos[cat.col("p", 0)]
 
         def drift_once(highs, time_limit):
             res = real(highs, time_limit)
             if highs.calls.count("run") == 1:  # break the demand row by 1e-5
                 res.x = res.x.copy()
-                res.x[cat.col("p", 0)] = 1.3 + 1e-5
+                res.x[p] = 1.3 + 1e-5
             return res
 
         monkeypatch.setattr(lp, "linprog", drift_once)
@@ -500,15 +508,15 @@ def _last(calls, name):
     return len(calls) - 1 - calls[::-1].index(name)
 
 
-def _cone_fixture():
-    """One cone over four columns with loss pressure on the current."""
+def _cone_fixture(demand=("p",)):
+    """One cone over four columns with loss pressure on the current, and a demand row over ``demand``."""
     cat = VariableCatalog()
     cat.add_group("i", [0], lb=0.0, ub=4.0)
     cat.add_group("v", [0], lb=0.9, ub=1.1)
     cat.add_group("p", [0], lb=0.0, ub=2.0)
     cat.add_group("q", [0], lb=0.0, ub=2.0)
     b = ModelBuilder(cat)
-    b.add("demand", (), [(cat.col("p", 0), 1.0)], SENSE_LE, 1.3)
+    b.add("demand", (), [(cat.col(name, 0), 1.0) for name in demand], SENSE_LE, 1.3)
     b.add_obj(cat.col("p", 0), 1.0)
     b.add_obj(cat.col("i", 0), -0.1)
     b.add_cone("cone", (0,), cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
@@ -605,16 +613,6 @@ class TestIncumbentTangents:
             flow = r * math.sqrt(i_s * v_s)
             excess, scale = self._excess(cut, (i_s, v_s, flow * math.cos(th), flow * math.sin(th)))
             assert excess <= 1e-9 * scale
-
-    @given(points=st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 4), min_size=1, max_size=20))
-    @settings(max_examples=100, deadline=None)
-    def test_vectorized_tangents_match_tangent_bit_for_bit(self, points):
-        points.append((0.5, 0.5, 0.0, 0.0))  # the apex
-        cone = ConeRow(0, 1, 2, 3, "cone", ())
-        coefs, rhs = cuts_mod._tangents(*np.array(points).T)
-        for point, g, r in zip(points, coefs.tolist(), rhs.tolist()):
-            cut = tangent(point, cone)
-            assert cut.coefs == tuple(g) and cut.rhs == r
 
     @staticmethod
     def _first_lp_pool(model, monkeypatch, warm):
