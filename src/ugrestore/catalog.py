@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -122,8 +123,13 @@ class VariableCatalog:
     def names(self) -> Iterator[str]:
         """Every column's :meth:`name_of`, in column order."""
         for name in self._order:
-            for key in self._groups[name].keys:
-                yield _label(name, key)
+            keys = self._groups[name].keys
+            arity = set(map(len, keys)) if set(map(type, keys)) == {tuple} else ()
+            if len(arity) == 1:  # one format for the whole group: ``name[{},{},...]``
+                fmt = name.replace("{", "{{").replace("}", "}}") + "[" + ",".join(["{}"] * arity.pop()) + "]"
+                yield from starmap(fmt.format, keys)
+            else:
+                yield from map(_label, repeat(name), keys)
 
     def lookup(self, name: str) -> int:
         """Inverse of :meth:`name_of` for solution-file import."""

@@ -17,15 +17,23 @@ renames what rows already fix: the event rows read the swap change
 holds only inside a microgrid is two big-M rows on its own expression.
 
 Row order is part of the model: the export writes it and warm-started LP
-runs follow it, so the build emits every row in one fixed order.  The
-high-volume families go in as zero-padded numpy blocks through
-``ModelBuilder.add_rows``, in that same order: ``reorder-bracket-*`` one
-block per switchgear and period, and ``balance-p/q``, ``volt-drop``,
-``ess-line-p/q-lim`` and ``current-lim`` one block per microgrid and
-period, each a copy of the microgrid's period-0 rows with the columns
-moved on by the period.  Their columns come from index grids over the
-groups whose keys form a full product (``_Ctx.grid``).  Every other family
-is added row by row.
+runs follow it, so the build emits every row in one fixed order.  All but
+a few thousand rows go in as zero-padded numpy blocks, their columns taken
+from index grids over the groups whose keys form a full product
+(``_Ctx.grid``):
+
+- the switchgear schedule (``swap-*``, ``inrush-*``, ``voltdiff-cap``,
+  ``ferro-*``, ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
+  block per family and row kind over every switchgear and period, merged
+  by ``ModelBuilder.add_blocks`` into switchgear, period and step order;
+- the loads and the voltage ranges: blocks over (node, period, phase),
+  merged the same way;
+- the power flow (``balance-p/q``, ``volt-drop``, ``ess-line-p/q-lim``,
+  ``current-lim`` and the cones): one block per microgrid, its period-0
+  rows copied over the horizon with the columns moved on by the period.
+
+The objective goes in as arrays.  Only the topology, radiality and storage
+rows are added row by row.
 
 Row families (tags carried by every row):
 
@@ -90,17 +98,20 @@ Row families (tags carried by every row):
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from ugrestore import bigm
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import FeederCase, Switchgear, equivalent_capacitance
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel, ModelBuilder
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel, ModelBuilder, RowBlock
 from ugrestore.physics import PERMUTATIONS, inrush_coefficient_pu, q_gate_load_threshold
 from ugrestore.quantile import normal_quantile
 
@@ -385,6 +396,7 @@ def _add_columns(ctx: _Ctx) -> None:
     cat.add_group("beta", gt, binary=True)
     grid["beta"] = _grid(cat, "beta", G, T)
     cat.add_group("alpha", gt, binary=True)
+    grid["alpha"] = _grid(cat, "alpha", G, T)
     gtpp = [(g.id, t, ph, ps) for g in gears for t in range(T) for ph in range(3) for ps in range(3)]
     cat.add_group("swap", gtpp, binary=True)
     grid["swap"] = _grid(cat, "swap", G, T, 3, 3)
@@ -392,6 +404,7 @@ def _add_columns(ctx: _Ctx) -> None:
         for col in grid["swap"][:, :, ~np.eye(3, dtype=bool)].ravel().tolist():
             cat.fix(col, 0.0)
     cat.add_group("swap_event", gtpp, binary=True)
+    grid["swap_event"] = _grid(cat, "swap_event", G, T, 3, 3)
     gtp = [(g.id, t, ph) for g in gears for t in range(T) for ph in range(3)]
     cat.add_group("swap_any", gtp, binary=True)
     cat.add_group("reorder_sel", [(g.id, t, v) for g in gears for t in range(T) for v in range(6)], binary=True)
@@ -414,6 +427,8 @@ def _add_columns(ctx: _Ctx) -> None:
     }
     inr_ub = [ctx.inr_coef[g.id] * ctx.m_dv for g in gears for t in range(T) for ph in range(3)]
     cat.add_group("inrush", gtp, lb=[-v for v in inr_ub], ub=inr_ub)
+    for name in ("swap_any", "angle_diff", "volt_diff", "inrush_mag", "inrush_ang", "inrush"):
+        grid[name] = _grid(cat, name, G, T, 3)
 
     kt = [(k, t) for k in range(K) for t in range(T)]
     ktp = [(k, t, ph) for k in range(K) for t in range(T) for ph in range(3)]
@@ -476,6 +491,8 @@ def _add_columns(ctx: _Ctx) -> None:
             q_lb.append(np.minimum(n.load_q, 0.0).ravel())
     cat.add_group("load_p", ntp, lb=0.0, ub=np.concatenate(p_ub))
     cat.add_group("load_q", ntp, lb=np.concatenate(q_lb), ub=np.concatenate(q_ub))
+    grid["load_p"] = _grid(cat, "load_p", N, T, 3)
+    grid["load_q"] = _grid(cat, "load_q", N, T, 3)
 
     lktp = [
         (l.index, k, t, ph)
@@ -628,54 +645,97 @@ def encode_radiality(ctx: _Ctx) -> None:
 # -- switchgear scheduling ---------------------------------------------------
 
 
-def encode_swap_structure(ctx: _Ctx, g: Switchgear, t: int) -> None:
-    cat, b = ctx.cat, ctx.b
-    for ps in range(3):
-        b.add(
-            "swap-col-once",
-            (g.id, t, ps),
-            [(cat.col("swap", (g.id, t, ph, ps)), 1.0) for ph in range(3)],
-            SENSE_LE,
-            1.0,
-        )
-    for ph in range(3):
-        b.add(
-            "swap-row-once",
-            (g.id, t, ph),
-            [(cat.col("swap", (g.id, t, ph, ps)), 1.0) for ps in range(3)],
-            SENSE_LE,
-            1.0,
-        )
-    terms = [(cat.col("swap", (g.id, t, ph, ps)), 1.0) for ph in range(3) for ps in range(3)]
-    terms.append((cat.col("beta", (g.id, t)), -3.0))
-    b.add("swap-open-or-full", (g.id, t), terms, SENSE_EQ, 0.0)
+def _block(key, family, locs: list, terms, sense, rhs, keep=None) -> RowBlock:
+    """Rows over one index grid, row ``i`` at the grid's ``i``-th point in C order.
+
+    ``terms`` are ``(col, coef)`` pairs of arrays; they, ``key``, ``sense``,
+    ``rhs`` and ``keep`` broadcast to the grid's shape.  ``keep`` drops the
+    rows where it is False; ``locs`` holds the kept rows' locs.
+    """
+    arrays = [a for term in terms for a in term] + [key, sense, rhs] + ([] if keep is None else [keep])
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    rows = slice(None) if keep is None else np.flatnonzero(np.broadcast_to(keep, shape))
+
+    def flat(a, dtype) -> np.ndarray:
+        return np.broadcast_to(np.asarray(a, dtype=dtype), shape).reshape(-1)[rows]
+
+    return RowBlock(
+        flat(key, np.int64),
+        family,
+        locs,
+        np.stack([flat(c, np.int64) for c, _ in terms], axis=-1),
+        np.stack([flat(v, np.float64) for _, v in terms], axis=-1),
+        flat(sense, np.int8),
+        flat(rhs, np.float64),
+    )
 
 
-def encode_swap_transition(ctx: _Ctx, g: Switchgear, t: int) -> None:
-    """Event-extraction and OR rows for one switchgear period.
+class _GearRows:
+    """Switchgear rows, emitted switchgear by switchgear and period by period.
+
+    Within one (switchgear, period) the steps of :func:`_encode_switchgears`
+    come in order, and within a step the rows of a ``sub`` position (a
+    phase, say) come block by block, each block's in grid order.
+    """
+
+    STEPS = 6
+    SUBS = 16
+
+    def __init__(self, ctx: _Ctx) -> None:
+        self.gt = np.arange(len(ctx.case.switchgears) * ctx.T).reshape(-1, ctx.T)
+        self.blocks: list[RowBlock] = []
+        self.step = 0
+
+    def key(self, ndim: int = 2) -> np.ndarray:
+        """The keys of the current step's rows at ``sub`` 0, one per (switchgear, period), of ``ndim`` axes."""
+        gt = self.gt.reshape(self.gt.shape + (1,) * (ndim - 2))
+        return (gt * self.STEPS + self.step) * self.SUBS
+
+    def add(self, family, locs, terms, sense, rhs, sub=0, keep=None) -> None:
+        """A :func:`_block` over a grid of shape ``(G, T, ...)``, its rows at ``sub`` (broadcast over ``...``)."""
+        ndim = len(np.broadcast_shapes(*(np.shape(a) for term in terms for a in term)))
+        self.blocks.append(_block(self.key(ndim) + sub, family, locs, terms, sense, rhs, keep))
+
+
+def _gt_locs(ctx: _Ctx, *tail: range) -> list[tuple]:
+    """``(gear id, t, *rest)`` over every switchgear, period and ``tail`` index, in C order."""
+    return [(g.id, *rest) for g in ctx.case.switchgears for rest in itertools.product(range(ctx.T), *tail)]
+
+
+def encode_swap_structure(ctx: _Ctx, rows: _GearRows) -> None:
+    """A swap matrix is empty (open) or a permutation (closed)."""
+    sw, beta = ctx.grid["swap"], ctx.grid["beta"]
+    ph3 = _gt_locs(ctx, range(3))
+    rows.add("swap-col-once", ph3, [(sw[:, :, ph, :], 1.0) for ph in range(3)], SENSE_LE, 1.0)
+    rows.add("swap-row-once", ph3, [(sw[:, :, :, ps], 1.0) for ps in range(3)], SENSE_LE, 1.0)
+    terms = [(sw[:, :, ph, ps], 1.0) for ph in range(3) for ps in range(3)] + [(beta, -3.0)]
+    rows.add("swap-open-or-full", _gt_locs(ctx), terms, SENSE_EQ, 0.0)
+
+
+def encode_swap_transition(ctx: _Ctx, rows: _GearRows) -> None:
+    """Event-extraction and OR rows for every switchgear period.
 
     The event flag per matrix entry is pinned by two inequalities to equal
     ``max(0, swap[t] - swap[t-1])`` (``swap[-1]`` reads as zero), which
     reproduces the full connection scenario table; the per-feeder-phase flag
     then ORs the three entries.
     """
-    cat, b = ctx.cat, ctx.b
-    for ph in range(3):
-        for ps in range(3):
-            delta = [(cat.col("swap", (g.id, t, ph, ps)), -1.0)]
-            if t >= 1:
-                delta.append((cat.col("swap", (g.id, t - 1, ph, ps)), 1.0))
-            xp = cat.col("swap_event", (g.id, t, ph, ps))
-            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 1.0)] + delta, SENSE_GE, 0.0)
-            b.add("swap-event-extract", (g.id, t, ph, ps), [(xp, 2.0)] + delta, SENSE_LE, 1.0)
-    for ph in range(3):
-        x = cat.col("swap_any", (g.id, t, ph))
-        evs = [(cat.col("swap_event", (g.id, t, ph, ps)), 1.0) for ps in range(3)]
-        b.add("swap-event-or", (g.id, t, ph), evs + [(x, -3.0)], SENSE_LE, 0.0)
-        b.add("swap-event-or", (g.id, t, ph), [(x, 1.0)] + [(c, -1.0) for c, _ in evs], SENSE_LE, 0.0)
+    grid = ctx.grid
+    sw, ev, x = grid["swap"], grid["swap_event"], grid["swap_any"]
+    prev = np.concatenate([sw[:, :1], sw[:, :-1]], axis=1)  # at t = 0 a placeholder of coefficient 0
+    after = (np.arange(ctx.T) >= 1).astype(float)[None, :, None, None]
+    delta = [(sw, -1.0), (prev, after)]
+    sub = np.arange(9).reshape(3, 3)  # rows per (ph, ps): >= then <=
+    locs = _gt_locs(ctx, range(3), range(3))
+    rows.add("swap-event-extract", locs, [(ev, 1.0)] + delta, SENSE_GE, 0.0, sub)
+    rows.add("swap-event-extract", locs, [(ev, 2.0)] + delta, SENSE_LE, 1.0, sub)
+    evs = [ev[..., ps] for ps in range(3)]
+    sub, locs = 9 + np.arange(3), _gt_locs(ctx, range(3))
+    rows.add("swap-event-or", locs, [(e, 1.0) for e in evs] + [(x, -3.0)], SENSE_LE, 0.0, sub)
+    rows.add("swap-event-or", locs, [(x, 1.0)] + [(e, -1.0) for e in evs], SENSE_LE, 0.0, sub)
 
 
-def encode_inrush_gate(ctx: _Ctx, g: Switchgear, t: int) -> None:
+def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
     """Voltage-difference pinning, zeroing, current definition and limits.
 
     The linearized step ``(V_f^2 - V_t^2) / 2 + theta`` is a near-synchronism
@@ -706,84 +766,65 @@ def encode_inrush_gate(ctx: _Ctx, g: Switchgear, t: int) -> None:
     1 p.u., so ``feeder.load_case_dict`` refuses such a switchgear rather
     than this build deriving a guard for it.
     """
-    case, cat, b = ctx.case, ctx.cat, ctx.b
+    case, grid = ctx.case, ctx.grid
+    gears = case.switchgears
     m = ctx.m_dv
-    coef = ctx.inr_coef[g.id]
     w = case.config.angle_window_rad
     v_max = math.sqrt(case.config.v_max_sq)
-    trap_min = float(np.min(g.trapped_v_sq))
-    f_mag = 2.0 / (math.sqrt(case.config.v_min_sq) + math.sqrt(trap_min))
-    f_mag = min(max(f_mag, 1.0), math.sqrt(2.0))
-    for ph in range(3):
-        dv = cat.col("volt_diff", (g.id, t, ph))
-        x = cat.col("swap_any", (g.id, t, ph))
-        f_terms = [(cat.col("volt_sq", (g.feeder_node, k, t, ph)), 0.5) for k in range(ctx.K)]
-        f_terms += [
-            (cat.col("swap", (g.id, t, ph, ps)), -0.5 * float(g.trapped_v_sq[ps]))
-            for ps in range(3)
-        ]
-        f_terms.append((cat.col("angle_diff", (g.id, t, ph)), 1.0))
+
+    def per_gear(values) -> np.ndarray:  # one value per switchgear, on the (G, T, ph) grid
+        return np.array(values, dtype=float).reshape(-1, 1, 1)
+
+    coef = per_gear([ctx.inr_coef[g.id] for g in gears])
+    limit = per_gear([g.inrush_limit_pu for g in gears])
+    f_mag = [2.0 / (math.sqrt(case.config.v_min_sq) + math.sqrt(float(np.min(g.trapped_v_sq)))) for g in gears]
+    f_mag = per_gear([min(max(f, 1.0), math.sqrt(2.0)) for f in f_mag])
+    trap = np.array([g.trapped_v_sq for g in gears], dtype=float).reshape(-1, 1, 1, 3)
+    feeder = [case.node_index[g.feeder_node] for g in gears]
+    dv, x, inr = grid["volt_diff"], grid["swap_any"], grid["inrush"]
+    s_mag, s_ang, theta = grid["inrush_mag"], grid["inrush_ang"], grid["angle_diff"]
+    # the magnitude part (V_f^2 - V_t^2) / 2 of the step, V_t^2 read through the swap
+    mag_terms = [(grid["volt_sq"][feeder, k], 0.5) for k in range(ctx.K)]
+    mag_terms += [(grid["swap"][..., ps], -0.5 * trap[..., ps]) for ps in range(3)]
+    f_terms = mag_terms + [(theta, 1.0)]
+    neg = [(c, -v) for c, v in f_terms]
+    neg_mag = [(c, -v) for c, v in mag_terms]
+    locs = _gt_locs(ctx, range(3))
+    sub = np.arange(3)  # every row of one phase, then the next phase's
+    ph_rows = [
         # dv - F <= M (1 - x)  and  F - dv <= M (1 - x)
-        b.add(
-            "inrush-pin",
-            (g.id, t, ph),
-            [(dv, 1.0)] + [(c, -v) for c, v in f_terms] + [(x, m)],
-            SENSE_LE,
-            m,
-        )
-        b.add(
-            "inrush-pin",
-            (g.id, t, ph),
-            [(dv, -1.0)] + list(f_terms) + [(x, m)],
-            SENSE_LE,
-            m,
-        )
-        b.add("inrush-zero", (g.id, t, ph), [(dv, 1.0), (x, -m)], SENSE_LE, 0.0)
-        b.add("inrush-zero", (g.id, t, ph), [(dv, -1.0), (x, -m)], SENSE_LE, 0.0)
-        inr = cat.col("inrush", (g.id, t, ph))
-        b.add("inrush-def", (g.id, t, ph), [(inr, 1.0), (dv, -coef)], SENSE_EQ, 0.0)
-        b.add("inrush-limit", (g.id, t, ph), [(inr, 1.0)], SENSE_LE, g.inrush_limit_pu)
-        b.add("inrush-limit", (g.id, t, ph), [(inr, -1.0)], SENSE_LE, g.inrush_limit_pu)
-        s_mag = cat.col("inrush_mag", (g.id, t, ph))
-        s_ang = cat.col("inrush_ang", (g.id, t, ph))
-        mag_terms = [(cat.col("volt_sq", (g.feeder_node, k, t, ph)), 0.5) for k in range(ctx.K)]
-        mag_terms += [
-            (cat.col("swap", (g.id, t, ph, ps)), -0.5 * float(g.trapped_v_sq[ps]))
-            for ps in range(3)
-        ]
+        ("inrush-pin", [(dv, 1.0)] + neg + [(x, m)], SENSE_LE, m),
+        ("inrush-pin", [(dv, -1.0)] + f_terms + [(x, m)], SENSE_LE, m),
+        ("inrush-zero", [(dv, 1.0), (x, -m)], SENSE_LE, 0.0),
+        ("inrush-zero", [(dv, -1.0), (x, -m)], SENSE_LE, 0.0),
+        ("inrush-def", [(inr, 1.0), (dv, -coef)], SENSE_EQ, 0.0),
+        ("inrush-limit", [(inr, 1.0)], SENSE_LE, limit),
+        ("inrush-limit", [(inr, -1.0)], SENSE_LE, limit),
         # s_mag >= +/- magnitude component, s_ang >= +/- angle, when closing
-        b.add(
-            "inrush-guard",
-            (g.id, t, ph),
-            [(s_mag, 1.0)] + [(c, -v) for c, v in mag_terms] + [(x, -m)],
-            SENSE_GE,
-            -m,
-        )
-        b.add(
-            "inrush-guard",
-            (g.id, t, ph),
-            [(s_mag, 1.0)] + list(mag_terms) + [(x, -m)],
-            SENSE_GE,
-            -m,
-        )
-        theta = cat.col("angle_diff", (g.id, t, ph))
-        b.add("inrush-guard", (g.id, t, ph), [(s_ang, 1.0), (theta, -1.0), (x, -w)], SENSE_GE, -w)
-        b.add("inrush-guard", (g.id, t, ph), [(s_ang, 1.0), (theta, 1.0), (x, -w)], SENSE_GE, -w)
-        if coef > 0.0:
-            b.add(
-                "inrush-guard",
-                (g.id, t, ph),
-                [(s_mag, coef * f_mag), (s_ang, coef * v_max)],
-                SENSE_LE,
-                math.sqrt(2.0) * g.inrush_limit_pu,
-            )
-        if case.config.delta_v_max_pu is not None:
-            cap = case.config.delta_v_max_pu
-            b.add("voltdiff-cap", (g.id, t, ph), [(dv, 1.0)], SENSE_LE, cap)
-            b.add("voltdiff-cap", (g.id, t, ph), [(dv, -1.0)], SENSE_LE, cap)
+        ("inrush-guard", [(s_mag, 1.0)] + neg_mag + [(x, -m)], SENSE_GE, -m),
+        ("inrush-guard", [(s_mag, 1.0)] + mag_terms + [(x, -m)], SENSE_GE, -m),
+        ("inrush-guard", [(s_ang, 1.0), (theta, -1.0), (x, -w)], SENSE_GE, -w),
+        ("inrush-guard", [(s_ang, 1.0), (theta, 1.0), (x, -w)], SENSE_GE, -w),
+    ]
+    for family, terms, sense, rhs in ph_rows:
+        rows.add(family, locs, terms, sense, rhs, sub)
+    joint = np.broadcast_to(coef > 0.0, dv.shape)
+    rows.add(
+        "inrush-guard",
+        [loc for loc, on in zip(locs, joint.ravel().tolist()) if on],
+        [(s_mag, coef * f_mag), (s_ang, coef * v_max)],
+        SENSE_LE,
+        math.sqrt(2.0) * limit,
+        sub,
+        keep=joint,
+    )
+    if case.config.delta_v_max_pu is not None:
+        cap = case.config.delta_v_max_pu
+        rows.add("voltdiff-cap", locs, [(dv, 1.0)], SENSE_LE, cap, sub)
+        rows.add("voltdiff-cap", locs, [(dv, -1.0)], SENSE_LE, cap, sub)
 
 
-def encode_q_gate(ctx: _Ctx, g: Switchgear, t: int) -> None:
+def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:
     """Damping gate as a linear lower bound on restored downstream load.
 
     The Q-factor chain (damping resistance from the constant-impedance load
@@ -791,121 +832,114 @@ def encode_q_gate(ctx: _Ctx, g: Switchgear, t: int) -> None:
     threshold on total restored lateral demand; the energize flag is only
     admissible above it, unless a crew bypass is spent.
     """
-    cat, b = ctx.cat, ctx.b
-    thr = ctx.gate_thr[g.id]
-    if ctx.opts.ferro_gate and thr > 0.0:
-        terms = [
-            (cat.col("load_p", (nid, t, ph)), 1.0)
-            for nid in g.downstream_nodes
-            for ph in range(3)
-        ]
-        terms.append((cat.col("alpha", (g.id, t)), -thr))
-        terms.append((cat.col("gate_bypass", g.id), thr))
-        b.add("ferro-gate", (g.id, t), terms, SENSE_GE, 0.0)
-    terms = [(cat.col("alpha", (g.id, t)), 1.0), (cat.col("beta", (g.id, t)), -1.0)]
-    if t >= 1:
-        terms.append((cat.col("beta", (g.id, t - 1)), 1.0))
-    b.add("ferro-sequence", (g.id, t), terms, SENSE_GE, 0.0)
+    case, cat, grid = ctx.case, ctx.cat, ctx.grid
+    T = ctx.T
+    bypass = cat.group("gate_bypass").start
+    for i, g in enumerate(case.switchgears):
+        thr = ctx.gate_thr[g.id]
+        if not (ctx.opts.ferro_gate and thr > 0.0):
+            continue
+        load = grid["load_p"][[case.node_index[n] for n in g.downstream_nodes]]  # (node, t, ph)
+        terms = [(load[j, :, ph], 1.0) for j in range(len(g.downstream_nodes)) for ph in range(3)]
+        terms += [(grid["alpha"][i], -thr), (bypass + i, thr)]
+        rows.blocks.append(_block(rows.key()[i], "ferro-gate", [(g.id, t) for t in range(T)], terms, SENSE_GE, 0.0))
+    alpha, beta = grid["alpha"], grid["beta"]
+    prev = np.concatenate([beta[:, :1], beta[:, :-1]], axis=1)  # at t = 0 a placeholder of coefficient 0
+    after = (np.arange(T) >= 1).astype(float)
+    rows.add("ferro-sequence", _gt_locs(ctx), [(alpha, 1.0), (beta, -1.0), (prev, after)], SENSE_GE, 0.0)
 
 
-def encode_linearized_products(ctx: _Ctx, g: Switchgear, t: int) -> None:
+def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
+    case, cat, grid = ctx.case, ctx.cat, ctx.grid
+    gears, K, T = case.switchgears, ctx.K, ctx.T
+    beta = grid["beta"]
+    line = [g.line_index for g in gears]
+    gamma = cat.group("gamma").start + np.array(line, dtype=np.int64).reshape(-1, 1)
+    rows.add("gear-in-topology", _gt_locs(ctx), [(beta, 1.0), (gamma, -1.0)], SENSE_LE, 0.0)
+    u = grid["u"][[case.node_index[g.lateral_node] for g in gears]]  # (G, K)
+    terms = [(beta, 1.0)] + [(u[:, k, None], -1.0) for k in range(K)]
+    rows.add("gear-energize-cover", _gt_locs(ctx), terms, SENSE_LE, 0.0)
+    # per (k, ph): |flow_p|, |flow_q| <= M beta and curr_sq <= ampacity^2 beta
+    fp, fq, cc = (grid[name][line].transpose(0, 2, 1, 3)[..., None] for name in ("flow_p", "flow_q", "curr_sq"))
+    flow = np.concatenate([fp, fp, fq, fq, cc], axis=-1)  # (G, T, K, ph, 5)
+    sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+    cap = np.concatenate(
+        [np.full((len(gears), 3, 4), -ctx.m_flow), -ctx.amp_sq[line][:, :, None]], axis=-1
+    )[:, None, None]  # (G, 1, 1, ph, 5)
+    locs = [
+        (li, k, t, ph) for li in line for t in range(T) for k in range(K) for ph in range(3) for _ in range(5)
+    ]
+    rows.add("gear-flow-gate", locs, [(flow, sign), (beta[:, :, None, None, None], cap)], SENSE_LE, 0.0)
+    for i, g in enumerate(gears):
+        lat = list(g.downstream_lines)
+        if not lat:
+            continue
+        cc = grid["curr_sq"][lat].transpose(2, 0, 1, 3)  # (t, line, k, ph)
+        amp = -ctx.amp_sq[lat][None, :, None, :]
+        locs = [(li, k, t, ph) for t in range(T) for li in lat for k in range(K) for ph in range(3)]
+        key = rows.key()[i].reshape(T, 1, 1, 1)
+        rows.blocks.append(
+            _block(key, "lateral-curr-gate", locs, [(cc, 1.0), (beta[i].reshape(T, 1, 1, 1), amp)], SENSE_LE, 0.0)
+        )
+
+
+def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
     """Selector and bracket rows tying reordered products to the swap choice."""
-    cat, b = ctx.cat, ctx.b
-    for v in range(6):
-        zcol = cat.col("reorder_sel", (g.id, t, v))
-        perm = PERMUTATIONS[v]
-        for ph in range(3):
-            for ps in range(3):
-                if perm[ph, ps] == 0.0:
-                    b.add(
-                        "reorder-select",
-                        (g.id, t, v, ph, ps),
-                        [(zcol, 1.0), (cat.col("swap", (g.id, t, ph, ps)), -1.0)],
-                        SENSE_GE,
-                        0.0,
-                    )
-    b.add(
-        "reorder-pick-one",
-        (g.id, t),
-        [(cat.col("reorder_sel", (g.id, t, v)), 1.0) for v in range(6)],
-        SENSE_LE,
-        5.0,
-    )
-    lines = ctx.bracket_lines[g.id]
-    if not lines:
-        return
-    grid, K = ctx.grid, ctx.K
-    pos = [ctx.bracket_pos[li] for li in lines]
-    # one block, ordered (line, k, ph, variant, row, term) as
-    # _bracket_coefficients lays out the terms
-    curr, fp, fq = (grid[name][lines, :, t, None, None, None, :] for name in ("curr_sq", "flow_p", "flow_q"))
-    y = np.stack([grid[name][pos, :, t] for name in ("y_p", "y_q", "y_v")], axis=-1).repeat(2, axis=-1)
-    sel = grid["reorder_sel"][ctx.gear_pos[g.id], t, :, None]
-    cols = np.zeros((len(lines), K, 3, 6, 6, 11), dtype=np.int64)
-    cols[..., 0] = y[:, :, :, None, :]
-    cols[..., :4, 1:4] = curr
-    cols[..., :4, 4] = sel
-    cols[..., 4:, 1:4] = fp
-    cols[..., 4:, 4:7] = fq
-    cols[..., 4:, 7:10] = curr
-    cols[..., 4:, 10] = sel
-    vals = np.broadcast_to(ctx.bracket_coeffs[g.id][:, None], cols.shape)
-    groups = len(lines) * K * 3 * 6
-    locs = [loc for loc in itertools.product(lines, range(K), (t,), range(3), range(6)) for _ in range(6)]
-    ctx.b.add_rows(
-        _BRACKET_FAMILIES * groups,
-        locs,
-        cols.reshape(-1, 11),
-        vals.reshape(-1, 11),
-        np.tile(_BRACKET_SENSE, groups),
-        0.0,
-    )
-
-
-def _encode_gear_gates(ctx: _Ctx, g: Switchgear, t: int) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
-    beta = cat.col("beta", (g.id, t))
-    b.add(
-        "gear-in-topology",
-        (g.id, t),
-        [(beta, 1.0), (cat.col("gamma", g.line_index), -1.0)],
-        SENSE_LE,
-        0.0,
-    )
-    b.add(
-        "gear-energize-cover",
-        (g.id, t),
-        [(beta, 1.0)] + [(cat.col("u", (g.lateral_node, k)), -1.0) for k in range(ctx.K)],
-        SENSE_LE,
-        0.0,
-    )
-    for k in range(ctx.K):
-        for ph in range(3):
-            fp = cat.col("flow_p", (g.line_index, k, t, ph))
-            fq = cat.col("flow_q", (g.line_index, k, t, ph))
-            b.add("gear-flow-gate", (g.line_index, k, t, ph), [(fp, 1.0), (beta, -ctx.m_flow)], SENSE_LE, 0.0)
-            b.add("gear-flow-gate", (g.line_index, k, t, ph), [(fp, -1.0), (beta, -ctx.m_flow)], SENSE_LE, 0.0)
-            b.add("gear-flow-gate", (g.line_index, k, t, ph), [(fq, 1.0), (beta, -ctx.m_flow)], SENSE_LE, 0.0)
-            b.add("gear-flow-gate", (g.line_index, k, t, ph), [(fq, -1.0), (beta, -ctx.m_flow)], SENSE_LE, 0.0)
-            cc = cat.col("curr_sq", (g.line_index, k, t, ph))
-            b.add(
-                "gear-flow-gate",
-                (g.line_index, k, t, ph),
-                [(cc, 1.0), (beta, -ctx.amp_sq[g.line_index, ph])],
-                SENSE_LE,
-                0.0,
+    case, grid, K, T = ctx.case, ctx.grid, ctx.K, ctx.T
+    sel, sw = grid["reorder_sel"], grid["swap"]
+    # (variant, ph, ps) of every zero entry of each permutation, in that order
+    v, ph, ps = np.nonzero(np.array(PERMUTATIONS) == 0.0)
+    zeros = list(zip(v.tolist(), ph.tolist(), ps.tolist()))
+    locs = [(g.id, t, *idx) for g in case.switchgears for t in range(T) for idx in zeros]
+    rows.add("reorder-select", locs, [(sel[:, :, v], 1.0), (sw[:, :, ph, ps], -1.0)], SENSE_GE, 0.0)
+    rows.add("reorder-pick-one", _gt_locs(ctx), [(sel[..., j], 1.0) for j in range(6)], SENSE_LE, 5.0)
+    for i, g in enumerate(case.switchgears):
+        lines = ctx.bracket_lines[g.id]
+        if not lines:
+            continue
+        pos = [ctx.bracket_pos[li] for li in lines]
+        # one block, ordered (t, line, k, ph, variant, row, term) as
+        # _bracket_coefficients lays out the terms
+        curr, fp, fq = (
+            grid[name][lines].transpose(2, 0, 1, 3)[:, :, :, None, None, None, :]
+            for name in ("curr_sq", "flow_p", "flow_q")
+        )
+        y = np.stack([grid[name][pos].transpose(2, 0, 1, 3) for name in ("y_p", "y_q", "y_v")], axis=-1)
+        y = y.repeat(2, axis=-1)[:, :, :, :, None, :]  # (t, line, k, ph, 1, row)
+        z = sel[i, :, None, None, None, :, None]  # (t, 1, 1, 1, variant, 1)
+        cols = np.zeros((T, len(lines), K, 3, 6, 6, 11), dtype=np.int64)
+        cols[..., 0] = y
+        cols[..., :4, 1:4] = curr
+        cols[..., :4, 4] = z
+        cols[..., 4:, 1:4] = fp
+        cols[..., 4:, 4:7] = fq
+        cols[..., 4:, 7:10] = curr
+        cols[..., 4:, 10] = z
+        vals = np.broadcast_to(ctx.bracket_coeffs[g.id][None, :, None], cols.shape)
+        groups = T * len(lines) * K * 3 * 6
+        # (li, k, t, ph, variant) for each group of six rows
+        locs = list(map(itemgetter(1, 2, 0, 3, 4), itertools.product(range(T), lines, range(K), range(3), range(6))))
+        locs = list(itertools.chain.from_iterable(zip(*[locs] * 6)))
+        key = np.repeat(rows.key()[i], groups // T * 6)
+        rows.blocks.append(
+            RowBlock(
+                key, _BRACKET_FAMILIES * groups, locs, cols.reshape(-1, 11), vals.reshape(-1, 11),
+                np.tile(_BRACKET_SENSE, groups), np.zeros(groups * 6),
             )
-    for li in g.downstream_lines:
-        for k in range(ctx.K):
-            for ph in range(3):
-                cc = cat.col("curr_sq", (li, k, t, ph))
-                b.add(
-                    "lateral-curr-gate",
-                    (li, k, t, ph),
-                    [(cc, 1.0), (beta, -ctx.amp_sq[li, ph])],
-                    SENSE_LE,
-                    0.0,
-                )
+        )
+
+
+def _encode_switchgears(ctx: _Ctx) -> None:
+    """Every switchgear row: per switchgear and period, the steps below in order."""
+    rows = _GearRows(ctx)
+    steps = [encode_swap_structure, encode_swap_transition, encode_inrush_gate, encode_q_gate, _encode_gear_gates]
+    if ctx.opts.fixed_reorder is None:
+        steps.append(encode_linearized_products)
+    for step, encode in enumerate(steps):
+        rows.step = step
+        encode(ctx, rows)
+    if rows.blocks:
+        ctx.b.add_blocks(rows.blocks)
 
 
 # -- resources ---------------------------------------------------------------
@@ -960,46 +994,38 @@ def _encode_ess(ctx: _Ctx) -> None:
 
 
 def _encode_loads(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
-    for n in case.nodes:
-        gear = case.gear_of_downstream_node(n.id)
-        for t in range(ctx.T):
-            if gear is not None:
-                for ph in range(3):
-                    terms = [(cat.col("load_p", (n.id, t, ph)), 1.0)]
-                    terms += [
-                        (cat.col("swap", (gear.id, t, ph, ps)), -float(n.load_p[t, ps]))
-                        for ps in range(3)
-                        if n.load_p[t, ps] != 0.0
-                    ]
-                    b.add("lateral-load-map-p", (n.id, t, ph), terms, SENSE_EQ, 0.0)
-                    terms = [(cat.col("load_q", (n.id, t, ph)), 1.0)]
-                    terms += [
-                        (cat.col("swap", (gear.id, t, ph, ps)), -float(n.load_q[t, ps]))
-                        for ps in range(3)
-                        if n.load_q[t, ps] != 0.0
-                    ]
-                    b.add("lateral-load-map-q", (n.id, t, ph), terms, SENSE_EQ, 0.0)
-            else:
-                for ph in n.phases:
-                    dp = float(n.load_p[t, ph])
-                    if dp <= 0.0:
-                        continue
-                    terms = [(cat.col("load_p", (n.id, t, ph)), 1.0)]
-                    terms += [(cat.col("u", (n.id, k)), -dp) for k in range(ctx.K)]
-                    b.add("load-pickup-lim", (n.id, t, ph), terms, SENSE_LE, 0.0)
-                    dq = float(n.load_q[t, ph])
-                    if dq != 0.0:
-                        b.add(
-                            "load-pq-ratio",
-                            (n.id, t, ph),
-                            [
-                                (cat.col("load_q", (n.id, t, ph)), dp),
-                                (cat.col("load_p", (n.id, t, ph)), -dq),
-                            ],
-                            SENSE_EQ,
-                            0.0,
-                        )
+    """Per node, period and phase: a lateral node's demand through the swap, else the pickup rows."""
+    case, grid, T, K = ctx.case, ctx.grid, ctx.T, ctx.K
+    load_p, load_q = np.stack([n.load_p for n in case.nodes]), np.stack([n.load_q for n in case.nodes])
+    key = np.arange(len(case.nodes) * T * 3).reshape(-1, T, 3)
+    lat = [i for i, n in enumerate(case.nodes) if case.gear_of_downstream_node(n.id) is not None]
+    gear = [ctx.gear_pos[case.gear_of_downstream_node(case.nodes[i].id).id] for i in lat]
+    sw = grid["swap"][gear]  # (node, t, ph, ps)
+    locs = [(case.nodes[i].id, t, ph) for i in lat for t in range(T) for ph in range(3)]
+    blocks = [
+        _block(
+            key[lat], family, locs,
+            [(grid[name][lat], 1.0)] + [(sw[..., ps], -demand[lat][:, :, None, ps]) for ps in range(3)],
+            SENSE_EQ, 0.0,
+        )
+        for family, name, demand in (("lateral-load-map-p", "load_p", load_p), ("lateral-load-map-q", "load_q", load_q))
+    ]
+    # any other node: covered demand may be served, at its power factor
+    live = np.zeros((len(case.nodes), 1, 3), dtype=bool)
+    for i, n in enumerate(case.nodes):
+        live[i, 0, list(n.phases)] = i not in lat
+    served = live & (load_p > 0.0)
+    ratio = served & (load_q != 0.0)
+    ids = [n.id for n in case.nodes]
+    u = grid["u"][:, None, None, :]
+    p, q = grid["load_p"], grid["load_q"]
+    for family, keep, terms, sense in (
+        ("load-pickup-lim", served, [(p, 1.0)] + [(u[..., k], -load_p) for k in range(K)], SENSE_LE),
+        ("load-pq-ratio", ratio, [(q, load_p), (p, -load_q)], SENSE_EQ),
+    ):
+        locs = [(ids[i], t, ph) for i, t, ph in zip(*(a.tolist() for a in np.nonzero(keep)))]
+        blocks.append(_block(key, family, locs, terms, sense, 0.0, keep))
+    ctx.b.add_blocks(blocks)
 
 
 # -- power flow ----------------------------------------------------------------
@@ -1018,8 +1044,8 @@ class _PeriodRows:
     A term is ``(column at t = 0, column step per period, coefficient)``:
     the step is 3 for a ``(..., t, ph)`` group, 1 for ``beta`` and 0 for
     ``u``.  A row's ``head`` ``(id, k, ph)`` becomes its loc ``(id, k, t,
-    ph)``.  Period t is one block: every row and cone of period 0, in the
-    order stated, with each column moved by ``t * step``.
+    ph)``.  The horizon is one block, period by period: every row and cone
+    of period 0, in the order stated, with each column moved by ``t * step``.
     """
 
     def __init__(self) -> None:
@@ -1064,19 +1090,31 @@ class _PeriodRows:
         self.cones.append((self._head(head), int(col_i), int(col_v), int(col_p), int(col_q)))
 
     def emit(self, b: ModelBuilder, T: int) -> None:
-        width = max(map(len, self.terms), default=0)
-        col0 = np.zeros((len(self.terms), width), dtype=np.int64)
+        n = np.array([len(terms) for terms in self.terms], dtype=np.int64)
+        row = np.repeat(np.arange(n.size), n)
+        at = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)  # each term's place in its row
+        col0 = np.zeros((n.size, n.max(initial=0)), dtype=np.int64)
         step = np.zeros_like(col0)
         vals = np.zeros(col0.shape)
-        for r, terms in enumerate(self.terms):
-            col0[r, : len(terms)], step[r, : len(terms)], vals[r, : len(terms)] = zip(*terms)
-        sense = np.array(self.sense, dtype=np.int8)
-        rhs = np.array(self.rhs)
-        for t in range(T):
-            locs = [(a, k, t, ph) for a, k, ph in self.heads]
-            b.add_rows(self.families, [locs[h] for h in self.row_head], col0 + t * step, vals, sense, rhs)
-            for h, ci, cv, cp, cq in self.cones:
-                b.add_cone("cone", locs[h], ci + 3 * t, cv + 3 * t, cp + 3 * t, cq + 3 * t)
+        if row.size:
+            c, s, v = zip(*itertools.chain.from_iterable(self.terms))
+            col0[row, at], step[row, at], vals[row, at] = c, s, v
+        periods = np.arange(T)[:, None, None]
+        locs = [[(a, k, t, ph) for a, k, ph in self.heads] for t in range(T)]
+        b.add_rows(
+            self.families * T,
+            list(itertools.chain.from_iterable(map(heads.__getitem__, self.row_head) for heads in locs)),
+            (col0 + periods * step).reshape(-1, col0.shape[1]),
+            np.broadcast_to(vals, (T,) + vals.shape).reshape(-1, vals.shape[1]),
+            np.tile(np.array(self.sense, dtype=np.int8), T),
+            np.tile(np.array(self.rhs, dtype=np.float64), T),
+        )
+        cones = np.array([c[1:] for c in self.cones], dtype=np.int64).reshape(-1, 4)
+        b.add_cones(
+            "cone",
+            [heads[c[0]] for heads in locs for c in self.cones],
+            (cones + 3 * periods).reshape(-1, 4),
+        )
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:
@@ -1170,50 +1208,63 @@ def _encode_power_flow(ctx: _Ctx) -> None:
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
+    """Per node, period and live phase: the range row, then one cover row per microgrid."""
+    case, grid, K = ctx.case, ctx.grid, ctx.K
     vmin, vmax = case.config.v_min_sq, case.config.v_max_sq
-    for n in case.nodes:
-        live = ctx.node_phases(n.id)
-        for t in range(ctx.T):
-            for ph in live:
-                vs = [(cat.col("volt_sq", (n.id, k, t, ph)), 1.0) for k in range(ctx.K)]
-                us_min = [(cat.col("u", (n.id, k)), -vmin) for k in range(ctx.K)]
-                b.add("volt-range", (n.id, t, ph), vs + us_min, SENSE_GE, 0.0)
-                for k in range(ctx.K):
-                    b.add(
-                        "volt-cover",
-                        (n.id, k, t, ph),
-                        [
-                            (cat.col("volt_sq", (n.id, k, t, ph)), 1.0),
-                            (cat.col("u", (n.id, k)), -vmax),
-                        ],
-                        SENSE_LE,
-                        0.0,
-                    )
+    live = np.zeros((len(case.nodes), 1, 3), dtype=bool)
+    for i, n in enumerate(case.nodes):
+        live[i, 0, list(ctx.node_phases(n.id))] = True
+    live = np.broadcast_to(live, (len(case.nodes), ctx.T, 3))
+    at = list(zip(*(a.tolist() for a in np.nonzero(live))))
+    ids = [n.id for n in case.nodes]
+    vs = grid["volt_sq"].transpose(0, 2, 3, 1)  # (node, t, ph, k)
+    u = grid["u"][:, None, None, :]
+    key = np.arange(live.size).reshape(live.shape)
+    rng = _block(
+        key, "volt-range", [(ids[i], t, ph) for i, t, ph in at],
+        [(vs[..., k], 1.0) for k in range(K)] + [(u[..., k], -vmin) for k in range(K)], SENSE_GE, 0.0, live,
+    )
+    cover = _block(
+        key[..., None], "volt-cover", [(ids[i], k, t, ph) for i, t, ph in at for k in range(K)],
+        [(vs, 1.0), (u, -vmax)], SENSE_LE, 0.0, live[..., None],
+    )
+    ctx.b.add_blocks([rng, cover])
 
 
 def _encode_objective(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
+    """Served load weighted by priority, less line losses and bypass penalties, per unit time."""
+    case, cat, grid, b = ctx.case, ctx.cat, ctx.grid, ctx.b
     dt = ctx.dt
-    for n in case.nodes:
-        for t in range(ctx.T):
-            for ph in range(3):
-                col = cat.col("load_p", (n.id, t, ph))
-                b.add_obj(col, n.weight * dt)
+    b.add_obj(grid["load_p"], np.array([n.weight * dt for n in case.nodes])[:, None, None])
     for k in range(ctx.K):
-        o = ctx.orient[k]
-        for li in o.direction:
-            bracketed = li in ctx.bracketed
-            for t in range(ctx.T):
-                for ph in ctx.line_phases(li):
-                    if bracketed:
-                        b.add_obj(cat.col("y_p", (li, k, t, ph)), -dt)
-                    else:
-                        colsum = float(ctx.coeffs[li].r[:, ph].sum())
-                        if colsum != 0.0:
-                            b.add_obj(cat.col("curr_sq", (li, k, t, ph)), -colsum * dt)
-    for g in case.switchgears:
-        b.add_obj(cat.col("gate_bypass", g.id), -case.config.bypass_penalty)
+        for li in ctx.orient[k].direction:
+            phases = list(ctx.line_phases(li))
+            if li in ctx.bracketed:
+                b.add_obj(grid["y_p"][ctx.bracket_pos[li], k][:, phases], -dt)
+                continue
+            colsum = [float(ctx.coeffs[li].r[:, ph].sum()) for ph in phases]
+            on = [ph for ph, c in zip(phases, colsum) if c != 0.0]
+            b.add_obj(grid["curr_sq"][li, k][:, on], [-c * dt for c in colsum if c != 0.0])
+    gates = cat.group("gate_bypass")
+    b.add_obj(gates.start + np.arange(gates.size), -case.config.bypass_penalty)
+
+
+@contextmanager
+def _collector_paused():
+    """Python's cyclic garbage collector paused for the block, as it was after.
+
+    The build allocates a tuple per row tag and a few lists as long as the
+    model, none in a reference cycle; collections triggered by those
+    allocations, each scanning the growing lists, took about a fifth of the
+    ``feeder123`` build.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def build_model(case: FeederCase, options: BuildOptions | None = None) -> LinearModel:
@@ -1233,23 +1284,16 @@ def build_model(case: FeederCase, options: BuildOptions | None = None) -> Linear
             raise UnformulatableError(
                 f"switchgear {g.id!r}: feeder-side node must be three-phase"
             )
-    ctx = _Ctx(case, opts)
-    _add_columns(ctx)
-    _encode_topology(ctx)
-    for g in case.switchgears:
-        for t in range(ctx.T):
-            encode_swap_structure(ctx, g, t)
-            encode_swap_transition(ctx, g, t)
-            encode_inrush_gate(ctx, g, t)
-            encode_q_gate(ctx, g, t)
-            _encode_gear_gates(ctx, g, t)
-            if opts.fixed_reorder is None:
-                encode_linearized_products(ctx, g, t)
-    _encode_ess(ctx)
-    _encode_loads(ctx)
-    _encode_power_flow(ctx)
-    _encode_voltage_ranges(ctx)
-    _encode_objective(ctx)
+    with _collector_paused():
+        ctx = _Ctx(case, opts)
+        _add_columns(ctx)
+        _encode_topology(ctx)
+        _encode_switchgears(ctx)
+        _encode_ess(ctx)
+        _encode_loads(ctx)
+        _encode_power_flow(ctx)
+        _encode_voltage_ranges(ctx)
+        _encode_objective(ctx)
     meta = {
         "name": case.name,
         "kw_base": case.config.kw_base,

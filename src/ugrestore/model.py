@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -69,16 +71,30 @@ class Violation:
     detail: str = ""
 
 
+class RowBlock(NamedTuple):
+    """Rows for :meth:`ModelBuilder.add_blocks`: an :meth:`ModelBuilder.add_rows` block and each row's key."""
+
+    key: np.ndarray
+    family: str | list[str]
+    locs: list
+    cols: np.ndarray
+    vals: np.ndarray
+    sense: int | np.ndarray
+    rhs: float | np.ndarray
+
+
 class ModelBuilder:
     """Row-by-row and block-wise assembly of a :class:`LinearModel`.
 
     Rows land in the order they are appended, and that order is fixed: the
     export and the LP both read it, and a warm-started simplex path depends
     on it.  :meth:`add` appends one row; :meth:`add_rows` appends a
-    zero-padded block of rows and stores exactly what the same rows
-    appended one by one would store.  The formulation emits its bracket,
-    balance, voltage-drop and line-limit rows as blocks and the small
-    families row by row.
+    zero-padded block of rows and :meth:`add_blocks` several blocks
+    interleaved by a key, and both store exactly what the same rows
+    appended one by one would store.  The formulation builds every family
+    of the switchgear schedule, the loads, the power flow and the voltage
+    ranges as blocks, and the objective as arrays; only the topology and
+    the storage rows, a few thousand on the largest case, go row by row.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
@@ -90,7 +106,7 @@ class ModelBuilder:
         self._rhs = array("d")
         self._families: list[str] = []
         self._locs: list[tuple | None] = []
-        self._obj: dict[int, float] = {}
+        self._obj: list[tuple[np.ndarray, np.ndarray]] = []
         self._cones: list[ConeRow] = []
 
     @property
@@ -120,28 +136,64 @@ class ModelBuilder:
         stays two entries.  ``family`` is one name or one per row; ``sense``
         and ``rhs`` are scalars or one per row; ``locs`` holds tuples.
         """
-        n = len(locs)
-        keep = vals != 0.0
-        rows = np.nonzero(keep)[0] + len(self._sense)
-        self._coo_r.frombytes(rows.astype(np.int64).tobytes())
-        self._coo_c.frombytes(np.asarray(cols, dtype=np.int64)[keep].tobytes())
-        self._coo_v.frombytes(np.asarray(vals, dtype=np.float64)[keep].tobytes())
-        self._sense.frombytes(np.broadcast_to(np.asarray(sense, dtype=np.int8), (n,)).tobytes())
-        self._rhs.frombytes(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (n,)).tobytes())
-        self._families.extend([family] * n if isinstance(family, str) else family)
+        self.add_blocks([RowBlock(np.zeros(len(locs), dtype=np.int64), family, locs, cols, vals, sense, rhs)])
+
+    def add_blocks(self, blocks: list[RowBlock]) -> None:
+        """Append the rows of ``blocks`` in the order of their keys, a stable order.
+
+        The rows of one key come block by block, each block's in its own
+        order: what :meth:`add_rows` of each block's rows of the smallest
+        key, then of the next one, and so on, would store.
+        """
+        n = [len(b.key) for b in blocks]
+        if [len(b.locs) for b in blocks] != n:
+            raise ValueError("a block needs one loc per row")
+        key = np.concatenate([b.key for b in blocks])
+        kept = [np.asarray(b.vals, dtype=np.float64) != 0.0 for b in blocks]
+        count = np.concatenate([k.sum(axis=1) for k in kept])
+        cols = np.concatenate([np.asarray(b.cols, dtype=np.int64)[k] for b, k in zip(blocks, kept)])
+        vals = np.concatenate([np.asarray(b.vals, dtype=np.float64)[k] for b, k in zip(blocks, kept)])
+        sense = np.concatenate([np.broadcast_to(np.asarray(b.sense, dtype=np.int8), (k,)) for b, k in zip(blocks, n)])
+        rhs = np.concatenate([np.broadcast_to(np.asarray(b.rhs, dtype=np.float64), (k,)) for b, k in zip(blocks, n)])
+        families = list(
+            chain.from_iterable([b.family] * k if isinstance(b.family, str) else b.family for b, k in zip(blocks, n))
+        )
+        locs = list(chain.from_iterable(b.locs for b in blocks))
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            # the entries of row order[i], which lands as row i, one after another
+            start, count = (np.cumsum(count) - count)[order], count[order]
+            entry = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
+            cols, vals, sense, rhs = cols[entry], vals[entry], sense[order], rhs[order]
+            order = order.tolist()
+            families, locs = map(families.__getitem__, order), map(locs.__getitem__, order)
+        self._coo_r.frombytes(np.repeat(np.arange(len(self._sense), len(self._sense) + key.size), count).tobytes())
+        self._coo_c.frombytes(cols.tobytes())
+        self._coo_v.frombytes(vals.tobytes())
+        self._sense.frombytes(sense.tobytes())
+        self._rhs.frombytes(rhs.tobytes())
+        self._families.extend(families)
         self._locs.extend(locs)
 
     def add_cone(self, family: str, loc, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
         self._cones.append(ConeRow(col_i, col_v, col_p, col_q, family, tuple(loc)))
 
-    def add_obj(self, col: int, coef: float) -> None:
-        self._obj[col] = self._obj.get(col, 0.0) + coef
+    def add_cones(self, family: str, locs: list, cols: np.ndarray) -> None:
+        """Append one cone per row of ``cols``, its (I, V, P, Q) columns, tagged ``locs`` (tuples)."""
+        fields = zip(*np.asarray(cols, dtype=np.int64).T.tolist(), repeat(family), locs)
+        self._cones.extend(map(partial(tuple.__new__, ConeRow), fields))
+
+    def add_obj(self, cols, coefs) -> None:
+        """Add ``coefs`` to the objective coefficients of ``cols`` (arrays or scalars), in order."""
+        cols = np.asarray(cols, dtype=np.int64)
+        # flat and of one shape: ``np.add.at`` misreads a broadcast value array
+        self._obj.append((cols.ravel(), np.broadcast_to(np.asarray(coefs, dtype=np.float64), cols.shape).ravel()))
 
     def build(self, meta: dict | None = None) -> "LinearModel":
         lb, ub, binary = self.catalog.finalize()
         obj = np.zeros(self.catalog.ncols)
-        for col, coef in self._obj.items():
-            obj[col] = coef
+        for cols, coefs in self._obj:
+            np.add.at(obj, cols, coefs)
         return LinearModel(
             catalog=self.catalog,
             col_lb=lb,

@@ -19,7 +19,7 @@ every linear row, cone row, column bound and binary's integrality.
 After the root LP and the diver, if the incumbent does not yet dominate the
 root, one outer-approximation master (:func:`lp.master_bound`: the model as
 a MIP in HiGHS, its cone rows replaced by the seed tangents of
-``initial_cone_cuts``) gets at most half the time left.  Its MIP dual bound
+``cuts.seed_tangents``) gets at most half the time left.  Its MIP dual bound
 caps every node's bound, so when the incumbent dominates it the search ends
 at the root.  The master is given the incumbent's dominance threshold (see
 below) and stops as soon as its dual bound reaches it, since a tighter
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from ugrestore.model import LinearModel
-from ugrestore.solver.cuts import cone_violations, incumbent_tangents, initial_cone_cuts, soc_cut
+from ugrestore.solver.cuts import cone_violations, incumbent_tangents, seed_tangents, soc_cut
 from ugrestore.solver.lp import LpBackend, LpResult, infeasibility_hint, master_bound
 
 MAX_OA_ROUNDS = 80  # at the root and at integral candidates
@@ -172,7 +172,7 @@ class _Search:
         if left > 0.0:
             self.backend.release()
             self.master_bound = master_bound(
-                self.model, initial_cone_cuts(self.model), 0.5 * left, self.dominance_threshold()
+                self.model, seed_tangents(self.model), 0.5 * left, self.dominance_threshold()
             )
         return self.master_bound
 

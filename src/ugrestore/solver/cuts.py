@@ -15,7 +15,8 @@ boundary points:
   approximation's first linearization, which the search loads before its
   root LP;
 - :func:`unit_tangents` sweeps unit-voltage points, the seed rows of the
-  MPS export and of the outer-approximation master.
+  MPS export and of the outer-approximation master, which
+  :func:`seed_tangents` lays out for every cone as one array block.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from ugrestore.model import ConeRow, LinearModel
 from ugrestore.solver.lp import Cut
@@ -134,8 +136,29 @@ def unit_tangents(
     return planes
 
 
+def seed_tangents(model: LinearModel, n_angles: int = CONE_TANGENTS) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The :func:`unit_tangents` planes of every cone, cone by cone: CSR rows and their right-hand sides.
+
+    Row ``n_angles * cone + angle`` holds the plane's coefficients on the
+    cone's (I, V, P, Q) columns, exact zeros included, so the rows are
+    those of :func:`initial_cone_cuts`, in its order.
+    """
+    planes = unit_tangents(n_angles)
+    cone_cols = model.cone_cols
+    n = len(cone_cols) * n_angles
+    rows = sp.csr_matrix(
+        (
+            np.tile([coefs for coefs, _ in planes], (len(cone_cols), 1)).ravel(),
+            np.repeat(cone_cols, n_angles, axis=0).ravel(),
+            np.arange(0, 4 * n + 1, 4),
+        ),
+        shape=(n, model.ncols),
+    )
+    return rows, np.tile([rhs for _, rhs in planes], len(cone_cols))
+
+
 def initial_cone_cuts(model: LinearModel, n_angles: int = CONE_TANGENTS) -> list[Cut]:
-    """The :func:`unit_tangents` planes of every cone, cone by cone."""
+    """The :func:`unit_tangents` planes of every cone, cone by cone, as :class:`Cut` objects."""
     planes = unit_tangents(n_angles)
     return [
         Cut(cols=(cone.col_i, cone.col_v, cone.col_p, cone.col_q), coefs=coefs, rhs=rhs)

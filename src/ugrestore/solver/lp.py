@@ -51,8 +51,8 @@ but keeps the restriction, the cut pool and the basis; the next ``solve`` or
 ``add_cuts`` reloads the restricted model and the pool rows and restores the
 basis, so the search can free its instance while another one runs.
 
-:func:`master_bound` solves the full model once as a MIP, with a list of
-cuts in place of the cone rows, and returns its MIP dual bound; file
+:func:`master_bound` solves the full model once as a MIP, with a block of
+cut rows in place of the cone rows, and returns its MIP dual bound; file
 descriptor 1 is silenced during that run (:func:`quiet_stdout`), because
 the HiGHS MIP solver prints there even with ``output_flag`` off.  Given a stop target, a
 ``kCallbackMipInterrupt`` callback ends the run as soon as the dual bound
@@ -77,6 +77,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize._highspy._core import (  # private; a test pins every member used
     HighsIis,
     HighsModelStatus,
@@ -180,12 +181,19 @@ def _pinned(lb: np.ndarray, ub: np.ndarray, fixes: dict[int, float]):
 
 
 def _add_rows(highs: _Highs, cuts: list[Cut]) -> None:
-    """Append one row ``coefs . x[cols] <= rhs`` per cut (HiGHS drops zero coefficients)."""
-    starts = np.cumsum([0] + [len(c.cols) for c in cuts])[:-1].astype(np.int32)
-    cols = np.array([j for c in cuts for j in c.cols], dtype=np.int32)
+    """Append one row ``coefs . x[cols] <= rhs`` per cut."""
+    starts = np.cumsum([0] + [len(c.cols) for c in cuts])[:-1]
+    cols = np.array([j for c in cuts for j in c.cols])
     coefs = np.array([a for c in cuts for a in c.coefs], dtype=float)
-    rhs = np.array([c.rhs for c in cuts], dtype=float)
-    status = highs.addRows(len(cuts), np.full(len(cuts), -np.inf), rhs, cols.size, starts, cols, coefs)
+    _add_block(highs, starts, cols, coefs, np.array([c.rhs for c in cuts], dtype=float))
+
+
+def _add_block(highs: _Highs, starts, cols, coefs: np.ndarray, rhs: np.ndarray) -> None:
+    """Append row ``i`` as ``coefs[k] . x[cols[k]] <= rhs[i]``, k from ``starts[i]`` (HiGHS drops zero coefficients)."""
+    n = rhs.size
+    status = highs.addRows(
+        n, np.full(n, -np.inf), rhs, len(cols), np.asarray(starts, np.int32), np.asarray(cols, np.int32), coefs
+    )
     _check(status, "a cut row")
 
 
@@ -223,14 +231,16 @@ def quiet_stdout():
 
 
 def master_bound(
-    model: LinearModel, cuts: list[Cut], time_limit: float, stop_at: float = -np.inf
+    model: LinearModel, seeds: tuple[sp.csr_matrix, np.ndarray], time_limit: float, stop_at: float = -np.inf
 ) -> float:
-    """Upper bound from the MIP over the model rows and ``cuts``, binaries integral.
+    """Upper bound from the MIP over the model rows and the rows ``seeds``, binaries integral.
 
-    With valid cone cuts in place of the cone rows this is an
-    outer-approximation master (Duran & Grossmann 1986): its MIP dual bound
-    bounds the model.  Only an optimal or time-limited run with a finite
-    dual bound yields one; any other outcome is +inf.
+    ``seeds`` is a CSR block of ``<=`` rows and their right-hand sides, as
+    :func:`cuts.seed_tangents` builds them.  With valid cone cuts in place
+    of the cone rows this is an outer-approximation master (Duran &
+    Grossmann 1986): its MIP dual bound bounds the model.  Only an optimal
+    or time-limited run with a finite dual bound yields one; any other
+    outcome is +inf.
 
     ``stop_at`` is a target: a ``kCallbackMipInterrupt`` callback stops the
     run as soon as the MIP dual bound reaches it, and that dual bound is
@@ -244,8 +254,9 @@ def master_bound(
     binary = np.flatnonzero(model.col_binary).astype(np.int32)
     status = h.changeColsIntegrality(binary.size, binary, np.ones(binary.size, dtype=np.uint8))
     _check(status, "the integrality")
-    if cuts:
-        _add_rows(h, cuts)
+    rows, rhs = seeds
+    if rhs.size:
+        _add_block(h, rows.indptr[:-1], rows.indices, rows.data, rhs)
     for name, value in _MASTER_OPTIONS.items():
         h.setOptionValue(name, value)
     h.setOptionValue("time_limit", max(0.0, time_limit))

@@ -8,15 +8,19 @@ All formats carry a version header.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain, islice, repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
 from ugrestore.solver.bnb import Solution
-from ugrestore.solver.cuts import unit_tangents
+from ugrestore.solver.cuts import seed_tangents
 
 MPS_HEADER = "* ugrestore mps export v1"
 CONE_HEADER = "* ugrestore cone sidecar v1"
@@ -31,20 +35,30 @@ class SolutionImportError(ValueError):
     pass
 
 
-def _col_name(idx: int) -> str:
-    return f"C{idx:07d}"
+# Export: every section is a stream of parts written in order, each part a
+# constant or a chunk of at most ``CHUNK_LINES`` lines assembled from numpy
+# arrays.  A line is a record of fixed-width byte-string fields, one array of
+# ``S`` strings per field or one constant; a field shorter than its width is
+# padded with NUL bytes, which are dropped from the chunk's bytes (no text
+# written here holds one), so fields of varying width line up.
+#
+# - Names: the ``C``/``R``/``K`` names of all columns and rows are built once
+#   as tables, one 8-byte string per name (wider past 9,999,999), and each
+#   line gathers its names from them.
+# - Values: each value is written as its ``repr``, formatted once per
+#   distinct value.  The distinct values come from ``np.unique`` on the
+#   values' bits, which hashes rather than sorts all of them (NumPy >= 2.3)
+#   when no inverse is asked for; a chunk finds its values' texts by
+#   ``searchsorted`` into the sorted distinct bits.
+# - Pool: a small thread pool, one per file written, assembles the chunks
+#   while the calling thread prepares the next section and writes the
+#   finished chunks in order; NumPy releases the GIL in the gathers, the
+#   record fill and the NUL filter.  At most ``2 * workers`` parts are in
+#   flight, so the memory held stays a few chunks whatever the model's size.
 
+CHUNK_LINES = 1 << 16  # lines per assembled chunk
+MAX_WORKERS = 4  # threads that assemble chunks, at most
 
-# Export: every section is assembled as text blocks from numpy arrays, one
-# chunk of lines at a time.  A field is a line's part for each line of a
-# chunk: an (n, w) uint8 array of bytes and an (n, w) mask of the bytes kept,
-# or None when all are, so parts of varying width (``OBJ`` beside
-# ``R0000012``, value texts) line up.  Joining the fields and keeping the
-# masked bytes in row-major order yields the lines.
-
-CHUNK_LINES = 1 << 16  # lines per assembled block; bounds the export's memory
-
-_Field = tuple[np.ndarray, np.ndarray | None]
 _INTORG = b"    MARKER    'MARKER'    'INTORG'\n"
 _INTEND = b"    MARKER    'MARKER'    'INTEND'\n"
 # the four ASCII digits of 0..9999, each packed into one uint32
@@ -56,13 +70,17 @@ _QUADS = (
 )
 
 
-def _text(text: str, n: int) -> _Field:
-    row = np.frombuffer(text.encode(), dtype=np.uint8)
-    return np.broadcast_to(row, (n, row.size)), None
+def _workers() -> int:
+    """Threads for the export pool: the CPUs this process may run on, at most ``MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_WORKERS))
 
 
-def _name(letter, idx: np.ndarray) -> _Field:
-    """``f"{letter}{idx:07d}"`` per line; ``letter`` is one byte value or one per line."""
+def _name(letter: bytes, idx) -> np.ndarray:
+    """``f"{letter}{i:07d}"`` for each index ``i``, as ``S`` strings (NUL-padded when wider)."""
     idx = np.asarray(idx, dtype=np.int64)
     width = max(7, len(str(int(idx.max())))) if idx.size else 7
     groups = -(-(width + 1) // 4)  # four-digit groups, with room for the letter
@@ -71,174 +89,155 @@ def _name(letter, idx: np.ndarray) -> _Field:
     for g in range(groups - 1, -1, -1):
         rest, quad = np.divmod(rest, 10_000)
         quads[:, g] = _QUADS[quad]
-    out = quads.view(np.uint8)[:, 4 * groups - width - 1 :]
-    out[:, 0] = letter  # over a leading zero
-    if width == 7:
-        return out, None
-    # only the leading zeros that pad to seven digits are written
-    shown = np.maximum(7, [len(str(i)) for i in idx.tolist()])
-    keep = np.ones(out.shape, dtype=bool)
-    keep[:, 1:] = np.arange(width) >= width - shown[:, None]
-    return out, keep
+    out = np.ascontiguousarray(quads.view(np.uint8)[:, 4 * groups - width - 1 :])
+    if width > 7:  # only the leading zeros that pad to seven digits are written
+        shown = np.maximum(7, [len(str(i)) for i in idx.tolist()])
+        out[:, 1:][np.arange(width) < width - shown[:, None]] = 0
+    out[:, 0] = ord(letter)  # over a leading zero
+    return out.view(f"S{width + 1}").reshape(-1)
 
 
-def _texts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """A table of texts: their UTF-8 bytes zero-padded to one width, and the mask of real bytes."""
-    raw = [t.encode() for t in texts]
-    padded = np.array(raw, dtype=bytes) if raw else np.zeros(0, dtype="S1")
-    padded = padded.view(np.uint8).reshape(len(raw), padded.itemsize)
-    return padded, np.arange(padded.shape[1]) < np.array([len(r) for r in raw])[:, None]
+def _lines(*fields) -> bytes:
+    """The lines whose fields are ``fields`` side by side, each field a ``bytes``
+    constant or an ``S`` array with one string per line; NUL bytes are dropped."""
+    n = next(len(f) for f in fields if isinstance(f, np.ndarray))
+    widths = [f.dtype if isinstance(f, np.ndarray) else f"S{len(f)}" for f in fields]
+    block = np.empty(n, dtype=[(f"f{i}", w) for i, w in enumerate(widths)])
+    for i, f in enumerate(fields):
+        block[f"f{i}"] = f
+    raw = block.view(np.uint8)
+    return raw[raw != 0].tobytes()
 
 
-def _table(table: tuple[np.ndarray, np.ndarray], ids: np.ndarray) -> _Field:
-    """Entries ``ids`` of a table built by :func:`_texts`."""
-    return np.take(table[0], ids, axis=0), np.take(table[1], ids, axis=0)
-
-
-def _values(values: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The table of the distinct values' ``repr`` lines, and each value's entry.
+def _value_texts(values: np.ndarray):
+    """``texts(lo, hi)``: the ``repr`` line of each of ``values[lo:hi]``, as ``S`` strings.
 
     Values are told apart by their bits, so ``-0.0`` keeps its sign.
     """
-    bits, ids = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    return _texts([f"{v!r}\n" for v in bits.view(np.float64).tolist()]), ids.reshape(-1)
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys = np.unique(bits)
+    table = np.array([f"{v!r}\n".encode() for v in keys.view(np.float64).tolist()], dtype=bytes)
+    return lambda lo, hi: table[np.searchsorted(keys, bits[lo:hi])]
 
 
-def _join(*fields: _Field) -> bytes:
-    block = np.hstack([b for b, _ in fields])
-    if all(k is None for _, k in fields):
-        return block.tobytes()
-    keep = np.hstack([np.broadcast_to(True, b.shape) if k is None else k for b, k in fields])
-    return block[keep].tobytes()
-
-
-def _row_name(row: np.ndarray, nrows: int) -> _Field:
-    """``OBJ`` for row -1, ``R`` for a model row, ``K`` for a tangent row past them."""
-    tangent = row >= nrows
-    out, keep = _name(np.where(tangent, ord("K"), ord("R")), np.where(tangent, row - nrows, row))
-    obj = row < 0
-    if obj.any():
-        keep = np.ones(out.shape, dtype=bool) if keep is None else keep
-        out[obj, :3] = np.frombuffer(b"OBJ", dtype=np.uint8)
-        keep[obj, 3:] = False
-    return out, keep
-
-
-def _write_chunked(fh, n: int, lines) -> None:
-    """Write ``lines(lo, hi)`` for consecutive chunks of ``range(n)``."""
+def _chunks(n: int, lines):
+    """The parts ``lines(lo, hi)`` over consecutive chunks of ``range(n)``."""
     for lo in range(0, n, CHUNK_LINES):
-        fh.write(lines(lo, min(n, lo + CHUNK_LINES)))
+        yield partial(lines, lo, min(n, lo + CHUNK_LINES))
 
 
-def _write_rows(fh, model: LinearModel, n_tan: int) -> None:
-    sense = np.zeros(3, dtype=np.uint8)
-    sense[[SENSE_LE, SENSE_GE, SENSE_EQ]] = np.frombuffer(b"LGE", dtype=np.uint8)
-    sense = np.concatenate([sense[model.sense], np.full(n_tan, ord("L"), dtype=np.uint8)])
-    _write_chunked(
-        fh,
-        sense.size,
-        lambda lo, hi: _join(
-            _text(" ", hi - lo),
-            (sense[lo:hi, None], None),
-            _text("  ", hi - lo),
-            _row_name(np.arange(lo, hi), model.nrows),
-            _text("\n", hi - lo),
-        ),
-    )
+def _write_ordered(fh, parts) -> None:
+    """Write ``parts`` to ``fh`` in order: ``bytes`` as they are, a callable as the bytes it returns.
 
-
-def _write_columns(fh, model: LinearModel, coefs: np.ndarray, relax_binaries: bool) -> None:
-    """One line per entry, the OBJ entry first in a column and ``OBJ 0.0`` in an empty one.
-
-    The entries are those of a CSC matrix over the rows (OBJ, model rows,
-    tangent rows), so row indices come sorted within each column.  A zero
-    tangent coefficient is left out; an explicit zero of a model row is
-    written.  Runs of integer columns are marked with INTORG/INTEND.
+    The callables run in a pool of :func:`_workers` threads made for this
+    call, at most twice as many parts as threads in flight, while this
+    thread takes the next parts from ``parts`` and writes the finished ones.
+    An exception raised in a part is raised here, after the parts not yet
+    started are cancelled; every pool thread has ended when this returns.
     """
-    cone_cols = model.cone_cols
-    n_tan = len(coefs) * len(cone_cols)
-    tangents = sp.csr_matrix(
-        (
-            np.tile(coefs, (len(cone_cols), 1)).ravel(),
-            np.repeat(cone_cols, len(coefs), axis=0).ravel(),
-            np.arange(0, 4 * n_tan + 1, 4),
-        ),
-        shape=(n_tan, model.ncols),
+    workers = _workers()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="mps-export")
+    pending: deque[Future] = deque()
+    try:
+        for part in parts:
+            if len(pending) >= 2 * workers:
+                fh.write(pending.popleft().result())
+            if isinstance(part, bytes):
+                pending.append(Future())
+                pending[-1].set_result(part)
+            else:
+                pending.append(pool.submit(part))
+        while pending:
+            fh.write(pending.popleft().result())
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _mps_parts(model: LinearModel, relax_binaries: bool):
+    """The parts of the MPS file, in order (:func:`_write_ordered`)."""
+    seeds, seed_rhs = seed_tangents(model)
+    seeds.eliminate_zeros()  # a zero tangent coefficient is not written
+    letter = np.empty(3, dtype="S1")
+    letter[[SENSE_LE, SENSE_GE, SENSE_EQ]] = [b"L", b"G", b"E"]
+    sense = np.concatenate([letter[model.sense], np.full(len(seed_rhs), b"L")])
+    # the name of row r of the model and tangent rows is rows[1 + r]; rows[0] is the objective
+    rows = np.concatenate([[b"OBJ"], _name(b"R", np.arange(model.nrows)), _name(b"K", np.arange(len(seed_rhs)))])
+    cols = _name(b"C", np.arange(model.ncols))
+
+    yield f"{MPS_HEADER}\n".encode()
+    if relax_binaries:
+        yield b"* binaries relaxed to [0,1] (LP relaxation)\n"
+    yield f"NAME {model.meta.get('name', 'model')}\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n".encode()
+    yield from _chunks(sense.size, lambda lo, hi: _lines(b" ", sense[lo:hi], b"  ", rows[1 + lo : 1 + hi], b"\n"))
+    yield b"COLUMNS\n"
+    yield from _column_parts(model, *_column_entries(model, seeds), rows, cols, relax_binaries)
+    yield b"RHS\n"
+    nonzero, rhs_texts = _rhs_entries(model, seed_rhs)
+    yield from _chunks(
+        nonzero.size, lambda lo, hi: _lines(b"    RHS  ", rows[1 + nonzero[lo:hi]], b"  ", rhs_texts(lo, hi))
     )
-    tangents.eliminate_zeros()
-    body = sp.vstack([model.matrix(), tangents], format="csr")
-    empty = np.bincount(body.indices, minlength=model.ncols) == 0
-    obj_cols = np.flatnonzero((model.obj != 0.0) | empty)
+    yield b"BOUNDS\n"
+    kind, col, bound_texts = _bound_entries(model)
+    yield from _chunks(col.size, lambda lo, hi: _lines(kind[lo:hi], cols[col[lo:hi]], b"  ", bound_texts(lo, hi)))
+    yield b"ENDATA\n"
+
+
+def _column_entries(model: LinearModel, seeds: sp.csr_matrix):
+    """The COLUMNS entries: a CSC matrix over the rows (OBJ, model rows, tangent rows) and its value texts.
+
+    A column's entries are its OBJ entry, if its objective is not zero or
+    it has no other entry (``OBJ 0.0``), then its row entries, sorted.  An
+    explicit zero of a model row is kept.
+    """
+    body = model.matrix()
+    rowless = np.bincount(body.indices, minlength=model.ncols) + np.bincount(seeds.indices, minlength=model.ncols) == 0
+    obj_cols = np.flatnonzero((model.obj != 0.0) | rowless)
     obj_row = sp.csr_matrix(
         (np.where(model.obj != 0.0, model.obj, 0.0)[obj_cols], obj_cols, [0, obj_cols.size]),
         shape=(1, model.ncols),
     )
-    a = sp.vstack([obj_row, body], format="csr").tocsc()
-    del body  # the entries are in ``a`` now; keeps the peak memory down
-    table, ids = _values(a.data)
+    a = sp.vstack([obj_row, body, seeds], format="csr").tocsc()
+    return a, _value_texts(a.data)
+
+
+def _rhs_entries(model: LinearModel, seed_rhs: np.ndarray):
+    """The rows, model then tangent rows, whose right-hand side is not 0, and the texts of those sides."""
+    rhs = np.concatenate([model.rhs, seed_rhs])
+    nonzero = np.flatnonzero(rhs != 0.0)
+    return nonzero, _value_texts(rhs[nonzero])
+
+
+def _bound_entries(model: LinearModel):
+    """Kind, column and value text of each bound: ``FX`` for a fixed column, else ``LO`` and, if finite, ``UP``."""
+    lb, ub = model.col_lb, model.col_ub
+    fixed = lb == ub
+    col = np.repeat(np.arange(model.ncols), 1 + (~fixed & np.isfinite(ub)))
+    first = np.flatnonzero(np.diff(col, prepend=-1))
+    kind = np.full(col.size, b" UP BND  ")
+    kind[first] = np.where(fixed, b" FX BND  ", b" LO BND  ")
+    bound = ub[col]
+    bound[first] = lb
+    return kind, col, _value_texts(bound)
+
+
+def _column_parts(model: LinearModel, a: sp.csc_matrix, texts, rows: np.ndarray, cols: np.ndarray, relax: bool):
+    """One line per entry of ``a``; runs of integer columns are marked with INTORG/INTEND."""
 
     def lines(lo, hi):
-        cols = np.searchsorted(a.indptr, np.arange(lo, hi), side="right") - 1
-        return _join(
-            _text("    ", hi - lo),
-            _name(ord("C"), cols),
-            _text("  ", hi - lo),
-            _row_name(a.indices[lo:hi].astype(np.int64) - 1, model.nrows),
-            _text("  ", hi - lo),
-            _table(table, ids[lo:hi]),
-        )
+        first = np.searchsorted(a.indptr, lo, side="right") - 1  # the column of entry lo
+        end = np.searchsorted(a.indptr, hi)  # past the column of entry hi - 1
+        col = np.repeat(np.arange(first, end), np.diff(np.clip(a.indptr[first : end + 1], lo, hi)))
+        return _lines(b"    ", cols[col], b"  ", rows[a.indices[lo:hi]], b"  ", texts(lo, hi))
 
-    integer = model.col_binary & (not relax_binaries)
+    integer = model.col_binary & (not relax)
     edges = [0, *(np.flatnonzero(np.diff(integer.view(np.int8))) + 1).tolist(), model.ncols]
     for c0, c1 in zip(edges[:-1], edges[1:]):  # runs of integer or continuous columns
         if integer[c0]:
-            fh.write(_INTORG)
+            yield _INTORG
         lo = int(a.indptr[c0])
-        _write_chunked(fh, int(a.indptr[c1]) - lo, lambda i, j: lines(lo + i, lo + j))
+        yield from _chunks(int(a.indptr[c1]) - lo, lambda i, j, lo=lo: lines(lo + i, lo + j))
         if integer[c0]:
-            fh.write(_INTEND)
-
-
-def _write_rhs(fh, model: LinearModel, tangent_rhs: list[float]) -> None:
-    rhs = np.concatenate([model.rhs, np.tile(tangent_rhs, len(model.cones))])
-    rows = np.flatnonzero(rhs != 0.0)
-    table, ids = _values(rhs[rows])
-    _write_chunked(
-        fh,
-        rows.size,
-        lambda lo, hi: _join(
-            _text("    RHS  ", hi - lo),
-            _row_name(rows[lo:hi], model.nrows),
-            _text("  ", hi - lo),
-            _table(table, ids[lo:hi]),
-        ),
-    )
-
-
-def _write_bounds(fh, model: LinearModel) -> None:
-    """``FX`` for a fixed column, else ``LO`` and, for a finite upper bound, ``UP``."""
-    lb, ub = model.col_lb, model.col_ub
-    fixed = lb == ub
-    cols = np.repeat(np.arange(model.ncols), 1 + (~fixed & np.isfinite(ub)))
-    first = np.flatnonzero(np.diff(cols, prepend=-1))
-    kind = np.full(cols.size, 2)  # UP
-    kind[first] = np.where(fixed, 0, 1)  # FX or LO
-    bound = ub[cols]
-    bound[first] = lb
-    kinds = _texts([" FX BND  ", " LO BND  ", " UP BND  "])
-    table, ids = _values(bound)
-    _write_chunked(
-        fh,
-        cols.size,
-        lambda lo, hi: _join(
-            _table(kinds, kind[lo:hi]),
-            _name(ord("C"), cols[lo:hi]),
-            _text("  ", hi - lo),
-            _table(table, ids[lo:hi]),
-        ),
-    )
+            yield _INTEND
 
 
 def export_mps(
@@ -252,60 +251,46 @@ def export_mps(
     """Write the model to ``mps_path`` with companion files.
 
     Cone rows are represented in the MPS body by ``cuts.CONE_TANGENTS``
-    deterministic tangent planes each; the exact cone column quadruples go to
-    the sidecar so an SOCP-capable reader can reconstruct them.
+    deterministic tangent planes each (:func:`cuts.seed_tangents`); the exact
+    cone column quadruples go to the sidecar so an SOCP-capable reader can
+    reconstruct them.
 
-    Every section is built from the model's arrays, not line by line, and
-    written in blocks of ``CHUNK_LINES`` lines, so the memory it takes stays
-    bounded; a value is written as its ``repr``, formatted once per distinct
-    value.  The files are those a line-by-line writer produces.
+    Every section is built from the model's arrays, not line by line, in
+    chunks of ``CHUNK_LINES`` lines that a thread pool assembles and this
+    thread writes in order, so the memory it takes stays bounded.  The
+    files are those a line-by-line writer produces.
     """
-    planes = unit_tangents()
     with open(mps_path, "wb") as fh:
-        fh.write(f"{MPS_HEADER}\n".encode())
-        if relax_binaries:
-            fh.write(b"* binaries relaxed to [0,1] (LP relaxation)\n")
-        fh.write(f"NAME {model.meta.get('name', 'model')}\n".encode())
-        fh.write(b"OBJSENSE\n    MAX\nROWS\n N  OBJ\n")
-        _write_rows(fh, model, len(planes) * len(model.cones))
-        fh.write(b"COLUMNS\n")
-        _write_columns(fh, model, np.array([c for c, _ in planes]), relax_binaries)
-        fh.write(b"RHS\n")
-        _write_rhs(fh, model, [r for _, r in planes])
-        fh.write(b"BOUNDS\n")
-        _write_bounds(fh, model)
-        fh.write(b"ENDATA\n")
+        _write_ordered(fh, _mps_parts(model, relax_binaries))
     if cone_path is not None:
-        quads = model.cone_cols
         with open(cone_path, "wb") as fh:
-            fh.write(f"{CONE_HEADER}\n".encode())
-            fh.write(b"* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")
-            _write_chunked(
-                fh,
-                len(quads),
-                lambda lo, hi: _join(
-                    _text("CONE", hi - lo),
-                    *(
-                        f
-                        for k in range(4)
-                        for f in (_text(" ", hi - lo), _name(ord("C"), quads[lo:hi, k]))
-                    ),
-                    _text("\n", hi - lo),
-                ),
-            )
+            _write_ordered(fh, _cone_parts(model))
     if name_map_path is not None:
-        names = model.catalog.names()
         with open(name_map_path, "wb") as fh:
-            fh.write(f"{NAMEMAP_HEADER}\n".encode())
-            _write_chunked(
-                fh,
-                model.ncols,
-                lambda lo, hi: _join(
-                    _name(ord("C"), np.arange(lo, hi)),
-                    _text(" ", hi - lo),
-                    _table(_texts([f"{n}\n" for n in islice(names, hi - lo)]), np.arange(hi - lo)),
-                ),
-            )
+            _write_ordered(fh, _name_map_parts(model))
+
+
+def _cone_parts(model: LinearModel):
+    yield f"{CONE_HEADER}\n* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n".encode()
+    quads = _name(b"C", model.cone_cols.ravel()).reshape(-1, 4)
+    yield from _chunks(
+        len(quads), lambda lo, hi: _lines(b"CONE", *(f for k in range(4) for f in (b" ", quads[lo:hi, k])), b"\n")
+    )
+
+
+def _name_map_parts(model: LinearModel):
+    """The parts of the name map: ``C0000123 name`` per column, made here, as the names are Python strings.
+
+    A catalog name may hold any character, so it is joined to its line as
+    it is rather than through :func:`_lines`.
+    """
+    yield f"{NAMEMAP_HEADER}\n".encode()
+    cols = _name(b"C", np.arange(model.ncols))
+    names = map(str.encode, model.catalog.names())
+    for lo in range(0, model.ncols, CHUNK_LINES):
+        hi = min(model.ncols, lo + CHUNK_LINES)
+        heads = _lines(cols[lo:hi], b" ").split(b" ")  # one more, empty, at the end
+        yield b"".join(map(b"".join, zip(heads, repeat(b" "), islice(names, hi - lo), repeat(b"\n"))))
 
 
 @dataclass
@@ -398,10 +383,12 @@ def parse_mps(path) -> MpsSummary:
 
 
 def write_solution_file(model: LinearModel, x: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("* ugrestore solution v1\n")
-        for col in range(model.ncols):
-            fh.write(f"{_col_name(col)} {float(x[col])!r}\n")
+    """One ``C0000123 value`` line per column, the value as its ``repr``, written as the export is."""
+    cols = _name(b"C", np.arange(model.ncols))
+    values = _value_texts(np.asarray(x, dtype=np.float64)[: model.ncols])
+    lines = _chunks(model.ncols, lambda lo, hi: _lines(cols[lo:hi], b" ", values(lo, hi)))
+    with open(path, "wb") as fh:
+        _write_ordered(fh, chain([b"* ugrestore solution v1\n"], lines))
 
 
 def read_solution_file(path) -> dict[str, float]:

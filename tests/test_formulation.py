@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import math
 import re
@@ -35,7 +36,7 @@ from ugrestore.formulation import (
     hat_matrices,
     orient_from,
 )
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ModelBuilder
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ModelBuilder, RowBlock
 from ugrestore.physics import (
     PERMUTATIONS,
     SwitchingPoint,
@@ -84,6 +85,15 @@ class TestBuildBasics:
         free_names = {cat.name_of(int(c)).split("[")[0] for c in free}
         assert free_names == {"u", "ess_ch_on", "ess_dis_on"}
         assert len(free) == 3
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_garbage_collector_left_as_found(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            build_model(shipped_case("toy_pair"))
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
     def test_determinism(self):
         case = shipped_case("toy_gear3")
@@ -197,6 +207,21 @@ class TestAddRows:
         # zeros (and -0.0) are dropped; the repeated column 3 stays two entries
         assert got[0] == [0, 1, 1, 2, 2] and got[1] == [5, 0, 2, 3, 3]
 
+    def test_blocks_merge_stably_by_key(self):
+        """Rows land by key; rows of one key come block by block, each block's in its order."""
+        first = RowBlock(np.array([2, 0, 2]), "a", self.LOCS, self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0]))
+        second = RowBlock(
+            np.array([0, 2]), ["b1", "b2"], [(7,), (8,)], self.COLS[:2, :2], self.VALS[:2, :2], SENSE_GE, -1.0
+        )
+        merged = self._builder()
+        merged.add_blocks([first, second])
+        one = self._builder()
+        for block, i in ((first, 1), (second, 0), (first, 0), (first, 2), (second, 1)):
+            fam = block.family if isinstance(block.family, str) else block.family[i]
+            rhs = float(np.broadcast_to(block.rhs, (len(block.locs),))[i])
+            one.add(fam, block.locs[i], zip(block.cols[i].tolist(), block.vals[i].tolist()), block.sense, rhs)
+        assert self._state(merged) == self._state(one)
+
     def test_empty_block(self):
         b = self._builder()
         b.add_rows("none", [], np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)), SENSE_LE, 0.0)
@@ -215,7 +240,10 @@ def test_index_grids_match_catalog(name):
     nodes, gears = case.node_index, ctx.gear_pos
     lines = {l.index: l.index for l in case.lines}
     first = {
-        "u": nodes, "volt_sq": nodes, "beta": gears, "swap": gears, "reorder_sel": gears,
+        "u": nodes, "volt_sq": nodes, "load_p": nodes, "load_q": nodes,
+        "beta": gears, "alpha": gears, "swap": gears, "swap_event": gears, "reorder_sel": gears,
+        "swap_any": gears, "angle_diff": gears, "volt_diff": gears, "inrush_mag": gears,
+        "inrush_ang": gears, "inrush": gears,
         "flow_p": lines, "flow_q": lines, "curr_sq": lines,
         "y_p": ctx.bracket_pos, "y_q": ctx.bracket_pos, "y_v": ctx.bracket_pos,
     }
@@ -919,6 +947,17 @@ class TestCatalogNames:
         for col in (-1, 3):
             with pytest.raises(CatalogError, match="out of range"):
                 cat.name_of(col)
+
+    def test_mixed_keys_and_braces_name_as_name_of(self):
+        """A group of tuple keys of one length is named by one format; braces in its name stay literal."""
+        cat = VariableCatalog()
+        cat.add_group("a{0}", [(1, "x"), (2, "{y}")])
+        cat.add_group("m", [1, (2, 3), "s"])
+        cat.add_group("r", [(1,), (2, 3)])
+        cat.add_group("e", [()])
+        names = list(cat.names())
+        assert names == [cat.name_of(c) for c in range(cat.ncols)]
+        assert names[:2] == ["a{0}[1,x]", "a{0}[2,{y}]"] and names[-1] == "e[]"
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ from ugrestore.solver import (
     parse_mps,
     solve,
 )
-from ugrestore.solver.cuts import initial_cone_cuts
+from ugrestore.solver.cuts import initial_cone_cuts, seed_tangents
 from ugrestore.solver.lp import read_lp
+from ugrestore.solver import mps
 from ugrestore.solver.mps import (
     MpsFormatError,
     SolutionImportError,
-    _join,
+    _lines,
     _name,
-    _text,
     write_solution_file,
 )
 
@@ -188,8 +189,72 @@ class TestExportBytes:
 
     @pytest.mark.parametrize("idx", [[0, 7, 9_999_999], [5, 10_000_000, 123_456_789_012]])
     def test_names_pad_to_seven_digits_and_grow_past_them(self, idx):
-        lines = _join(_name(ord("C"), np.array(idx)), _text("\n", len(idx)))
+        lines = _lines(_name(b"C", np.array(idx)), b"\n")
         assert lines.decode() == "".join(f"C{i:07d}\n" for i in idx)
+
+
+def _export_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("mps-export")]
+
+
+class TestChunkedWriter:
+    """Chunks of a few lines, assembled by one or two threads, join into the same files."""
+
+    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+    def tiny_chunks(self, request, monkeypatch):
+        monkeypatch.setattr(mps, "CHUNK_LINES", 3)
+        monkeypatch.setattr(mps, "_workers", lambda: request.param)
+
+    @staticmethod
+    def _same_as_reference(model, directory, relax):
+        ref = [directory / f"ref.{ext}" for ext in ("mps", "cones", "names")]
+        got = [directory / f"got.{ext}" for ext in ("mps", "cones", "names")]
+        reference_export(model, *ref, relax_binaries=relax)
+        export_mps(model, *got, relax_binaries=relax)
+        for r, g in zip(ref, got):
+            assert g.read_bytes() == r.read_bytes(), g.name
+
+    @pytest.mark.parametrize("relax", [False, True])
+    def test_edge_model(self, tiny_chunks, relax, tmp_path):
+        self._same_as_reference(edge_model(), tmp_path, relax)
+
+    def test_reduced13(self, tiny_chunks, tmp_path):
+        model = build_model(shipped_case("reduced13"))
+        starts = np.flatnonzero(np.diff(model.col_binary.astype(np.int8)) == 1) + 1  # later integer runs
+        seeds, _ = seed_tangents(model)
+        seeds.eliminate_zeros()
+        first_line = mps._column_entries(model, seeds)[0].indptr[starts]  # of the run, in COLUMNS
+        assert starts.size >= 2 and np.any(first_line % 3 != 0)
+        self._same_as_reference(model, tmp_path, False)
+
+    def test_names_of_any_character(self, tiny_chunks, tmp_path):
+        model = edge_model()
+        model.catalog = VariableCatalog()
+        model.catalog.add_group("n", [("a\x00b", 0), ("é", 1), (" ", 2), ("", 3)])
+        model.catalog.add_group("m", ["x\ny", 1, (2, "{}"), ("z",)])
+        export_mps(model, tmp_path / "m.mps", name_map_path=tmp_path / "m.names")
+        want = "".join(f"C{c:07d} {model.catalog.name_of(c)}\n" for c in range(model.ncols))
+        assert (tmp_path / "m.names").read_bytes() == ("* ugrestore name map v1\n" + want).encode()
+
+    def test_no_thread_outlives_the_export(self, tmp_path):
+        assert _export_threads() == []
+        export_mps(edge_model(), tmp_path / "m.mps", tmp_path / "m.cones", tmp_path / "m.names")
+        write_solution_file(edge_model(), np.zeros(8), tmp_path / "x.sol")
+        assert _export_threads() == []
+
+    def test_an_error_in_a_chunk_is_raised(self, tiny_chunks, tmp_path, monkeypatch):
+        real, calls = mps._lines, []
+
+        def failing(*fields):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("chunk 3")
+            return real(*fields)
+
+        monkeypatch.setattr(mps, "_lines", failing)
+        with pytest.raises(MemoryError, match="chunk 3"):
+            export_mps(build_model(shipped_case("toy_pair")), tmp_path / "m.mps")
+        assert _export_threads() == []
 
 
 class TestReadBack:
@@ -247,6 +312,14 @@ class TestReadBack:
 
 
 class TestImport:
+    def test_solution_file_bytes(self, tmp_path):
+        """The chunked writer writes what one f-string per column wrote."""
+        model = edge_model()
+        x = np.array([-0.0, 1e300, 0.1, -2.5e-320, 1.0 / 3.0, 0.0, 123456789.0, -7.0])
+        write_solution_file(model, x, tmp_path / "x.sol")
+        want = "* ugrestore solution v1\n" + "".join(f"C{col:07d} {float(x[col])!r}\n" for col in range(model.ncols))
+        assert (tmp_path / "x.sol").read_bytes() == want.encode()
+
     def test_round_trip_objective(self, solved_pair, tmp_path):
         case, model, sol = solved_pair
         path = tmp_path / "sol.txt"

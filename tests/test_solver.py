@@ -36,6 +36,7 @@ from ugrestore.solver.cuts import (
     cone_violations,
     incumbent_tangents,
     initial_cone_cuts,
+    seed_tangents,
     soc_cut,
     tangent,
 )
@@ -579,6 +580,18 @@ class TestSocCut:
                 lhs = cut.coefs[0] * i + cut.coefs[1] * v + cut.coefs[2] * p + cut.coefs[3] * q
                 assert lhs <= cut.rhs + 1e-9
 
+    def test_seed_block_holds_the_initial_cuts_in_order(self, reduced13):
+        """The master gets the rows of ``initial_cone_cuts`` as HiGHS took them from the cut list."""
+        model = build_model(reduced13)
+        cuts = initial_cone_cuts(model)
+        rows, rhs = seed_tangents(model)
+        assert np.array_equal(rows.indptr[:-1], np.cumsum([0] + [len(c.cols) for c in cuts])[:-1])
+        assert np.array_equal(rows.indices, [j for c in cuts for j in c.cols])
+        want = np.array([a for c in cuts for a in c.coefs])
+        assert np.array_equal(rows.data.view(np.int64), want.view(np.int64))  # zeros kept, signs too
+        assert np.array_equal(rhs.view(np.int64), np.array([c.rhs for c in cuts]).view(np.int64))
+        assert rows.shape == (len(cuts), model.ncols)
+
 
 class TestIncumbentTangents:
     """The search's pool starts with one tangent above the incumbent per cone that carries flow."""
@@ -681,7 +694,7 @@ class TestExactnessAtToyScale:
         assert sol.objective == pytest.approx(enum_val, abs=1e-9 * max(1.0, abs(enum_val)))
         assert t_enum < 60.0 and t_bnb < 60.0
         # the outer-approximation master bounds the enumerated optimum on its own
-        master = lp.master_bound(model, initial_cone_cuts(model), 60.0)
+        master = lp.master_bound(model, seed_tangents(model), 60.0)
         assert enum_val - 1e-9 * max(1.0, abs(enum_val)) <= master < np.inf
 
     def test_zero_load_toy(self):
@@ -1069,7 +1082,7 @@ class TestMasterBound:
     def test_at_least_the_greedy_on_reduced13(self, reduced13, gate):
         model = build_model(reduced13, BuildOptions(ferro_gate=gate))
         ws = greedy_warm_start(model, reduced13)
-        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0)
+        bound = lp.master_bound(model, seed_tangents(model), 60.0)
         assert model.objective_value(ws) <= bound < np.inf
 
     def test_not_run_when_the_root_closes_the_gap(self, reduced13, monkeypatch):
@@ -1098,14 +1111,14 @@ class TestMasterBound:
         model = build_model(shipped_case(name))
         best = _enumerated_optimum(name)
         stop_at = best + SolverOptions().rel_gap * max(1.0, abs(best))
-        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0, stop_at)
+        bound = lp.master_bound(model, seed_tangents(model), 60.0, stop_at)
         assert best - 1e-9 * max(1.0, abs(best)) <= bound <= stop_at
 
     def test_no_target_never_stops(self, toy_fork, monkeypatch):
         model = build_model(toy_fork)
-        cuts = initial_cone_cuts(model)
+        seeds = seed_tangents(model)
         runs = _spy_masters(monkeypatch)
-        assert lp.master_bound(model, cuts, 60.0, -np.inf) == lp.master_bound(model, cuts, 60.0)
+        assert lp.master_bound(model, seeds, 60.0, -np.inf) == lp.master_bound(model, seeds, 60.0)
         assert len(runs) == 2 and not any(run.asked for run in runs)
 
     def test_stops_at_the_greedys_threshold_on_reduced13(self, reduced13, monkeypatch):
@@ -1114,7 +1127,7 @@ class TestMasterBound:
         opts = SolverOptions()
         stop_at = greedy + max(opts.abs_gap, opts.rel_gap * max(1.0, abs(greedy)))
         runs = _spy_masters(monkeypatch)
-        bound = lp.master_bound(model, initial_cone_cuts(model), 60.0, stop_at)
+        bound = lp.master_bound(model, seed_tangents(model), 60.0, stop_at)
         assert greedy <= bound <= stop_at
         assert runs[-1].asked
 
@@ -1124,11 +1137,11 @@ class TestMasterBound:
     )
     def test_failed_master_yields_no_bound(self, toy_fork, monkeypatch, status):
         model = build_model(toy_fork)
-        cuts = initial_cone_cuts(model)
-        assert lp.master_bound(model, cuts, 60.0) < np.inf
+        seeds = seed_tangents(model)
+        assert lp.master_bound(model, seeds, 60.0) < np.inf
         real = lp._loaded
         monkeypatch.setattr(lp, "_loaded", lambda *args: _HighsSpy(real(*args), status))
-        assert lp.master_bound(model, cuts, 60.0) == np.inf
+        assert lp.master_bound(model, seeds, 60.0) == np.inf
 
 
 class TestQuietStdout:
