@@ -1,4 +1,5 @@
 import re
+import sys
 import threading
 
 import numpy as np
@@ -235,6 +236,17 @@ class TestChunkedWriter:
         export_mps(model, tmp_path / "m.mps", name_map_path=tmp_path / "m.names")
         want = "".join(f"C{c:07d} {model.catalog.name_of(c)}\n" for c in range(model.ncols))
         assert (tmp_path / "m.names").read_bytes() == ("* ugrestore name map v1\n" + want).encode()
+
+    def test_more_workers_than_cores_and_fast_switching(self, tmp_path, monkeypatch):
+        """Chunks finishing out of order under frequent thread switches are still written in order."""
+        monkeypatch.setattr(mps, "CHUNK_LINES", 5)
+        monkeypatch.setattr(mps, "_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._same_as_reference(build_model(shipped_case("toy_gear3")), tmp_path, False)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_the_export(self, tmp_path):
         assert _export_threads() == []
