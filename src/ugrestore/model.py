@@ -53,7 +53,7 @@ class Restriction(NamedTuple):
     col_lb: np.ndarray  # the tightened full column bounds
     col_ub: np.ndarray
     offset: float  # the objective of the eliminated columns, a constant of the restricted model
-    pos: list[int]  # the restricted column of each full-model column, -1 at the eliminated ones
+    pos: np.ndarray  # the restricted column of each full-model column, -1 at the eliminated ones
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """The full vector of a point of the restricted model."""
@@ -312,7 +312,7 @@ class LinearModel:
             lb, ub = given
             keep = np.arange(self.ncols)
             whole = replace(self, col_lb=lb, col_ub=ub)
-            return Restriction(whole, keep, np.zeros(self.ncols), lb, ub, 0.0, keep.tolist())
+            return Restriction(whole, keep, np.zeros(self.ncols), lb, ub, 0.0, keep)
         fixed = lb == ub
         kept = ~fixed
         cone_cols = self.cone_cols
@@ -345,7 +345,7 @@ class LinearModel:
             cones=cones,
             _matrix=sub,
         )
-        return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values), pos.tolist())
+        return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values), pos)
 
     # -- solution replay ----------------------------------------------------
 
@@ -371,8 +371,14 @@ class LinearModel:
 
         Rows, cones (``cone_tol``), column bounds, and integrality: a binary
         column farther than ``tol`` from 0 and 1 is an ``integrality``
-        violation, so a relaxation point never replays as a plan.
+        violation, so a relaxation point never replays as a plan.  A NaN or
+        infinite entry is a ``non-finite`` violation of residual inf, and
+        then the only kind reported: a NaN fails no comparison, and an
+        infinite one makes the row products NaN.
         """
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            return [Violation("non-finite", (self.catalog.name_of(int(col)),), np.inf) for col in bad]
         out: list[Violation] = []
         resid = self.row_residuals(x)
         bad = np.flatnonzero(resid < -tol)

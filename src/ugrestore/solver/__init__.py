@@ -1,6 +1,6 @@
 from ugrestore.solver.bnb import Solution, SolverOptions, solve
-from ugrestore.solver.cuts import cone_violations, initial_cone_cuts, soc_cut
-from ugrestore.solver.lp import Cut, LpBackend, LpResult
+from ugrestore.solver.cuts import cone_violations, soc_cut
+from ugrestore.solver.lp import LpBackend, LpResult
 from ugrestore.solver.mps import export_mps, import_external_solution, parse_mps
 from ugrestore.solver.warmstart import greedy_warm_start, make_diver
 
@@ -9,9 +9,7 @@ __all__ = [
     "SolverOptions",
     "solve",
     "cone_violations",
-    "initial_cone_cuts",
     "soc_cut",
-    "Cut",
     "LpBackend",
     "LpResult",
     "export_mps",

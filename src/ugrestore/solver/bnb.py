@@ -4,8 +4,9 @@ The search owns one :class:`LpBackend`, whose HiGHS instance re-solves each
 LP from the last basis.  It holds the model restricted to the root's column
 bounds (see the lp module), which hold at every node since nodes only
 tighten bounds.  It pins each node's fixings, keeps the outer-approximation
-cut pool (shared across the tree, capped per cone) and hands HiGHS the time
-left before the deadline.  When the warm start passes
+cut pool (shared across the tree, capped per cone; a cut is a tangent plane
+on one cone's columns, see the cuts module) and hands HiGHS the time left
+before the deadline.  When the warm start passes
 the replay, the pool starts, before the root LP, with one tangent per cone
 that carries flow there (:func:`incumbent_tangents`): outer approximation
 first linearizes at its first fixed-integer point.  Nodes store only their
@@ -196,9 +197,9 @@ class _Search:
             viol = cone_violations(self.model, res.x, tol)
             if not viol:
                 break
-            cones = self.model.cones
-            cuts = [(idx, soc_cut(cones[idx].point(res.x), cones[idx])) for idx, _ in viol]
-            self.backend.add_cuts(cuts, res.x)
+            cone = [idx for idx, _ in viol]
+            coefs, rhs = zip(*(soc_cut(self.model.cones[idx].point(res.x)) for idx in cone))
+            self.backend.add_cuts(cone, coefs, rhs, res.x)
             res = self.backend.solve(fixes)
         return res
 
@@ -240,7 +241,7 @@ def solve(
     if warm_start is not None:
         search.offer_incumbent(warm_start, warm_start_source)
     if search.inc_x is not None:
-        search.backend.add_cuts(incumbent_tangents(model, search.inc_x), search.inc_x)
+        search.backend.add_cuts(*incumbent_tangents(model, search.inc_x), search.inc_x)
 
     tie = itertools.count()
     heap: list[_Node] = []
@@ -340,7 +341,7 @@ def solve(
         bound=proven_bound,
         gap=gap,
         node_count=nodes,
-        cut_count=len(search.backend.cuts),
+        cut_count=search.backend.cut_rhs.size,
         runtime_s=time.monotonic() - t0,
         master_bound=search.master_bound,
         kwh_factor=kwh,

@@ -6,8 +6,13 @@ standard cone ``||(2P, 2Q, I-V)|| <= I + V``; its violation function
     f(I, V, P, Q) = sqrt(4P^2 + 4Q^2 + (I-V)^2) - (I + V)
 
 is convex, so its linearization at a point of the cone's boundary is a
-supporting hyperplane, valid for the whole model (:func:`tangent`).  The
-boundary points:
+supporting hyperplane, valid for the whole model (:func:`tangent`).
+
+A cut is the same thing everywhere: the index of its cone, four
+coefficients on that cone's (I, V, P, Q) columns and a right-hand side,
+``coefs . (I, V, P, Q) <= rhs``.  A batch of cuts is three parallel
+arrays, cone ``(n,)``, coefficients ``(n, 4)`` and right-hand sides
+``(n,)``, as ``LpBackend.add_cuts`` takes it.  The boundary points:
 
 - :func:`soc_cut` lifts a violating point onto the boundary along the
   squared-current axis, I = (P^2 + Q^2) / V, and the cut separates it;
@@ -16,7 +21,7 @@ boundary points:
   root LP;
 - :func:`unit_tangents` sweeps unit-voltage points, the seed rows of the
   MPS export and of the outer-approximation master, which
-  :func:`seed_tangents` lays out for every cone as one array block.
+  :func:`seed_tangents` lays out for every cone as one CSR block.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from ugrestore.model import ConeRow, LinearModel
-from ugrestore.solver.lp import Cut
+from ugrestore.model import LinearModel
 
 CONE_TANGENTS = 8  # seed tangent planes per cone, in the MPS export
 SNAP = 1e-12  # |coefficient| or |rhs| of a seed tangent below this is rounding residue
 V_MIN = 1e-9  # at or below this V a point is not lifted to I = (P^2 + Q^2) / V
+
+Plane = tuple[tuple[float, float, float, float], float]  # coefficients on (I, V, P, Q), right-hand side
 
 
 class NoCutError(ValueError):
@@ -42,7 +48,7 @@ def _violation(i: float, v: float, p: float, q: float) -> float:
     return math.sqrt(4.0 * p * p + 4.0 * q * q + (i - v) ** 2) - (i + v)
 
 
-def tangent(point: tuple[float, float, float, float], cone: ConeRow) -> Cut:
+def tangent(point: tuple[float, float, float, float]) -> Plane:
     """Linearization ``f(b) + g . (x - b) <= 0`` of the violation function at ``b = point``.
 
     At a point of the cone's boundary (f(b) = 0) this is the tangent plane
@@ -62,14 +68,10 @@ def tangent(point: tuple[float, float, float, float], cone: ConeRow) -> Cut:
     gq = 4.0 * q_b / n
     f_b = _violation(i_b, v_b, p_b, q_b)
     rhs = gi * i_b + gv * v_b + gp * p_b + gq * q_b - f_b
-    return Cut(
-        cols=(cone.col_i, cone.col_v, cone.col_p, cone.col_q),
-        coefs=(gi, gv, gp, gq),
-        rhs=rhs,
-    )
+    return (gi, gv, gp, gq), rhs
 
 
-def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float = 1e-12) -> Cut:
+def soc_cut(point: tuple[float, float, float, float], tol: float = 1e-12) -> Plane:
     """Supporting-hyperplane cut separating a cone-violating point.
 
     The tangent is taken at the boundary point directly above the violating
@@ -84,23 +86,26 @@ def soc_cut(point: tuple[float, float, float, float], cone: ConeRow, tol: float 
         raise NoCutError(f"point violates the cone by {f0:.3e} <= {tol:.0e}")
     if v0 > V_MIN:
         i0 = (p0 * p0 + q0 * q0) / v0
-    return tangent((i0, v0, p0, q0), cone)
+    return tangent((i0, v0, p0, q0))
 
 
-def incumbent_tangents(model: LinearModel, x: np.ndarray) -> list[tuple[int, Cut]]:
-    """``(cone, cut)``: the tangent above ``x`` of every cone that carries flow at ``x``.
+def incumbent_tangents(model: LinearModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tangent above ``x`` of every cone that carries flow at ``x``: cones, coefficients, right-hand sides.
 
     Each tangent is taken at the boundary point above ``x``'s (V, P, Q),
     I = (P^2 + Q^2) / V, so it is valid whether or not the cone is tight at
     ``x``.  A cone with V <= ``V_MIN`` or P = Q = 0 gets none: its tangent
     there is I >= 0 or degenerate, which the column bounds already imply.
     """
-    out = []
+    cones, coefs, rhs = [], [], []
     for idx, cone in enumerate(model.cones):
         _, v, p, q = cone.point(x)
         if v > V_MIN and (p != 0.0 or q != 0.0):
-            out.append((idx, tangent(((p * p + q * q) / v, v, p, q), cone)))
-    return out
+            plane, side = tangent(((p * p + q * q) / v, v, p, q))
+            cones.append(idx)
+            coefs.append(plane)
+            rhs.append(side)
+    return np.array(cones, dtype=np.int64), np.array(coefs, dtype=float).reshape(-1, 4), np.array(rhs, dtype=float)
 
 
 def cone_violations(model: LinearModel, x: np.ndarray, tol: float) -> list[tuple[int, float]]:
@@ -112,10 +117,8 @@ def cone_violations(model: LinearModel, x: np.ndarray, tol: float) -> list[tuple
     return out
 
 
-def unit_tangents(
-    n_angles: int = CONE_TANGENTS,
-) -> list[tuple[tuple[float, float, float, float], float]]:
-    """Coefficients on (I, V, P, Q) and right-hand side of each seed tangent plane.
+def unit_tangents(n_angles: int = CONE_TANGENTS) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients on (I, V, P, Q), one row per plane, and right-hand sides of the seed tangent planes.
 
     Tangents are taken at unit-voltage boundary points with flow direction
     swept over ``n_angles`` angles (:func:`tangent`).  They depend on the
@@ -123,45 +126,27 @@ def unit_tangents(
     (cos and sin at multiples of pi/2, and the right-hand sides, which are
     exactly 0 since every plane passes through the apex) is set to an exact 0.
     """
-
-    def snap(v: float) -> float:
-        return 0.0 if abs(v) < SNAP else v
-
-    axes = ConeRow(0, 1, 2, 3, "", ())
-    planes = []
-    for m in range(n_angles):
-        ang = 2.0 * math.pi * m / n_angles
-        cut = tangent((1.0, 1.0, math.cos(ang), math.sin(ang)), axes)
-        planes.append((tuple(snap(a) for a in cut.coefs), snap(cut.rhs)))
-    return planes
+    angles = (2.0 * math.pi * m / n_angles for m in range(n_angles))
+    coefs, rhs = zip(*(tangent((1.0, 1.0, math.cos(ang), math.sin(ang))) for ang in angles))
+    coefs, rhs = np.array(coefs, dtype=float), np.array(rhs, dtype=float)
+    return np.where(np.abs(coefs) < SNAP, 0.0, coefs), np.where(np.abs(rhs) < SNAP, 0.0, rhs)
 
 
 def seed_tangents(model: LinearModel, n_angles: int = CONE_TANGENTS) -> tuple[sp.csr_matrix, np.ndarray]:
     """The :func:`unit_tangents` planes of every cone, cone by cone: CSR rows and their right-hand sides.
 
     Row ``n_angles * cone + angle`` holds the plane's coefficients on the
-    cone's (I, V, P, Q) columns, exact zeros included, so the rows are
-    those of :func:`initial_cone_cuts`, in its order.
+    cone's (I, V, P, Q) columns, exact zeros included.
     """
-    planes = unit_tangents(n_angles)
+    coefs, rhs = unit_tangents(n_angles)
     cone_cols = model.cone_cols
     n = len(cone_cols) * n_angles
     rows = sp.csr_matrix(
         (
-            np.tile([coefs for coefs, _ in planes], (len(cone_cols), 1)).ravel(),
+            np.tile(coefs, (len(cone_cols), 1)).ravel(),
             np.repeat(cone_cols, n_angles, axis=0).ravel(),
             np.arange(0, 4 * n + 1, 4),
         ),
         shape=(n, model.ncols),
     )
-    return rows, np.tile([rhs for _, rhs in planes], len(cone_cols))
-
-
-def initial_cone_cuts(model: LinearModel, n_angles: int = CONE_TANGENTS) -> list[Cut]:
-    """The :func:`unit_tangents` planes of every cone, cone by cone, as :class:`Cut` objects."""
-    planes = unit_tangents(n_angles)
-    return [
-        Cut(cols=(cone.col_i, cone.col_v, cone.col_p, cone.col_q), coefs=coefs, rhs=rhs)
-        for cone in model.cones
-        for coefs, rhs in planes
-    ]
+    return rows, np.tile(rhs, len(cone_cols))

@@ -21,14 +21,18 @@ The backend owns everything that changes between solves:
   only the column bounds that moved since the last solve; a fixing outside
   the restriction's bounds (on an eliminated column: different from its
   value) is ``infeasible`` without running an LP;
-- the outer-approximation cut pool: ``add_cuts`` takes one round's cuts, at
-  most one per cone, appends the rows of the new ones in one HiGHS call and
-  keeps at most ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut
-  rewrites, in place, the row of the cut with the most slack at the point it
-  separates, so the cuts that hold that point stay and the separation loops
-  do not cycle.  Every cut is valid for the full model, so any subset keeps
-  the relaxation a bound.  The pool is kept over the full model's columns,
-  so eviction reads the full point; the row HiGHS holds for a cut has its
+- the outer-approximation cut pool: a cut is a cone, four coefficients on
+  that cone's (I, V, P, Q) columns and a right-hand side (see the cuts
+  module), and the pool is three parallel arrays of them, ``cut_cone``,
+  ``cut_coefs`` and ``cut_rhs``, plus a table of each cone's slots in them.
+  ``add_cuts`` takes one round's cuts, at most one per cone, appends the
+  rows of the new ones in one HiGHS call and keeps at most
+  ``CUTS_PER_CONE`` cuts per cone; on a full cone the new cut rewrites, in
+  place, the row of the cut with the most slack at the point it separates,
+  so the cuts that hold that point stay and the separation loops do not
+  cycle.  Every cut is valid for the full model, so any subset keeps the
+  relaxation a bound.  The pool is kept over the full model's columns, so
+  eviction reads the full point; the row HiGHS holds for a cut has its
   terms on eliminated columns moved into the right-hand side;
 - the deadline: HiGHS compares its time limit with the instance's cumulative
   run time, so it gets that run time plus the seconds left; an LP cut off by
@@ -111,15 +115,6 @@ _STATUS = {
 }  # every other model status is an error
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Linear cut ``coefs . x[cols] <= rhs``, valid for the full model."""
-
-    cols: tuple[int, ...]
-    coefs: tuple[float, ...]
-    rhs: float
-
-
 @dataclass
 class LpResult:
     status: str  # optimal | infeasible | unbounded | error
@@ -178,14 +173,6 @@ def _pinned(lb: np.ndarray, ub: np.ndarray, fixes: dict[int, float]):
         lb[cols] = vals
         ub[cols] = vals
     return lb, ub
-
-
-def _add_rows(highs: _Highs, cuts: list[Cut]) -> None:
-    """Append one row ``coefs . x[cols] <= rhs`` per cut."""
-    starts = np.cumsum([0] + [len(c.cols) for c in cuts])[:-1]
-    cols = np.array([j for c in cuts for j in c.cols])
-    coefs = np.array([a for c in cuts for a in c.coefs], dtype=float)
-    _add_block(highs, starts, cols, coefs, np.array([c.rhs for c in cuts], dtype=float))
 
 
 def _add_block(highs: _Highs, starts, cols, coefs: np.ndarray, rhs: np.ndarray) -> None:
@@ -300,8 +287,11 @@ class LpBackend:
         # base fixings outside the bounds restrict nothing; solve() then reports them infeasible
         bounds = _pinned(model.col_lb, model.col_ub, fixes) or (model.col_lb, model.col_ub)
         self.restriction = model.restrict(*bounds)
-        self.cuts: list[Cut] = []  # cut k is row restriction.model.nrows + k
-        self._cone_slots: dict[int, list[int]] = {}  # cone -> positions in cuts
+        # the cut pool: cut k is row restriction.model.nrows + k
+        self.cut_cone = np.zeros(0, dtype=np.int64)
+        self.cut_coefs = np.zeros((0, 4))
+        self.cut_rhs = np.zeros(0)
+        self._slots = np.full((len(model.cones), CUTS_PER_CONE), -1)  # cone -> its cuts, -1 past the last
         self._basis = None  # kept by release()
         self._load()
 
@@ -313,27 +303,33 @@ class LpBackend:
             self.highs.setOptionValue(name, value)
         self._lb = sub.col_lb.astype(float)  # the column bounds HiGHS holds
         self._ub = sub.col_ub.astype(float)
-        if self.cuts:
-            _add_rows(self.highs, [self._mapped(cut) for cut in self.cuts])
+        self._append(self.cut_cone, self.cut_coefs, self.cut_rhs)
         if self._basis is not None:
             _check(self.highs.setBasis(self._basis), "the basis")
             self._basis = None
 
-    def _mapped(self, cut: Cut) -> Cut:
-        """``cut`` over the restricted columns: its terms on eliminated columns move to the rhs.
+    def _restricted(self, cone: np.ndarray, coefs: np.ndarray, rhs: np.ndarray):
+        """The restricted column of each cut term (-1 if eliminated) and the right-hand sides HiGHS holds.
 
-        A column the model does not have maps past the restricted ones, for
-        HiGHS to refuse.
+        A term on an eliminated column moves into the right-hand side, term
+        by term in the order (I, V, P, Q).
         """
-        pos, cols, coefs, rhs = self.restriction.pos, [], [], cut.rhs
-        for col, coef in zip(cut.cols, cut.coefs):
-            j = pos[col] if 0 <= col < len(pos) else self.restriction.model.ncols
-            if j < 0:
-                rhs -= coef * self.restriction.fixed[col]
-            else:
-                cols.append(j)
-                coefs.append(coef)
-        return Cut(tuple(cols), tuple(coefs), rhs)
+        cols = self.model.cone_cols[cone]
+        pos = self.restriction.pos[cols]
+        gone = pos < 0
+        shift = np.zeros_like(coefs)
+        shift[gone] = coefs[gone] * self.restriction.fixed[cols[gone]]
+        for k in range(4):
+            rhs = rhs - shift[:, k]
+        return pos, rhs
+
+    def _append(self, cone: np.ndarray, coefs: np.ndarray, rhs: np.ndarray) -> None:
+        """Append the rows of the cuts to HiGHS in one call, in order (:meth:`_restricted`)."""
+        if rhs.size:
+            pos, rhs = self._restricted(cone, coefs, rhs)
+            kept = pos >= 0
+            count = kept.sum(axis=1)
+            _add_block(self.highs, np.cumsum(count) - count, pos[kept], coefs[kept], rhs)
 
     def release(self) -> None:
         """Drop the HiGHS instance; the next solve or add_cuts reloads it from the basis."""
@@ -342,36 +338,46 @@ class LpBackend:
             self._basis = basis if basis.valid else None
             self.highs = None
 
-    def add_cuts(self, cuts: list[tuple[int, Cut]], x: np.ndarray) -> None:
-        """Add ``(cone, cut)`` pairs taken at the full point ``x``, at most one per cone.
+    def add_cuts(self, cone, coefs, rhs, x: np.ndarray) -> None:
+        """Add the cuts ``coefs[k] . (I, V, P, Q) of cone[k] <= rhs[k]``, taken at the full point ``x``.
 
-        The rows of the cuts that take a free slot are appended in one HiGHS
-        call, in the order given; a full cone drops its slackest cut at ``x``,
-        whose row the new cut rewrites in place.
+        A batch holds at most one cut per cone.  The rows of the cuts that
+        take a free slot are appended in one HiGHS call, in the order given;
+        a full cone drops its slackest cut at ``x``, whose row the new cut
+        rewrites in place.
         """
-        if len({idx for idx, _ in cuts}) < len(cuts):
+        cone = np.asarray(cone, dtype=np.int64)
+        coefs = np.asarray(coefs, dtype=float).reshape(-1, 4)
+        rhs = np.asarray(rhs, dtype=float)
+        if np.unique(cone).size < cone.size:
             raise ValueError("a batch of cuts holds at most one cut per cone")
         if self.highs is None:
             self._load()
-        fresh = [cut for idx, cut in cuts if len(self._cone_slots.get(idx, ())) < CUTS_PER_CONE]
-        if fresh:
-            _add_rows(self.highs, [self._mapped(cut) for cut in fresh])
-        for idx, cut in cuts:
-            slots = self._cone_slots.setdefault(idx, [])
-            if len(slots) < CUTS_PER_CONE:  # a fresh cut, its row already appended
-                slots.append(len(self.cuts))
-                self.cuts.append(cut)
-                continue
-            held = [self.cuts[pos] for pos in slots]
-            slack = [c.rhs - np.dot(c.coefs, x[list(c.cols)]) for c in held]
-            pos = slots[int(np.argmax(slack))]
-            row = self.restriction.model.nrows + pos
-            old, new = self._mapped(self.cuts[pos]), self._mapped(cut)
-            gone = [(col, 0.0) for col in set(old.cols) - set(new.cols)]
-            for col, coef in gone + list(zip(new.cols, new.coefs)):
-                _check(self.highs.changeCoeff(row, col, coef), "a cut coefficient")
-            _check(self.highs.changeRowBounds(row, -np.inf, new.rhs), "a cut bound")
-            self.cuts[pos] = cut
+        held = (self._slots[cone] >= 0).sum(axis=1)
+        fresh = held < CUTS_PER_CONE
+        self._append(cone[fresh], coefs[fresh], rhs[fresh])
+        n = self.cut_rhs.size
+        self._slots[cone[fresh], held[fresh]] = np.arange(n, n + int(fresh.sum()))
+        self.cut_cone = np.concatenate([self.cut_cone, cone[fresh]])
+        self.cut_coefs = np.concatenate([self.cut_coefs, coefs[fresh]])
+        self.cut_rhs = np.concatenate([self.cut_rhs, rhs[fresh]])
+        full = ~fresh
+        if not full.any():
+            return
+        cone, coefs, rhs = cone[full], coefs[full], rhs[full]
+        slots = self._slots[cone]  # the cuts of each full cone, which share its columns
+        at = x[self.model.cone_cols[cone]]
+        slack = self.cut_rhs[slots] - (self.cut_coefs[slots] * at[:, None, :]).sum(axis=2)
+        evicted = slots[np.arange(cone.size), np.argmax(slack, axis=1)]
+        pos, mapped = self._restricted(cone, coefs, rhs)
+        for slot, cols, row_coefs, side in zip(evicted.tolist(), pos.tolist(), coefs.tolist(), mapped.tolist()):
+            row = self.restriction.model.nrows + slot
+            for col, coef in zip(cols, row_coefs):
+                if col >= 0:
+                    _check(self.highs.changeCoeff(row, col, coef), "a cut coefficient")
+            _check(self.highs.changeRowBounds(row, -np.inf, side), "a cut bound")
+        self.cut_coefs[evicted] = coefs
+        self.cut_rhs[evicted] = rhs
 
     def clear_basis(self) -> None:
         """The next solve runs from scratch, not from the last basis."""

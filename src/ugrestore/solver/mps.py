@@ -8,11 +8,7 @@ All formats carry a version header.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -35,12 +31,14 @@ class SolutionImportError(ValueError):
     pass
 
 
-# Export: every section is a stream of parts written in order, each part a
-# constant or a chunk of at most ``CHUNK_LINES`` lines assembled from numpy
-# arrays.  A line is a record of fixed-width byte-string fields, one array of
-# ``S`` strings per field or one constant; a field shorter than its width is
-# padded with NUL bytes, which are dropped from the chunk's bytes (no text
-# written here holds one), so fields of varying width line up.
+# Export: every section is a stream of parts written in order, each part the
+# bytes of a constant or of a chunk of at most ``CHUNK_LINES`` lines
+# assembled from numpy arrays.  A chunk is made only when the writer takes
+# it, so the memory held stays one chunk whatever the model's size.  A line
+# is a record of fixed-width byte-string fields, one array of ``S`` strings
+# per field or one constant; a field shorter than its width is padded with
+# NUL bytes, which are dropped from the chunk's bytes (no text written here
+# holds one), so fields of varying width line up.
 #
 # - Names: the ``C``/``R``/``K`` names of all columns and rows are built once
 #   as tables, one 8-byte string per name (wider past 9,999,999), and each
@@ -50,14 +48,8 @@ class SolutionImportError(ValueError):
 #   values' bits, which hashes rather than sorts all of them (NumPy >= 2.3)
 #   when no inverse is asked for; a chunk finds its values' texts by
 #   ``searchsorted`` into the sorted distinct bits.
-# - Pool: a small thread pool, one per file written, assembles the chunks
-#   while the calling thread prepares the next section and writes the
-#   finished chunks in order; NumPy releases the GIL in the gathers, the
-#   record fill and the NUL filter.  At most ``2 * workers`` parts are in
-#   flight, so the memory held stays a few chunks whatever the model's size.
 
 CHUNK_LINES = 1 << 16  # lines per assembled chunk
-MAX_WORKERS = 4  # threads that assemble chunks, at most
 
 _INTORG = b"    MARKER    'MARKER'    'INTORG'\n"
 _INTEND = b"    MARKER    'MARKER'    'INTEND'\n"
@@ -68,15 +60,6 @@ _QUADS = (
     .view(np.uint32)
     .ravel()
 )
-
-
-def _workers() -> int:
-    """Threads for the export pool: the CPUs this process may run on, at most ``MAX_WORKERS``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_WORKERS))
 
 
 def _name(letter: bytes, idx) -> np.ndarray:
@@ -121,40 +104,13 @@ def _value_texts(values: np.ndarray):
 
 
 def _chunks(n: int, lines):
-    """The parts ``lines(lo, hi)`` over consecutive chunks of ``range(n)``."""
+    """The bytes ``lines(lo, hi)`` of consecutive chunks of ``range(n)``, each made when it is taken."""
     for lo in range(0, n, CHUNK_LINES):
-        yield partial(lines, lo, min(n, lo + CHUNK_LINES))
-
-
-def _write_ordered(fh, parts) -> None:
-    """Write ``parts`` to ``fh`` in order: ``bytes`` as they are, a callable as the bytes it returns.
-
-    The callables run in a pool of :func:`_workers` threads made for this
-    call, at most twice as many parts as threads in flight, while this
-    thread takes the next parts from ``parts`` and writes the finished ones.
-    An exception raised in a part is raised here, after the parts not yet
-    started are cancelled; every pool thread has ended when this returns.
-    """
-    workers = _workers()
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="mps-export")
-    pending: deque[Future] = deque()
-    try:
-        for part in parts:
-            if len(pending) >= 2 * workers:
-                fh.write(pending.popleft().result())
-            if isinstance(part, bytes):
-                pending.append(Future())
-                pending[-1].set_result(part)
-            else:
-                pending.append(pool.submit(part))
-        while pending:
-            fh.write(pending.popleft().result())
-    finally:
-        pool.shutdown(cancel_futures=True)
+        yield lines(lo, min(n, lo + CHUNK_LINES))
 
 
 def _mps_parts(model: LinearModel, relax_binaries: bool):
-    """The parts of the MPS file, in order (:func:`_write_ordered`)."""
+    """The parts of the MPS file, in order."""
     seeds, seed_rhs = seed_tangents(model)
     seeds.eliminate_zeros()  # a zero tangent coefficient is not written
     letter = np.empty(3, dtype="S1")
@@ -235,7 +191,7 @@ def _column_parts(model: LinearModel, a: sp.csc_matrix, texts, rows: np.ndarray,
         if integer[c0]:
             yield _INTORG
         lo = int(a.indptr[c0])
-        yield from _chunks(int(a.indptr[c1]) - lo, lambda i, j, lo=lo: lines(lo + i, lo + j))
+        yield from _chunks(int(a.indptr[c1]) - lo, lambda i, j: lines(lo + i, lo + j))
         if integer[c0]:
             yield _INTEND
 
@@ -256,18 +212,18 @@ def export_mps(
     reconstruct them.
 
     Every section is built from the model's arrays, not line by line, in
-    chunks of ``CHUNK_LINES`` lines that a thread pool assembles and this
-    thread writes in order, so the memory it takes stays bounded.  The
-    files are those a line-by-line writer produces.
+    chunks of ``CHUNK_LINES`` lines, each written before the next is made,
+    so the memory it takes stays bounded.  The files are those a
+    line-by-line writer produces.
     """
     with open(mps_path, "wb") as fh:
-        _write_ordered(fh, _mps_parts(model, relax_binaries))
+        fh.writelines(_mps_parts(model, relax_binaries))
     if cone_path is not None:
         with open(cone_path, "wb") as fh:
-            _write_ordered(fh, _cone_parts(model))
+            fh.writelines(_cone_parts(model))
     if name_map_path is not None:
         with open(name_map_path, "wb") as fh:
-            _write_ordered(fh, _name_map_parts(model))
+            fh.writelines(_name_map_parts(model))
 
 
 def _cone_parts(model: LinearModel):
@@ -388,7 +344,7 @@ def write_solution_file(model: LinearModel, x: np.ndarray, path) -> None:
     values = _value_texts(np.asarray(x, dtype=np.float64)[: model.ncols])
     lines = _chunks(model.ncols, lambda lo, hi: _lines(cols[lo:hi], b" ", values(lo, hi)))
     with open(path, "wb") as fh:
-        _write_ordered(fh, chain([b"* ugrestore solution v1\n"], lines))
+        fh.writelines(chain([b"* ugrestore solution v1\n"], lines))
 
 
 def read_solution_file(path) -> dict[str, float]:

@@ -350,8 +350,8 @@ def _lp_with_oa(
         viol = cone_violations(model, res.x, opts.oa_tol)
         if not viol:
             break
-        cones = model.cones
-        cuts = [(idx, soc_cut(cones[idx].point(res.x), cones[idx])) for idx, _ in viol]
-        backend.add_cuts(cuts, res.x)
+        cone = [idx for idx, _ in viol]
+        coefs, rhs = zip(*(soc_cut(model.cones[idx].point(res.x)) for idx in cone))
+        backend.add_cuts(cone, coefs, rhs, res.x)
         res = backend.solve(fixes)
     return res.x if res.ok and res.objective > cutoff else None

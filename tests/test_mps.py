@@ -1,6 +1,4 @@
 import re
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from ugrestore.solver import (
     parse_mps,
     solve,
 )
-from ugrestore.solver.cuts import initial_cone_cuts, seed_tangents
+from ugrestore.solver.cuts import seed_tangents, unit_tangents
 from ugrestore.solver.lp import read_lp
 from ugrestore.solver import mps
 from ugrestore.solver.mps import (
@@ -74,15 +72,21 @@ class TestExport:
             parse_mps(bad)
 
 
+def tangent_rows(model):
+    """``(cols, coefs, rhs)`` per seed row: the :func:`unit_tangents` planes on each cone's columns, cone by cone."""
+    planes = unit_tangents()
+    return [(cone[:4], coefs.tolist(), float(rhs)) for cone in model.cones for coefs, rhs in zip(*planes)]
+
+
 def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=False):
     """The export written line by line, as the array-built writer must reproduce it."""
-    cuts = initial_cone_cuts(model)
+    cuts = tangent_rows(model)
     m = model.matrix().tocoo()
     per_col = {}
     for r, c, v in zip(m.row, m.col, m.data):
         per_col.setdefault(int(c), []).append((f"R{int(r):07d}", float(v)))
-    for ci, cut in enumerate(cuts):
-        for col, coef in zip(cut.cols, cut.coefs):
+    for ci, (cols, coefs, _) in enumerate(cuts):
+        for col, coef in zip(cols, coefs):
             if coef != 0.0:  # a zero tangent coefficient is not written
                 per_col.setdefault(int(col), []).append((f"K{ci:07d}", float(coef)))
     with open(mps_path, "w") as fh:
@@ -113,9 +117,9 @@ def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=F
         for r in range(model.nrows):
             if model.rhs[r] != 0.0:
                 fh.write(f"    RHS  R{r:07d}  {float(model.rhs[r])!r}\n")
-        for ci, cut in enumerate(cuts):
-            if cut.rhs != 0.0:
-                fh.write(f"    RHS  K{ci:07d}  {float(cut.rhs)!r}\n")
+        for ci, (_, _, rhs) in enumerate(cuts):
+            if rhs != 0.0:
+                fh.write(f"    RHS  K{ci:07d}  {rhs!r}\n")
         fh.write("BOUNDS\n")
         for col in range(model.ncols):
             lb, ub = float(model.col_lb[col]), float(model.col_ub[col])
@@ -194,17 +198,12 @@ class TestExportBytes:
         assert lines.decode() == "".join(f"C{i:07d}\n" for i in idx)
 
 
-def _export_threads() -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name.startswith("mps-export")]
-
-
 class TestChunkedWriter:
-    """Chunks of a few lines, assembled by one or two threads, join into the same files."""
+    """Chunks of a few lines join into the same files."""
 
-    @pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
-    def tiny_chunks(self, request, monkeypatch):
+    @pytest.fixture
+    def tiny_chunks(self, monkeypatch):
         monkeypatch.setattr(mps, "CHUNK_LINES", 3)
-        monkeypatch.setattr(mps, "_workers", lambda: request.param)
 
     @staticmethod
     def _same_as_reference(model, directory, relax):
@@ -237,23 +236,6 @@ class TestChunkedWriter:
         want = "".join(f"C{c:07d} {model.catalog.name_of(c)}\n" for c in range(model.ncols))
         assert (tmp_path / "m.names").read_bytes() == ("* ugrestore name map v1\n" + want).encode()
 
-    def test_more_workers_than_cores_and_fast_switching(self, tmp_path, monkeypatch):
-        """Chunks finishing out of order under frequent thread switches are still written in order."""
-        monkeypatch.setattr(mps, "CHUNK_LINES", 5)
-        monkeypatch.setattr(mps, "_workers", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            self._same_as_reference(build_model(shipped_case("toy_gear3")), tmp_path, False)
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_no_thread_outlives_the_export(self, tmp_path):
-        assert _export_threads() == []
-        export_mps(edge_model(), tmp_path / "m.mps", tmp_path / "m.cones", tmp_path / "m.names")
-        write_solution_file(edge_model(), np.zeros(8), tmp_path / "x.sol")
-        assert _export_threads() == []
-
     def test_an_error_in_a_chunk_is_raised(self, tiny_chunks, tmp_path, monkeypatch):
         real, calls = mps._lines, []
 
@@ -266,7 +248,6 @@ class TestChunkedWriter:
         monkeypatch.setattr(mps, "_lines", failing)
         with pytest.raises(MemoryError, match="chunk 3"):
             export_mps(build_model(shipped_case("toy_pair")), tmp_path / "m.mps")
-        assert _export_threads() == []
 
 
 class TestReadBack:
@@ -293,21 +274,21 @@ class TestReadBack:
 
     def test_rows(self, exported):
         model, lp, _ = exported
-        cuts = initial_cone_cuts(model)
+        cuts = tangent_rows(model)
         sense = np.concatenate([model.sense, np.full(len(cuts), SENSE_LE)])
-        rhs = np.concatenate([model.rhs, [c.rhs for c in cuts]])
+        rhs = np.concatenate([model.rhs, [r for _, _, r in cuts]])
         assert lp.num_row_ == model.nrows + len(cuts) == model.nrows + 8 * len(model.cones)
         assert np.array_equal(lp.row_lower_, np.where(sense == SENSE_LE, -np.inf, rhs))
         assert np.array_equal(lp.row_upper_, np.where(sense == SENSE_GE, np.inf, rhs))
 
     def test_matrix(self, exported):
         model, lp, _ = exported
-        cuts = initial_cone_cuts(model)
+        cuts = tangent_rows(model)
         tangents = sp.csr_matrix(
             (
-                [v for c in cuts for v in c.coefs],
-                [j for c in cuts for j in c.cols],
-                np.cumsum([0] + [len(c.cols) for c in cuts]),
+                [v for _, coefs, _ in cuts for v in coefs],
+                [j for cols, _, _ in cuts for j in cols],
+                np.cumsum([0] + [len(cols) for cols, _, _ in cuts]),
             ),
             shape=(len(cuts), model.ncols),
         )
@@ -348,6 +329,16 @@ class TestImport:
                 fh.write(f"{model.catalog.name_of(col)} {float(sol.x[col])!r}\n")
         back = import_external_solution(model, path)
         assert back.objective == pytest.approx(sol.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, solved_pair, tmp_path, bad):
+        case, model, sol = solved_pair
+        x = np.full(model.ncols, np.nan) if bad == "nan" else np.where(np.arange(model.ncols) == 5, np.inf, sol.x)
+        path = tmp_path / f"{bad}.txt"
+        write_solution_file(model, x, path)
+        name = re.escape(model.catalog.name_of(0 if bad == "nan" else 5))
+        with pytest.raises(SolutionImportError, match=rf"non-finite at \('{name}',\) by inf"):
+            import_external_solution(model, path)
 
     def test_unknown_name_rejected(self, solved_pair, tmp_path):
         case, model, sol = solved_pair

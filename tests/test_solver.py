@@ -32,15 +32,16 @@ from ugrestore.solver import (
 )
 from ugrestore.solver import bnb, lp, warmstart
 from ugrestore.solver.cuts import (
+    SNAP,
     NoCutError,
     cone_violations,
     incumbent_tangents,
-    initial_cone_cuts,
     seed_tangents,
     soc_cut,
     tangent,
+    unit_tangents,
 )
-from ugrestore.solver.lp import CUTS_PER_CONE, Cut, HighsModelStatus, LpBackend, LpResult
+from ugrestore.solver.lp import CUTS_PER_CONE, HighsModelStatus, LpBackend, LpResult
 from ugrestore.validator import check_plan
 
 EXACT = SolverOptions(time_limit_s=120, rel_gap=0.0, abs_gap=1e-11, oa_tol=1e-9, oa_search_tol=1e-8)
@@ -81,31 +82,31 @@ class TestLpBackend:
     def test_cut_pool_capped_per_cone_drops_slackest(self):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
-        x = np.zeros(model.ncols)  # every cut below has slack rhs at x
-        binding = Cut(cols=(0,), coefs=(1.0,), rhs=0.0)
-        rhs = [4.0 + (3 * k) % CUTS_PER_CONE for k in range(CUTS_PER_CONE - 1)]
-        cuts = [binding] + [Cut(cols=(0,), coefs=(1.0,), rhs=r) for r in rhs]
-        for cut in cuts:
-            backend.add_cuts([(0, cut)], x)
-        new = [Cut(cols=(0,), coefs=(1.0,), rhs=1.0 + k) for k in range(3)]
-        for cut in new:
-            backend.add_cuts([(0, cut)], x)
-        backend.add_cuts([(1, cuts[1])], x)
+        x = np.zeros(model.ncols)  # every cut below, I <= rhs, has slack rhs at x
+        on_i = (1.0, 0.0, 0.0, 0.0)
+        rhs = [0.0] + [4.0 + (3 * k) % CUTS_PER_CONE for k in range(CUTS_PER_CONE - 1)]
+        for r in rhs:
+            backend.add_cuts([0], [on_i], [r], x)
+        new = [1.0 + k for k in range(3)]
+        for r in new:
+            backend.add_cuts([0], [on_i], [r], x)
         # each new cut took the place of the slackest one at x, largest rhs first;
         # the oldest cut is binding at x and stays
-        want = list(cuts)
-        for cut, pos in zip(new, sorted(range(CUTS_PER_CONE), key=lambda k: -cuts[k].rhs)):
-            want[pos] = cut
-        assert backend.cuts == want + [cuts[1]]
-        assert binding in backend.cuts
+        want = list(rhs)
+        for r, pos in zip(new, sorted(range(CUTS_PER_CONE), key=lambda k: -rhs[k])):
+            want[pos] = r
+        assert backend.cut_rhs.tolist() == want and want[0] == 0.0
+        assert backend.cut_cone.tolist() == [0] * CUTS_PER_CONE and np.all(backend.cut_coefs == on_i)
+        assert backend.highs.getLp().row_upper_[backend.restriction.model.nrows :] == want
         assert backend.solve().ok
 
     def test_refused_cut_row_raises_and_stays_out_of_the_pool(self):
         cat, model = _cone_fixture()
         backend = LpBackend(model)
         with pytest.raises(RuntimeError, match="refused a cut row"):
-            backend.add_cuts([(0, Cut(cols=(model.ncols,), coefs=(1.0,), rhs=1.0))], np.zeros(model.ncols))
-        assert backend.cuts == [] and backend.highs.getNumRow() == backend.restriction.model.nrows
+            backend.add_cuts([0], [(np.inf, 0.0, 0.0, 0.0)], [1.0], np.zeros(model.ncols))
+        assert backend.cut_rhs.size == 0 and backend.highs.getNumRow() == backend.restriction.model.nrows
+        assert np.all(backend._slots == -1)
 
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
         cat, model = _cone_fixture()
@@ -162,7 +163,8 @@ class TestLpBackend:
         def both(self, fixes=None):
             warm = real(self, fixes)
             fresh = LpBackend(self.model)
-            fresh.add_cuts(list(enumerate(self.cuts)), None)  # one cone each: same rows, same order
+            for k in range(self.cut_rhs.size):  # one at a time: same rows, same order
+                fresh.add_cuts(self.cut_cone[k : k + 1], self.cut_coefs[k : k + 1], self.cut_rhs[k : k + 1], None)
             pairs.append((warm, real(fresh, fixes)))
             return warm
 
@@ -221,28 +223,36 @@ class TestLpBackend:
         one, batch = LpBackend(model), LpBackend(model)
         x = one.solve().x
         full = cone_violations(model, x, 1e-9)[0][0]
-        seeds = initial_cone_cuts(model)[full * CUTS_PER_CONE : (full + 1) * CUTS_PER_CONE]
+        seeds = unit_tangents(CUTS_PER_CONE)
         for backend in (one, batch):  # the worst violated cone's slots all taken
-            for cut in seeds:
-                backend.add_cuts([(full, cut)], x)
-        cuts = _round_of_cuts(model, x, 1e-9)
-        assert len(cuts) > 1 and full in dict(cuts)
-        for pair in cuts:
-            one.add_cuts([pair], x)
+            for coefs, rhs in zip(*seeds):
+                backend.add_cuts([full], [coefs], [rhs], x)
+        cone, coefs, rhs = _round_of_cuts(model, x, 1e-9)
+        assert cone.size > 1 and cone[0] == full
+        for k in range(cone.size):
+            one.add_cuts(cone[k : k + 1], coefs[k : k + 1], rhs[k : k + 1], x)
         batch.highs = spy = _HighsSpy(batch.highs)
-        batch.add_cuts(cuts, x)
+        batch.add_cuts(cone, coefs, rhs, x)
         batch.highs = spy.highs
         assert spy.calls.count("addRows") == 1 and "changeCoeff" in spy.calls  # one eviction
-        assert batch.cuts == one.cuts and batch._cone_slots == one._cone_slots
-        assert dict(cuts)[full] in batch.cuts and sum(c in batch.cuts for c in seeds) == CUTS_PER_CONE - 1
-        assert len(batch.cuts) == CUTS_PER_CONE + len(cuts) - 1
+        for name in ("cut_cone", "cut_coefs", "cut_rhs", "_slots"):
+            assert np.array_equal(getattr(batch, name), getattr(one, name)), name
+        # the new cut took the place of the seed with the most slack at x, summed term by term here
+        point = x[model.cone_cols[full]]
+        slack = [side - sum(a * v for a, v in zip(plane, point)) for plane, side in zip(*seeds)]
+        assert sorted(slack)[-1] - sorted(slack)[-2] > 1e-6
+        held = [tuple(row) for row in batch.cut_coefs[batch._slots[full]]]
+        want = [tuple(row) for row in seeds[0]]
+        want[int(np.argmax(slack))] = tuple(coefs[0])
+        assert held == want
+        assert batch.cut_rhs.size == CUTS_PER_CONE + cone.size - 1
         lps = [backend.highs.getLp() for backend in (one, batch)]
         for name in ("row_lower_", "row_upper_", "col_lower_", "col_upper_"):
             assert np.array_equal(getattr(lps[0], name), getattr(lps[1], name))
         rows = [_row_matrix(got) for got in lps]
         assert (rows[0] != rows[1]).nnz == 0
         with pytest.raises(ValueError, match="one cut per cone"):
-            batch.add_cuts([cuts[0], cuts[0]], x)
+            batch.add_cuts(cone[[0, 0]], coefs[[0, 0]], rhs[[0, 0]], x)
 
     def test_bundled_highs_iis_api(self):
         import importlib
@@ -290,15 +300,15 @@ class TestLpBackend:
         res = kept.solve()
         for _ in range(3):  # the same cut pool in both
             cuts = _round_of_cuts(model, res.x, 1e-6)
-            kept.add_cuts(cuts, res.x)
-            released.add_cuts(cuts, res.x)
+            kept.add_cuts(*cuts, res.x)
+            released.add_cuts(*cuts, res.x)
             res = kept.solve()
         assert released.solve().objective == pytest.approx(res.objective, rel=1e-9)
         released.release()
-        assert released.highs is None and released.cuts == kept.cuts
+        assert released.highs is None and np.array_equal(released.cut_coefs, kept.cut_coefs)
         again = released.solve()  # from the kept basis: nothing left to pivot
         assert again.objective == pytest.approx(res.objective, rel=1e-9) and again.nit == 0
-        assert released.highs.getNumRow() == released.restriction.model.nrows + len(kept.cuts)
+        assert released.highs.getNumRow() == released.restriction.model.nrows + kept.cut_rhs.size
         fix = {int(model.free_binary_columns[0]): 1.0}
         want = kept.solve(fix)
         released.release()
@@ -306,21 +316,23 @@ class TestLpBackend:
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
         released.release()  # add_cuts reloads too
-        cuts = _round_of_cuts(model, want.x, 1e-6)[:1]
+        cuts = [a[:1] for a in _round_of_cuts(model, want.x, 1e-6)]
         for backend in (kept, released):
-            backend.add_cuts(cuts, want.x)
+            backend.add_cuts(*cuts, want.x)
         got, want = released.solve(fix), kept.solve(fix)
         assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
 
 
-def _full_lp(model, fixes, cuts=()):
-    """The LP over every row of ``model`` and ``cuts``, ``fixes`` pinned, solved from scratch."""
+def _full_lp(model, fixes, pool=None):
+    """The LP over every row of ``model`` and the pool of ``pool``, a backend, ``fixes`` pinned, from scratch."""
     lb, ub = lp._pinned(model.col_lb, model.col_ub, fixes)
     h = lp._loaded(dataclasses.replace(model, col_lb=lb, col_ub=ub), -model.obj)
     for name, value in lp._HIGHS_OPTIONS.items():
         h.setOptionValue(name, value)
-    if cuts:
-        lp._add_rows(h, list(cuts))
+    if pool is not None:
+        n = pool.cut_rhs.size
+        cols = model.cone_cols[pool.cut_cone]
+        lp._add_block(h, np.arange(0, 4 * n, 4), cols.ravel(), pool.cut_coefs.ravel(), pool.cut_rhs)
     return lp.linprog(h, np.inf), lb, ub
 
 
@@ -385,28 +397,46 @@ class TestRestriction:
                 assert np.all(got.x >= lb - 1e-9) and np.all(got.x <= ub + 1e-9)
                 assert backend.restriction.model.nrows < model.nrows or not base
 
-    def test_cut_on_an_eliminated_column_matches_the_full_model(self, reduced13, monkeypatch):
+    def test_cut_on_an_eliminated_cone_matches_the_full_model(self, reduced13, monkeypatch):
         model = build_model(reduced13)
         skeleton, fixes = _greedy_fixings(model, reduced13, monkeypatch)
-        backend = LpBackend(model, fixes=skeleton)
+        x = warmstart._lp_with_oa(LpBackend(model, fixes=skeleton), fixes, SolverOptions())  # meets every cone
+        # the skeleton leaves every cone of reduced13 live, so pin the columns of one loaded cone at x
+        idx = int(np.argmax(x[model.cone_cols[:, 1]] * np.abs(x[model.cone_cols[:, 2]])))
+        cols = model.cone_cols[idx]
+        pinned = dict(zip(cols.tolist(), x[cols].tolist()))
+        backend = LpBackend(model, fixes={**skeleton, **pinned})
+        fixes = {**fixes, **pinned}
+        assert np.all(backend.restriction.pos[cols] < 0) and np.all(backend.restriction.fixed[cols] == x[cols])
         res = backend.solve(fixes)
-        gone = np.setdiff1d(np.arange(model.ncols), backend.restriction.keep)
-        e = int(gone[np.flatnonzero(backend.restriction.fixed[gone] == 1.0)[0]])
-        cuts = _round_of_cuts(model, res.x, 1e-9)
-        idx, cut = cuts[0]
-        for seed in initial_cone_cuts(model)[idx * CUTS_PER_CONE : (idx + 1) * CUTS_PER_CONE]:
-            backend.add_cuts([(idx, seed)], res.x)  # the slots of the cone full
-        # the same cut with a term on the eliminated column e, its value moved into the rhs
-        cut = Cut(cut.cols + (e,), cut.coefs + (2.0,), cut.rhs + 2.0)
-        backend.add_cuts([(idx, cut)] + [pair for pair in cuts[1:4]], res.x)  # one rewritten in place
-        assert cut in backend.cuts and len(backend.cuts) == CUTS_PER_CONE + 3
-        got = backend.solve(fixes)
-        want, _, _ = _full_lp(model, fixes, backend.cuts)
-        assert got.ok and want.ok and got.objective < res.objective - 1e-9
-        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        # cuts that x's point of the cone meets only through the terms moved into their rhs:
+        # lhs < rhs = lhs / 2 < 0, so a row HiGHS holds without those terms is infeasible
+        planes, _ = unit_tangents(CUTS_PER_CONE)
+        lhs = planes @ x[cols]
+        assert lhs.max() < -1e-3
+
+        def matches_the_full_model():
+            got = backend.solve(fixes)
+            want, _, _ = _full_lp(model, fixes, backend)
+            assert got.ok and want.ok
+            assert got.objective == pytest.approx(want.objective, rel=1e-9)
+            return got
+
+        cone, coefs, rhs = _round_of_cuts(model, res.x, 1e-9)
+        cone, coefs, rhs = (a[cone != idx][:3] for a in (cone, coefs, rhs))
+        backend.add_cuts(np.append(idx, cone), np.vstack([planes[:1], coefs]), np.append(lhs[0] / 2, rhs), res.x)
+        got = matches_the_full_model()
+        assert got.objective < res.objective - 1e-9
+        for k in range(1, CUTS_PER_CONE):  # the cone's slots all taken
+            backend.add_cuts([idx], planes[k : k + 1], [lhs[k] / 2], res.x)
+        rows = backend.highs.getNumRow()
+        backend.add_cuts([idx], planes[:1], [lhs[0] / 4], res.x)  # rewritten in place
+        assert backend.highs.getNumRow() == rows and lhs[0] / 4 in backend.cut_rhs
+        got = matches_the_full_model()
         backend.release()
         again = backend.solve(fixes)
         assert again.objective == pytest.approx(got.objective, rel=1e-9) and again.nit == 0
+        matches_the_full_model()
 
     @pytest.mark.parametrize("via", ["model bounds", "base fixings"])
     def test_bound_conflict_is_infeasible_with_its_iis(self, via):
@@ -434,14 +464,14 @@ class TestOaRound:
         backend = search.backend
         x = backend.solve().x
         full = cone_violations(model, x, opts.oa_tol)[0][0]
-        for cut in initial_cone_cuts(model)[full * CUTS_PER_CONE : (full + 1) * CUTS_PER_CONE]:
-            backend.add_cuts([(full, cut)], x)
+        for coefs, rhs in zip(*unit_tangents(CUTS_PER_CONE)):
+            backend.add_cuts([full], [coefs], [rhs], x)
         separated = []
         module = bnb if loop == "search" else warmstart
         real = module.cone_violations
         monkeypatch.setattr(module, "cone_violations", lambda *a: separated.append(real(*a)) or separated[-1])
-        slots = {idx: len(held) for idx, held in backend._cone_slots.items()}
-        before = len(backend.cuts)
+        held = (backend._slots >= 0).sum(axis=1)
+        before = backend.cut_rhs.size
         if loop == "search":
             search.oa_refine({}, backend.solve(), 1)
         else:
@@ -450,8 +480,8 @@ class TestOaRound:
         assert len(separated) == 1
         viol = [idx for idx, _ in separated[0]]
         assert full in viol and len(viol) > 20  # more than the old 20 per round
-        assert len(backend.cuts) - before == len(viol) - 1  # all but the full cone
-        assert all(len(backend._cone_slots[idx]) == min(slots.get(idx, 0) + 1, CUTS_PER_CONE) for idx in viol)
+        assert backend.cut_rhs.size - before == len(viol) - 1  # all but the full cone
+        assert np.array_equal((backend._slots[viol] >= 0).sum(axis=1), np.minimum(held[viol] + 1, CUTS_PER_CONE))
 
 
 class _HighsSpy:
@@ -491,8 +521,10 @@ def _spy_masters(monkeypatch):
 
 
 def _round_of_cuts(model, x, tol):
-    """One tangent per cone that ``x`` violates beyond ``tol``, worst first."""
-    return [(idx, soc_cut(model.cones[idx].point(x), model.cones[idx])) for idx, _ in cone_violations(model, x, tol)]
+    """One tangent per cone that ``x`` violates beyond ``tol``, worst first: cones, coefficients, rhs."""
+    cone = np.array([idx for idx, _ in cone_violations(model, x, tol)], dtype=np.int64)
+    coefs, rhs = zip(*(soc_cut(model.cones[idx].point(x)) for idx in cone))
+    return cone, np.array(coefs), np.array(rhs)
 
 
 def _row_matrix(highs_lp):
@@ -526,26 +558,24 @@ def _cone_fixture(demand=("p",)):
 
 class TestSocCut:
     def test_no_violation_no_cut(self):
-        cone = ConeRow(0, 1, 2, 3, "cone", ())
         with pytest.raises(NoCutError):
-            soc_cut((1.0, 1.0, 0.0, 0.0), cone)
+            soc_cut((1.0, 1.0, 0.0, 0.0))
 
     def test_cut_separates_and_keeps_apex(self):
-        cone = ConeRow(0, 1, 2, 3, "cone", ())
         point = (1.0, 1.0, 1.0, 1.0)  # violates: 1*1 < 1 + 1
-        cut = soc_cut(point, cone)
-        lhs_point = sum(c * v for c, v in zip(cut.coefs, point))
-        assert lhs_point > cut.rhs + 1e-9
+        coefs, rhs = soc_cut(point)
+        lhs_point = sum(c * v for c, v in zip(coefs, point))
+        assert lhs_point > rhs + 1e-9
         # apex of the cone satisfies the cut
-        assert 0.0 <= cut.rhs + 1e-12
+        assert 0.0 <= rhs + 1e-12
         # random cone-feasible points satisfy the cut
         rng = np.random.default_rng(0)
         for _ in range(500):
             p, q = rng.uniform(0, 1, 2)
             v = rng.uniform(0.5, 1.5)
             i = (p * p + q * q) / v * rng.uniform(1.0, 3.0)
-            lhs = cut.coefs[0] * i + cut.coefs[1] * v + cut.coefs[2] * p + cut.coefs[3] * q
-            assert lhs <= cut.rhs + 1e-9
+            lhs = coefs[0] * i + coefs[1] * v + coefs[2] * p + coefs[3] * q
+            assert lhs <= rhs + 1e-9
 
     def test_iterated_cutting_converges(self):
         cat, model = _cone_fixture()
@@ -558,8 +588,8 @@ class TestSocCut:
             viol = cone_violations(model, x, 1e-6)
             if not viol:
                 break
-            cone = model.cones[viol[0][0]]
-            backend.add_cuts([(viol[0][0], soc_cut(cone.point(x), cone))], x)
+            coefs, rhs = soc_cut(model.cones[viol[0][0]].point(x))
+            backend.add_cuts([viol[0][0]], [coefs], [rhs], x)
         assert rounds < 50
         slack = model.cone_values(x)[0]
         assert slack >= -1e-6
@@ -567,40 +597,51 @@ class TestSocCut:
         i, v, p, q = x[0], x[1], x[2], x[3]
         assert i * v == pytest.approx(p * p + q * q, rel=1e-4, abs=1e-5)
 
+    @staticmethod
+    def _unit_planes(n_angles):
+        """:func:`tangent` at each unit point, with what is below ``SNAP`` set to 0."""
+        planes = []
+        for m in range(n_angles):
+            ang = 2.0 * math.pi * m / n_angles
+            coefs, rhs = tangent((1.0, 1.0, math.cos(ang), math.sin(ang)))
+            planes.append(([0.0 if abs(a) < SNAP else a for a in coefs], 0.0 if abs(rhs) < SNAP else rhs))
+        return planes
+
     def test_initial_cuts_are_supporting(self):
-        cat, model = _cone_fixture()
-        cuts = initial_cone_cuts(model, 8)
-        assert len(cuts) == 8
+        coefs, rhs = unit_tangents(8)
+        want = self._unit_planes(8)
+        assert np.array_equal(coefs.view(np.int64), np.array([c for c, _ in want]).view(np.int64))
+        assert np.array_equal(rhs.view(np.int64), np.array([r for _, r in want]).view(np.int64))
         rng = np.random.default_rng(1)
-        for cut in cuts:
+        for plane, side in zip(coefs, rhs):
             for _ in range(100):
                 p, q = rng.uniform(-1, 1, 2)
                 v = rng.uniform(0.5, 1.5)
                 i = (p * p + q * q) / v * rng.uniform(1.0, 2.0)
-                lhs = cut.coefs[0] * i + cut.coefs[1] * v + cut.coefs[2] * p + cut.coefs[3] * q
-                assert lhs <= cut.rhs + 1e-9
+                assert plane @ (i, v, p, q) <= side + 1e-9
 
     def test_seed_block_holds_the_initial_cuts_in_order(self, reduced13):
-        """The master gets the rows of ``initial_cone_cuts`` as HiGHS took them from the cut list."""
+        """The master gets, cone by cone, the tangents at each unit point on the cone's columns."""
         model = build_model(reduced13)
-        cuts = initial_cone_cuts(model)
+        planes = self._unit_planes(CUTS_PER_CONE)
         rows, rhs = seed_tangents(model)
-        assert np.array_equal(rows.indptr[:-1], np.cumsum([0] + [len(c.cols) for c in cuts])[:-1])
-        assert np.array_equal(rows.indices, [j for c in cuts for j in c.cols])
-        want = np.array([a for c in cuts for a in c.coefs])
+        n = len(model.cones) * CUTS_PER_CONE
+        assert rows.shape == (n, model.ncols) and np.array_equal(rows.indptr, np.arange(0, 4 * n + 1, 4))
+        assert np.array_equal(rows.indices, [j for cone in model.cones for _ in planes for j in cone[:4]])
+        want = np.array([a for _ in model.cones for coefs, _ in planes for a in coefs])
         assert np.array_equal(rows.data.view(np.int64), want.view(np.int64))  # zeros kept, signs too
-        assert np.array_equal(rhs.view(np.int64), np.array([c.rhs for c in cuts]).view(np.int64))
-        assert rows.shape == (len(cuts), model.ncols)
+        want = np.array([r for _ in model.cones for _, r in planes])
+        assert np.array_equal(rhs.view(np.int64), want.view(np.int64))
 
 
 class TestIncumbentTangents:
     """The search's pool starts with one tangent above the incumbent per cone that carries flow."""
 
     @staticmethod
-    def _excess(cut, point):
+    def _excess(coefs, rhs, point):
         """``coefs . point - rhs`` and the scale 1e-9 relative tolerances are taken against."""
-        terms = [a * x for a, x in zip(cut.coefs, point)]
-        return sum(terms) - cut.rhs, max(1.0, sum(abs(t) for t in terms), abs(cut.rhs))
+        terms = [a * x for a, x in zip(coefs, point)]
+        return sum(terms) - rhs, max(1.0, sum(abs(t) for t in terms), abs(rhs))
 
     # per-unit magnitudes; a cone point is (i, v) and a flow of r * sqrt(i v) at angle th
     @given(
@@ -619,25 +660,24 @@ class TestIncumbentTangents:
     def test_tangent_at_the_lifted_point_supports_the_cone(self, v, p, q, samples):
         assume(p != 0.0 or q != 0.0)
         lifted = ((p * p + q * q) / v, v, p, q)
-        cut = tangent(lifted, ConeRow(0, 1, 2, 3, "cone", ()))
-        excess, scale = self._excess(cut, lifted)
+        coefs, rhs = tangent(lifted)
+        excess, scale = self._excess(coefs, rhs, lifted)
         assert abs(excess) <= 1e-9 * scale
         for i_s, v_s, r, th in samples:
             flow = r * math.sqrt(i_s * v_s)
-            excess, scale = self._excess(cut, (i_s, v_s, flow * math.cos(th), flow * math.sin(th)))
+            excess, scale = self._excess(coefs, rhs, (i_s, v_s, flow * math.cos(th), flow * math.sin(th)))
             assert excess <= 1e-9 * scale
 
     @staticmethod
     def _first_lp_pool(model, monkeypatch, warm):
-        """The search's cut pool, as (cuts, cone -> slots), when its first LP is asked for."""
+        """The search's cut pool, as (cones, coefficients, rhs, cuts per cone), when its first LP is asked for."""
         seen = []
 
         class Asked(Exception):
             """Ends the solve at its first LP: the pool then is all this test reads."""
 
         def spy(self, fixes=None):
-            slots = {idx: list(held) for idx, held in self._cone_slots.items()}
-            seen.append((list(self.cuts), slots))
+            seen.append((self.cut_cone, self.cut_coefs, self.cut_rhs, (self._slots >= 0).sum(axis=1)))
             raise Asked
 
         monkeypatch.setattr(LpBackend, "solve", spy)
@@ -648,18 +688,19 @@ class TestIncumbentTangents:
     def test_pool_holds_one_tangent_per_loaded_cone_before_the_root_lp(self, reduced13, monkeypatch):
         model = build_model(reduced13)
         ws = greedy_warm_start(model, reduced13)
-        cuts, slots = self._first_lp_pool(model, monkeypatch, ws)
+        cone, coefs, rhs, held = self._first_lp_pool(model, monkeypatch, ws)
         loaded = [
             idx
-            for idx, cone in enumerate(model.cones)
-            if ws[cone.col_v] > 1e-9 and (ws[cone.col_p] != 0.0 or ws[cone.col_q] != 0.0)
+            for idx, c in enumerate(model.cones)
+            if ws[c.col_v] > 1e-9 and (ws[c.col_p] != 0.0 or ws[c.col_q] != 0.0)
         ]
         assert 0 < len(loaded) < len(model.cones)
-        assert sorted(slots) == loaded and all(len(held) == 1 for held in slots.values())
-        assert cuts == [cut for _, cut in incumbent_tangents(model, ws)]
+        assert cone.tolist() == loaded and np.array_equal(held, np.isin(np.arange(len(model.cones)), loaded))
+        for got, want in zip((cone, coefs, rhs), incumbent_tangents(model, ws)):
+            assert np.array_equal(got, want)
         # the incumbent meets its cones within the replay tolerance, so its tangents too
-        for cut in cuts:
-            excess, _ = self._excess(cut, ws[list(cut.cols)])
+        for idx, plane, side in zip(cone, coefs, rhs):
+            excess, _ = self._excess(plane, side, ws[model.cone_cols[idx]])
             assert excess <= SolverOptions().replay_tol
 
     @pytest.mark.parametrize("warm", ["fails the replay", "none"])
@@ -670,7 +711,8 @@ class TestIncumbentTangents:
             ws = greedy_warm_start(model, reduced13).copy()
             ws[model.cones[0].col_v] = model.col_ub[model.cones[0].col_v] + 1.0
             assert model.check_solution(ws)
-        assert self._first_lp_pool(model, monkeypatch, ws) == ([], {})
+        cone, coefs, rhs, held = self._first_lp_pool(model, monkeypatch, ws)
+        assert cone.size == coefs.size == rhs.size == held.sum() == 0
 
 
 class TestExactnessAtToyScale:
@@ -867,6 +909,18 @@ class TestSearchBehavior:
         sol = solve(model, EXACT)
         assert sol.status == "optimal"
         assert model.check_solution(sol.x, 1e-6, 1e-6) == []
+
+    def test_non_finite_point_is_not_an_incumbent(self, toy_fork):
+        model = build_model(toy_fork)
+        search = bnb._Search(model, SolverOptions(), deadline=time.monotonic() + 60.0)
+        x = greedy_warm_start(model, toy_fork)
+        for bad in (np.full(model.ncols, np.nan), np.where(np.arange(model.ncols) == 3, np.inf, x)):
+            violations = model.check_solution(bad)
+            assert violations and {v.family for v in violations} == {"non-finite"}
+            assert all(v.residual == np.inf for v in violations)
+            assert not search.offer_incumbent(bad, "caller") and search.inc_x is None
+        assert violations[0].loc == (model.catalog.name_of(3),) and len(violations) == 1
+        assert search.offer_incumbent(x, "greedy") and search.inc_val == model.objective_value(x)
 
     def test_relaxation_point_is_not_an_incumbent(self, toy_fork):
         """The refined root relaxation meets every row and cone, but its binaries are fractional."""
@@ -1318,11 +1372,11 @@ class TestWarmStart:
         uncut = LpBackend(model)
         make_diver(model, toy_gear3)(x_lp, uncut)
         first = lps[0].objective
-        assert len(uncut.cuts) > 0  # the same dive without a cutoff separates
+        assert uncut.cut_rhs.size > 0  # the same dive without a cutoff separates
         lps.clear()
         backend = LpBackend(model)
         assert make_diver(model, toy_gear3)(x_lp, backend, first + above) is None
-        assert len(lps) == 1 and len(backend.cuts) == 0
+        assert len(lps) == 1 and backend.cut_rhs.size == 0
 
     def test_cutoff_below_the_plan_keeps_the_plan(self, toy_gear3):
         model = build_model(toy_gear3)
