@@ -17,6 +17,14 @@ then by the seeded tie-breaker).  Integral candidates get a full refinement
 loop and are accepted as incumbents only after an independent replay of
 every linear row, cone row, column bound and binary's integrality.
 
+Every refinement stops, without re-solving, at the first LP whose objective
+the incumbent dominates (see below): each cut only lowers the LP's bound,
+so that LP already proves all a refined one could.  The stop comes after
+that round's separation, so its cuts stay in the pool for every later LP.
+The node is then pruned with that LP's bound, which can be the one
+reported; an integral candidate whose refinement stopped this way is never
+offered as an incumbent.
+
 After the root LP and the diver, if the incumbent does not yet dominate the
 root, one outer-approximation master (:func:`lp.master_bound`: the model as
 a MIP in HiGHS, its cone rows replaced by the seed tangents of
@@ -200,6 +208,8 @@ class _Search:
             cone = [idx for idx, _ in viol]
             coefs, rhs = zip(*(soc_cut(self.model.cones[idx].point(res.x)) for idx in cone))
             self.backend.add_cuts(cone, coefs, rhs, res.x)
+            if self.dominated(res.objective):  # already a bound the incumbent proves
+                break
             res = self.backend.solve(fixes)
         return res
 
@@ -286,12 +296,12 @@ def solve(
                 search.leave_open(res, bound)
                 continue
             bound = min(bound, res.objective)
+            if search.prune(bound):  # also where a dominated LP ended the refinement
+                continue
             frac = search.fractional_binaries(res.x)
             if not frac:
                 if not search.offer_incumbent(res.x, "branch-and-bound"):
                     search.leave_open(res, bound)
-                continue
-            if search.prune(bound):
                 continue
 
         if (

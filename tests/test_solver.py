@@ -1129,6 +1129,88 @@ class TestLpFailures:
             assert sol.status == "time_limit" and sol.bound == np.inf
 
 
+def _trade_off_fixture():
+    """One cone, no binaries: maximize P - I/2 with I*V >= P^2, optimum 0.55 at P = V = 1.1.
+
+    Outer approximation closes in on the optimum over several rounds.
+    Returns the model and a feasible point at P = 1, V = 1.1 with a tight cone.
+    """
+    cat = VariableCatalog()
+    cat.add_group("i", [0], lb=0.0, ub=4.0)
+    cat.add_group("v", [0], lb=0.9, ub=1.1)
+    cat.add_group("p", [0], lb=0.0, ub=2.0)
+    cat.add_group("q", [0], lb=0.0, ub=2.0)
+    b = ModelBuilder(cat)
+    b.add_obj(cat.col("p", 0), 1.0)
+    b.add_obj(cat.col("i", 0), -0.5)
+    b.add_cone("cone", (0,), cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
+    model = b.build({})
+    x = np.zeros(model.ncols)
+    x[[cat.col("i", 0), cat.col("v", 0), cat.col("p", 0)]] = (1.0 / 1.1, 1.1, 1.0)
+    return model, x
+
+
+def _recorded_lps(monkeypatch):
+    """The result of every ``LpBackend.solve`` call from now on, in call order."""
+    lps = []
+    real = LpBackend.solve
+    monkeypatch.setattr(LpBackend, "solve", lambda self, fixes=None: lps.append(real(self, fixes)) or lps[-1])
+    return lps
+
+
+class TestDominatedStop:
+    """A cut loop ends, without re-solving, at its first LP that the incumbent dominates."""
+
+    def test_reduced13_without_gate_is_proven_by_its_first_lp(self, reduced13, monkeypatch):
+        model = build_model(reduced13, BuildOptions(ferro_gate=False))
+        ws = greedy_warm_start(model, reduced13)
+        opts = SolverOptions()
+        lps = _recorded_lps(monkeypatch)
+        sol = solve(model, opts, warm_start=ws, warm_start_source="greedy")
+        assert len(lps) == 1 and sol.node_count == 1
+        # the round separated at that LP stays in the pool
+        seeds = incumbent_tangents(model, ws)[0].size
+        assert sol.cut_count == seeds + len(cone_violations(model, lps[0].x, opts.oa_search_tol))
+        assert sol.bound == lps[0].objective
+        assert sol.status == "optimal" and 0.0 < sol.gap <= opts.rel_gap
+
+    def test_without_an_incumbent_the_loop_refines_to_its_tolerance(self, monkeypatch):
+        model, _ = _trade_off_fixture()
+        opts = SolverOptions()
+        search = bnb._Search(model, opts, deadline=time.monotonic() + 60.0)
+        lps = _recorded_lps(monkeypatch)
+        res = search.oa_refine({}, search.backend.solve(), bnb.MAX_OA_ROUNDS)
+        assert res.ok and cone_violations(model, res.x, opts.oa_tol) == []
+        assert len(lps) > 2 and res.objective == pytest.approx(0.55, abs=1e-8)
+
+    def test_a_candidate_cut_short_is_never_offered(self, monkeypatch):
+        model, ws = _trade_off_fixture()
+        # the threshold lies between the refined optimum and the root's LP at the search tolerance
+        opts = SolverOptions(rel_gap=0.0, abs_gap=0.5502 - model.objective_value(ws), oa_search_tol=1e-3)
+        real_offer, real_refine = bnb._Search.offer_incumbent, bnb._Search.oa_refine
+        offered, cut_short = [], []
+
+        def stopped_early(search, x, objective):
+            return search.dominated(objective) and bool(cone_violations(model, x, opts.oa_tol))
+
+        def offer(search, x, source):
+            offered.append((source, stopped_early(search, x, model.objective_value(x))))
+            return real_offer(search, x, source)
+
+        def refine(search, fixes, res, rounds, tol=None):
+            out = real_refine(search, fixes, res, rounds, tol)
+            cut_short.append(out.ok and stopped_early(search, out.x, out.objective))
+            return out
+
+        monkeypatch.setattr(bnb._Search, "offer_incumbent", offer)
+        monkeypatch.setattr(bnb._Search, "oa_refine", refine)
+        sol = solve(model, opts, warm_start=ws)
+        assert cut_short == [False, True]  # the root at the search tolerance, then in full
+        assert offered == [("caller", False)]
+        assert sol.status == "optimal" and sol.objective == model.objective_value(ws)
+        assert sol.bound <= 0.5502 + 1e-12
+
+
 class TestMasterBound:
     """One outer-approximation master MIP caps the proven bound after the root."""
 
