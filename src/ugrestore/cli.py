@@ -44,7 +44,7 @@ def _out_dir(args) -> Path:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
-        print(json.dumps(plain(payload), indent=None, sort_keys=True))
+        print(json.dumps(plain(payload), indent=None, sort_keys=True, allow_nan=False))
     else:
         print(text)
 

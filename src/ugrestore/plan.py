@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ugrestore.feeder import FeederCase
+from ugrestore.jsonutil import plain
 from ugrestore.model import LinearModel
 
 PLAN_FORMAT = "ugrestore-plan-v1"
@@ -149,6 +150,7 @@ class RestorationPlan:
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The plan as strict JSON data: a gap or a solver figure that is not finite is None."""
         return {
             "format": PLAN_FORMAT,
             "case_name": self.case_name,
@@ -158,16 +160,16 @@ class RestorationPlan:
             "objective_pu_h": self.objective_pu_h,
             "objective_kwh": self.objective_pu_h * self.kw_base,
             "status": self.status,
-            "gap": self.gap,
+            "gap": plain(self.gap),
             "no_swap": self.no_swap,
             "ferro_gate": self.ferro_gate,
-            "solver_info": self.solver_info,
+            "solver_info": plain(self.solver_info),
             "groups": self.groups,
         }
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(self.to_dict(), fh, allow_nan=False)
             fh.write("\n")
 
     @classmethod
@@ -181,7 +183,7 @@ class RestorationPlan:
             kw_base=data["kw_base"],
             objective_pu_h=data["objective_pu_h"],
             status=data["status"],
-            gap=data["gap"],
+            gap=np.inf if data["gap"] is None else data["gap"],
             no_swap=data["no_swap"],
             ferro_gate=data["ferro_gate"],
             groups={k: [list(e) for e in v] for k, v in data["groups"].items()},

@@ -17,23 +17,27 @@ then by the seeded tie-breaker).  Integral candidates get a full refinement
 loop and are accepted as incumbents only after an independent replay of
 every linear row, cone row, column bound and binary's integrality.
 
-Every refinement stops, without re-solving, at the first LP whose objective
-the incumbent dominates (see below): each cut only lowers the LP's bound,
-so that LP already proves all a refined one could.  The stop comes after
-that round's separation, so its cuts stay in the pool for every later LP.
-The node is then pruned with that LP's bound, which can be the one
-reported; an integral candidate whose refinement stopped this way is never
-offered as an incumbent.
+The root runs its bounds in the order in which they prove something.  If
+its first LP is optimal and the incumbent does not dominate it (see below),
+the diver dives from that LP's point when it is fractional, and then one
+outer-approximation master (:func:`lp.master_bound`: the model as a MIP in
+HiGHS, its cone rows replaced by the seed tangents of
+``cuts.seed_tangents``) gets at most half the time left.  Only then is the
+root LP refined.  The master's MIP dual bound caps every node's bound, so
+when the incumbent dominates it the search ends at the root.  The master is
+given the incumbent's dominance threshold and stops as soon as its dual
+bound reaches it, since a tighter bound would prove nothing more; without
+an incumbent it runs to its own gap.  The search's backend is released
+while the master runs.
 
-After the root LP and the diver, if the incumbent does not yet dominate the
-root, one outer-approximation master (:func:`lp.master_bound`: the model as
-a MIP in HiGHS, its cone rows replaced by the seed tangents of
-``cuts.seed_tangents``) gets at most half the time left.  Its MIP dual bound
-caps every node's bound, so when the incumbent dominates it the search ends
-at the root.  The master is given the incumbent's dominance threshold (see
-below) and stops as soon as its dual bound reaches it, since a tighter
-bound would prove nothing more; without an incumbent it runs to its own
-gap.  The search's backend is released while the master runs.
+Every refinement stops, without re-solving, at the first LP whose objective,
+capped by the master's bound, the incumbent dominates: each cut only lowers
+the LP's bound, so that LP already proves all a refined one could.  Once the
+master has closed the root, its refinement thus ends after one round.  The
+stop comes after that round's separation, so its cuts stay in the pool for
+every later LP.  The node is then pruned with that capped bound, which can
+be the one reported; an integral candidate whose refinement stopped this
+way is never offered as an incumbent.
 
 The proven bound is the largest of the bounds still open: the best node left
 in the heap, the largest bound the incumbent pruned (within the dominance
@@ -49,11 +53,12 @@ bound stays in the proven bound, +inf at the root, so the solve cannot claim
 ``optimal`` past it.
 
 A caller-supplied diving heuristic (see the warm-start module) is invoked
-periodically on the current relaxation point to pull the incumbent up
-without waiting for the tree to reach integer depth.  It dives in the
-search's backend, so its LPs share the cut pool and honour the deadline.
-It is given the incumbent's value as a cutoff and abandons the dive at its
-first LP that cannot beat it; such a dive adds no cut to the pool.
+at the root and then every ``DIVE_EVERY`` nodes on the current relaxation
+point to pull the incumbent up without waiting for the tree to reach
+integer depth.  It dives in the search's backend, so its LPs share the cut
+pool and honour the deadline.  It is given the incumbent's value as a
+cutoff and abandons the dive at its first LP that cannot beat it; such a
+dive adds no cut to the pool.
 """
 
 from __future__ import annotations
@@ -169,8 +174,8 @@ class _Search:
         self.pruned_bound = max(self.pruned_bound, bound)
         return True
 
-    def run_master(self) -> float:
-        """The bound of one outer-approximation master, given half the time left.
+    def run_master(self) -> None:
+        """Sets ``master_bound`` from one outer-approximation master, given half the time left.
 
         The master stops once its bound reaches the incumbent's dominance
         threshold, where a tighter bound would prove nothing more.  The
@@ -183,7 +188,6 @@ class _Search:
             self.master_bound = master_bound(
                 self.model, seed_tangents(self.model), 0.5 * left, self.dominance_threshold()
             )
-        return self.master_bound
 
     # -- relaxation -------------------------------------------------------------
 
@@ -208,7 +212,7 @@ class _Search:
             cone = [idx for idx, _ in viol]
             coefs, rhs = zip(*(soc_cut(self.model.cones[idx].point(res.x)) for idx in cone))
             self.backend.add_cuts(cone, coefs, rhs, res.x)
-            if self.dominated(res.objective):  # already a bound the incumbent proves
+            if self.dominated(min(res.objective, self.master_bound)):  # a bound the incumbent proves
                 break
             res = self.backend.solve(fixes)
         return res
@@ -240,8 +244,8 @@ def solve(
     ``warm_start`` must be a fully feasible point (it is replayed before
     acceptance).  ``diver`` maps a relaxation point, the search's backend and
     a cutoff, the incumbent's value (-inf while there is none), to a feasible
-    full vector that scores above the cutoff, or None; it is consulted
-    periodically for incumbents.
+    full vector that scores above the cutoff, or None; it is consulted at
+    the root and then periodically for incumbents.
     """
     opts = options or SolverOptions()
     t0 = time.monotonic()
@@ -253,11 +257,23 @@ def solve(
     if search.inc_x is not None:
         search.backend.add_cuts(*incumbent_tangents(model, search.inc_x), search.inc_x)
 
+    def dive(x: np.ndarray) -> None:
+        if diver is not None and time.monotonic() - t0 < 0.8 * opts.time_limit_s:
+            dived = diver(x, search.backend, search.inc_val)
+            if dived is not None:
+                search.offer_incumbent(dived, "dive")
+
     tie = itertools.count()
     heap: list[_Node] = []
     timed_out = False
 
-    root = search.oa_refine({}, search.backend.solve(), MAX_OA_ROUNDS, tol=opts.oa_search_tol)
+    # the root: its first LP, the diver and the master, and only then its refinement
+    first = search.backend.solve()
+    if first.ok and not search.dominated(first.objective):
+        if search.fractional_binaries(first.x):
+            dive(first.x)
+        search.run_master()
+    root = search.oa_refine({}, first, MAX_OA_ROUNDS, tol=opts.oa_search_tol)
     nodes = 1
     if root.ok:
         heapq.heappush(heap, _Node(-root.objective, next(tie), {}, root))
@@ -304,19 +320,8 @@ def solve(
                     search.leave_open(res, bound)
                 continue
 
-        if (
-            diver is not None
-            and nodes % DIVE_EVERY == 1
-            and time.monotonic() - t0 < 0.8 * opts.time_limit_s
-        ):
-            dived = diver(res.x, search.backend, search.inc_val)
-            if dived is not None:
-                search.offer_incumbent(dived, "dive")
-
-        if not node.fixes:  # the root, still open after its LP and the diver
-            bound = min(bound, search.run_master())
-            if search.prune(bound):
-                continue
+        if node.fixes and nodes % DIVE_EVERY == 1:  # the root dived before its refinement
+            dive(res.x)
 
         col = search.pick_branch(res.x, frac)
         for val in (0.0, 1.0):

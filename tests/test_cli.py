@@ -9,10 +9,22 @@ from conftest import case_path
 from ugrestore.cli import main
 
 
+def _strict_json(text):
+    """``text`` parsed as JSON (RFC 8259), which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture()
 def outdir(tmp_path, monkeypatch):
     monkeypatch.delenv("UGRESTORE_OUT", raising=False)
-    return tmp_path
+    yield tmp_path
+    # every plan a test wrote parses as strict JSON
+    for plan in tmp_path.rglob("plan.json"):
+        _strict_json(plan.read_text())
 
 
 def _solve_args(case, out, *extra):
@@ -77,6 +89,15 @@ class TestSolve:
         assert json.loads(out)["status"] == "optimal"
         info = json.loads((outdir / "plan.json").read_text())["solver_info"]
         assert info["master_bound_pu_h"] >= info["bound_pu_h"]
+
+    def test_plan_and_payload_are_strict_json_when_the_master_did_not_run(self, outdir, capsys):
+        # the first root LP of toy_pair is dominated by the greedy, so no master runs
+        assert main(_solve_args("toy_pair", outdir, "--json")) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        plan = _strict_json((outdir / "plan.json").read_text())
+        assert payload["status"] == plan["status"] == "optimal"
+        assert plan["solver_info"]["master_bound_pu_h"] is None
+        assert plan["solver_info"]["bound_pu_h"] * plan["kw_base"] == payload["bound_kwh"]
 
     def test_broken_case_exits_3(self, outdir, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -222,9 +243,11 @@ class TestExport:
         assert rc == 0
         second = json.loads(capsys.readouterr().out)
         assert second["objective_kwh"] == pytest.approx(first["objective_kwh"], abs=1e-9)
-        # the replay proves feasibility only: no gap is claimed
+        # the replay proves feasibility only: no gap is claimed, and no bound is written
         assert second["status"] == "feasible"
-        assert second["gap"] != 0.0 and second["bound_kwh"] == float("inf")
+        assert second["gap"] is None and second["bound_kwh"] is None
+        plan = RestorationPlan.load(outdir / "plan.json")
+        assert plan.gap == float("inf") and plan.solver_info["bound_pu_h"] is None
 
     def test_external_without_solution_exits_3(self, outdir):
         rc = main(

@@ -1183,6 +1183,7 @@ class TestDominatedStop:
         assert res.ok and cone_violations(model, res.x, opts.oa_tol) == []
         assert len(lps) > 2 and res.objective == pytest.approx(0.55, abs=1e-8)
 
+    @pytest.mark.usefixtures("no_master")  # the master would close the root before any candidate
     def test_a_candidate_cut_short_is_never_offered(self, monkeypatch):
         model, ws = _trade_off_fixture()
         # the threshold lies between the refined optimum and the root's LP at the search tolerance
@@ -1209,6 +1210,101 @@ class TestDominatedStop:
         assert offered == [("caller", False)]
         assert sol.status == "optimal" and sol.objective == model.objective_value(ws)
         assert sol.bound <= 0.5502 + 1e-12
+
+
+class TestRootOrder:
+    """The root's first LP, then the diver, then the master, and only then the root's refinement."""
+
+    @staticmethod
+    def _recorded(monkeypatch, diver):
+        """Every LP, dive and master of the solve from now on, in call order, and the diver to pass.
+
+        An LP, the search's or a dive's, is ``("lp", fixes, result)``, a dive
+        ``("dive", x)`` and a master ``("master", bound)``.
+        """
+        events = []
+        real_solve, real_master = LpBackend.solve, bnb.master_bound
+
+        def solve_spy(self, fixes=None):
+            res = real_solve(self, fixes)
+            events.append(("lp", dict(fixes or {}), res))
+            return res
+
+        def master_spy(*args):
+            events.append(("master", real_master(*args)))
+            return events[-1][1]
+
+        def diver_spy(x, backend, cutoff):
+            events.append(("dive", x.copy()))
+            return diver(x, backend, cutoff)
+
+        monkeypatch.setattr(LpBackend, "solve", solve_spy)
+        monkeypatch.setattr(bnb, "master_bound", master_spy)
+        return events, diver_spy
+
+    def test_master_closes_reduced13_before_any_refinement(self, reduced13, monkeypatch):
+        model = build_model(reduced13)  # swap and gate: the first root LP leaves a gap
+        opts = SolverOptions()
+        ws = greedy_warm_start(model, reduced13, opts)
+        events, diver = self._recorded(monkeypatch, make_diver(model, reduced13, opts))
+        sol = solve(model, opts, warm_start=ws, warm_start_source="greedy", diver=diver)
+        kinds = [event[0] for event in events]
+        assert kinds.count("master") == 1 and kinds.count("dive") == 1
+        master, dive = kinds.index("master"), kinds.index("dive")
+        search_lps = [event for event in events if event[0] == "lp" and not event[1]]
+        assert len(search_lps) == 1 and events[0] is search_lps[0]  # the first root LP
+        assert dive < master and "lp" not in kinds[master:]  # the dive's LPs all pin fixings
+        first = search_lps[0][2]
+        assert np.array_equal(events[dive][1], first.x)
+        assert sol.status == "optimal" and sol.node_count == 1
+        assert sol.bound == sol.master_bound == events[master][1]
+        # the one round separated at the first LP stays in the pool
+        seeds = incumbent_tangents(model, ws)[0].size
+        assert sol.cut_count == seeds + len(cone_violations(model, first.x, opts.oa_search_tol))
+
+    @pytest.mark.usefixtures("no_master")
+    def test_root_left_open_by_the_master_is_refined(self, reduced13, monkeypatch):
+        model = build_model(reduced13)
+        ws = greedy_warm_start(model, reduced13)
+        root_lps = []
+        real = LpBackend.solve
+
+        class Branched(Exception):
+            """Ends the solve at its first child: the root's LPs are all this test reads."""
+
+        def until_the_first_child(self, fixes=None):
+            if fixes:
+                raise Branched
+            root_lps.append(real(self, fixes))
+            return root_lps[-1]
+
+        monkeypatch.setattr(LpBackend, "solve", until_the_first_child)
+        with pytest.raises(Branched):
+            solve(model, SolverOptions(), warm_start=ws)
+        assert len(root_lps) > 1
+        assert root_lps[-1].objective < root_lps[0].objective
+
+    @pytest.mark.usefixtures("no_master")
+    def test_diver_runs_at_the_root_once_then_every_dive_every_nodes(self, toy_gear3, monkeypatch):
+        model = build_model(toy_gear3)
+        real = bnb._Search.oa_refine
+        node_refines, dived_at = [], []
+
+        def refine(search, fixes, res, rounds, tol=None):
+            node_refines.append(rounds == bnb.OA_ROUNDS_FRACTIONAL)
+            return real(search, fixes, res, rounds, tol)
+
+        def recording(x, backend, cutoff):
+            dived_at.append((1 + sum(node_refines), len(node_refines)))  # node count, refinements run
+            return None
+
+        monkeypatch.setattr(bnb._Search, "oa_refine", refine)
+        sol = solve(model, SolverOptions(time_limit_s=60), diver=recording)
+        assert sol.status == "optimal" and sol.node_count > 2 * bnb.DIVE_EVERY
+        assert dived_at[0] == (1, 0)  # before the root's refinement
+        nodes = [count for count, _ in dived_at[1:]]
+        assert nodes and all(count % bnb.DIVE_EVERY == 1 and count > 1 for count in nodes)
+        assert nodes == sorted(set(nodes))
 
 
 class TestMasterBound:
