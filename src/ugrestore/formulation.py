@@ -35,7 +35,7 @@ from index grids over the groups whose keys form a full product
 The objective goes in as arrays.  Only the topology, radiality and storage
 rows are added row by row.
 
-Row families (tags carried by every row):
+Row families (each row's family code names one):
 
   coverage-parent        a node is covered only if its upstream node is
   coverage-unique        at most one microgrid covers a node
@@ -98,13 +98,10 @@ Row families (tags carried by every row):
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -573,7 +570,6 @@ def _encode_topology(ctx: _Ctx) -> None:
                 continue
             b.add(
                 "coverage-parent",
-                (nid, k),
                 [
                     (cat.col("u", (nid, k)), 1.0),
                     (cat.col("u", (o.parent_node[nid], k)), -1.0),
@@ -584,7 +580,6 @@ def _encode_topology(ctx: _Ctx) -> None:
     for n in case.nodes:
         b.add(
             "coverage-unique",
-            (n.id,),
             [(cat.col("u", (n.id, k)), 1.0) for k in range(K)],
             SENSE_LE,
             1.0,
@@ -595,11 +590,11 @@ def _encode_topology(ctx: _Ctx) -> None:
             uj = cat.col("u", (l.to_node, k))
             if l.is_switch:
                 gcol = cat.col("gamma", l.index)
-                b.add("switch-split", (l.index, k), [(ui, 1.0), (uj, 1.0), (gcol, -1.0)], SENSE_LE, 1.0)
-                b.add("switch-join", (l.index, k), [(ui, 1.0), (uj, -1.0), (gcol, 1.0)], SENSE_LE, 1.0)
-                b.add("switch-join", (l.index, k), [(ui, -1.0), (uj, 1.0), (gcol, 1.0)], SENSE_LE, 1.0)
+                b.add("switch-split", [(ui, 1.0), (uj, 1.0), (gcol, -1.0)], SENSE_LE, 1.0)
+                b.add("switch-join", [(ui, 1.0), (uj, -1.0), (gcol, 1.0)], SENSE_LE, 1.0)
+                b.add("switch-join", [(ui, -1.0), (uj, 1.0), (gcol, 1.0)], SENSE_LE, 1.0)
             else:
-                b.add("wire-consistent", (l.index, k), [(ui, 1.0), (uj, -1.0)], SENSE_EQ, 0.0)
+                b.add("wire-consistent", [(ui, 1.0), (uj, -1.0)], SENSE_EQ, 0.0)
     encode_radiality(ctx)
 
 
@@ -615,7 +610,6 @@ def encode_radiality(ctx: _Ctx) -> None:
     n_nodes, n_roots = len(case.nodes), ctx.K
     b.add(
         "tree-count",
-        (),
         [(cat.col("gamma", l.index), 1.0) for l in case.lines],
         SENSE_EQ,
         float(n_nodes - n_roots),
@@ -632,25 +626,25 @@ def encode_radiality(ctx: _Ctx) -> None:
             # so the ship-at-least-one-unit row is emitted only where it
             # cannot wrongly forbid that
             if any(not l.is_switch for l in case.lines_at(n.id)):
-                b.add("flow-root", (n.id,), [(c, -s) for c, s in terms], SENSE_GE, 1.0)
+                b.add("flow-root", [(c, -s) for c, s in terms], SENSE_GE, 1.0)
         else:
-            b.add("flow-demand", (n.id,), terms, SENSE_EQ, 1.0)
+            b.add("flow-demand", terms, SENSE_EQ, 1.0)
     for l in case.switch_lines:
         fcol = cat.col("fict_flow", l.index)
         gcol = cat.col("gamma", l.index)
-        b.add("flow-gate", (l.index,), [(fcol, 1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
-        b.add("flow-gate", (l.index,), [(fcol, -1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
+        b.add("flow-gate", [(fcol, 1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
+        b.add("flow-gate", [(fcol, -1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
 
 
 # -- switchgear scheduling ---------------------------------------------------
 
 
-def _block(key, family, locs: list, terms, sense, rhs, keep=None) -> RowBlock:
+def _block(key, family, terms, sense, rhs, keep=None) -> RowBlock:
     """Rows over one index grid, row ``i`` at the grid's ``i``-th point in C order.
 
     ``terms`` are ``(col, coef)`` pairs of arrays; they, ``key``, ``sense``,
     ``rhs`` and ``keep`` broadcast to the grid's shape.  ``keep`` drops the
-    rows where it is False; ``locs`` holds the kept rows' locs.
+    rows where it is False.
     """
     arrays = [a for term in terms for a in term] + [key, sense, rhs] + ([] if keep is None else [keep])
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
@@ -662,7 +656,6 @@ def _block(key, family, locs: list, terms, sense, rhs, keep=None) -> RowBlock:
     return RowBlock(
         flat(key, np.int64),
         family,
-        locs,
         np.stack([flat(c, np.int64) for c, _ in terms], axis=-1),
         np.stack([flat(v, np.float64) for _, v in terms], axis=-1),
         flat(sense, np.int8),
@@ -691,25 +684,19 @@ class _GearRows:
         gt = self.gt.reshape(self.gt.shape + (1,) * (ndim - 2))
         return (gt * self.STEPS + self.step) * self.SUBS
 
-    def add(self, family, locs, terms, sense, rhs, sub=0, keep=None) -> None:
+    def add(self, family, terms, sense, rhs, sub=0, keep=None) -> None:
         """A :func:`_block` over a grid of shape ``(G, T, ...)``, its rows at ``sub`` (broadcast over ``...``)."""
         ndim = len(np.broadcast_shapes(*(np.shape(a) for term in terms for a in term)))
-        self.blocks.append(_block(self.key(ndim) + sub, family, locs, terms, sense, rhs, keep))
-
-
-def _gt_locs(ctx: _Ctx, *tail: range) -> list[tuple]:
-    """``(gear id, t, *rest)`` over every switchgear, period and ``tail`` index, in C order."""
-    return [(g.id, *rest) for g in ctx.case.switchgears for rest in itertools.product(range(ctx.T), *tail)]
+        self.blocks.append(_block(self.key(ndim) + sub, family, terms, sense, rhs, keep))
 
 
 def encode_swap_structure(ctx: _Ctx, rows: _GearRows) -> None:
     """A swap matrix is empty (open) or a permutation (closed)."""
     sw, beta = ctx.grid["swap"], ctx.grid["beta"]
-    ph3 = _gt_locs(ctx, range(3))
-    rows.add("swap-col-once", ph3, [(sw[:, :, ph, :], 1.0) for ph in range(3)], SENSE_LE, 1.0)
-    rows.add("swap-row-once", ph3, [(sw[:, :, :, ps], 1.0) for ps in range(3)], SENSE_LE, 1.0)
+    rows.add("swap-col-once", [(sw[:, :, ph, :], 1.0) for ph in range(3)], SENSE_LE, 1.0)
+    rows.add("swap-row-once", [(sw[:, :, :, ps], 1.0) for ps in range(3)], SENSE_LE, 1.0)
     terms = [(sw[:, :, ph, ps], 1.0) for ph in range(3) for ps in range(3)] + [(beta, -3.0)]
-    rows.add("swap-open-or-full", _gt_locs(ctx), terms, SENSE_EQ, 0.0)
+    rows.add("swap-open-or-full", terms, SENSE_EQ, 0.0)
 
 
 def encode_swap_transition(ctx: _Ctx, rows: _GearRows) -> None:
@@ -726,13 +713,12 @@ def encode_swap_transition(ctx: _Ctx, rows: _GearRows) -> None:
     after = (np.arange(ctx.T) >= 1).astype(float)[None, :, None, None]
     delta = [(sw, -1.0), (prev, after)]
     sub = np.arange(9).reshape(3, 3)  # rows per (ph, ps): >= then <=
-    locs = _gt_locs(ctx, range(3), range(3))
-    rows.add("swap-event-extract", locs, [(ev, 1.0)] + delta, SENSE_GE, 0.0, sub)
-    rows.add("swap-event-extract", locs, [(ev, 2.0)] + delta, SENSE_LE, 1.0, sub)
+    rows.add("swap-event-extract", [(ev, 1.0)] + delta, SENSE_GE, 0.0, sub)
+    rows.add("swap-event-extract", [(ev, 2.0)] + delta, SENSE_LE, 1.0, sub)
     evs = [ev[..., ps] for ps in range(3)]
-    sub, locs = 9 + np.arange(3), _gt_locs(ctx, range(3))
-    rows.add("swap-event-or", locs, [(e, 1.0) for e in evs] + [(x, -3.0)], SENSE_LE, 0.0, sub)
-    rows.add("swap-event-or", locs, [(x, 1.0)] + [(e, -1.0) for e in evs], SENSE_LE, 0.0, sub)
+    sub = 9 + np.arange(3)
+    rows.add("swap-event-or", [(e, 1.0) for e in evs] + [(x, -3.0)], SENSE_LE, 0.0, sub)
+    rows.add("swap-event-or", [(x, 1.0)] + [(e, -1.0) for e in evs], SENSE_LE, 0.0, sub)
 
 
 def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
@@ -789,7 +775,6 @@ def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
     f_terms = mag_terms + [(theta, 1.0)]
     neg = [(c, -v) for c, v in f_terms]
     neg_mag = [(c, -v) for c, v in mag_terms]
-    locs = _gt_locs(ctx, range(3))
     sub = np.arange(3)  # every row of one phase, then the next phase's
     ph_rows = [
         # dv - F <= M (1 - x)  and  F - dv <= M (1 - x)
@@ -807,11 +792,10 @@ def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
         ("inrush-guard", [(s_ang, 1.0), (theta, 1.0), (x, -w)], SENSE_GE, -w),
     ]
     for family, terms, sense, rhs in ph_rows:
-        rows.add(family, locs, terms, sense, rhs, sub)
+        rows.add(family, terms, sense, rhs, sub)
     joint = np.broadcast_to(coef > 0.0, dv.shape)
     rows.add(
         "inrush-guard",
-        [loc for loc, on in zip(locs, joint.ravel().tolist()) if on],
         [(s_mag, coef * f_mag), (s_ang, coef * v_max)],
         SENSE_LE,
         math.sqrt(2.0) * limit,
@@ -820,8 +804,8 @@ def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
     )
     if case.config.delta_v_max_pu is not None:
         cap = case.config.delta_v_max_pu
-        rows.add("voltdiff-cap", locs, [(dv, 1.0)], SENSE_LE, cap, sub)
-        rows.add("voltdiff-cap", locs, [(dv, -1.0)], SENSE_LE, cap, sub)
+        rows.add("voltdiff-cap", [(dv, 1.0)], SENSE_LE, cap, sub)
+        rows.add("voltdiff-cap", [(dv, -1.0)], SENSE_LE, cap, sub)
 
 
 def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:
@@ -842,11 +826,11 @@ def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:
         load = grid["load_p"][[case.node_index[n] for n in g.downstream_nodes]]  # (node, t, ph)
         terms = [(load[j, :, ph], 1.0) for j in range(len(g.downstream_nodes)) for ph in range(3)]
         terms += [(grid["alpha"][i], -thr), (bypass + i, thr)]
-        rows.blocks.append(_block(rows.key()[i], "ferro-gate", [(g.id, t) for t in range(T)], terms, SENSE_GE, 0.0))
+        rows.blocks.append(_block(rows.key()[i], "ferro-gate", terms, SENSE_GE, 0.0))
     alpha, beta = grid["alpha"], grid["beta"]
     prev = np.concatenate([beta[:, :1], beta[:, :-1]], axis=1)  # at t = 0 a placeholder of coefficient 0
     after = (np.arange(T) >= 1).astype(float)
-    rows.add("ferro-sequence", _gt_locs(ctx), [(alpha, 1.0), (beta, -1.0), (prev, after)], SENSE_GE, 0.0)
+    rows.add("ferro-sequence", [(alpha, 1.0), (beta, -1.0), (prev, after)], SENSE_GE, 0.0)
 
 
 def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
@@ -855,10 +839,10 @@ def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
     beta = grid["beta"]
     line = [g.line_index for g in gears]
     gamma = cat.group("gamma").start + np.array(line, dtype=np.int64).reshape(-1, 1)
-    rows.add("gear-in-topology", _gt_locs(ctx), [(beta, 1.0), (gamma, -1.0)], SENSE_LE, 0.0)
+    rows.add("gear-in-topology", [(beta, 1.0), (gamma, -1.0)], SENSE_LE, 0.0)
     u = grid["u"][[case.node_index[g.lateral_node] for g in gears]]  # (G, K)
     terms = [(beta, 1.0)] + [(u[:, k, None], -1.0) for k in range(K)]
-    rows.add("gear-energize-cover", _gt_locs(ctx), terms, SENSE_LE, 0.0)
+    rows.add("gear-energize-cover", terms, SENSE_LE, 0.0)
     # per (k, ph): |flow_p|, |flow_q| <= M beta and curr_sq <= ampacity^2 beta
     fp, fq, cc = (grid[name][line].transpose(0, 2, 1, 3)[..., None] for name in ("flow_p", "flow_q", "curr_sq"))
     flow = np.concatenate([fp, fp, fq, fq, cc], axis=-1)  # (G, T, K, ph, 5)
@@ -866,20 +850,16 @@ def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
     cap = np.concatenate(
         [np.full((len(gears), 3, 4), -ctx.m_flow), -ctx.amp_sq[line][:, :, None]], axis=-1
     )[:, None, None]  # (G, 1, 1, ph, 5)
-    locs = [
-        (li, k, t, ph) for li in line for t in range(T) for k in range(K) for ph in range(3) for _ in range(5)
-    ]
-    rows.add("gear-flow-gate", locs, [(flow, sign), (beta[:, :, None, None, None], cap)], SENSE_LE, 0.0)
+    rows.add("gear-flow-gate", [(flow, sign), (beta[:, :, None, None, None], cap)], SENSE_LE, 0.0)
     for i, g in enumerate(gears):
         lat = list(g.downstream_lines)
         if not lat:
             continue
         cc = grid["curr_sq"][lat].transpose(2, 0, 1, 3)  # (t, line, k, ph)
         amp = -ctx.amp_sq[lat][None, :, None, :]
-        locs = [(li, k, t, ph) for t in range(T) for li in lat for k in range(K) for ph in range(3)]
         key = rows.key()[i].reshape(T, 1, 1, 1)
         rows.blocks.append(
-            _block(key, "lateral-curr-gate", locs, [(cc, 1.0), (beta[i].reshape(T, 1, 1, 1), amp)], SENSE_LE, 0.0)
+            _block(key, "lateral-curr-gate", [(cc, 1.0), (beta[i].reshape(T, 1, 1, 1), amp)], SENSE_LE, 0.0)
         )
 
 
@@ -889,10 +869,8 @@ def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
     sel, sw = grid["reorder_sel"], grid["swap"]
     # (variant, ph, ps) of every zero entry of each permutation, in that order
     v, ph, ps = np.nonzero(np.array(PERMUTATIONS) == 0.0)
-    zeros = list(zip(v.tolist(), ph.tolist(), ps.tolist()))
-    locs = [(g.id, t, *idx) for g in case.switchgears for t in range(T) for idx in zeros]
-    rows.add("reorder-select", locs, [(sel[:, :, v], 1.0), (sw[:, :, ph, ps], -1.0)], SENSE_GE, 0.0)
-    rows.add("reorder-pick-one", _gt_locs(ctx), [(sel[..., j], 1.0) for j in range(6)], SENSE_LE, 5.0)
+    rows.add("reorder-select", [(sel[:, :, v], 1.0), (sw[:, :, ph, ps], -1.0)], SENSE_GE, 0.0)
+    rows.add("reorder-pick-one", [(sel[..., j], 1.0) for j in range(6)], SENSE_LE, 5.0)
     for i, g in enumerate(case.switchgears):
         lines = ctx.bracket_lines[g.id]
         if not lines:
@@ -917,13 +895,10 @@ def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
         cols[..., 4:, 10] = z
         vals = np.broadcast_to(ctx.bracket_coeffs[g.id][None, :, None], cols.shape)
         groups = T * len(lines) * K * 3 * 6
-        # (li, k, t, ph, variant) for each group of six rows
-        locs = list(map(itemgetter(1, 2, 0, 3, 4), itertools.product(range(T), lines, range(K), range(3), range(6))))
-        locs = list(itertools.chain.from_iterable(zip(*[locs] * 6)))
         key = np.repeat(rows.key()[i], groups // T * 6)
         rows.blocks.append(
             RowBlock(
-                key, _BRACKET_FAMILIES * groups, locs, cols.reshape(-1, 11), vals.reshape(-1, 11),
+                key, _BRACKET_FAMILIES * groups, cols.reshape(-1, 11), vals.reshape(-1, 11),
                 np.tile(_BRACKET_SENSE, groups), np.zeros(groups * 6),
             )
         )
@@ -952,7 +927,6 @@ def _encode_ess(ctx: _Ctx) -> None:
         for t in range(ctx.T):
             b.add(
                 "ess-exclusive",
-                (k, t),
                 [(cat.col("ess_ch_on", (k, t)), 1.0), (cat.col("ess_dis_on", (k, t)), 1.0)],
                 SENSE_LE,
                 1.0,
@@ -966,11 +940,10 @@ def _encode_ess(ctx: _Ctx) -> None:
                 rhs = e.soc_init * cap
             else:
                 terms.append((cat.col("ess_soc", (k, t - 1)), -1.0))
-            b.add("ess-energy", (k, t), terms, SENSE_EQ, rhs)
+            b.add("ess-energy", terms, SENSE_EQ, rhs)
             for ph in range(3):
                 b.add(
                     "ess-charge-lim",
-                    (k, t, ph),
                     [
                         (cat.col("ess_ch", (k, t, ph)), 1.0),
                         (cat.col("ess_ch_on", (k, t)), -float(e.charge_max_pu[ph])),
@@ -980,7 +953,6 @@ def _encode_ess(ctx: _Ctx) -> None:
                 )
                 b.add(
                     "ess-discharge-lim",
-                    (k, t, ph),
                     [
                         (cat.col("ess_dis", (k, t, ph)), 1.0),
                         (cat.col("ess_dis_on", (k, t)), -float(e.discharge_max_pu[ph])),
@@ -1001,10 +973,9 @@ def _encode_loads(ctx: _Ctx) -> None:
     lat = [i for i, n in enumerate(case.nodes) if case.gear_of_downstream_node(n.id) is not None]
     gear = [ctx.gear_pos[case.gear_of_downstream_node(case.nodes[i].id).id] for i in lat]
     sw = grid["swap"][gear]  # (node, t, ph, ps)
-    locs = [(case.nodes[i].id, t, ph) for i in lat for t in range(T) for ph in range(3)]
     blocks = [
         _block(
-            key[lat], family, locs,
+            key[lat], family,
             [(grid[name][lat], 1.0)] + [(sw[..., ps], -demand[lat][:, :, None, ps]) for ps in range(3)],
             SENSE_EQ, 0.0,
         )
@@ -1016,15 +987,13 @@ def _encode_loads(ctx: _Ctx) -> None:
         live[i, 0, list(n.phases)] = i not in lat
     served = live & (load_p > 0.0)
     ratio = served & (load_q != 0.0)
-    ids = [n.id for n in case.nodes]
     u = grid["u"][:, None, None, :]
     p, q = grid["load_p"], grid["load_q"]
     for family, keep, terms, sense in (
         ("load-pickup-lim", served, [(p, 1.0)] + [(u[..., k], -load_p) for k in range(K)], SENSE_LE),
         ("load-pq-ratio", ratio, [(q, load_p), (p, -load_q)], SENSE_EQ),
     ):
-        locs = [(ids[i], t, ph) for i, t, ph in zip(*(a.tolist() for a in np.nonzero(keep)))]
-        blocks.append(_block(key, family, locs, terms, sense, 0.0, keep))
+        blocks.append(_block(key, family, terms, sense, 0.0, keep))
     ctx.b.add_blocks(blocks)
 
 
@@ -1043,8 +1012,7 @@ class _PeriodRows:
 
     A term is ``(column at t = 0, column step per period, coefficient)``:
     the step is 3 for a ``(..., t, ph)`` group, 1 for ``beta`` and 0 for
-    ``u``.  A row's ``head`` ``(id, k, ph)`` becomes its loc ``(id, k, t,
-    ph)``.  The horizon is one block, period by period: every row and cone
+    ``u``.  The horizon is one block, period by period: every row and cone
     of period 0, in the order stated, with each column moved by ``t * step``.
     """
 
@@ -1053,41 +1021,33 @@ class _PeriodRows:
         self.terms: list[list[tuple[int, int, float]]] = []
         self.sense: list[int] = []
         self.rhs: list[float] = []
-        self.heads: list[tuple] = []
-        self.row_head: list[int] = []
-        self.cones: list[tuple[int, ...]] = []  # head, then the I, V, P, Q columns at t = 0
+        self.cones: list[tuple[int, int, int, int]] = []  # the I, V, P, Q columns at t = 0
 
-    def _head(self, head: tuple) -> int:
-        if not self.heads or self.heads[-1] != head:
-            self.heads.append(head)
-        return len(self.heads) - 1
-
-    def add(self, family: str, head: tuple, terms, sense: int, rhs: float) -> None:
+    def add(self, family: str, terms, sense: int, rhs: float) -> None:
         self.families.append(family)
-        self.row_head.append(self._head(head))
         self.terms.append(terms)
         self.sense.append(sense)
         self.rhs.append(rhs)
 
-    def add_where_on(self, family: str, head: tuple, terms, on, m: float) -> None:
+    def add_where_on(self, family: str, terms, on, m: float) -> None:
         """``sum(terms) = 0`` wherever every ``on`` column is 1.
 
         An equality row when ``on`` is empty, else two big-M rows stating
         ``|sum(terms)| <= m * (len(on) - sum(on))``.
         """
         if not on:
-            self.add(family, head, terms, SENSE_EQ, 0.0)
+            self.add(family, terms, SENSE_EQ, 0.0)
             return
         relax = [(c, s, m) for c, s in on]
         rhs = m * len(on)
         # The order of the two rows steers warm-started simplex runs; with the
         # upper row first, one reduced13 workload seed ended a warm start 5e-11
         # short of its LP optimum, on a point whose cone was not tight.
-        self.add(family, head, [(c, s, -v) for c, s, v in terms] + relax, SENSE_LE, rhs)
-        self.add(family, head, terms + relax, SENSE_LE, rhs)
+        self.add(family, [(c, s, -v) for c, s, v in terms] + relax, SENSE_LE, rhs)
+        self.add(family, terms + relax, SENSE_LE, rhs)
 
-    def add_cone(self, head: tuple, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
-        self.cones.append((self._head(head), int(col_i), int(col_v), int(col_p), int(col_q)))
+    def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
+        self.cones.append((col_i, col_v, col_p, col_q))
 
     def emit(self, b: ModelBuilder, T: int) -> None:
         n = np.array([len(terms) for terms in self.terms], dtype=np.int64)
@@ -1100,21 +1060,15 @@ class _PeriodRows:
             c, s, v = zip(*itertools.chain.from_iterable(self.terms))
             col0[row, at], step[row, at], vals[row, at] = c, s, v
         periods = np.arange(T)[:, None, None]
-        locs = [[(a, k, t, ph) for a, k, ph in self.heads] for t in range(T)]
         b.add_rows(
             self.families * T,
-            list(itertools.chain.from_iterable(map(heads.__getitem__, self.row_head) for heads in locs)),
             (col0 + periods * step).reshape(-1, col0.shape[1]),
             np.broadcast_to(vals, (T,) + vals.shape).reshape(-1, vals.shape[1]),
             np.tile(np.array(self.sense, dtype=np.int8), T),
             np.tile(np.array(self.rhs, dtype=np.float64), T),
         )
-        cones = np.array([c[1:] for c in self.cones], dtype=np.int64).reshape(-1, 4)
-        b.add_cones(
-            "cone",
-            [heads[c[0]] for heads in locs for c in self.cones],
-            (cones + 3 * periods).reshape(-1, 4),
-        )
+        cones = np.array(self.cones, dtype=np.int64).reshape(-1, 4)
+        b.add_cones((cones + 3 * periods).reshape(-1, 4))
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:
@@ -1169,8 +1123,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                 for r in res_at.get(nid, ()):  # renewable injections
                     terms_p.append((cat.col("res_p", (r, 0, ph)), 3, -1.0))
                     terms_q.append((cat.col("res_q", (r, 0, ph)), 3, -1.0))
-                rows.add_where_on("balance-p", (nid, k, ph), terms_p, on, ctx.m_flow)
-                rows.add_where_on("balance-q", (nid, k, ph), terms_q, on, ctx.m_flow)
+                rows.add_where_on("balance-p", terms_p, on, ctx.m_flow)
+                rows.add_where_on("balance-q", terms_q, on, ctx.m_flow)
         for li, (i, j) in o.direction.items():
             live = ctx.line_phases(li)
             ni, nj = case.node_index[i], case.node_index[j]
@@ -1190,9 +1144,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                         terms.append((fp[li, ps], 3, -2.0 * c.r_hat[ph, ps]))
                         terms.append((fq[li, ps], 3, -2.0 * c.x_hat[ph, ps]))
                         terms.append((cs[li, ps], 3, -c.z_hat[ph, ps]))
-                head = (li, k, ph)
-                rows.add_where_on("volt-drop", head, terms, on, ctx.m_volt)
-                rows.add_cone(head, cs[li, ph], vs[nj, ph], fp[li, ph], fq[li, ph])
+                rows.add_where_on("volt-drop", terms, on, ctx.m_volt)
+                rows.add_cone(cs[li, ph], vs[nj, ph], fp[li, ph], fq[li, ph])
                 # line limits: flows within the source's per-phase ratings,
                 # squared current within ampacity, all only when covered
                 limits = (
@@ -1200,10 +1153,10 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                     ("ess-line-q-lim", fq[li, ph], rated_q[ph]),
                 )
                 for family, col, rated in limits:
-                    rows.add(family, head, [(col, 3, 1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
-                    rows.add(family, head, [(col, 3, -1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
+                    rows.add(family, [(col, 3, 1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
+                    rows.add(family, [(col, 3, -1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
                 amp = [(cs[li, ph], 3, 1.0), (u[nj], 0, -ctx.amp_sq[li, ph])]
-                rows.add("current-lim", head, amp, SENSE_LE, 0.0)
+                rows.add("current-lim", amp, SENSE_LE, 0.0)
         rows.emit(ctx.b, ctx.T)
 
 
@@ -1215,19 +1168,12 @@ def _encode_voltage_ranges(ctx: _Ctx) -> None:
     for i, n in enumerate(case.nodes):
         live[i, 0, list(ctx.node_phases(n.id))] = True
     live = np.broadcast_to(live, (len(case.nodes), ctx.T, 3))
-    at = list(zip(*(a.tolist() for a in np.nonzero(live))))
-    ids = [n.id for n in case.nodes]
     vs = grid["volt_sq"].transpose(0, 2, 3, 1)  # (node, t, ph, k)
     u = grid["u"][:, None, None, :]
     key = np.arange(live.size).reshape(live.shape)
-    rng = _block(
-        key, "volt-range", [(ids[i], t, ph) for i, t, ph in at],
-        [(vs[..., k], 1.0) for k in range(K)] + [(u[..., k], -vmin) for k in range(K)], SENSE_GE, 0.0, live,
-    )
-    cover = _block(
-        key[..., None], "volt-cover", [(ids[i], k, t, ph) for i, t, ph in at for k in range(K)],
-        [(vs, 1.0), (u, -vmax)], SENSE_LE, 0.0, live[..., None],
-    )
+    terms = [(vs[..., k], 1.0) for k in range(K)] + [(u[..., k], -vmin) for k in range(K)]
+    rng = _block(key, "volt-range", terms, SENSE_GE, 0.0, live)
+    cover = _block(key[..., None], "volt-cover", [(vs, 1.0), (u, -vmax)], SENSE_LE, 0.0, live[..., None])
     ctx.b.add_blocks([rng, cover])
 
 
@@ -1249,24 +1195,6 @@ def _encode_objective(ctx: _Ctx) -> None:
     b.add_obj(gates.start + np.arange(gates.size), -case.config.bypass_penalty)
 
 
-@contextmanager
-def _collector_paused():
-    """Python's cyclic garbage collector paused for the block, as it was after.
-
-    The build allocates a tuple per row tag and a few lists as long as the
-    model, none in a reference cycle; collections triggered by those
-    allocations, each scanning the growing lists, took about a fifth of the
-    ``feeder123`` build.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def build_model(case: FeederCase, options: BuildOptions | None = None) -> LinearModel:
     """Assemble the full restoration model for a case.
 
@@ -1284,16 +1212,15 @@ def build_model(case: FeederCase, options: BuildOptions | None = None) -> Linear
             raise UnformulatableError(
                 f"switchgear {g.id!r}: feeder-side node must be three-phase"
             )
-    with _collector_paused():
-        ctx = _Ctx(case, opts)
-        _add_columns(ctx)
-        _encode_topology(ctx)
-        _encode_switchgears(ctx)
-        _encode_ess(ctx)
-        _encode_loads(ctx)
-        _encode_power_flow(ctx)
-        _encode_voltage_ranges(ctx)
-        _encode_objective(ctx)
+    ctx = _Ctx(case, opts)
+    _add_columns(ctx)
+    _encode_topology(ctx)
+    _encode_switchgears(ctx)
+    _encode_ess(ctx)
+    _encode_loads(ctx)
+    _encode_power_flow(ctx)
+    _encode_voltage_ranges(ctx)
+    _encode_objective(ctx)
     meta = {
         "name": case.name,
         "kw_base": case.config.kw_base,

@@ -1,8 +1,11 @@
 """Sparse mixed-binary model container: linear rows, cone rows, objective.
 
-Rows are stored as flat COO triplets plus per-row sense/rhs/family/location
-so the model stays cheap to build for large cases and easy to replay against
-a candidate solution.  The objective is a dense vector, maximized.
+Rows are stored as flat COO triplets plus per-row arrays of sense, rhs and
+family code (an index into the model's table of family names), so the model
+stays cheap to build for large cases and easy to replay against a candidate
+solution.  A cone is one row of an ``(n, 4)`` array of its (I, V, P, Q)
+columns.  Where a row or cone sits is not stored: a violation report names
+its columns from the catalog.  The objective is a dense vector, maximized.
 
 :meth:`LinearModel.restrict` reduces a model to the part that a set of
 column bounds leaves live, by the exact primal reductions of LP presolve
@@ -15,8 +18,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -28,20 +29,7 @@ SENSE_LE = 0
 SENSE_GE = 1
 SENSE_EQ = 2
 
-
-class ConeRow(NamedTuple):
-    """Rotated cone row: col_i * col_v >= col_p^2 + col_q^2 (all columns)."""
-
-    col_i: int
-    col_v: int
-    col_p: int
-    col_q: int
-    family: str
-    loc: tuple
-
-    def point(self, x: np.ndarray) -> tuple[float, float, float, float]:
-        """The cone's (I, V, P, Q) values in the full vector ``x``."""
-        return tuple(float(x[c]) for c in (self.col_i, self.col_v, self.col_p, self.col_q))
+CONE_FAMILY = "cone"  # the family every cone reports as
 
 
 class Restriction(NamedTuple):
@@ -64,8 +52,15 @@ class Restriction(NamedTuple):
 
 @dataclass
 class Violation:
+    """One check that a point fails (:meth:`LinearModel.check_solution`).
+
+    ``family`` is the violated row's or cone's family, or the kind of
+    column check (``column-bounds``, ``integrality``, ``non-finite``);
+    ``loc`` holds the catalog names of the columns involved, each once.
+    """
+
     family: str
-    loc: tuple | None
+    loc: tuple[str, ...]
     residual: float
     row: int | None = None
     detail: str = ""
@@ -76,7 +71,6 @@ class RowBlock(NamedTuple):
 
     key: np.ndarray
     family: str | list[str]
-    locs: list
     cols: np.ndarray
     vals: np.ndarray
     sense: int | np.ndarray
@@ -95,6 +89,8 @@ class ModelBuilder:
     of the switchgear schedule, the loads, the power flow and the voltage
     ranges as blocks, and the objective as arrays; only the topology and
     the storage rows, a few thousand on the largest case, go row by row.
+    A row's family is stored as a code, numbered in the order the builder
+    first meets each name.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
@@ -104,16 +100,19 @@ class ModelBuilder:
         self._coo_v = array("d")
         self._sense = array("b")
         self._rhs = array("d")
-        self._families: list[str] = []
-        self._locs: list[tuple | None] = []
+        self._family = array("i")
+        self._codes: dict[str, int] = {}  # family name -> code
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
-        self._cones: list[ConeRow] = []
+        self._cones = array("q")  # I, V, P, Q columns, cone after cone
 
     @property
     def nrows(self) -> int:
         return len(self._sense)
 
-    def add(self, family: str, loc, terms, sense: int, rhs: float) -> int:
+    def _code(self, family: str) -> int:
+        return self._codes.setdefault(family, len(self._codes))
+
+    def add(self, family: str, terms, sense: int, rhs: float) -> int:
         """Append one linear row; ``terms`` is an iterable of (col, coef)."""
         row = len(self._sense)
         for col, coef in terms:
@@ -123,20 +122,19 @@ class ModelBuilder:
                 self._coo_v.append(float(coef))
         self._sense.append(sense)
         self._rhs.append(float(rhs))
-        self._families.append(family)
-        self._locs.append(tuple(loc) if loc is not None else None)
+        self._family.append(self._code(family))
         return row
 
-    def add_rows(self, family, locs: list, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
-        """Append a block of rows of one width, row ``i`` tagged ``locs[i]``.
+    def add_rows(self, family, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
+        """Append a block of rows of one width.
 
         ``cols``/``vals`` are 2-D, one row per block row, zero-padded: like
         :meth:`add`, every exact-zero coefficient (``-0.0`` too) is dropped
         and every other one kept in its place, so a column repeated in a row
         stays two entries.  ``family`` is one name or one per row; ``sense``
-        and ``rhs`` are scalars or one per row; ``locs`` holds tuples.
+        and ``rhs`` are scalars or one per row.
         """
-        self.add_blocks([RowBlock(np.zeros(len(locs), dtype=np.int64), family, locs, cols, vals, sense, rhs)])
+        self.add_blocks([RowBlock(np.zeros(len(cols), dtype=np.int64), family, cols, vals, sense, rhs)])
 
     def add_blocks(self, blocks: list[RowBlock]) -> None:
         """Append the rows of ``blocks`` in the order of their keys, a stable order.
@@ -146,8 +144,7 @@ class ModelBuilder:
         key, then of the next one, and so on, would store.
         """
         n = [len(b.key) for b in blocks]
-        if [len(b.locs) for b in blocks] != n:
-            raise ValueError("a block needs one loc per row")
+        family = np.concatenate([self._family_codes(b.family, k) for b, k in zip(blocks, n)])
         key = np.concatenate([b.key for b in blocks])
         kept = [np.asarray(b.vals, dtype=np.float64) != 0.0 for b in blocks]
         count = np.concatenate([k.sum(axis=1) for k in kept])
@@ -155,33 +152,36 @@ class ModelBuilder:
         vals = np.concatenate([np.asarray(b.vals, dtype=np.float64)[k] for b, k in zip(blocks, kept)])
         sense = np.concatenate([np.broadcast_to(np.asarray(b.sense, dtype=np.int8), (k,)) for b, k in zip(blocks, n)])
         rhs = np.concatenate([np.broadcast_to(np.asarray(b.rhs, dtype=np.float64), (k,)) for b, k in zip(blocks, n)])
-        families = list(
-            chain.from_iterable([b.family] * k if isinstance(b.family, str) else b.family for b, k in zip(blocks, n))
-        )
-        locs = list(chain.from_iterable(b.locs for b in blocks))
         if np.any(key[1:] < key[:-1]):
             order = np.argsort(key, kind="stable")
             # the entries of row order[i], which lands as row i, one after another
             start, count = (np.cumsum(count) - count)[order], count[order]
             entry = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
-            cols, vals, sense, rhs = cols[entry], vals[entry], sense[order], rhs[order]
-            order = order.tolist()
-            families, locs = map(families.__getitem__, order), map(locs.__getitem__, order)
+            cols, vals, sense, rhs, family = cols[entry], vals[entry], sense[order], rhs[order], family[order]
         self._coo_r.frombytes(np.repeat(np.arange(len(self._sense), len(self._sense) + key.size), count).tobytes())
         self._coo_c.frombytes(cols.tobytes())
         self._coo_v.frombytes(vals.tobytes())
         self._sense.frombytes(sense.tobytes())
         self._rhs.frombytes(rhs.tobytes())
-        self._families.extend(families)
-        self._locs.extend(locs)
+        self._family.frombytes(family.tobytes())
 
-    def add_cone(self, family: str, loc, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
-        self._cones.append(ConeRow(col_i, col_v, col_p, col_q, family, tuple(loc)))
+    def _family_codes(self, family: str | list[str], n: int) -> np.ndarray:
+        """The codes of a block's ``n`` rows: of ``family``, one name or one per row."""
+        if isinstance(family, str):
+            return np.full(n, self._code(family), dtype=np.int32)
+        if len(family) != n:
+            raise ValueError("a block needs one family or one per row")
+        for name in dict.fromkeys(family):
+            self._code(name)
+        return np.fromiter(map(self._codes.__getitem__, family), dtype=np.int32, count=n)
 
-    def add_cones(self, family: str, locs: list, cols: np.ndarray) -> None:
-        """Append one cone per row of ``cols``, its (I, V, P, Q) columns, tagged ``locs`` (tuples)."""
-        fields = zip(*np.asarray(cols, dtype=np.int64).T.tolist(), repeat(family), locs)
-        self._cones.extend(map(partial(tuple.__new__, ConeRow), fields))
+    def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
+        """Append the cone ``col_i * col_v >= col_p^2 + col_q^2``."""
+        self._cones.extend((col_i, col_v, col_p, col_q))
+
+    def add_cones(self, cols: np.ndarray) -> None:
+        """Append one cone per row of ``cols``, its (I, V, P, Q) columns."""
+        self._cones.frombytes(np.ascontiguousarray(cols, dtype=np.int64).tobytes())
 
     def add_obj(self, cols, coefs) -> None:
         """Add ``coefs`` to the objective coefficients of ``cols`` (arrays or scalars), in order."""
@@ -205,9 +205,9 @@ class ModelBuilder:
             coo_v=np.frombuffer(self._coo_v, dtype=np.float64).copy(),
             sense=np.frombuffer(self._sense, dtype=np.int8).copy(),
             rhs=np.frombuffer(self._rhs, dtype=np.float64).copy(),
-            families=self._families,
-            locs=self._locs,
-            cones=self._cones,
+            family=np.frombuffer(self._family, dtype=np.int32).copy(),
+            family_names=list(self._codes),
+            cones=np.frombuffer(self._cones, dtype=np.int64).reshape(-1, 4).copy(),
             meta=dict(meta or {}),
         )
 
@@ -224,12 +224,11 @@ class LinearModel:
     coo_v: np.ndarray
     sense: np.ndarray
     rhs: np.ndarray
-    families: list[str]
-    locs: list[tuple | None]
-    cones: list[ConeRow]
+    family: np.ndarray  # per row: its family's index in ``family_names``
+    family_names: list[str]
+    cones: np.ndarray  # (n, 4): the I, V, P, Q columns of each cone, I*V >= P^2 + Q^2
     meta: dict = field(default_factory=dict)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
-    _cone_cols: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ncols(self) -> int:
@@ -250,20 +249,13 @@ class LinearModel:
             ).tocsr()
         return self._matrix
 
-    @property
-    def cone_cols(self) -> np.ndarray:
-        """The (I, V, P, Q) columns of each cone, one row per cone, built once."""
-        if self._cone_cols is None:
-            self._cone_cols = np.array([c[:4] for c in self.cones], dtype=np.int64).reshape(-1, 4)
-        return self._cone_cols
-
     def family_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for fam in self.families:
-            counts[fam] = counts.get(fam, 0) + 1
-        for cone in self.cones:
-            counts[cone.family] = counts.get(cone.family, 0) + 1
-        return counts
+        """Rows per family with rows, in ``family_names`` order, then the cones as ``cone``."""
+        counts = np.bincount(self.family, minlength=len(self.family_names)).tolist()
+        out = {name: n for name, n in zip(self.family_names, counts) if n}
+        if len(self.cones):
+            out[CONE_FAMILY] = len(self.cones)
+        return out
 
     # -- restriction ----------------------------------------------------------
 
@@ -315,9 +307,8 @@ class LinearModel:
             return Restriction(whole, keep, np.zeros(self.ncols), lb, ub, 0.0, keep)
         fixed = lb == ub
         kept = ~fixed
-        cone_cols = self.cone_cols
-        live = ~fixed[cone_cols].all(axis=1)
-        kept[cone_cols[live].ravel()] = True
+        live = ~fixed[self.cones].all(axis=1)
+        kept[self.cones[live].ravel()] = True
         keep = np.flatnonzero(kept)
         pos = np.full(self.ncols, -1)
         pos[keep] = np.arange(keep.size)
@@ -325,10 +316,6 @@ class LinearModel:
         rows = np.flatnonzero(alive)
         sub = a[rows][:, keep].tocsr()
         coo = sub.tocoo()
-        cones = [
-            ConeRow(*(int(pos[j]) for j in self.cones[k][:4]), self.cones[k].family, self.cones[k].loc)
-            for k in np.flatnonzero(live)
-        ]
         restricted = LinearModel(
             catalog=None,
             col_lb=lb[keep],
@@ -340,9 +327,9 @@ class LinearModel:
             coo_v=coo.data,
             sense=self.sense[rows],
             rhs=self.rhs[rows] - (a @ values)[rows],
-            families=[self.families[r] for r in rows],
-            locs=[self.locs[r] for r in rows],
-            cones=cones,
+            family=self.family[rows],
+            family_names=self.family_names,
+            cones=pos[self.cones[live]],
             _matrix=sub,
         )
         return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values), pos)
@@ -363,7 +350,7 @@ class LinearModel:
 
     def cone_values(self, x: np.ndarray) -> np.ndarray:
         """Cone slack I*V - (P^2 + Q^2) per cone row; negative means violated."""
-        vi, vv, vp, vq = x[self.cone_cols.T]
+        vi, vv, vp, vq = x[self.cones.T]
         return vi * vv - (vp * vp + vq * vq)
 
     def check_solution(self, x: np.ndarray, tol: float = 1e-6, cone_tol: float = 1e-6) -> list[Violation]:
@@ -374,28 +361,28 @@ class LinearModel:
         violation, so a relaxation point never replays as a plan.  A NaN or
         infinite entry is a ``non-finite`` violation of residual inf, and
         then the only kind reported: a NaN fails no comparison, and an
-        infinite one makes the row products NaN.
+        infinite one makes the row products NaN.  A violated row or cone
+        reports the catalog names of its columns as its ``loc``.
         """
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:
             return [Violation("non-finite", (self.catalog.name_of(int(col)),), np.inf) for col in bad]
         out: list[Violation] = []
         resid = self.row_residuals(x)
-        bad = np.flatnonzero(resid < -tol)
-        for row in bad:
+        a = self.matrix()
+        for row in np.flatnonzero(resid < -tol):
             out.append(
                 Violation(
-                    family=self.families[row],
-                    loc=self.locs[row],
+                    family=self.family_names[self.family[row]],
+                    loc=self._names(a.indices[a.indptr[row] : a.indptr[row + 1]]),
                     residual=float(-resid[row]),
                     row=int(row),
                 )
             )
         cone_slack = self.cone_values(x)
         for i in np.flatnonzero(cone_slack < -cone_tol):
-            c = self.cones[i]
             out.append(
-                Violation(family=c.family, loc=c.loc, residual=float(-cone_slack[i]), detail="cone")
+                Violation(CONE_FAMILY, self._names(self.cones[i]), float(-cone_slack[i]), detail="cone")
             )
         lb_bad = np.flatnonzero(x < self.col_lb - tol)
         ub_bad = np.flatnonzero(x > self.col_ub + tol)
@@ -426,6 +413,10 @@ class LinearModel:
             )
         out.sort(key=lambda v: -v.residual)
         return out
+
+    def _names(self, cols: np.ndarray) -> tuple[str, ...]:
+        """The catalog names of ``cols``, each once, in order."""
+        return tuple(map(self.catalog.name_of, dict.fromkeys(cols.tolist())))
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.obj @ x)

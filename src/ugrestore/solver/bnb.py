@@ -210,7 +210,7 @@ class _Search:
             if not viol:
                 break
             cone = [idx for idx, _ in viol]
-            coefs, rhs = zip(*(soc_cut(self.model.cones[idx].point(res.x)) for idx in cone))
+            coefs, rhs = zip(*map(soc_cut, res.x[self.model.cones[cone]].tolist()))
             self.backend.add_cuts(cone, coefs, rhs, res.x)
             if self.dominated(min(res.objective, self.master_bound)):  # a bound the incumbent proves
                 break

@@ -98,8 +98,7 @@ def incumbent_tangents(model: LinearModel, x: np.ndarray) -> tuple[np.ndarray, n
     there is I >= 0 or degenerate, which the column bounds already imply.
     """
     cones, coefs, rhs = [], [], []
-    for idx, cone in enumerate(model.cones):
-        _, v, p, q = cone.point(x)
+    for idx, (_, v, p, q) in enumerate(x[model.cones].tolist()):
         if v > V_MIN and (p != 0.0 or q != 0.0):
             plane, side = tangent(((p * p + q * q) / v, v, p, q))
             cones.append(idx)
@@ -139,14 +138,14 @@ def seed_tangents(model: LinearModel, n_angles: int = CONE_TANGENTS) -> tuple[sp
     cone's (I, V, P, Q) columns, exact zeros included.
     """
     coefs, rhs = unit_tangents(n_angles)
-    cone_cols = model.cone_cols
-    n = len(cone_cols) * n_angles
+    cones = model.cones
+    n = len(cones) * n_angles
     rows = sp.csr_matrix(
         (
-            np.tile(coefs, (len(cone_cols), 1)).ravel(),
-            np.repeat(cone_cols, n_angles, axis=0).ravel(),
+            np.tile(coefs, (len(cones), 1)).ravel(),
+            np.repeat(cones, n_angles, axis=0).ravel(),
             np.arange(0, 4 * n + 1, 4),
         ),
         shape=(n, model.ncols),
     )
-    return rows, np.tile(rhs, len(cone_cols))
+    return rows, np.tile(rhs, len(cones))

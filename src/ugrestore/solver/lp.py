@@ -314,7 +314,7 @@ class LpBackend:
         A term on an eliminated column moves into the right-hand side, term
         by term in the order (I, V, P, Q).
         """
-        cols = self.model.cone_cols[cone]
+        cols = self.model.cones[cone]
         pos = self.restriction.pos[cols]
         gone = pos < 0
         shift = np.zeros_like(coefs)
@@ -366,7 +366,7 @@ class LpBackend:
             return
         cone, coefs, rhs = cone[full], coefs[full], rhs[full]
         slots = self._slots[cone]  # the cuts of each full cone, which share its columns
-        at = x[self.model.cone_cols[cone]]
+        at = x[self.model.cones[cone]]
         slack = self.cut_rhs[slots] - (self.cut_coefs[slots] * at[:, None, :]).sum(axis=2)
         evicted = slots[np.arange(cone.size), np.argmax(slack, axis=1)]
         pos, mapped = self._restricted(cone, coefs, rhs)
@@ -428,13 +428,21 @@ class LpBackend:
 
 
 def infeasibility_hint(model: LinearModel) -> str:
-    """Row families and column bounds of one IIS of the model's rows."""
+    """Row families and column bounds of one IIS of the model's rows.
+
+    The IIS is one of the LP relaxation.  Without one, the hint says
+    whether that relaxation solves: if it does, only integrality makes the
+    model infeasible.
+    """
     h = _loaded(model, np.zeros(model.ncols))  # only feasibility matters
     iis = HighsIis()
     h.getIis(iis)
     if not iis.valid or not (len(iis.row_index) or len(iis.col_index)):
+        h.run()
+        if h.getModelStatus() == HighsModelStatus.kOptimal:
+            return "the LP relaxation is feasible: only integrality makes the model infeasible"
         return "HiGHS found no irreducible infeasible subset"
-    families = list(dict.fromkeys(model.families[i] for i in iis.row_index))
+    families = list(dict.fromkeys(model.family_names[model.family[i]] for i in iis.row_index))
     columns = [model.catalog.name_of(j) for j in iis.col_index]
     return (
         f"irreducible infeasible subset: rows of {', '.join(families) or 'no family'}; "

@@ -228,7 +228,7 @@ def export_mps(
 
 def _cone_parts(model: LinearModel):
     yield f"{CONE_HEADER}\n* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n".encode()
-    quads = _name(b"C", model.cone_cols.ravel()).reshape(-1, 4)
+    quads = _name(b"C", model.cones.ravel()).reshape(-1, 4)
     yield from _chunks(
         len(quads), lambda lo, hi: _lines(b"CONE", *(f for k in range(4) for f in (b" ", quads[lo:hi, k])), b"\n")
     )

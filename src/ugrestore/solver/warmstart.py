@@ -351,7 +351,7 @@ def _lp_with_oa(
         if not viol:
             break
         cone = [idx for idx, _ in viol]
-        coefs, rhs = zip(*(soc_cut(model.cones[idx].point(res.x)) for idx in cone))
+        coefs, rhs = zip(*map(soc_cut, res.x[model.cones[cone]].tolist()))
         backend.add_cuts(cone, coefs, rhs, res.x)
         res = backend.solve(fixes)
     return res.x if res.ok and res.objective > cutoff else None

@@ -33,7 +33,7 @@ def _tangent(point, cone):
     gq = 4.0 * q0 / n
     f0 = n - (i0 + v0)
     rhs = gi * i0 + gv * v0 + gp * p0 + gq * q0 - f0
-    return (cone.col_i, cone.col_v, cone.col_p, cone.col_q), (gi, gv, gp, gq), rhs
+    return tuple(cone.tolist()), (gi, gv, gp, gq), rhs
 
 
 def _lp_with_cones(model: LinearModel, lb, ub, tol=1e-9, max_rounds=300):
@@ -91,7 +91,8 @@ def _lp_with_cones(model: LinearModel, lb, ub, tol=1e-9, max_rounds=300):
         x = res.x
         worst = []
         for cone in model.cones:
-            slack = x[cone.col_i] * x[cone.col_v] - (x[cone.col_p] ** 2 + x[cone.col_q] ** 2)
+            i, v, p, q = x[cone]
+            slack = i * v - (p**2 + q**2)
             if slack < -tol:
                 worst.append((slack, cone))
         if not worst:
@@ -108,15 +109,7 @@ def _lp_with_cones(model: LinearModel, lb, ub, tol=1e-9, max_rounds=300):
         prev_worst = worst[0][0]
         last = (float(-res.fun), x, worst[0][0])
         for _, cone in worst[:20]:
-            tangent = _tangent(
-                (
-                    float(x[cone.col_i]),
-                    float(x[cone.col_v]),
-                    float(x[cone.col_p]),
-                    float(x[cone.col_q]),
-                ),
-                cone,
-            )
+            tangent = _tangent(x[cone].tolist(), cone)
             if tangent is not None:
                 cc, coefs, rhs = tangent
                 cuts_cols.append(cc)

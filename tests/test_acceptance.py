@@ -166,7 +166,6 @@ def _two_gear_bracket_model(z1, z2, amp_sq=1.0):
                     if physics.PERMUTATIONS[v][ph, ps] == 0.0:
                         b.add(
                             "sel",
-                            (gid, v, ph, ps),
                             [(zc, 1.0), (cat.col(f"swap_{gid}", (ph, ps)), -1.0)],
                             SENSE_GE,
                             0.0,
@@ -177,9 +176,9 @@ def _two_gear_bracket_model(z1, z2, amp_sq=1.0):
                     for ps in range(3)
                 ]
                 ycol = cat.col(f"y_{gid}", ph)
-                b.add("ub", (gid, v, ph), [(ycol, 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
-                b.add("lb", (gid, v, ph), [(ycol, 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
-        b.add("pick", (gid,), [(cat.col(f"zeta_{gid}", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
+                b.add("ub", [(ycol, 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
+                b.add("lb", [(ycol, 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
+        b.add("pick", [(cat.col(f"zeta_{gid}", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
         for ph in range(3):
             b.add_obj(cat.col(f"y_{gid}", ph), 1.0)
     return cat, b.build({}), variants

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import check_export_bytes, golden_exports, shipped_case, shipped_case_names
+from conftest import check_export_bytes, cone_toy, golden_exports, shipped_case, shipped_case_names
 from ugrestore.catalog import VariableCatalog
 from ugrestore.formulation import build_model
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ConeRow, LinearModel
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
 from ugrestore.solver import (
     SolverOptions,
     export_mps,
@@ -75,7 +75,7 @@ class TestExport:
 def tangent_rows(model):
     """``(cols, coefs, rhs)`` per seed row: the :func:`unit_tangents` planes on each cone's columns, cone by cone."""
     planes = unit_tangents()
-    return [(cone[:4], coefs.tolist(), float(rhs)) for cone in model.cones for coefs, rhs in zip(*planes)]
+    return [(cone, coefs.tolist(), float(rhs)) for cone in model.cones for coefs, rhs in zip(*planes)]
 
 
 def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=False):
@@ -132,8 +132,8 @@ def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=F
         fh.write("ENDATA\n")
     with open(cone_path, "w") as fh:
         fh.write("* ugrestore cone sidecar v1\n* CONE <I> <V> <P> <Q> meaning I*V >= P^2 + Q^2\n")
-        for c in model.cones:
-            fh.write(f"CONE C{c.col_i:07d} C{c.col_v:07d} C{c.col_p:07d} C{c.col_q:07d}\n")
+        for i, v, p, q in model.cones.tolist():
+            fh.write(f"CONE C{i:07d} C{v:07d} C{p:07d} C{q:07d}\n")
     with open(name_map_path, "w") as fh:
         fh.write("* ugrestore name map v1\n")
         for col in range(model.ncols):
@@ -166,9 +166,9 @@ def edge_model() -> LinearModel:
         coo_v=np.array(vals),
         sense=np.array([SENSE_LE, SENSE_GE, SENSE_EQ], dtype=np.int8),
         rhs=np.array([1.5, -0.0, 7.0]),
-        families=["f"] * 3,
-        locs=[None] * 3,
-        cones=[ConeRow(3, 4, 6, 2, "cone", ())],
+        family=np.zeros(3, dtype=np.int32),
+        family_names=["f"],
+        cones=np.array([[3, 4, 6, 2]]),
         meta={"name": "edge"},
     )
 
@@ -364,6 +364,22 @@ class TestImport:
         name = model.catalog.name_of(int(col))
         with pytest.raises(SolutionImportError, match=rf"integrality at \('{re.escape(name)}',\) by 5\.000e-01"):
             import_external_solution(model, path)
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((4.0, 1.0, 1.0, 1.0), r"demand at \('p\[0\]', 'q\[0\]'\) by 7\.000e-01"),
+            ((0.1, 1.0, 0.5, 0.5), r"cone at \('i\[0\]', 'v\[0\]', 'p\[0\]', 'q\[0\]'\) by 4\.000e-01"),
+        ],
+        ids=["row", "cone"],
+    )
+    def test_violation_names_family_and_columns(self, tmp_path, point, message):
+        cat, model = cone_toy(demand=("p", "q"))
+        x = np.zeros(model.ncols)
+        x[[cat.col(name, 0) for name in "ivpq"]] = point
+        write_solution_file(model, x, tmp_path / "x.sol")
+        with pytest.raises(SolutionImportError, match=f"^solution violates {message}$"):
+            import_external_solution(model, tmp_path / "x.sol")
 
     def test_flipped_binary_names_violated_row(self, tmp_path):
         case = shipped_case("toy_fork")

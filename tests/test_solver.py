@@ -16,12 +16,12 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_minimal, shipped_case, shipped_case_names, shipped_doc
+from conftest import cone_toy, load_minimal, row_families, shipped_case, shipped_case_names, shipped_doc
 from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import BuildOptions, build_model
-from ugrestore.model import SENSE_GE, SENSE_LE, ConeRow, ModelBuilder, Violation
+from ugrestore.model import SENSE_GE, SENSE_LE, ModelBuilder, Violation
 from ugrestore.physics import PERMUTATIONS
 from ugrestore.plan import RestorationPlan
 from ugrestore.solver import (
@@ -69,7 +69,7 @@ class TestLpRelax:
         cat = VariableCatalog()
         cat.add_group("x", [0, 1], lb=0.0, ub=1.0)
         b = ModelBuilder(cat)
-        b.add("cap", (), [(0, 1.0), (1, 1.0)], SENSE_LE, 1.0)
+        b.add("cap", [(0, 1.0), (1, 1.0)], SENSE_LE, 1.0)
         b.add_obj(0, 1.0)
         b.add_obj(1, 1.0)
         model = b.build({})
@@ -80,7 +80,7 @@ class TestLpRelax:
 
 class TestLpBackend:
     def test_cut_pool_capped_per_cone_drops_slackest(self):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
         backend = LpBackend(model)
         x = np.zeros(model.ncols)  # every cut below, I <= rhs, has slack rhs at x
         on_i = (1.0, 0.0, 0.0, 0.0)
@@ -101,7 +101,7 @@ class TestLpBackend:
         assert backend.solve().ok
 
     def test_refused_cut_row_raises_and_stays_out_of_the_pool(self):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
         backend = LpBackend(model)
         with pytest.raises(RuntimeError, match="refused a cut row"):
             backend.add_cuts([0], [(np.inf, 0.0, 0.0, 0.0)], [1.0], np.zeros(model.ncols))
@@ -109,7 +109,7 @@ class TestLpBackend:
         assert np.all(backend._slots == -1)
 
     def test_fixing_outside_bounds_runs_no_lp(self, monkeypatch):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
 
         def no_lp(*args, **kwargs):
             raise AssertionError("an inconsistent fixing must not reach HiGHS")
@@ -118,7 +118,7 @@ class TestLpBackend:
         assert LpBackend(model).solve({cat.col("v", 0): 2.0}).status == "infeasible"
 
     def test_deadline_becomes_highs_time_limit(self, monkeypatch):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
         left = []  # seconds HiGHS may still run: its time limit less its run time so far
         real = lp.linprog
 
@@ -186,7 +186,7 @@ class TestLpBackend:
 
     @staticmethod
     def _drift_is_rerun(monkeypatch, demand):
-        cat, model = _cone_fixture(demand)
+        cat, model = cone_toy(demand)
         backend = LpBackend(model)
         assert backend.restriction.model.nrows == len(demand) - 1
         assert backend.solve().ok
@@ -208,7 +208,7 @@ class TestLpBackend:
         assert res.ok and -model.row_residuals(res.x).min() <= lp.MAX_ROW_RESIDUAL
 
     def test_unknown_warm_status_is_rerun_from_its_basis_then_cold(self):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
         backend = LpBackend(model)
         assert backend.solve().ok
         backend.highs = spy = _HighsSpy(backend.highs, HighsModelStatus.kUnknown)
@@ -238,7 +238,7 @@ class TestLpBackend:
         for name in ("cut_cone", "cut_coefs", "cut_rhs", "_slots"):
             assert np.array_equal(getattr(batch, name), getattr(one, name)), name
         # the new cut took the place of the seed with the most slack at x, summed term by term here
-        point = x[model.cone_cols[full]]
+        point = x[model.cones[full]]
         slack = [side - sum(a * v for a, v in zip(plane, point)) for plane, side in zip(*seeds)]
         assert sorted(slack)[-1] - sorted(slack)[-2] > 1e-6
         held = [tuple(row) for row in batch.cut_coefs[batch._slots[full]]]
@@ -331,7 +331,7 @@ def _full_lp(model, fixes, pool=None):
         h.setOptionValue(name, value)
     if pool is not None:
         n = pool.cut_rhs.size
-        cols = model.cone_cols[pool.cut_cone]
+        cols = model.cones[pool.cut_cone]
         lp._add_block(h, np.arange(0, 4 * n, 4), cols.ravel(), pool.cut_coefs.ravel(), pool.cut_rhs)
     return lp.linprog(h, np.inf), lb, ub
 
@@ -362,20 +362,20 @@ class TestRestriction:
         cat.add_group("w", [0], lb=0.0, ub=np.inf)
         x, y, z, w = (cat.col(name, 0) for name in "xyzw")
         b = ModelBuilder(cat)
-        b.add("single", (), [(x, 3.0)], SENSE_LE, 1.0)  # x <= 1/3, divided exactly
-        b.add("after-single", (), [(x, 1.0), (y, 1.0)], SENSE_LE, 5.0)  # redundant once x <= 1/3
-        b.add("fixed", (), [(z, 1.0), (y, 4.0)], SENSE_LE, 4.0)  # z substituted: y <= 1/2
-        b.add("floor", (), [(w, 1.0), (y, 1.0)], SENSE_GE, 0.0)  # redundant: activity >= 0
-        b.add("open", (), [(w, 1.0), (y, -1.0)], SENSE_LE, 3.0)  # infinite maximum: kept
+        b.add("single", [(x, 3.0)], SENSE_LE, 1.0)  # x <= 1/3, divided exactly
+        b.add("after-single", [(x, 1.0), (y, 1.0)], SENSE_LE, 5.0)  # redundant once x <= 1/3
+        b.add("fixed", [(z, 1.0), (y, 4.0)], SENSE_LE, 4.0)  # z substituted: y <= 1/2
+        b.add("floor", [(w, 1.0), (y, 1.0)], SENSE_GE, 0.0)  # redundant: activity >= 0
+        b.add("open", [(w, 1.0), (y, -1.0)], SENSE_LE, 3.0)  # infinite maximum: kept
         b.add_obj(x, 1.0)
         b.add_obj(z, 0.5)
-        b.add_cone("cone", (0,), w, y, x, x)
+        b.add_cone(w, y, x, x)
         model = b.build({})
         got = model.restrict(model.col_lb, model.col_ub)
         assert got.col_ub[x] == 1.0 / 3.0 and got.col_ub[y] == 0.5 and got.col_ub[w] == np.inf
-        assert got.model.families == ["open"] and got.keep.tolist() == [x, y, w]
+        assert row_families(got.model) == ["open"] and got.keep.tolist() == [x, y, w]
         assert got.fixed[z] == 2.0 and got.offset == 1.0 and got.model.rhs.tolist() == [3.0]
-        assert got.model.cones == [ConeRow(2, 1, 0, 0, "cone", (0,))]
+        assert got.model.cones.tolist() == [[2, 1, 0, 0]]
         res = LpBackend(model).solve()
         assert res.ok and res.x[z] == 2.0 and res.objective == pytest.approx(1.0 / 3.0 + 1.0, rel=1e-12)
 
@@ -402,8 +402,8 @@ class TestRestriction:
         skeleton, fixes = _greedy_fixings(model, reduced13, monkeypatch)
         x = warmstart._lp_with_oa(LpBackend(model, fixes=skeleton), fixes, SolverOptions())  # meets every cone
         # the skeleton leaves every cone of reduced13 live, so pin the columns of one loaded cone at x
-        idx = int(np.argmax(x[model.cone_cols[:, 1]] * np.abs(x[model.cone_cols[:, 2]])))
-        cols = model.cone_cols[idx]
+        idx = int(np.argmax(x[model.cones[:, 1]] * np.abs(x[model.cones[:, 2]])))
+        cols = model.cones[idx]
         pinned = dict(zip(cols.tolist(), x[cols].tolist()))
         backend = LpBackend(model, fixes={**skeleton, **pinned})
         fixes = {**fixes, **pinned}
@@ -523,7 +523,7 @@ def _spy_masters(monkeypatch):
 def _round_of_cuts(model, x, tol):
     """One tangent per cone that ``x`` violates beyond ``tol``, worst first: cones, coefficients, rhs."""
     cone = np.array([idx for idx, _ in cone_violations(model, x, tol)], dtype=np.int64)
-    coefs, rhs = zip(*(soc_cut(model.cones[idx].point(x)) for idx in cone))
+    coefs, rhs = zip(*map(soc_cut, x[model.cones[cone]].tolist()))
     return cone, np.array(coefs), np.array(rhs)
 
 
@@ -541,19 +541,27 @@ def _last(calls, name):
     return len(calls) - 1 - calls[::-1].index(name)
 
 
-def _cone_fixture(demand=("p",)):
-    """One cone over four columns with loss pressure on the current, and a demand row over ``demand``."""
-    cat = VariableCatalog()
-    cat.add_group("i", [0], lb=0.0, ub=4.0)
-    cat.add_group("v", [0], lb=0.9, ub=1.1)
-    cat.add_group("p", [0], lb=0.0, ub=2.0)
-    cat.add_group("q", [0], lb=0.0, ub=2.0)
-    b = ModelBuilder(cat)
-    b.add("demand", (), [(cat.col(name, 0), 1.0) for name in demand], SENSE_LE, 1.3)
-    b.add_obj(cat.col("p", 0), 1.0)
-    b.add_obj(cat.col("i", 0), -0.1)
-    b.add_cone("cone", (0,), cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
-    return cat, b.build({})
+class TestViolationReport:
+    """A violated row or cone reports its family and the catalog names of its columns."""
+
+    def test_row_and_cone(self):
+        cat, model = cone_toy(demand=("p", "q"))
+        x = np.zeros(model.ncols)
+        x[[cat.col(name, 0) for name in "ivpq"]] = (0.1, 1.0, 1.0, 1.0)  # p + q = 2 > 1.3, I*V = 0.1 < 2
+        row, cone = sorted(model.check_solution(x), key=lambda v: v.family, reverse=True)
+        assert (row.family, row.loc, row.row) == ("demand", ("p[0]", "q[0]"), 0)
+        assert row.residual == pytest.approx(0.7)
+        assert (cone.family, cone.loc, cone.detail) == ("cone", ("i[0]", "v[0]", "p[0]", "q[0]"), "cone")
+        assert cone.residual == pytest.approx(1.9)
+
+    def test_a_repeated_column_is_named_once(self):
+        cat = VariableCatalog()
+        cat.add_group("x", ["a", "b"])
+        b = ModelBuilder(cat)
+        b.add("twice", [(0, 1.0), (1, 1.0), (0, 1.0)], SENSE_LE, 0.0)
+        b.add_cone(1, 1, 0, 0)
+        violations = b.build().check_solution(np.array([1.0, 0.5]))
+        assert {v.family: v.loc for v in violations} == {"twice": ("x[a]", "x[b]"), "cone": ("x[b]", "x[a]")}
 
 
 class TestSocCut:
@@ -578,7 +586,7 @@ class TestSocCut:
             assert lhs <= rhs + 1e-9
 
     def test_iterated_cutting_converges(self):
-        cat, model = _cone_fixture()
+        cat, model = cone_toy()
         backend = LpBackend(model)
         x = None
         for rounds in range(50):
@@ -588,7 +596,7 @@ class TestSocCut:
             viol = cone_violations(model, x, 1e-6)
             if not viol:
                 break
-            coefs, rhs = soc_cut(model.cones[viol[0][0]].point(x))
+            coefs, rhs = soc_cut(x[model.cones[viol[0][0]]].tolist())
             backend.add_cuts([viol[0][0]], [coefs], [rhs], x)
         assert rounds < 50
         slack = model.cone_values(x)[0]
@@ -627,7 +635,7 @@ class TestSocCut:
         rows, rhs = seed_tangents(model)
         n = len(model.cones) * CUTS_PER_CONE
         assert rows.shape == (n, model.ncols) and np.array_equal(rows.indptr, np.arange(0, 4 * n + 1, 4))
-        assert np.array_equal(rows.indices, [j for cone in model.cones for _ in planes for j in cone[:4]])
+        assert np.array_equal(rows.indices, [j for cone in model.cones for _ in planes for j in cone])
         want = np.array([a for _ in model.cones for coefs, _ in planes for a in coefs])
         assert np.array_equal(rows.data.view(np.int64), want.view(np.int64))  # zeros kept, signs too
         want = np.array([r for _ in model.cones for _, r in planes])
@@ -691,8 +699,8 @@ class TestIncumbentTangents:
         cone, coefs, rhs, held = self._first_lp_pool(model, monkeypatch, ws)
         loaded = [
             idx
-            for idx, c in enumerate(model.cones)
-            if ws[c.col_v] > 1e-9 and (ws[c.col_p] != 0.0 or ws[c.col_q] != 0.0)
+            for idx, (_, v, p, q) in enumerate(ws[model.cones])
+            if v > 1e-9 and (p != 0.0 or q != 0.0)
         ]
         assert 0 < len(loaded) < len(model.cones)
         assert cone.tolist() == loaded and np.array_equal(held, np.isin(np.arange(len(model.cones)), loaded))
@@ -700,7 +708,7 @@ class TestIncumbentTangents:
             assert np.array_equal(got, want)
         # the incumbent meets its cones within the replay tolerance, so its tangents too
         for idx, plane, side in zip(cone, coefs, rhs):
-            excess, _ = self._excess(plane, side, ws[model.cone_cols[idx]])
+            excess, _ = self._excess(plane, side, ws[model.cones[idx]])
             assert excess <= SolverOptions().replay_tol
 
     @pytest.mark.parametrize("warm", ["fails the replay", "none"])
@@ -709,7 +717,7 @@ class TestIncumbentTangents:
         ws = None
         if warm == "fails the replay":
             ws = greedy_warm_start(model, reduced13).copy()
-            ws[model.cones[0].col_v] = model.col_ub[model.cones[0].col_v] + 1.0
+            ws[model.cones[0, 1]] = model.col_ub[model.cones[0, 1]] + 1.0
             assert model.check_solution(ws)
         cone, coefs, rhs, held = self._first_lp_pool(model, monkeypatch, ws)
         assert cone.size == coefs.size == rhs.size == held.sum() == 0
@@ -903,6 +911,14 @@ class TestSearchBehavior:
         hint = lp.infeasibility_hint(model)
         assert "wire-consistent" in hint
         assert "u[s,0]" in hint and "u[n1,0]" in hint
+
+    @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
+    def test_infeasible_only_by_integrality_says_so(self, build):
+        """rad_loop4's LP relaxation solves under every build, but no integral point is feasible."""
+        model = build_model(shipped_case("rad_loop4"), BuildOptions(**build))
+        sol = solve(model, SolverOptions(time_limit_s=60))
+        assert sol.status == "infeasible"
+        assert sol.infeasible_hint == "the LP relaxation is feasible: only integrality makes the model infeasible"
 
     def test_incumbent_passes_replay(self, toy_pv):
         model = build_model(toy_pv)
@@ -1143,7 +1159,7 @@ def _trade_off_fixture():
     b = ModelBuilder(cat)
     b.add_obj(cat.col("p", 0), 1.0)
     b.add_obj(cat.col("i", 0), -0.5)
-    b.add_cone("cone", (0,), cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
+    b.add_cone(cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
     model = b.build({})
     x = np.zeros(model.ncols)
     x[[cat.col("i", 0), cat.col("v", 0), cat.col("p", 0)]] = (1.0 / 1.1, 1.1, 1.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from conftest import load_minimal, minimal_doc, shipped_case, voltdiff_capped
+from conftest import family_rows, load_minimal, minimal_doc, shipped_case, voltdiff_capped
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import build_model
 from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE
@@ -33,7 +33,7 @@ RADIALITY_FAMILIES = (
 
 def _encoding_feasible(case, model, closed_switches) -> bool:
     """LP feasibility of the commodity-flow radiality rows for fixed states."""
-    rows = [i for i, fam in enumerate(model.families) if fam in RADIALITY_FAMILIES]
+    rows = family_rows(model, *RADIALITY_FAMILIES)
     m = model.matrix().tocsr()[rows]
     sense = model.sense[rows]
     rhs = model.rhs[rows]
