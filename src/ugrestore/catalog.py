@@ -49,14 +49,16 @@ class VariableCatalog:
         self._groups: dict[str, Group] = {}
         self._order: list[str] = []
         self._starts: list[int] = []  # group starts, in catalog order
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._binary: list[bool] = []
+        self._lb: list[np.ndarray] = []  # per group
+        self._ub: list[np.ndarray] = []
+        self._binary: list[bool] = []  # per group
+        self._fixes: list[tuple[np.ndarray, float]] = []  # in the order made
+        self._ncols = 0
         self._finalized = False
 
     @property
     def ncols(self) -> int:
-        return len(self._lb)
+        return self._ncols
 
     @property
     def group_names(self) -> list[str]:
@@ -76,11 +78,10 @@ class VariableCatalog:
         g.key_index = {k: i for i, k in enumerate(keys)}
         if len(g.key_index) != len(keys):
             raise CatalogError(f"{name}: duplicate keys")
-        lbs = np.broadcast_to(np.asarray(lb, dtype=float), (len(keys),))
-        ubs = np.broadcast_to(np.asarray(ub, dtype=float), (len(keys),))
-        self._lb.extend(lbs.tolist())
-        self._ub.extend(ubs.tolist())
-        self._binary.extend([binary] * len(keys))
+        self._lb.append(np.broadcast_to(np.asarray(lb, dtype=float), (len(keys),)).copy())
+        self._ub.append(np.broadcast_to(np.asarray(ub, dtype=float), (len(keys),)).copy())
+        self._binary.append(binary)
+        self._ncols += len(keys)
         self._groups[name] = g
         self._order.append(name)
         self._starts.append(g.start)
@@ -98,19 +99,20 @@ class VariableCatalog:
     def col(self, name: str, key) -> int:
         return self.group(name).col(key)
 
-    def fix(self, col: int, value: float) -> None:
+    def fix(self, cols, value: float) -> None:
+        """Fix column ``cols`` (an int or an array of them) at ``value``; a later fix wins."""
         if self._finalized:
             raise CatalogError("catalog already finalized")
-        self._lb[col] = value
-        self._ub[col] = value
+        self._fixes.append((np.asarray(cols, dtype=np.int64), float(value)))
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         self._finalized = True
-        return (
-            np.asarray(self._lb, dtype=float),
-            np.asarray(self._ub, dtype=float),
-            np.asarray(self._binary, dtype=bool),
-        )
+        lb = np.concatenate([np.zeros(0), *self._lb])
+        ub = np.concatenate([np.zeros(0), *self._ub])
+        for cols, value in self._fixes:
+            lb[cols] = ub[cols] = value
+        sizes = [self._groups[name].size for name in self._order]
+        return lb, ub, np.repeat(np.array(self._binary, dtype=bool), sizes)
 
     def name_of(self, col: int) -> str:
         if not 0 <= col < self.ncols:

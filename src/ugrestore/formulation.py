@@ -35,6 +35,26 @@ from index grids over the groups whose keys form a full product
 The objective goes in as arrays.  Only the topology, radiality and storage
 rows are added row by row.
 
+Power flow is built only where the case lets it run.  A column that the
+coverage rows fix takes its rows with it (Savelsbergh 1994, ORSA J.
+Computing 6; Achterberg et al. 2020, INFORMS J. Computing 32), applied once,
+from the case: :func:`dead_pairs` finds the (node, microgrid k) pairs that
+the topology rows keep uncovered.  It starts from every other source
+(``coverage-unique`` against that source's fixed ``u = 1``) and takes in a
+dead node's wire component (``wire-consistent``) and its descendants in k's
+orientation (``coverage-parent``).  Of a dead pair, ``u`` and ``volt_sq``
+are fixed at 0, and so are ``flow_p``, ``flow_q``, ``curr_sq`` and, on a
+bracketed line, ``y_p``, ``y_q`` and ``y_v`` of the line of k's orientation
+into it; the pair has no balance, drop, line-limit, current, ``volt-cover``
+or bracket row and no cone.  The topology rows stay: they are the proof.
+The columns stay too, so the catalog and the plan keep every entry.  LP
+bound propagation derives each fixing but the ``y`` ones from the rows they
+replace.  Those follow from the MIP: at zero current and flow, every
+variant whose selector is 0 brackets ``y`` at 0, and ``reorder-pick-one``
+leaves at least one such variant, so every integral point has ``y = 0``
+there; a fractional selector would let the LP relaxation move it.  A case
+with one source has no dead pair.
+
 Row families (each row's family code names one):
 
   coverage-parent        a node is covered only if its upstream node is
@@ -158,6 +178,36 @@ def orient_from(case: FeederCase, root: str) -> Orientation:
     return o
 
 
+def dead_pairs(case: FeederCase, orient: list[Orientation]) -> np.ndarray:
+    """The (node, microgrid) pairs that the topology rows keep uncovered, as an (N, K) mask.
+
+    For microgrid k the map starts from every other source: ``u[src_j, j]``
+    is fixed at 1, so ``coverage-unique`` forces ``u[src_j, k] = 0``.  It
+    then takes in a dead node's whole wire component (``wire-consistent``)
+    and its children in ``orient[k]`` (``coverage-parent``), up to a
+    fixpoint.  Source k itself never enters k's map: were it reached, its
+    fixed ``u = 1`` would already make the rows infeasible, and the model
+    keeps that for an LP to find.
+    """
+    wired: dict[str, list[str]] = {n.id: [] for n in case.nodes}
+    for l in case.lines:
+        if not l.is_switch:
+            wired[l.from_node].append(l.to_node)
+            wired[l.to_node].append(l.from_node)
+    dead = np.zeros((len(case.nodes), len(orient)), dtype=bool)
+    for k, o in enumerate(orient):
+        stack = [other.root for other in orient]
+        while stack:
+            nid = stack.pop()
+            n = case.node_index[nid]
+            if dead[n, k] or nid == o.root:
+                continue
+            dead[n, k] = True
+            stack += wired[nid]
+            stack += [child for _, child in o.children[nid]]
+    return dead
+
+
 def derated_multiplier(sigma: float, confidence: float) -> float:
     """Risk-averse renewable capacity multiplier, clamped at zero.
 
@@ -244,7 +294,7 @@ def line_variants(case: FeederCase, line_idx: int) -> list[_LineCoeffs]:
 
 # The six bracket rows of one (line, microgrid, period, phase, variant), in
 # emission order: each product pair states <= then >=.
-_BRACKET_FAMILIES = ["reorder-bracket-p"] * 2 + ["reorder-bracket-q"] * 2 + ["reorder-bracket-v"] * 2
+_BRACKET_FAMILIES = (["reorder-bracket-p", "reorder-bracket-q", "reorder-bracket-v"], np.repeat(np.arange(3), 2))
 _BRACKET_SENSE = np.array([SENSE_LE, SENSE_GE] * 3, dtype=np.int8)
 
 
@@ -293,6 +343,13 @@ class _Ctx:
         self.K = len(self.ess)
         self.res = case.res_units
         self.orient = [orient_from(case, e.node) for e in self.ess]
+        # No power flow of microgrid k is built at a node its map rules out,
+        # nor on the line of orient[k] into it.
+        self.dead = dead_pairs(case, self.orient)
+        self.dead_line = np.zeros((len(case.lines), self.K), dtype=bool)
+        for k, o in enumerate(self.orient):
+            for li, (_, j) in o.direction.items():
+                self.dead_line[li, k] = self.dead[case.node_index[j], k]
         self.m_dv = bigm.voltage_diff_bound(case)
         self.m_flow = bigm.flow_bound(case)
         self.m_volt = case.config.v_max_sq
@@ -398,8 +455,7 @@ def _add_columns(ctx: _Ctx) -> None:
     cat.add_group("swap", gtpp, binary=True)
     grid["swap"] = _grid(cat, "swap", G, T, 3, 3)
     if ctx.opts.no_swap:
-        for col in grid["swap"][:, :, ~np.eye(3, dtype=bool)].ravel().tolist():
-            cat.fix(col, 0.0)
+        cat.fix(grid["swap"][:, :, ~np.eye(3, dtype=bool)], 0.0)
     cat.add_group("swap_event", gtpp, binary=True)
     grid["swap_event"] = _grid(cat, "swap_event", G, T, 3, 3)
     gtp = [(g.id, t, ph) for g in gears for t in range(T) for ph in range(3)]
@@ -545,16 +601,21 @@ def _add_columns(ctx: _Ctx) -> None:
         grid[name] = _grid(cat, name, B, K, T, 3)
 
     # Phase masks: fix columns for conductors that do not exist.
-    dead: list[int] = []
     for n in case.nodes:
         for ph in set(range(3)) - set(ctx.node_phases(n.id)):
-            dead += grid["volt_sq"][case.node_index[n.id], :, :, ph].ravel().tolist()
+            cat.fix(grid["volt_sq"][case.node_index[n.id], :, :, ph], 0.0)
     for l in case.lines:
         for ph in set(range(3)) - set(ctx.line_phases(l.index)):
             for name in ("flow_p", "flow_q", "curr_sq"):
-                dead += grid[name][l.index, :, :, ph].ravel().tolist()
-    for col in dead:
-        cat.fix(col, 0.0)
+                cat.fix(grid[name][l.index, :, :, ph], 0.0)
+    # Dead pairs (``_Ctx.dead``): coverage and voltage of each, and the
+    # flows, current and loss products of each line into one.
+    for name in ("u", "volt_sq"):
+        cat.fix(grid[name][ctx.dead], 0.0)
+    for name in ("flow_p", "flow_q", "curr_sq"):
+        cat.fix(grid[name][ctx.dead_line], 0.0)
+    for name in ("y_p", "y_q", "y_v"):
+        cat.fix(grid[name][ctx.dead_line[sorted(ctx.bracketed)]], 0.0)
 
 
 # -- topology ----------------------------------------------------------------
@@ -864,28 +925,35 @@ def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
 
 
 def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
-    """Selector and bracket rows tying reordered products to the swap choice."""
-    case, grid, K, T = ctx.case, ctx.grid, ctx.K, ctx.T
+    """Selector and bracket rows tying reordered products to the swap choice.
+
+    A bracketed line into a dead pair (``_Ctx.dead``) has no bracket row.
+    """
+    case, grid, T = ctx.case, ctx.grid, ctx.T
     sel, sw = grid["reorder_sel"], grid["swap"]
     # (variant, ph, ps) of every zero entry of each permutation, in that order
     v, ph, ps = np.nonzero(np.array(PERMUTATIONS) == 0.0)
     rows.add("reorder-select", [(sel[:, :, v], 1.0), (sw[:, :, ph, ps], -1.0)], SENSE_GE, 0.0)
     rows.add("reorder-pick-one", [(sel[..., j], 1.0) for j in range(6)], SENSE_LE, 5.0)
+    names, index = _BRACKET_FAMILIES
     for i, g in enumerate(case.switchgears):
         lines = ctx.bracket_lines[g.id]
         if not lines:
             continue
-        pos = [ctx.bracket_pos[li] for li in lines]
-        # one block, ordered (t, line, k, ph, variant, row, term) as
+        # the live (line, microgrid) pairs, in that order
+        at, ks = np.nonzero(~ctx.dead_line[lines])
+        ls = np.array(lines)[at]
+        pos = np.array([ctx.bracket_pos[li] for li in lines])[at]
+        # one block, ordered (t, pair, ph, variant, row, term) as
         # _bracket_coefficients lays out the terms
         curr, fp, fq = (
-            grid[name][lines].transpose(2, 0, 1, 3)[:, :, :, None, None, None, :]
+            grid[name][ls, ks].transpose(1, 0, 2)[:, :, None, None, None, :]
             for name in ("curr_sq", "flow_p", "flow_q")
         )
-        y = np.stack([grid[name][pos].transpose(2, 0, 1, 3) for name in ("y_p", "y_q", "y_v")], axis=-1)
-        y = y.repeat(2, axis=-1)[:, :, :, :, None, :]  # (t, line, k, ph, 1, row)
-        z = sel[i, :, None, None, None, :, None]  # (t, 1, 1, 1, variant, 1)
-        cols = np.zeros((T, len(lines), K, 3, 6, 6, 11), dtype=np.int64)
+        y = np.stack([grid[name][pos, ks].transpose(1, 0, 2) for name in ("y_p", "y_q", "y_v")], axis=-1)
+        y = y.repeat(2, axis=-1)[:, :, :, None, :]  # (t, pair, ph, 1, row)
+        z = sel[i, :, None, None, :, None]  # (t, 1, 1, variant, 1)
+        cols = np.zeros((T, ls.size, 3, 6, 6, 11), dtype=np.int64)
         cols[..., 0] = y
         cols[..., :4, 1:4] = curr
         cols[..., :4, 4] = z
@@ -893,12 +961,12 @@ def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
         cols[..., 4:, 4:7] = fq
         cols[..., 4:, 7:10] = curr
         cols[..., 4:, 10] = z
-        vals = np.broadcast_to(ctx.bracket_coeffs[g.id][None, :, None], cols.shape)
-        groups = T * len(lines) * K * 3 * 6
+        vals = np.broadcast_to(ctx.bracket_coeffs[g.id][at], cols.shape)
+        groups = T * ls.size * 3 * 6
         key = np.repeat(rows.key()[i], groups // T * 6)
         rows.blocks.append(
             RowBlock(
-                key, _BRACKET_FAMILIES * groups, cols.reshape(-1, 11), vals.reshape(-1, 11),
+                key, (names, np.tile(index, groups)), cols.reshape(-1, 11), vals.reshape(-1, 11),
                 np.tile(_BRACKET_SENSE, groups), np.zeros(groups * 6),
             )
         )
@@ -1017,14 +1085,15 @@ class _PeriodRows:
     """
 
     def __init__(self) -> None:
-        self.families: list[str] = []
+        self.names: dict[str, int] = {}  # family name -> its place in the block's table
+        self.family: list[int] = []  # per row
         self.terms: list[list[tuple[int, int, float]]] = []
         self.sense: list[int] = []
         self.rhs: list[float] = []
         self.cones: list[tuple[int, int, int, int]] = []  # the I, V, P, Q columns at t = 0
 
     def add(self, family: str, terms, sense: int, rhs: float) -> None:
-        self.families.append(family)
+        self.family.append(self.names.setdefault(family, len(self.names)))
         self.terms.append(terms)
         self.sense.append(sense)
         self.rhs.append(rhs)
@@ -1061,7 +1130,7 @@ class _PeriodRows:
             col0[row, at], step[row, at], vals[row, at] = c, s, v
         periods = np.arange(T)[:, None, None]
         b.add_rows(
-            self.families * T,
+            (list(self.names), np.tile(np.array(self.family, dtype=np.int64), T)),
             (col0 + periods * step).reshape(-1, col0.shape[1]),
             np.broadcast_to(vals, (T,) + vals.shape).reshape(-1, vals.shape[1]),
             np.tile(np.array(self.sense, dtype=np.int8), T),
@@ -1076,7 +1145,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
 
     Within a period the balance rows come first, node by node in
     breadth-first order, then per line and phase the drop pair, its cone
-    and its line limits.
+    and its line limits.  A dead pair (``_Ctx.dead``) and the line into it
+    have none.
     """
     case, cat, grid = ctx.case, ctx.cat, ctx.grid
     res_at = _res_at_node(ctx)
@@ -1093,6 +1163,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
         rows = _PeriodRows()
         for nid in o.order:
             n = case.node_index[nid]
+            if ctx.dead[n, k]:
+                continue
             for ph in ctx.node_phases(nid):
                 terms_p = []
                 terms_q = []
@@ -1126,6 +1198,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
                 rows.add_where_on("balance-p", terms_p, on, ctx.m_flow)
                 rows.add_where_on("balance-q", terms_q, on, ctx.m_flow)
         for li, (i, j) in o.direction.items():
+            if ctx.dead_line[li, k]:
+                continue
             live = ctx.line_phases(li)
             ni, nj = case.node_index[i], case.node_index[j]
             # the drop holds inside microgrid k, and across a coupling
@@ -1161,7 +1235,7 @@ def _encode_power_flow(ctx: _Ctx) -> None:
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:
-    """Per node, period and live phase: the range row, then one cover row per microgrid."""
+    """Per node, period and live phase: the range row, then one cover row per microgrid but the dead ones."""
     case, grid, K = ctx.case, ctx.grid, ctx.K
     vmin, vmax = case.config.v_min_sq, case.config.v_max_sq
     live = np.zeros((len(case.nodes), 1, 3), dtype=bool)
@@ -1170,10 +1244,13 @@ def _encode_voltage_ranges(ctx: _Ctx) -> None:
     live = np.broadcast_to(live, (len(case.nodes), ctx.T, 3))
     vs = grid["volt_sq"].transpose(0, 2, 3, 1)  # (node, t, ph, k)
     u = grid["u"][:, None, None, :]
+    dead = ctx.dead[:, None, None, :]
     key = np.arange(live.size).reshape(live.shape)
     terms = [(vs[..., k], 1.0) for k in range(K)] + [(u[..., k], -vmin) for k in range(K)]
     rng = _block(key, "volt-range", terms, SENSE_GE, 0.0, live)
-    cover = _block(key[..., None], "volt-cover", [(vs, 1.0), (u, -vmax)], SENSE_LE, 0.0, live[..., None])
+    cover = _block(
+        key[..., None], "volt-cover", [(vs, 1.0), (u, -vmax)], SENSE_LE, 0.0, live[..., None] & ~dead
+    )
     ctx.b.add_blocks([rng, cover])
 
 
@@ -1184,6 +1261,8 @@ def _encode_objective(ctx: _Ctx) -> None:
     b.add_obj(grid["load_p"], np.array([n.weight * dt for n in case.nodes])[:, None, None])
     for k in range(ctx.K):
         for li in ctx.orient[k].direction:
+            if ctx.dead_line[li, k]:
+                continue
             phases = list(ctx.line_phases(li))
             if li in ctx.bracketed:
                 b.add_obj(grid["y_p"][ctx.bracket_pos[li], k][:, phases], -dt)

@@ -70,7 +70,7 @@ class RowBlock(NamedTuple):
     """Rows for :meth:`ModelBuilder.add_blocks`: an :meth:`ModelBuilder.add_rows` block and each row's key."""
 
     key: np.ndarray
-    family: str | list[str]
+    family: str | tuple[list[str], np.ndarray]
     cols: np.ndarray
     vals: np.ndarray
     sense: int | np.ndarray
@@ -131,8 +131,10 @@ class ModelBuilder:
         ``cols``/``vals`` are 2-D, one row per block row, zero-padded: like
         :meth:`add`, every exact-zero coefficient (``-0.0`` too) is dropped
         and every other one kept in its place, so a column repeated in a row
-        stays two entries.  ``family`` is one name or one per row; ``sense``
-        and ``rhs`` are scalars or one per row.
+        stays two entries.  ``family`` is one name, or a pair of a table of
+        names and an int array of each row's place in it, so a block that
+        repeats a few families maps each name once; ``sense`` and ``rhs``
+        are scalars or one per row.
         """
         self.add_blocks([RowBlock(np.zeros(len(cols), dtype=np.int64), family, cols, vals, sense, rhs)])
 
@@ -165,15 +167,18 @@ class ModelBuilder:
         self._rhs.frombytes(rhs.tobytes())
         self._family.frombytes(family.tobytes())
 
-    def _family_codes(self, family: str | list[str], n: int) -> np.ndarray:
-        """The codes of a block's ``n`` rows: of ``family``, one name or one per row."""
+    def _family_codes(self, family: str | tuple[list[str], np.ndarray], n: int) -> np.ndarray:
+        """The codes of a block's ``n`` rows: of ``family``, one name or a (names, per-row index) pair."""
         if isinstance(family, str):
             return np.full(n, self._code(family), dtype=np.int32)
-        if len(family) != n:
-            raise ValueError("a block needs one family or one per row")
-        for name in dict.fromkeys(family):
-            self._code(name)
-        return np.fromiter(map(self._codes.__getitem__, family), dtype=np.int32, count=n)
+        names, index = family
+        if np.shape(index) != (n,):
+            raise ValueError("a block needs one family or an index per row")
+        table = np.zeros(len(names), dtype=np.int32)
+        _, first = np.unique(index, return_index=True)
+        for i in index[np.sort(first)].tolist():  # the names its rows use, in the order they first do
+            table[i] = self._code(names[i])
+        return table[index]
 
     def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
         """Append the cone ``col_i * col_v >= col_p^2 + col_q^2``."""

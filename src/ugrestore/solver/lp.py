@@ -229,6 +229,14 @@ def master_bound(
     or time-limited run with a finite dual bound yields one; any other
     outcome is +inf.
 
+    ``model`` is the full model, never a :meth:`LinearModel.restrict` of it
+    as that stands: the restriction can leave a binary at bounds such as
+    [0.2308, 1].  On ``reduced13`` with swap and gate (workload seed 1),
+    HiGHS 1.12's MIP presolve calls such a 6,471-row restriction infeasible,
+    which here reads as +inf; with presolve off it solves to 1.2420929, the
+    full model's MIP optimum, and with the binary bounds rounded and the
+    restriction redone it solves correctly at 5,550 rows.
+
     ``stop_at`` is a target: a ``kCallbackMipInterrupt`` callback stops the
     run as soon as the MIP dual bound reaches it, and that dual bound is
     returned.  At every moment of the MIP search the dual bound is the best

@@ -2,7 +2,7 @@ import copy
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from ugrestore.formulation import (
     _add_columns,
     _Ctx,
     build_model,
+    dead_pairs,
     derated_multiplier,
     gate_threshold_pu,
     hat_matrices,
@@ -180,11 +181,13 @@ class TestAddRows:
         "family, sense, rhs",
         [
             ("blk", SENSE_LE, 2.5),
-            (["f1", "f2", "f1"], np.array([SENSE_LE, SENSE_GE, SENSE_EQ]), np.array([0.0, -1.0, 3.0])),
+            # a table in another order than the rows first use it, with a name no row uses
+            ((["f2", "none", "f1"], np.array([2, 0, 2])), np.array([SENSE_LE, SENSE_GE, SENSE_EQ]),
+             np.array([0.0, -1.0, 3.0])),
         ],
     )
     def test_block_equals_row_loop(self, family, sense, rhs):
-        fams = [family] * 3 if isinstance(family, str) else family
+        fams = [family] * 3 if isinstance(family, str) else [family[0][i] for i in family[1]]
         senses = np.broadcast_to(sense, (3,))
         rhss = np.broadcast_to(rhs, (3,))
         one = self._builder()
@@ -195,6 +198,8 @@ class TestAddRows:
         block.add_rows(family, self.COLS, self.VALS, sense, rhs)
         got, want = self._state(block), self._state(one)
         assert got == want
+        # codes are numbered in the order the rows first use each name
+        assert block.build().family_names == one.build().family_names
         # zeros (and -0.0) are dropped; the repeated column 3 stays two entries
         assert got[0] == [0, 1, 1, 2, 2] and got[1] == [5, 0, 2, 3, 3]
 
@@ -202,13 +207,13 @@ class TestAddRows:
         """Rows land by key; rows of one key come block by block, each block's in its order."""
         first = RowBlock(np.array([2, 0, 2]), "a", self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0]))
         second = RowBlock(
-            np.array([0, 2]), ["b1", "b2"], self.COLS[:2, :2], self.VALS[:2, :2], SENSE_GE, -1.0
+            np.array([0, 2]), (["b1", "b2"], np.array([0, 1])), self.COLS[:2, :2], self.VALS[:2, :2], SENSE_GE, -1.0
         )
         merged = self._builder()
         merged.add_blocks([first, second])
         one = self._builder()
         for block, i in ((first, 1), (second, 0), (first, 0), (first, 2), (second, 1)):
-            fam = block.family if isinstance(block.family, str) else block.family[i]
+            fam = block.family if isinstance(block.family, str) else block.family[0][block.family[1][i]]
             rhs = float(np.broadcast_to(block.rhs, (len(block.key),))[i])
             one.add(fam, zip(block.cols[i].tolist(), block.vals[i].tolist()), block.sense, rhs)
         assert self._state(merged) == self._state(one)
@@ -995,3 +1000,128 @@ def snapshot_123() -> dict:
     path = Path(__file__).parent / "data" / "feeder123_counts.json"
     with open(path) as fh:
         return json.load(fh)
+
+
+# -- dead pairs ----------------------------------------------------------------
+
+BUILDS = {"default": BuildOptions(), "no-gate": BuildOptions(ferro_gate=False), "no-swap": BuildOptions(no_swap=True)}
+# the power flow rows and cones of one (node, microgrid) pair or of the line into it
+PAIR_FAMILIES = {
+    "balance-p", "balance-q", "volt-drop", "cone", "ess-line-p-lim", "ess-line-q-lim", "current-lim",
+    "volt-cover", "reorder-bracket-p", "reorder-bracket-q", "reorder-bracket-v",
+}
+
+
+def _dead_map(case) -> np.ndarray:
+    return dead_pairs(case, [orient_from(case, e.node) for e in case.ess_units])
+
+
+def _cited_rows(model):
+    """``model`` over only the rows that :func:`dead_pairs` cites, with no cone."""
+    rows = family_rows(model, "coverage-unique", "coverage-parent", "wire-consistent")
+    a = model.matrix()[rows].tocoo()
+    return replace(
+        model, coo_r=a.row.astype(np.int64), coo_c=a.col.astype(np.int64), coo_v=a.data,
+        sense=model.sense[rows], rhs=model.rhs[rows], family=model.family[rows], cones=model.cones[:0],
+        _matrix=None,
+    )
+
+
+def _dead_pair_columns(case, model) -> set[int]:
+    """Every column of a dead (node, k) and of a line of ``orient[k]`` into one, by catalog key."""
+    cat, dead, T = model.catalog, _dead_map(case), case.horizon
+    tp = list(itertools.product(range(T), range(3)))
+    cols = set()
+    for n, k in zip(*np.nonzero(dead)):
+        nid = case.nodes[n].id
+        cols.add(cat.col("u", (nid, k)))
+        cols.update(cat.col("volt_sq", (nid, k, t, ph)) for t, ph in tp)
+        o = orient_from(case, case.ess_units[k].node)
+        line = o.parent_line.get(nid)
+        if line is None:
+            continue
+        for name in ("flow_p", "flow_q", "curr_sq", "y_p", "y_q", "y_v"):
+            if cat.group(name).key_index.get((line, k, 0, 0)) is not None:
+                cols.update(cat.col(name, (line, k, t, ph)) for t, ph in tp)
+    return cols
+
+
+class TestDeadPairs:
+    """The (node, microgrid) pairs that the case's topology rules out carry no power flow."""
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_each_dead_coverage_pinned_at_one_is_refuted(self, name, build):
+        """Pinned at 1, a dead ``u[n, k]`` makes ``restrict`` prove the bounds inconsistent.
+
+        On ``feeder123`` only over the rows the map cites: the full model's
+        restriction takes a few tenths of a second per pin, over 217 pins.
+        """
+        case = shipped_case(name)
+        model = build_model(case, BUILDS[build])
+        dead = _dead_map(case)
+        assert dead.any() == (len(case.ess_units) > 1)
+        proofs = [_cited_rows(model)] + ([model] if name != "feeder123" else [])
+        for n, k in zip(*np.nonzero(dead)):
+            col = model.catalog.col("u", (case.nodes[n].id, k))
+            assert model.col_lb[col] == model.col_ub[col] == 0.0
+            for proof in proofs:
+                lb, ub = proof.col_lb.copy(), proof.col_ub.copy()
+                lb[col] = ub[col] = 1.0
+                got = proof.restrict(lb, ub)
+                # the whole-model fallback of bounds proven inconsistent
+                assert got.model.nrows == proof.nrows and got.keep.size == proof.ncols, (n, k)
+                assert np.array_equal(got.col_lb, lb) and np.array_equal(got.col_ub, ub)
+
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_only_dead_pair_columns_and_rows_go(self, name, monkeypatch):
+        """The map fixes at 0 exactly the columns of its pairs not fixed before, and drops only their rows."""
+        import ugrestore.formulation as formulation
+
+        case = shipped_case(name)
+        model = build_model(case)
+        monkeypatch.setattr(formulation, "dead_pairs", lambda case, orient: np.zeros((len(case.nodes), len(orient)), bool))
+        before = build_model(case)
+        fixed, was = model.col_lb == model.col_ub, before.col_lb == before.col_ub
+        assert np.array_equal(model.col_lb[was], before.col_lb[was]) and np.all(fixed[was])
+        newly = set(np.flatnonzero(fixed & ~was).tolist())
+        assert newly == _dead_pair_columns(case, model) - set(np.flatnonzero(was).tolist())
+        assert np.all(model.col_lb[list(newly)] == 0.0)
+        assert newly or len(case.ess_units) == 1
+        got, want = model.family_counts(), before.family_counts()
+        assert {f for f in want if got.get(f, 0) != want[f]} <= PAIR_FAMILIES
+        assert all(got.get(f, 0) <= want[f] for f in want) and set(got) <= set(want)
+
+    def test_a_source_never_dies_for_its_own_microgrid(self):
+        """Sources wired together: the rows refute the case, and the map leaves each source's u = 1 for an LP to find."""
+        doc = shipped_doc("toy_fork")
+        for line in doc["lines"]:
+            line["is_switch"] = False
+        case = load_case_dict(doc)
+        model = build_model(case)
+        assert _dead_map(case).tolist() == [[False, True], [True, False], [True, True]]
+        for k, e in enumerate(case.ess_units):
+            col = model.catalog.col("u", (e.node, k))
+            assert model.col_lb[col] == model.col_ub[col] == 1.0
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("name, objective", [("toy_fork", 0.1995), ("rad_tworoot5", 0.0)])
+    def test_multi_source_plans_keep_status_and_objective(self, name, objective, build, tmp_path):
+        """The two small multi-source cases solve as before, and the plan keeps every pair's entries."""
+        from ugrestore.plan import RestorationPlan
+        from ugrestore.solver import SolverOptions, greedy_warm_start, solve
+
+        case = shipped_case(name)
+        model = build_model(case, BUILDS[build])
+        ws = greedy_warm_start(model, case)
+        sol = solve(model, SolverOptions(), warm_start=ws, warm_start_source="greedy")
+        assert sol.status == "optimal" and sol.objective == pytest.approx(objective, abs=1e-12)
+        plan = RestorationPlan.from_solution(model, sol.x, status=sol.status, gap=sol.gap)
+        plan.save(tmp_path / "plan.json")
+        back = RestorationPlan.load(tmp_path / "plan.json")
+        N, K, L, T = len(case.nodes), len(case.ess_units), len(case.lines), case.horizon
+        sizes = {"u": N * K, "volt_sq": N * K * T * 3, "flow_p": L * K * T * 3, "curr_sq": L * K * T * 3}
+        assert {g: len(back.groups[g]) for g in sizes} == sizes
+        assert np.array_equal(back.to_vector(model), sol.x)
+        dead = _dead_pair_columns(case, model)
+        assert dead and np.all(sol.x[list(dead)] == 0.0)
