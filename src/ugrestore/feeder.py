@@ -8,6 +8,7 @@ so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import KeysView
@@ -16,6 +17,7 @@ from importlib import resources
 
 import numpy as np
 
+from ugrestore.catalog import unnameable
 from ugrestore.physics import PHASES, equivalent_capacitance_farads
 
 _PHASE_INDEX = {"a": 0, "b": 1, "c": 2}
@@ -33,6 +35,15 @@ class CaseSchemaError(CaseError):
 
 class CaseInvariantError(CaseError):
     """Schema-valid document violating a structural rule."""
+
+
+def _check_id(kind: str, ident: str) -> None:
+    """Refuse an id that a column name cannot carry (see :mod:`ugrestore.catalog`)."""
+    if unnameable(ident):
+        raise CaseInvariantError(
+            f"{kind} id {ident!r} holds a ',', '[', ']', whitespace or a control character, "
+            "which a column name cannot carry"
+        )
 
 
 def _phase_tuple(s: str) -> tuple[int, ...]:
@@ -267,12 +278,29 @@ def _apply_defaults(instance: dict, schema: dict) -> None:
             instance[key] = json.loads(json.dumps(sub["default"]))
 
 
-def validate_schema(data: dict) -> None:
+@functools.cache
+def _validator():
+    """The case schema's Draft 2020-12 validator, with arrays of numbers checked at once.
+
+    Its ``items`` passes an array under ``{"type": "number"}`` whose every
+    item is an ``int`` or a ``float`` in one check, and hands every other
+    array to the stock keyword, so its verdicts and messages are the stock
+    validator's.
+    """
     import jsonschema
 
-    schema = _schema()
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    stock = jsonschema.Draft202012Validator
+
+    def items(validator, items, instance, schema):
+        if items == {"type": "number"} and type(instance) is list and set(map(type, instance)) <= {int, float}:
+            return
+        yield from stock.VALIDATORS["items"](validator, items, instance, schema)
+
+    return jsonschema.validators.extend(stock, {"items": items})(_schema())
+
+
+def validate_schema(data: dict) -> None:
+    errors = sorted(_validator().iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         path = "$" + "".join(
@@ -321,6 +349,7 @@ def load_case_dict(data: dict) -> FeederCase:
     nodes: list[Node] = []
     node_index: dict[str, int] = {}
     for nd in data["nodes"]:
+        _check_id("node", nd["id"])
         if nd["id"] in node_index:
             raise CaseInvariantError(f"duplicate node id {nd['id']!r}")
         phases = _phase_tuple(nd["phases"])
@@ -396,6 +425,7 @@ def load_case_dict(data: dict) -> FeederCase:
         amp = _per_phase_scalar(ln.get("ampacity_pu"), phases, default=10.0)
         amp[[p for p in range(3) if p not in phases]] = 0.0
         lid = ln.get("id", f"{ln['from']}-{ln['to']}")
+        _check_id("line", lid)
         if lid in line_ids:
             raise CaseInvariantError(f"duplicate line id {lid!r}")
         line_ids.add(lid)
@@ -420,6 +450,7 @@ def load_case_dict(data: dict) -> FeederCase:
     gears: list[Switchgear] = []
     gear_ids: set[str] = set()
     for sg in data["switchgears"]:
+        _check_id("switchgear", sg["id"])
         if sg["id"] in gear_ids:
             raise CaseInvariantError(f"duplicate switchgear id {sg['id']!r}")
         gear_ids.add(sg["id"])

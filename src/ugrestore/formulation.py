@@ -19,8 +19,7 @@ holds only inside a microgrid is two big-M rows on its own expression.
 Row order is part of the model: the export writes it and warm-started LP
 runs follow it, so the build emits every row in one fixed order.  All but
 a few thousand rows go in as zero-padded numpy blocks, their columns taken
-from index grids over the groups whose keys form a full product
-(``_Ctx.grid``):
+from the groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``):
 
 - the switchgear schedule (``swap-*``, ``inrush-*``, ``voltdiff-cap``,
   ``ferro-*``, ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
@@ -421,117 +420,77 @@ class _Ctx:
         return self.case.lines[line_idx].phases
 
 
-def _grid(cat: VariableCatalog, name: str, *shape: int) -> np.ndarray:
-    """Column indices of group ``name``, whose keys form the full product ``shape``."""
-    g = cat.group(name)
-    return g.start + np.arange(g.size).reshape(shape)
-
-
 def _add_columns(ctx: _Ctx) -> None:
     case, cat, T, K = ctx.case, ctx.cat, ctx.T, ctx.K
     gears = case.switchgears
-    N, L, G, B = len(case.nodes), len(case.lines), len(gears), len(ctx.bracketed)
+    B = len(ctx.bracketed)
     grid = ctx.grid
+    nodes, lines, gear_ids = [n.id for n in case.nodes], [l.index for l in case.lines], [g.id for g in gears]
+    ks, ts, phs = range(K), range(T), range(3)
 
-    cat.add_group("u", [(n.id, k) for n in case.nodes for k in range(K)], binary=True)
-    grid["u"] = _grid(cat, "u", N, K)
+    grid["u"] = cat.add_group("u", nodes, ks, binary=True).grid
     for k, e in enumerate(ctx.ess):
         cat.fix(cat.col("u", (e.node, k)), 1.0)
 
-    cat.add_group("gamma", [l.index for l in case.lines], binary=True)
+    cat.add_group("gamma", lines, binary=True)
     for l in case.lines:
         if not l.is_switch:
             cat.fix(cat.col("gamma", l.index), 1.0)
-    cat.add_group(
-        "fict_flow", [l.index for l in case.lines], lb=-ctx.m_fict, ub=ctx.m_fict
-    )
+    cat.add_group("fict_flow", lines, lb=-ctx.m_fict, ub=ctx.m_fict)
 
-    gt = [(g.id, t) for g in gears for t in range(T)]
-    cat.add_group("beta", gt, binary=True)
-    grid["beta"] = _grid(cat, "beta", G, T)
-    cat.add_group("alpha", gt, binary=True)
-    grid["alpha"] = _grid(cat, "alpha", G, T)
-    gtpp = [(g.id, t, ph, ps) for g in gears for t in range(T) for ph in range(3) for ps in range(3)]
-    cat.add_group("swap", gtpp, binary=True)
-    grid["swap"] = _grid(cat, "swap", G, T, 3, 3)
+    grid["beta"] = cat.add_group("beta", gear_ids, ts, binary=True).grid
+    grid["alpha"] = cat.add_group("alpha", gear_ids, ts, binary=True).grid
+    grid["swap"] = cat.add_group("swap", gear_ids, ts, phs, phs, binary=True).grid
     if ctx.opts.no_swap:
         cat.fix(grid["swap"][:, :, ~np.eye(3, dtype=bool)], 0.0)
-    cat.add_group("swap_event", gtpp, binary=True)
-    grid["swap_event"] = _grid(cat, "swap_event", G, T, 3, 3)
-    gtp = [(g.id, t, ph) for g in gears for t in range(T) for ph in range(3)]
-    cat.add_group("swap_any", gtp, binary=True)
-    cat.add_group("reorder_sel", [(g.id, t, v) for g in gears for t in range(T) for v in range(6)], binary=True)
-    grid["reorder_sel"] = _grid(cat, "reorder_sel", G, T, 6)
-    cat.add_group("gate_bypass", [g.id for g in gears], binary=True)
+    grid["swap_event"] = cat.add_group("swap_event", gear_ids, ts, phs, phs, binary=True).grid
+    grid["swap_any"] = cat.add_group("swap_any", gear_ids, ts, phs, binary=True).grid
+    grid["reorder_sel"] = cat.add_group("reorder_sel", gear_ids, ts, range(6), binary=True).grid
+    cat.add_group("gate_bypass", gear_ids, binary=True)
     for g in gears:
         if not (ctx.opts.ferro_gate and bypass_eligible(case, g)):
             cat.fix(cat.col("gate_bypass", g.id), 0.0)
 
     w = case.config.angle_window_rad
-    cat.add_group("angle_diff", gtp, lb=-w, ub=w)
-    cat.add_group("volt_diff", gtp, lb=-ctx.m_dv, ub=ctx.m_dv)
-    cat.add_group("inrush_mag", gtp, lb=0.0, ub=ctx.m_dv)
-    cat.add_group("inrush_ang", gtp, lb=0.0, ub=w)
     ctx.inr_coef = {
         g.id: inrush_coefficient_pu(
             ctx.c_eq[g.id], case.config.inrush_rise_time_s, case.config.base_kv, case.config.base_mva
         )
         for g in gears
     }
-    inr_ub = [ctx.inr_coef[g.id] * ctx.m_dv for g in gears for t in range(T) for ph in range(3)]
-    cat.add_group("inrush", gtp, lb=[-v for v in inr_ub], ub=inr_ub)
-    for name in ("swap_any", "angle_diff", "volt_diff", "inrush_mag", "inrush_ang", "inrush"):
-        grid[name] = _grid(cat, name, G, T, 3)
+    inr_ub = np.array([ctx.inr_coef[g.id] * ctx.m_dv for g in gears]).reshape(-1, 1, 1)
+    for name, lb, ub in (
+        ("angle_diff", -w, w),
+        ("volt_diff", -ctx.m_dv, ctx.m_dv),
+        ("inrush_mag", 0.0, ctx.m_dv),
+        ("inrush_ang", 0.0, w),
+        ("inrush", -inr_ub, inr_ub),
+    ):
+        grid[name] = cat.add_group(name, gear_ids, ts, phs, lb=lb, ub=ub).grid
 
-    kt = [(k, t) for k in range(K) for t in range(T)]
-    ktp = [(k, t, ph) for k in range(K) for t in range(T) for ph in range(3)]
-    cat.add_group("ess_ch_on", kt, binary=True)
-    cat.add_group("ess_dis_on", kt, binary=True)
-    cat.add_group(
-        "ess_ch",
-        ktp,
-        lb=0.0,
-        ub=[ctx.ess[k].charge_max_pu[ph] for k, t, ph in ktp],
-    )
-    cat.add_group(
-        "ess_dis",
-        ktp,
-        lb=0.0,
-        ub=[ctx.ess[k].discharge_max_pu[ph] for k, t, ph in ktp],
-    )
-    cat.add_group(
-        "ess_q",
-        ktp,
-        lb=[-ctx.ess[k].reactive_max_pu[ph] for k, t, ph in ktp],
-        ub=[ctx.ess[k].reactive_max_pu[ph] for k, t, ph in ktp],
-    )
-    cat.add_group(
-        "ess_soc",
-        kt,
-        lb=[ctx.ess[k].soc_min * case.ess_energy_pu_h(ctx.ess[k]) for k, t in kt],
-        ub=[ctx.ess[k].soc_max * case.ess_energy_pu_h(ctx.ess[k]) for k, t in kt],
-    )
+    def per_unit(units, attr):  # one row of phase values per unit, the same in every period
+        return np.array([getattr(u, attr) for u in units]).reshape(-1, 1, 3)
 
-    rtp = [(r, t, ph) for r in range(len(ctx.res)) for t in range(T) for ph in range(3)]
+    cat.add_group("ess_ch_on", ks, ts, binary=True)
+    cat.add_group("ess_dis_on", ks, ts, binary=True)
+    cat.add_group("ess_ch", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "charge_max_pu"))
+    cat.add_group("ess_dis", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "discharge_max_pu"))
+    q_max = per_unit(ctx.ess, "reactive_max_pu")
+    cat.add_group("ess_q", ks, ts, phs, lb=-q_max, ub=q_max)
+    energy = np.array([[case.ess_energy_pu_h(e)] for e in ctx.ess])
+    soc_min, soc_max = (np.array([[getattr(e, f)] for e in ctx.ess]) * energy for f in ("soc_min", "soc_max"))
+    cat.add_group("ess_soc", ks, ts, lb=soc_min, ub=soc_max)
+
     # the chance constraint is these bounds: output within the derated
     # forecast, reactive support within the rating
-    mult = [derated_multiplier(unit.sigma, unit.confidence) for unit in ctx.res]
-    cat.add_group(
-        "res_p",
-        rtp,
-        lb=0.0,
-        ub=[float(ctx.res[r].forecast_pu[t, ph]) * mult[r] for r, t, ph in rtp],
-    )
-    cat.add_group(
-        "res_q",
-        rtp,
-        lb=[-ctx.res[r].reactive_max_pu[ph] for r, t, ph in rtp],
-        ub=[ctx.res[r].reactive_max_pu[ph] for r, t, ph in rtp],
-    )
+    units = range(len(ctx.res))
+    forecast = np.array([u.forecast_pu * derated_multiplier(u.sigma, u.confidence) for u in ctx.res])
+    cat.add_group("res_p", units, ts, phs, lb=0.0, ub=forecast.reshape(-1, T, 3))
+    q_max = per_unit(ctx.res, "reactive_max_pu")
+    cat.add_group("res_q", units, ts, phs, lb=-q_max, ub=q_max)
 
     # (t, ph) load bounds per node; a lateral node's conductor may land on
     # any phase, so each phase takes the period's largest demand
-    ntp = [(n.id, t, ph) for n in case.nodes for t in range(T) for ph in range(3)]
     p_ub, q_ub, q_lb = [], [], []
     for n in case.nodes:
         if case.gear_of_downstream_node(n.id) is not None:
@@ -542,38 +501,14 @@ def _add_columns(ctx: _Ctx) -> None:
             p_ub.append(n.load_p.ravel())
             q_ub.append(np.maximum(n.load_q, 0.0).ravel())
             q_lb.append(np.minimum(n.load_q, 0.0).ravel())
-    cat.add_group("load_p", ntp, lb=0.0, ub=np.concatenate(p_ub))
-    cat.add_group("load_q", ntp, lb=np.concatenate(q_lb), ub=np.concatenate(q_ub))
-    grid["load_p"] = _grid(cat, "load_p", N, T, 3)
-    grid["load_q"] = _grid(cat, "load_q", N, T, 3)
+    grid["load_p"] = cat.add_group("load_p", nodes, ts, phs, lb=0.0, ub=np.concatenate(p_ub)).grid
+    grid["load_q"] = cat.add_group("load_q", nodes, ts, phs, lb=np.concatenate(q_lb), ub=np.concatenate(q_ub)).grid
 
-    lktp = [
-        (l.index, k, t, ph)
-        for l in case.lines
-        for k in range(K)
-        for t in range(T)
-        for ph in range(3)
-    ]
-    cat.add_group("flow_p", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
-    cat.add_group("flow_q", lktp, lb=-ctx.m_flow, ub=ctx.m_flow)
-    cat.add_group(
-        "curr_sq", lktp, lb=0.0, ub=np.broadcast_to(ctx.amp_sq[:, None, None, :], (L, K, T, 3)).ravel()
-    )
-    nktp = [
-        (n.id, k, t, ph) for n in case.nodes for k in range(K) for t in range(T) for ph in range(3)
-    ]
-    cat.add_group("volt_sq", nktp, lb=0.0, ub=case.config.v_max_sq)
-    for name in ("flow_p", "flow_q", "curr_sq"):
-        grid[name] = _grid(cat, name, L, K, T, 3)
-    grid["volt_sq"] = _grid(cat, "volt_sq", N, K, T, 3)
+    for name in ("flow_p", "flow_q"):
+        grid[name] = cat.add_group(name, lines, ks, ts, phs, lb=-ctx.m_flow, ub=ctx.m_flow).grid
+    grid["curr_sq"] = cat.add_group("curr_sq", lines, ks, ts, phs, lb=0.0, ub=ctx.amp_sq[:, None, None, :]).grid
+    grid["volt_sq"] = cat.add_group("volt_sq", nodes, ks, ts, phs, lb=0.0, ub=case.config.v_max_sq).grid
 
-    ylat = [
-        (l, k, t, ph)
-        for l in sorted(ctx.bracketed)
-        for k in range(K)
-        for t in range(T)
-        for ph in range(3)
-    ]
     # Loss products inherit the coefficient signs: with non-negative
     # resistance entries the active product cannot go negative, which
     # keeps the relaxation from minting power through the loss term.
@@ -593,12 +528,14 @@ def _add_columns(ctx: _Ctx) -> None:
             + 6.0 * float(np.max(np.abs(stack_x))) * ctx.m_flow
             + 3.0 * float(np.max(np.abs(np.stack([c.z_hat for c in var])))) * amp_sq,
         )
-    ybounds = np.repeat(ybounds, K * T * 3, axis=0)
-    cat.add_group("y_p", ylat, lb=ybounds[:, 0], ub=ybounds[:, 1])
-    cat.add_group("y_q", ylat, lb=ybounds[:, 2], ub=ybounds[:, 3])
-    cat.add_group("y_v", ylat, lb=-ybounds[:, 4], ub=ybounds[:, 4])
-    for name in ("y_p", "y_q", "y_v"):
-        grid[name] = _grid(cat, name, B, K, T, 3)
+    ybounds = ybounds[:, :, None, None, None]  # over (microgrid, period, phase)
+    bracketed = sorted(ctx.bracketed)
+    for name, lb, ub in (
+        ("y_p", ybounds[:, 0], ybounds[:, 1]),
+        ("y_q", ybounds[:, 2], ybounds[:, 3]),
+        ("y_v", -ybounds[:, 4], ybounds[:, 4]),
+    ):
+        grid[name] = cat.add_group(name, bracketed, ks, ts, phs, lb=lb, ub=ub).grid
 
     # Phase masks: fix columns for conductors that do not exist.
     for n in case.nodes:
@@ -615,7 +552,7 @@ def _add_columns(ctx: _Ctx) -> None:
     for name in ("flow_p", "flow_q", "curr_sq"):
         cat.fix(grid[name][ctx.dead_line], 0.0)
     for name in ("y_p", "y_q", "y_v"):
-        cat.fix(grid[name][ctx.dead_line[sorted(ctx.bracketed)]], 0.0)
+        cat.fix(grid[name][ctx.dead_line[bracketed]], 0.0)
 
 
 # -- topology ----------------------------------------------------------------

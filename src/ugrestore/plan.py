@@ -8,11 +8,13 @@ constraint replay.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ugrestore.catalog import CatalogError
 from ugrestore.feeder import FeederCase
 from ugrestore.jsonutil import plain
 from ugrestore.model import LinearModel
@@ -45,14 +47,11 @@ class RestorationPlan:
         cls, model: LinearModel, x: np.ndarray, *, status: str, gap: float, solver_info=None
     ) -> "RestorationPlan":
         groups: dict[str, list] = {}
+        x = np.asarray(x, dtype=float)
         for name in model.catalog.group_names:
             g = model.catalog.group(name)
-            entries = []
-            for key in g.keys:
-                val = float(x[g.col(key)])
-                entry = list(key) if isinstance(key, tuple) else [key]
-                entries.append(entry + [val])
-            groups[name] = entries
+            values = x[g.start : g.start + g.size].tolist()
+            groups[name] = [[*key, val] for key, val in zip(itertools.product(*g.axes), values)]
         return cls(
             case_name=str(model.meta.get("name", "")),
             horizon=int(model.meta.get("horizon", 0)),
@@ -74,12 +73,16 @@ class RestorationPlan:
             if not model.catalog.has_group(name):
                 raise PlanError(f"model has no column group {name!r}")
             g = model.catalog.group(name)
-            for entry in entries:
-                *key_parts, val = entry
-                key = tuple(key_parts) if len(key_parts) > 1 else key_parts[0]
-                if key not in g.key_index:
-                    raise PlanError(f"{name}: no column for key {key!r}")
-                x[g.start + g.key_index[key]] = val
+            short = next((e for e in entries if len(e) != len(g.axes) + 1), None)
+            if short is not None:
+                *key, _ = short
+                raise PlanError(f"{name}: no column for key {tuple(key) if len(key) != 1 else key[0]!r}")
+            try:
+                if entries:
+                    *keys, values = zip(*entries)
+                    x[g.cols(keys)] = values
+            except CatalogError as exc:
+                raise PlanError(exc.args[0]) from None
         return x
 
     # -- typed accessors ------------------------------------------------------

@@ -9,7 +9,7 @@ All formats carry a version header.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,18 +235,25 @@ def _cone_parts(model: LinearModel):
 
 
 def _name_map_parts(model: LinearModel):
-    """The parts of the name map: ``C0000123 name`` per column, made here, as the names are Python strings.
+    """The parts of the name map: ``C0000123 name`` per column, group by group.
 
-    A catalog name may hold any character, so it is joined to its line as
-    it is rather than through :func:`_lines`.
+    A group's names are gathered from one table of label texts per axis
+    (``catalog.Group.texts``), indexed by each column's place in the
+    product; a label text holds no NUL, so :func:`_lines` keeps it whole.
     """
     yield f"{NAMEMAP_HEADER}\n".encode()
     cols = _name(b"C", np.arange(model.ncols))
-    names = map(str.encode, model.catalog.names())
-    for lo in range(0, model.ncols, CHUNK_LINES):
-        hi = min(model.ncols, lo + CHUNK_LINES)
-        heads = _lines(cols[lo:hi], b" ").split(b" ")  # one more, empty, at the end
-        yield b"".join(map(b"".join, zip(heads, repeat(b" "), islice(names, hi - lo), repeat(b"\n"))))
+    cat = model.catalog
+    for g in map(cat.group, cat.group_names):
+        texts = [np.array([t.encode() for t in axis], dtype=bytes) for axis in g.texts]
+        seps = [f"{g.name}[".encode()] + [b","] * (len(texts) - 1)
+
+        def lines(lo, hi):
+            at = np.unravel_index(np.arange(lo, hi), g.shape)
+            labels = (f for sep, table, i in zip(seps, texts, at) for f in (sep, table[i]))
+            return _lines(cols[g.start + lo : g.start + hi], b" ", *labels, b"]\n")
+
+        yield from _chunks(g.size, lines)
 
 
 @dataclass

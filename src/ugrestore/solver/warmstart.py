@@ -97,12 +97,10 @@ def _forest(case: FeederCase, priority: dict[int, float] | None = None):
     comps = {find(n.id) for n in case.nodes}
     if len(comps) != len(roots) or any(c not in root_of for c in comps):
         return None
-    coverage: dict[tuple[str, int], float] = {}
     idx_of_root = {e.node: k for k, e in enumerate(case.ess_units)}
-    for n in case.nodes:
-        src = root_of[find(n.id)]
-        for k in range(len(roots)):
-            coverage[(n.id, k)] = 1.0 if idx_of_root[src] == k else 0.0
+    coverage = np.zeros((len(case.nodes), len(roots)))  # over (node, microgrid)
+    for i, n in enumerate(case.nodes):
+        coverage[i, idx_of_root[root_of[find(n.id)]]] = 1.0
     return gamma, coverage
 
 
@@ -169,47 +167,46 @@ def _structural_fixes(
     schedule: dict,
     gamma_priority: dict[int, float] | None = None,
 ) -> dict[int, float] | None:
+    """The skeleton's fixings: the forest, and each switchgear's schedule with the binaries it implies.
+
+    The schedule is laid out over the model's grids, whose node and gear
+    axes are the case's nodes and switchgears in order.
+    """
     cat = model.catalog
     got = _forest(case, gamma_priority)
     if got is None:
         return None
     gamma, coverage = got
-    fixes: dict[int, float] = {}
-    for li, val in gamma.items():
-        fixes[cat.col("gamma", li)] = val
-    for (nid, k), val in coverage.items():
-        col = cat.col("u", (nid, k))
-        if model.col_lb[col] == model.col_ub[col]:
-            continue
-        fixes[col] = val
-    for g in case.switchgears:
-        beta, bypass, swaps = schedule[g.id]
-        if gamma.get(g.line_index, 1.0) < 0.5:
-            beta = [0] * case.horizon
-            bypass = 0
-            swaps = [np.zeros((3, 3))] * case.horizon
-        col = cat.col("gate_bypass", g.id)
-        if model.col_lb[col] < model.col_ub[col]:
-            fixes[col] = float(bypass)
-        prev = np.zeros((3, 3))
-        for t in range(case.horizon):
-            cur = swaps[t]
-            fixes[cat.col("beta", (g.id, t))] = float(beta[t])
-            closing = beta[t] == 1 and (t == 0 or beta[t - 1] == 0)
-            fixes[cat.col("alpha", (g.id, t))] = 1.0 if closing else 0.0
-            events = np.maximum(0.0, cur - prev)
-            for ph in range(3):
-                for ps in range(3):
-                    fixes[cat.col("swap", (g.id, t, ph, ps))] = float(cur[ph, ps])
-                    fixes[cat.col("swap_event", (g.id, t, ph, ps))] = float(events[ph, ps])
-                fixes[cat.col("swap_any", (g.id, t, ph))] = 1.0 if events[ph].sum() > 0.5 else 0.0
-            if cur.sum() > 0.5:
-                v_star = int(np.argmax([float((cur * p).sum()) for p in PERMUTATIONS]))
-            else:
-                v_star = 0
-            for v in range(6):
-                fixes[cat.col("reorder_sel", (g.id, t, v))] = 0.0 if v == v_star else 1.0
-            prev = cur
+    fixes = {cat.col("gamma", li): val for li, val in gamma.items()}
+    G, T = len(case.switchgears), case.horizon
+    beta, bypass, swap = np.zeros((G, T)), np.zeros(G), np.zeros((G, T, 3, 3))
+    for i, g in enumerate(case.switchgears):
+        if gamma.get(g.line_index, 1.0) >= 0.5:  # an open gear line keeps its gear open
+            beta[i], bypass[i], swap[i] = schedule[g.id]
+
+    def previous(a):  # each period's value one period before, all zero before the first
+        return np.concatenate([np.zeros_like(a[:, :1]), a[:, :-1]], axis=1)
+
+    closing = (beta == 1) & (previous(beta) == 0)
+    events = np.maximum(0.0, swap - previous(swap))
+    # the reordering that matches a closed swap best (the first on a tie); 0 when open
+    score = np.einsum("gtij,vij->gtv", swap, np.asarray(PERMUTATIONS))
+    v_star = np.where(swap.sum(axis=(2, 3)) > 0.5, np.argmax(score, axis=-1), 0)
+    for name, values, free_only in (
+        ("u", coverage, True),
+        ("gate_bypass", bypass, True),
+        ("beta", beta, False),
+        ("alpha", closing, False),
+        ("swap", swap, False),
+        ("swap_event", events, False),
+        ("swap_any", events.sum(axis=-1) > 0.5, False),
+        ("reorder_sel", np.arange(6) != v_star[..., None], False),
+    ):
+        cols, values = cat.group(name).grid.ravel(), np.ravel(values).astype(float)
+        if free_only:
+            keep = model.col_lb[cols] < model.col_ub[cols]
+            cols, values = cols[keep], values[keep]
+        fixes.update(zip(cols.tolist(), values.tolist()))
     return fixes
 
 
@@ -250,20 +247,21 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
     opts = options or SolverOptions()
     cat = model.catalog
     ferro = bool(model.meta.get("ferro_gate", True))
+    gamma = {l.index: cat.col("gamma", l.index) for l in case.switch_lines}
+    beta_cols, swap_cols = cat.group("beta").grid, cat.group("swap").grid
+    bypassable = model.col_ub[cat.group("gate_bypass").grid] > 0.5
 
     def diver(x_lp: np.ndarray, backend: LpBackend, cutoff: float = -np.inf) -> np.ndarray | None:
-        priority = {
-            l.index: float(x_lp[cat.col("gamma", l.index)]) for l in case.switch_lines
-        }
+        priority = {li: float(x_lp[col]) for li, col in gamma.items()}
+        beta_lp, swap_lp = x_lp[beta_cols] >= 0.5, x_lp[swap_cols]
         schedule = {}
-        for g in case.switchgears:
+        for i, g in enumerate(case.switchgears):
             thr = gate_threshold_pu(case, g) if ferro else 0.0
-            can_bypass = model.col_ub[cat.col("gate_bypass", g.id)] > 0.5
+            can_bypass = bypassable[i]
             beta = []
             for t in range(case.horizon):
-                want = x_lp[cat.col("beta", (g.id, t))] >= 0.5
                 ok = lateral_demand_pu(case, g, t) >= thr or (beta and beta[-1])
-                beta.append(1 if (want and (ok or can_bypass)) else 0)
+                beta.append(1 if (beta_lp[i, t] and (ok or can_bypass)) else 0)
             bypass = 0
             if ferro and thr > 0.0 and can_bypass:
                 for t in range(case.horizon):
@@ -273,13 +271,7 @@ def make_diver(model: LinearModel, case: FeederCase, options: SolverOptions | No
             swaps = []
             for t in range(case.horizon):
                 if beta[t]:
-                    s_lp = np.array(
-                        [
-                            [x_lp[cat.col("swap", (g.id, t, ph, ps))] for ps in range(3)]
-                            for ph in range(3)
-                        ]
-                    )
-                    v_star = int(np.argmax([float((s_lp * p).sum()) for p in PERMUTATIONS]))
+                    v_star = int(np.argmax([float((swap_lp[i, t] * p).sum()) for p in PERMUTATIONS]))
                     swaps.append(PERMUTATIONS[v_star].copy())
                 else:
                     swaps.append(np.zeros((3, 3)))
@@ -311,21 +303,14 @@ def _resolve(
         return None
     cat = model.catalog
     # round storage on/off flags from the first pass, then pin and re-solve
-    for name in ("ess_ch_on", "ess_dis_on"):
-        g = cat.group(name)
-        power = cat.group("ess_ch" if name == "ess_ch_on" else "ess_dis")
-        for key in g.keys:
-            col = g.col(key)
-            if model.col_lb[col] == model.col_ub[col]:
-                continue
-            k, t = key
-            used = sum(x[power.col((k, t, ph))] for ph in range(3))
-            fixes[col] = 1.0 if used > 1e-9 else 0.0
-    for k, t in cat.group("ess_ch_on").keys:
-        if fixes.get(cat.col("ess_ch_on", (k, t)), 0.0) > 0.5 and fixes.get(
-            cat.col("ess_dis_on", (k, t)), 0.0
-        ) > 0.5:
-            fixes[cat.col("ess_ch_on", (k, t))] = 0.0
+    on = {name: cat.group(name).grid.ravel() for name in ("ess_ch_on", "ess_dis_on")}
+    for name, power in (("ess_ch_on", "ess_ch"), ("ess_dis_on", "ess_dis")):
+        used = x[cat.group(power).grid].sum(axis=-1).ravel()
+        free = model.col_lb[on[name]] != model.col_ub[on[name]]
+        fixes.update(zip(on[name][free].tolist(), np.where(used[free] > 1e-9, 1.0, 0.0).tolist()))
+    for ch, dis in zip(on["ess_ch_on"].tolist(), on["ess_dis_on"].tolist()):
+        if fixes.get(ch, 0.0) > 0.5 and fixes.get(dis, 0.0) > 0.5:
+            fixes[ch] = 0.0
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None

@@ -210,3 +210,34 @@ def check_row_metadata(name: str, model) -> None:
     with open(GOLDEN_ROWS) as fh:
         golden = json.load(fh)[name]
     assert rows_digest(model) == golden, f"{name}: row families differ from {GOLDEN_ROWS.name}"
+
+
+GOLDEN_PLAN = Path(__file__).parent / "data" / "plan_sha256.json"
+
+
+def solved_plan_digest(directory) -> str:
+    """sha256 of the ``plan.json`` of the ``reduced13`` solve at seed 0, saved into ``directory``.
+
+    The solve is the benchmark's: greedy warm start, then the search with
+    the diver, at a 15 s budget.  The plan's ``solver_info`` leaves out the
+    run time.  Regenerate ``data/plan_sha256.json`` only for an intended
+    change of the plan, and log it::
+
+        PYTHONPATH=src python -c "import json, sys, tempfile; sys.path.insert(0, 'tests')
+        from conftest import solved_plan_digest
+        with tempfile.TemporaryDirectory() as d: json.dump({'reduced13': solved_plan_digest(d)},
+        open('tests/data/plan_sha256.json', 'w'), indent=1, sort_keys=True)"
+    """
+    from ugrestore.formulation import build_model
+    from ugrestore.plan import RestorationPlan
+    from ugrestore.solver import bnb, warmstart
+
+    case = shipped_case("reduced13")
+    model = build_model(case)
+    opts = bnb.SolverOptions(time_limit_s=15.0, seed=0)
+    ws = warmstart.greedy_warm_start(model, case, opts)
+    sol = bnb.solve(model, opts, warm_start=ws, warm_start_source="greedy", diver=warmstart.make_diver(model, case, opts))
+    info = {"nodes": sol.node_count, "cuts": sol.cut_count, "bound_pu_h": sol.bound, "seed": 0}
+    path = Path(directory) / "plan.json"
+    RestorationPlan.from_solution(model, sol.x, status=sol.status, gap=sol.gap, solver_info=info).save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()

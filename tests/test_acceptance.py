@@ -141,7 +141,7 @@ def test_04_permutation_algebra():
 def _two_gear_bracket_model(z1, z2, amp_sq=1.0):
     cat = VariableCatalog()
     for gid in ("g1", "g2"):
-        cat.add_group(f"swap_{gid}", [(ph, ps) for ph in range(3) for ps in range(3)], binary=True)
+        cat.add_group(f"swap_{gid}", range(3), range(3), binary=True)
         cat.add_group(f"zeta_{gid}", list(range(6)), binary=True)
         cat.add_group(f"curr_{gid}", list(range(3)), lb=0.0, ub=amp_sq)
     variants = {

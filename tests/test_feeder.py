@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import load_minimal, minimal_doc, shipped_case, shipped_case_names
+from conftest import load_minimal, minimal_doc, shipped_case, shipped_case_names, shipped_doc
 from ugrestore.feeder import (
     CaseInvariantError,
     CaseSchemaError,
@@ -14,6 +15,7 @@ from ugrestore.feeder import (
     load_case,
     load_case_dict,
     save_case,
+    validate_schema,
 )
 
 
@@ -318,3 +320,71 @@ class TestRoundTrip:
         save_case(case, p1)
         save_case(load_case(p1), p2)
         assert p1.read_text() == p2.read_text()
+
+
+class TestIds:
+    """Node, line and switchgear ids that a column name cannot carry are refused, naming the id."""
+
+    BAD = ["n,1", "n[1", "n]1", "n 1", "n\t1", "n\n1", "n\x001", "n\x7f1", "n\u20031"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_node(self, bad):
+        doc = json.loads(json.dumps(minimal_doc()).replace('"n1"', json.dumps(bad)))
+        with pytest.raises(CaseInvariantError, match=re.escape(f"node id {bad!r}")):
+            load_case_dict(doc)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_line(self, bad):
+        doc = minimal_doc()
+        doc["lines"][0]["id"] = bad
+        with pytest.raises(CaseInvariantError, match=re.escape(f"line id {bad!r}")):
+            load_case_dict(doc)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_switchgear(self, bad):
+        doc = shipped_doc("toy_gear3")
+        doc["switchgears"][0]["id"] = bad
+        with pytest.raises(CaseInvariantError, match=re.escape(f"switchgear id {bad!r}")):
+            load_case_dict(doc)
+
+    def test_other_characters_pass(self):
+        doc = json.loads(json.dumps(minimal_doc()).replace('"n1"', '"7-é.{x}/Ω"'))
+        assert load_case_dict(doc).nodes[1].id == "7-é.{x}/Ω"
+
+
+def _stock_verdict(doc):
+    """The first error of the stock Draft 2020-12 validator, as ``validate_schema`` words it, or None."""
+    import jsonschema
+
+    from ugrestore.feeder import _schema
+
+    errors = sorted(jsonschema.Draft202012Validator(_schema()).iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    path = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in errors[0].absolute_path)
+    return f"{path}: {errors[0].message}"
+
+
+class TestSchemaNumbers:
+    """An array of numbers is checked at once; any other item gets the stock validator's verdict."""
+
+    SPOTS = {
+        "load": lambda doc: next(n for n in doc["nodes"] if "load_kw" in n)["load_kw"]["b"],
+        "impedance": lambda doc: next(l for l in doc["lines"] if "impedance_pu" in l)["impedance_pu"]["ab"],
+        "forecast": lambda doc: next(d for d in doc["ders"] if "forecast_kw" in d)["forecast_kw"]["a"],
+    }
+
+    @pytest.mark.parametrize("item", [True, False, "1.5", None, [1.0], {}, math.nan, math.inf, 2, -0.0], ids=repr)
+    @pytest.mark.parametrize("spot", SPOTS)
+    def test_same_verdict_as_the_stock_validator(self, spot, item):
+        doc = shipped_doc("reduced13")
+        self.SPOTS[spot](doc)[1] = item
+        want = _stock_verdict(doc)
+        if want is None:
+            validate_schema(doc)
+        else:
+            with pytest.raises(CaseSchemaError) as err:
+                validate_schema(doc)
+            assert str(err.value) == want
+        if isinstance(item, (bool, str, list, dict)) or item is None:
+            assert want is not None and "[1]:" in want

@@ -24,7 +24,7 @@ from conftest import (
     voltdiff_capped,
 )
 from ugrestore import bigm
-from ugrestore.catalog import CatalogError, VariableCatalog
+from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import CaseInvariantError, load_case_dict
 from ugrestore.formulation import (
     BuildOptions,
@@ -246,10 +246,10 @@ def test_index_grids_match_catalog(name):
     assert set(ctx.grid) == set(first)
     assert ctx.bracket_pos, "the case must bracket some line"
     for group, pos in first.items():
-        grid, keys = ctx.grid[group], ctx.cat.group(group).keys
-        assert grid.size == len(keys), group
-        for key in keys:
-            at = (pos[key[0]],) + tuple(key[1:])
+        grid, g = ctx.grid[group], ctx.cat.group(group)
+        assert grid.shape == g.shape, group
+        for key in itertools.product(*g.axes):
+            at = (pos[key[0]],) + key[1:]
             assert grid[at] == ctx.cat.col(group, key), (group, key)
 
 
@@ -574,7 +574,7 @@ class TestLinearizedProducts:
         from ugrestore.model import ModelBuilder
 
         cat = VariableCatalog()
-        cat.add_group("swap", [(ph, ps) for ph in range(3) for ps in range(3)], binary=True)
+        cat.add_group("swap", range(3), range(3), binary=True)
         cat.add_group("zeta", list(range(6)), binary=True)
         cat.add_group("curr", list(range(3)), lb=0.0, ub=amp_sq)
         variants = [p @ z @ p.T for p in PERMUTATIONS]
@@ -909,37 +909,6 @@ class TestInrushGuard:
             load_case_dict(doc)
 
 
-class TestCatalogNames:
-    def test_names_and_lookup_on_reduced13(self):
-        cat = build_model(shipped_case("reduced13")).catalog
-        names = list(cat.names())
-        assert names == [cat.name_of(c) for c in range(cat.ncols)]
-        assert [cat.lookup(n) for n in names] == list(range(cat.ncols))
-
-    def test_empty_groups_are_skipped(self):
-        cat = VariableCatalog()
-        cat.add_group("a", [0, 1])
-        cat.add_group("empty", [])
-        cat.add_group("b", [("x", 2)])
-        cat.add_group("tail", [])
-        assert list(cat.names()) == ["a[0]", "a[1]", "b[x,2]"]
-        assert [cat.name_of(c) for c in range(3)] == ["a[0]", "a[1]", "b[x,2]"]
-        for col in (-1, 3):
-            with pytest.raises(CatalogError, match="out of range"):
-                cat.name_of(col)
-
-    def test_mixed_keys_and_braces_name_as_name_of(self):
-        """A group of tuple keys of one length is named by one format; braces in its name stay literal."""
-        cat = VariableCatalog()
-        cat.add_group("a{0}", [(1, "x"), (2, "{y}")])
-        cat.add_group("m", [1, (2, 3), "s"])
-        cat.add_group("r", [(1,), (2, 3)])
-        cat.add_group("e", [()])
-        names = list(cat.names())
-        assert names == [cat.name_of(c) for c in range(cat.ncols)]
-        assert names[:2] == ["a{0}[1,x]", "a{0}[2,{y}]"] and names[-1] == "e[]"
-
-
 @pytest.fixture(scope="module")
 def feeder123():
     """The shipped structural case and its model, built once for the slow tests."""
@@ -1041,7 +1010,7 @@ def _dead_pair_columns(case, model) -> set[int]:
         if line is None:
             continue
         for name in ("flow_p", "flow_q", "curr_sq", "y_p", "y_q", "y_v"):
-            if cat.group(name).key_index.get((line, k, 0, 0)) is not None:
+            if line in cat.group(name).axes[0]:
                 cols.update(cat.col(name, (line, k, t, ph)) for t, ph in tp)
     return cols
 

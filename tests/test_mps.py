@@ -145,8 +145,7 @@ def edge_model() -> LinearModel:
     row whose objective is -0.0, infinite bounds, and integer runs at both ends."""
     cat = VariableCatalog()
     cat.add_group("b", [0, 1], binary=True)
-    keys = [("p", 0), ("q", 1), ("r", 2)]
-    cat.add_group("x", keys, lb=[-np.inf, 0.0, 2.5], ub=[np.inf, np.inf, 2.5])
+    cat.add_group("x", ["p", "q", "r"], [0], lb=[-np.inf, 0.0, 2.5], ub=[np.inf, np.inf, 2.5])
     cat.add_group("y", ["only"], binary=True)
     cat.add_group("z", [0, 1])  # z[1] is in no row
     lb, ub, binary = cat.finalize()
@@ -227,14 +226,17 @@ class TestChunkedWriter:
         assert starts.size >= 2 and np.any(first_line % 3 != 0)
         self._same_as_reference(model, tmp_path, False)
 
-    def test_names_of_any_character(self, tiny_chunks, tmp_path):
+    def test_names_of_unusual_labels(self, tiny_chunks, tmp_path):
+        """Labels of several widths and bytes, and an empty group, name the columns as ``name_of`` does."""
         model = edge_model()
         model.catalog = VariableCatalog()
-        model.catalog.add_group("n", [("a\x00b", 0), ("é", 1), (" ", 2), ("", 3)])
-        model.catalog.add_group("m", ["x\ny", 1, (2, "{}"), ("z",)])
+        model.catalog.add_group("n", ["é", "{}", 7], range(2))
+        model.catalog.add_group("e", [], [0])
+        model.catalog.add_group("m", ["x", "Ω12"])
         export_mps(model, tmp_path / "m.mps", name_map_path=tmp_path / "m.names")
         want = "".join(f"C{c:07d} {model.catalog.name_of(c)}\n" for c in range(model.ncols))
         assert (tmp_path / "m.names").read_bytes() == ("* ugrestore name map v1\n" + want).encode()
+        assert want.splitlines()[:2] == ["C0000000 n[é,0]", "C0000001 n[é,1]"]
 
     def test_an_error_in_a_chunk_is_raised(self, tiny_chunks, tmp_path, monkeypatch):
         real, calls = mps._lines, []

@@ -1434,7 +1434,63 @@ class TestQuietStdout:
         assert capfd.readouterr().out == "before\nafter\n"
 
 
+def _loop_structural_fixes(model, case, schedule):
+    """The skeleton's fixings made one key at a time: the reference for ``warmstart._structural_fixes``."""
+    cat = model.catalog
+    got = warmstart._forest(case)
+    if got is None:
+        return None
+    gamma, coverage = got
+    fixes = {cat.col("gamma", li): val for li, val in gamma.items()}
+    for i, n in enumerate(case.nodes):
+        for k in range(len(case.ess_units)):
+            col = cat.col("u", (n.id, k))
+            if model.col_lb[col] != model.col_ub[col]:
+                fixes[col] = float(coverage[i, k])
+    for g in case.switchgears:
+        beta, bypass, swaps = schedule[g.id]
+        if gamma.get(g.line_index, 1.0) < 0.5:
+            beta, bypass, swaps = [0] * case.horizon, 0, [np.zeros((3, 3))] * case.horizon
+        col = cat.col("gate_bypass", g.id)
+        if model.col_lb[col] < model.col_ub[col]:
+            fixes[col] = float(bypass)
+        prev = np.zeros((3, 3))
+        for t in range(case.horizon):
+            cur = swaps[t]
+            fixes[cat.col("beta", (g.id, t))] = float(beta[t])
+            closing = beta[t] == 1 and (t == 0 or beta[t - 1] == 0)
+            fixes[cat.col("alpha", (g.id, t))] = 1.0 if closing else 0.0
+            events = np.maximum(0.0, cur - prev)
+            for ph in range(3):
+                for ps in range(3):
+                    fixes[cat.col("swap", (g.id, t, ph, ps))] = float(cur[ph, ps])
+                    fixes[cat.col("swap_event", (g.id, t, ph, ps))] = float(events[ph, ps])
+                fixes[cat.col("swap_any", (g.id, t, ph))] = 1.0 if events[ph].sum() > 0.5 else 0.0
+            v_star = int(np.argmax([float((cur * p).sum()) for p in PERMUTATIONS])) if cur.sum() > 0.5 else 0
+            for v in range(6):
+                fixes[cat.col("reorder_sel", (g.id, t, v))] = 0.0 if v == v_star else 1.0
+            prev = cur
+    return fixes
+
+
 class TestWarmStart:
+    @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_skeleton_fixings_match_the_loop_over_keys(self, name, build):
+        """The grid-wise fixings equal those made key by key, for the case's schedule, an all-open one
+        and one that closes after the first period and changes its swap every period."""
+        case = shipped_case(name)
+        model = build_model(case, BuildOptions(**build))
+        T = case.horizon
+        beta = [0] + [1] * (T - 1)
+        schedules = [
+            warmstart._schedule_from_case(case, build.get("ferro_gate", True), build.get("no_swap", False)),
+            {g.id: ([0] * T, 0, [np.zeros((3, 3))] * T) for g in case.switchgears},
+            {g.id: (beta, 1, [PERMUTATIONS[t % 6] * beta[t] for t in range(T)]) for g in case.switchgears},
+        ]
+        for schedule in schedules:
+            assert warmstart._structural_fixes(model, case, schedule) == _loop_structural_fixes(model, case, schedule)
+
     @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
     @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
     def test_skeleton_and_storage_pin_every_binary(self, name, build, monkeypatch):
@@ -1448,7 +1504,7 @@ class TestWarmStart:
         model = build_model(case, BuildOptions(**build))
         free = set(model.free_binary_columns.tolist())
         cat = model.catalog
-        storage = {cat.col(g, key) for g in ("ess_ch_on", "ess_dis_on") for key in cat.group(g).keys}
+        storage = {col for g in ("ess_ch_on", "ess_dis_on") for col in cat.group(g).grid.ravel().tolist()}
         schedule = warmstart._schedule_from_case(case, build.get("ferro_gate", True), build.get("no_swap", False))
         assert free - set(warmstart._structural_fixes(model, case, schedule)) <= storage
         pinned = []
