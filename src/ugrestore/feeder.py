@@ -278,6 +278,36 @@ def _apply_defaults(instance: dict, schema: dict) -> None:
             instance[key] = json.loads(json.dumps(sub["default"]))
 
 
+def _inline_defs(schema: dict) -> dict:
+    """``schema`` with each ``$ref`` to one of its ``$defs`` replaced by an ``allOf`` of that definition.
+
+    A ``$ref`` applies its target in place, as a one-item ``allOf`` does,
+    so the errors, their order and their messages stay the same; only the
+    lookup of the reference goes.  A reference inside the definition it
+    names (a recursive one) stays a reference, and so does one beside an
+    ``allOf``.  Keywords that hold data, not schemas, are left as they are.
+    """
+    defs = schema.get("$defs", {})
+
+    def inline(node, within: frozenset):
+        if isinstance(node, list):
+            return [inline(item, within) for item in node]
+        if not isinstance(node, dict):
+            return node
+        out = {}
+        for key, value in node.items():
+            name = value.removeprefix("#/$defs/") if key == "$ref" and isinstance(value, str) else None
+            if name in defs and name not in within and "allOf" not in node:
+                out["allOf"] = [inline(defs[name], within | {name})]
+            elif key in ("const", "default", "enum", "examples"):
+                out[key] = value
+            else:
+                out[key] = inline(value, within)
+        return out
+
+    return inline(schema, frozenset())
+
+
 @functools.cache
 def _validator():
     """The case schema's Draft 2020-12 validator, with arrays of numbers checked at once.
@@ -285,7 +315,8 @@ def _validator():
     Its ``items`` passes an array under ``{"type": "number"}`` whose every
     item is an ``int`` or a ``float`` in one check, and hands every other
     array to the stock keyword, so its verdicts and messages are the stock
-    validator's.
+    validator's.  The schema's ``$defs`` are inlined once, here
+    (:func:`_inline_defs`).
     """
     import jsonschema
 
@@ -296,7 +327,7 @@ def _validator():
             return
         yield from stock.VALIDATORS["items"](validator, items, instance, schema)
 
-    return jsonschema.validators.extend(stock, {"items": items})(_schema())
+    return jsonschema.validators.extend(stock, {"items": items})(_inline_defs(_schema()))
 
 
 def validate_schema(data: dict) -> None:

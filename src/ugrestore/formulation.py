@@ -295,17 +295,24 @@ def line_variants(case: FeederCase, line_idx: int) -> list[_LineCoeffs]:
 # emission order: each product pair states <= then >=.
 _BRACKET_FAMILIES = (["reorder-bracket-p", "reorder-bracket-q", "reorder-bracket-v"], np.repeat(np.arange(3), 2))
 _BRACKET_SENSE = np.array([SENSE_LE, SENSE_GE] * 3, dtype=np.int8)
+_BRACKET_COUNT = np.array([5, 5, 5, 5, 11, 11])  # the terms of each bracket row
+
+
+def _bracket_rows(a: np.ndarray) -> np.ndarray:
+    """The terms ``(..., row, 11)`` of the six bracket rows, a p or q row's zero-padded, row after row: ``(..., 42)``."""
+    lead = a.shape[:-2]
+    return np.concatenate([a[..., :4, :5].reshape(lead + (20,)), a[..., 4:, :].reshape(lead + (22,))], axis=-1)
 
 
 def _bracket_coefficients(variants: list[_LineCoeffs], amp_sq: float, m_flow: float) -> np.ndarray:
-    """Bracket row coefficients of one lateral line, shape (ph, variant, row, term).
+    """Bracket row coefficients of one lateral line, shape (ph, variant, 42): six rows' terms, row after row.
 
     Per phase and variant the rows are ``y_p - r I``, ``y_q - x I`` and
     ``y_v - 2 r_hat P - 2 x_hat Q - z_hat I``, each held at 0 unless the
     variant's selector z is 0 (``-/+ m z``, <= then >=), with I, P and Q
     the line's three squared currents and flows.  A p or q row's terms are
-    y, the three I and z, zero-padded to the 11 of a v row: y, the three
-    P, the three Q, the three I and z.
+    y, the three I and z; a v row's are y, the three P, the three Q, the
+    three I and z (:data:`_BRACKET_COUNT`).
     """
     stack = {f: np.stack([getattr(c, f) for c in variants]) for f in ("r", "x", "r_hat", "x_hat", "z_hat")}
     m_p = bigm.reorder_power_bracket(stack["r"], amp_sq)
@@ -325,7 +332,7 @@ def _bracket_coefficients(variants: list[_LineCoeffs], amp_sq: float, m_flow: fl
     vals[:, :, 0:2, 4] = (-m_p, m_p)
     vals[:, :, 2:4, 4] = (-m_q, m_q)
     vals[:, :, 4:6, 10] = (-m_v, m_v)
-    return vals
+    return _bracket_rows(vals)
 
 
 class _Ctx:
@@ -651,11 +658,13 @@ def _block(key, family, terms, sense, rhs, keep=None) -> RowBlock:
     def flat(a, dtype) -> np.ndarray:
         return np.broadcast_to(np.asarray(a, dtype=dtype), shape).reshape(-1)[rows]
 
+    key = flat(key, np.int64)
     return RowBlock(
-        flat(key, np.int64),
+        key,
         family,
-        np.stack([flat(c, np.int64) for c, _ in terms], axis=-1),
-        np.stack([flat(v, np.float64) for _, v in terms], axis=-1),
+        np.full(key.size, len(terms)),
+        np.stack([flat(c, np.int64) for c, _ in terms], axis=-1).reshape(-1),
+        np.stack([flat(v, np.float64) for _, v in terms], axis=-1).reshape(-1),
         flat(sense, np.int8),
         flat(rhs, np.float64),
     )
@@ -882,7 +891,7 @@ def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
         ls = np.array(lines)[at]
         pos = np.array([ctx.bracket_pos[li] for li in lines])[at]
         # one block, ordered (t, pair, ph, variant, row, term) as
-        # _bracket_coefficients lays out the terms
+        # _bracket_coefficients lays out the terms, on the grid of a v row's 11
         curr, fp, fq = (
             grid[name][ls, ks].transpose(1, 0, 2)[:, :, None, None, None, :]
             for name in ("curr_sq", "flow_p", "flow_q")
@@ -898,13 +907,14 @@ def encode_linearized_products(ctx: _Ctx, rows: _GearRows) -> None:
         cols[..., 4:, 4:7] = fq
         cols[..., 4:, 7:10] = curr
         cols[..., 4:, 10] = z
+        cols = _bracket_rows(cols)
         vals = np.broadcast_to(ctx.bracket_coeffs[g.id][at], cols.shape)
         groups = T * ls.size * 3 * 6
         key = np.repeat(rows.key()[i], groups // T * 6)
         rows.blocks.append(
             RowBlock(
-                key, (names, np.tile(index, groups)), cols.reshape(-1, 11), vals.reshape(-1, 11),
-                np.tile(_BRACKET_SENSE, groups), np.zeros(groups * 6),
+                key, (names, np.tile(index, groups)), np.tile(_BRACKET_COUNT, groups), cols.reshape(-1),
+                vals.reshape(-1), np.tile(_BRACKET_SENSE, groups), np.zeros(groups * 6),
             )
         )
 
@@ -918,8 +928,7 @@ def _encode_switchgears(ctx: _Ctx) -> None:
     for step, encode in enumerate(steps):
         rows.step = step
         encode(ctx, rows)
-    if rows.blocks:
-        ctx.b.add_blocks(rows.blocks)
+    ctx.b.add_blocks(rows.blocks)
 
 
 # -- resources ---------------------------------------------------------------
@@ -1056,25 +1065,20 @@ class _PeriodRows:
         self.cones.append((col_i, col_v, col_p, col_q))
 
     def emit(self, b: ModelBuilder, T: int) -> None:
-        n = np.array([len(terms) for terms in self.terms], dtype=np.int64)
-        row = np.repeat(np.arange(n.size), n)
-        at = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)  # each term's place in its row
-        col0 = np.zeros((n.size, n.max(initial=0)), dtype=np.int64)
-        step = np.zeros_like(col0)
-        vals = np.zeros(col0.shape)
-        if row.size:
-            c, s, v = zip(*itertools.chain.from_iterable(self.terms))
-            col0[row, at], step[row, at], vals[row, at] = c, s, v
-        periods = np.arange(T)[:, None, None]
+        # (column, step, coefficient) per entry; a column is below 2**53, so exact as a float
+        terms = np.array(list(itertools.chain.from_iterable(self.terms)), dtype=np.float64).reshape(-1, 3)
+        col0, step = terms[:, :2].T.astype(np.int64)
+        periods = np.arange(T)[:, None]
         b.add_rows(
             (list(self.names), np.tile(np.array(self.family, dtype=np.int64), T)),
-            (col0 + periods * step).reshape(-1, col0.shape[1]),
-            np.broadcast_to(vals, (T,) + vals.shape).reshape(-1, vals.shape[1]),
+            np.tile(np.array([len(t) for t in self.terms], dtype=np.int64), T),
+            (col0 + periods * step).reshape(-1),
+            np.tile(terms[:, 2], T),
             np.tile(np.array(self.sense, dtype=np.int8), T),
             np.tile(np.array(self.rhs, dtype=np.float64), T),
         )
         cones = np.array(self.cones, dtype=np.int64).reshape(-1, 4)
-        b.add_cones((cones + 3 * periods).reshape(-1, 4))
+        b.add_cones((cones[None] + 3 * periods[..., None]).reshape(-1, 4))
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:

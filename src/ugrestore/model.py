@@ -1,9 +1,10 @@
 """Sparse mixed-binary model container: linear rows, cone rows, objective.
 
-Rows are stored as flat COO triplets plus per-row arrays of sense, rhs and
-family code (an index into the model's table of family names), so the model
-stays cheap to build for large cases and easy to replay against a candidate
-solution.  A cone is one row of an ``(n, 4)`` array of its (I, V, P, Q)
+The rows are one CSR matrix, each row's columns sorted and each column
+once, plus per-row arrays of sense, rhs and family code (an index into the
+model's table of family names).  The builder makes that matrix once, from
+flat arrays, so the model stays cheap to build for large cases; the export,
+the LP and the replay of a candidate solution all read it as it is.  A cone is one row of an ``(n, 4)`` array of its (I, V, P, Q)
 columns.  Where a row or cone sits is not stored: a violation report names
 its columns from the catalog.  The objective is a dense vector, maximized.
 
@@ -16,7 +17,6 @@ prove redundant is dropped.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -67,14 +67,44 @@ class Violation:
 
 
 class RowBlock(NamedTuple):
-    """Rows for :meth:`ModelBuilder.add_blocks`: an :meth:`ModelBuilder.add_rows` block and each row's key."""
+    """Rows for :meth:`ModelBuilder.add_blocks`: each row's key, then an :meth:`ModelBuilder.add_rows` block."""
 
     key: np.ndarray
     family: str | tuple[list[str], np.ndarray]
-    cols: np.ndarray
+    count: np.ndarray  # per row: its number of entries
+    cols: np.ndarray  # the entries, row after row
     vals: np.ndarray
     sense: int | np.ndarray
     rhs: float | np.ndarray
+
+
+class _Piece(NamedTuple):
+    """Rows as the builder keeps them until :meth:`ModelBuilder.build`: flat arrays, row after row."""
+
+    count: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    family: np.ndarray
+
+
+_DTYPES = (np.int64, np.int64, np.float64, np.int8, np.float64, np.int32)  # of each ``_Piece`` field
+
+
+def _nonzero(block: RowBlock, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry counts and entries of ``block``'s ``n`` rows, less every exact-zero coefficient (``-0.0`` too)."""
+    count = np.asarray(block.count, dtype=np.int64)
+    cols = np.asarray(block.cols, dtype=np.int64)
+    vals = np.asarray(block.vals, dtype=np.float64)
+    if count.shape != (n,) or count.sum() != cols.size or cols.shape != vals.shape:
+        raise ValueError("a block needs one entry count per row and one column per value")
+    kept = vals != 0.0
+    if not kept.all():
+        before = np.concatenate([[0], np.cumsum(kept)])  # per entry: the kept entries before it
+        count = np.diff(before[np.concatenate([[0], np.cumsum(count)])])
+        cols, vals = cols[kept], vals[kept]
+    return count, cols, vals
 
 
 class ModelBuilder:
@@ -82,61 +112,69 @@ class ModelBuilder:
 
     Rows land in the order they are appended, and that order is fixed: the
     export and the LP both read it, and a warm-started simplex path depends
-    on it.  :meth:`add` appends one row; :meth:`add_rows` appends a
-    zero-padded block of rows and :meth:`add_blocks` several blocks
-    interleaved by a key, and both store exactly what the same rows
-    appended one by one would store.  The formulation builds every family
-    of the switchgear schedule, the loads, the power flow and the voltage
-    ranges as blocks, and the objective as arrays; only the topology and
-    the storage rows, a few thousand on the largest case, go row by row.
-    A row's family is stored as a code, numbered in the order the builder
-    first meets each name.
+    on it.  :meth:`add` appends one row; :meth:`add_rows` appends a block
+    of rows, given as each row's entry count and the entries row after row,
+    and :meth:`add_blocks` several blocks interleaved by a key.  Both store
+    exactly what the same rows appended one by one would store.  The
+    formulation builds every family of the switchgear schedule, the loads,
+    the power flow and the voltage ranges as blocks, and the objective as
+    arrays; only the topology and the storage rows, a few thousand on the
+    largest case, go row by row.  A row's family is stored as a code,
+    numbered in the order the builder first meets each name.
+
+    The rows are kept as a list of flat pieces, one per block and one per
+    run of :meth:`add` rows; :meth:`build` joins each field once, into the
+    model's CSR matrix.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
         self.catalog = catalog
-        self._coo_r = array("q")
-        self._coo_c = array("q")
-        self._coo_v = array("d")
-        self._sense = array("b")
-        self._rhs = array("d")
-        self._family = array("i")
+        self._pieces: list[_Piece] = []
+        self._nrows = 0  # the rows in ``_pieces``
+        self._row: tuple[list, ...] = ([], [], [], [], [], [])  # the ``_Piece`` fields of the rows ``add`` holds
         self._codes: dict[str, int] = {}  # family name -> code
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
-        self._cones = array("q")  # I, V, P, Q columns, cone after cone
+        self._cones: list[np.ndarray] = []  # (n, 4) blocks of I, V, P, Q columns
 
     @property
     def nrows(self) -> int:
-        return len(self._sense)
+        return self._nrows + len(self._row[0])
 
     def _code(self, family: str) -> int:
         return self._codes.setdefault(family, len(self._codes))
 
     def add(self, family: str, terms, sense: int, rhs: float) -> int:
         """Append one linear row; ``terms`` is an iterable of (col, coef)."""
-        row = len(self._sense)
+        row = self.nrows
+        count, cols, vals, senses, rhss, families = self._row
+        n = len(cols)
         for col, coef in terms:
             if coef != 0.0:
-                self._coo_r.append(row)
-                self._coo_c.append(col)
-                self._coo_v.append(float(coef))
-        self._sense.append(sense)
-        self._rhs.append(float(rhs))
-        self._family.append(self._code(family))
+                cols.append(col)
+                vals.append(float(coef))
+        count.append(len(cols) - n)
+        senses.append(sense)
+        rhss.append(float(rhs))
+        families.append(self._code(family))
         return row
 
-    def add_rows(self, family, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
-        """Append a block of rows of one width.
+    def _flush(self) -> None:
+        """Move the rows that :meth:`add` holds into a piece."""
+        if self._row[0]:
+            self._pieces.append(_Piece(*(np.array(f, dtype=d) for f, d in zip(self._row, _DTYPES))))
+            self._nrows += len(self._row[0])
+            self._row = ([], [], [], [], [], [])
 
-        ``cols``/``vals`` are 2-D, one row per block row, zero-padded: like
-        :meth:`add`, every exact-zero coefficient (``-0.0`` too) is dropped
-        and every other one kept in its place, so a column repeated in a row
-        stays two entries.  ``family`` is one name, or a pair of a table of
-        names and an int array of each row's place in it, so a block that
-        repeats a few families maps each name once; ``sense`` and ``rhs``
-        are scalars or one per row.
+    def add_rows(self, family, count: np.ndarray, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
+        """Append a block of rows: row ``i`` has the next ``count[i]`` entries of ``cols``/``vals``.
+
+        Like :meth:`add`, every exact-zero coefficient (``-0.0`` too) is
+        dropped and every other one kept in its place.  ``family`` is one
+        name, or a pair of a table of names and an int array of each row's
+        place in it, so a block that repeats a few families maps each name
+        once; ``sense`` and ``rhs`` are scalars or one per row.
         """
-        self.add_blocks([RowBlock(np.zeros(len(cols), dtype=np.int64), family, cols, vals, sense, rhs)])
+        self.add_blocks([RowBlock(np.zeros(len(count), dtype=np.int64), family, count, cols, vals, sense, rhs)])
 
     def add_blocks(self, blocks: list[RowBlock]) -> None:
         """Append the rows of ``blocks`` in the order of their keys, a stable order.
@@ -145,13 +183,13 @@ class ModelBuilder:
         order: what :meth:`add_rows` of each block's rows of the smallest
         key, then of the next one, and so on, would store.
         """
+        if not blocks:
+            return
+        self._flush()
         n = [len(b.key) for b in blocks]
         family = np.concatenate([self._family_codes(b.family, k) for b, k in zip(blocks, n)])
         key = np.concatenate([b.key for b in blocks])
-        kept = [np.asarray(b.vals, dtype=np.float64) != 0.0 for b in blocks]
-        count = np.concatenate([k.sum(axis=1) for k in kept])
-        cols = np.concatenate([np.asarray(b.cols, dtype=np.int64)[k] for b, k in zip(blocks, kept)])
-        vals = np.concatenate([np.asarray(b.vals, dtype=np.float64)[k] for b, k in zip(blocks, kept)])
+        count, cols, vals = (np.concatenate(f) for f in zip(*map(_nonzero, blocks, n)))
         sense = np.concatenate([np.broadcast_to(np.asarray(b.sense, dtype=np.int8), (k,)) for b, k in zip(blocks, n)])
         rhs = np.concatenate([np.broadcast_to(np.asarray(b.rhs, dtype=np.float64), (k,)) for b, k in zip(blocks, n)])
         if np.any(key[1:] < key[:-1]):
@@ -160,12 +198,8 @@ class ModelBuilder:
             start, count = (np.cumsum(count) - count)[order], count[order]
             entry = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
             cols, vals, sense, rhs, family = cols[entry], vals[entry], sense[order], rhs[order], family[order]
-        self._coo_r.frombytes(np.repeat(np.arange(len(self._sense), len(self._sense) + key.size), count).tobytes())
-        self._coo_c.frombytes(cols.tobytes())
-        self._coo_v.frombytes(vals.tobytes())
-        self._sense.frombytes(sense.tobytes())
-        self._rhs.frombytes(rhs.tobytes())
-        self._family.frombytes(family.tobytes())
+        self._pieces.append(_Piece(count, cols, vals, sense, rhs, family))
+        self._nrows += key.size
 
     def _family_codes(self, family: str | tuple[list[str], np.ndarray], n: int) -> np.ndarray:
         """The codes of a block's ``n`` rows: of ``family``, one name or a (names, per-row index) pair."""
@@ -182,11 +216,11 @@ class ModelBuilder:
 
     def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
         """Append the cone ``col_i * col_v >= col_p^2 + col_q^2``."""
-        self._cones.extend((col_i, col_v, col_p, col_q))
+        self.add_cones([(col_i, col_v, col_p, col_q)])
 
     def add_cones(self, cols: np.ndarray) -> None:
         """Append one cone per row of ``cols``, its (I, V, P, Q) columns."""
-        self._cones.frombytes(np.ascontiguousarray(cols, dtype=np.int64).tobytes())
+        self._cones.append(np.asarray(cols, dtype=np.int64).reshape(-1, 4))
 
     def add_obj(self, cols, coefs) -> None:
         """Add ``coefs`` to the objective coefficients of ``cols`` (arrays or scalars), in order."""
@@ -195,24 +229,30 @@ class ModelBuilder:
         self._obj.append((cols.ravel(), np.broadcast_to(np.asarray(coefs, dtype=np.float64), cols.shape).ravel()))
 
     def build(self, meta: dict | None = None) -> "LinearModel":
+        """The model: the rows joined once, into a CSR matrix with each row's repeated columns summed."""
+        self._flush()
         lb, ub, binary = self.catalog.finalize()
         obj = np.zeros(self.catalog.ncols)
         for cols, coefs in self._obj:
             np.add.at(obj, cols, coefs)
+        empty = _Piece(*(np.zeros(0, dtype=d) for d in _DTYPES))
+        count, cols, vals, sense, rhs, family = (np.concatenate(f) for f in zip(empty, *self._pieces))
+        indptr = np.zeros(count.size + 1, dtype=np.int64)
+        np.cumsum(count, out=indptr[1:])
+        csr = sp.csr_matrix((vals, cols, indptr), shape=(count.size, self.catalog.ncols))
+        csr.sum_duplicates()
         return LinearModel(
             catalog=self.catalog,
             col_lb=lb,
             col_ub=ub,
             col_binary=binary,
             obj=obj,
-            coo_r=np.frombuffer(self._coo_r, dtype=np.int64).copy(),
-            coo_c=np.frombuffer(self._coo_c, dtype=np.int64).copy(),
-            coo_v=np.frombuffer(self._coo_v, dtype=np.float64).copy(),
-            sense=np.frombuffer(self._sense, dtype=np.int8).copy(),
-            rhs=np.frombuffer(self._rhs, dtype=np.float64).copy(),
-            family=np.frombuffer(self._family, dtype=np.int32).copy(),
+            csr=csr,
+            sense=sense,
+            rhs=rhs,
+            family=family,
             family_names=list(self._codes),
-            cones=np.frombuffer(self._cones, dtype=np.int64).reshape(-1, 4).copy(),
+            cones=np.concatenate([np.zeros((0, 4), dtype=np.int64)] + self._cones),
             meta=dict(meta or {}),
         )
 
@@ -224,16 +264,13 @@ class LinearModel:
     col_ub: np.ndarray
     col_binary: np.ndarray
     obj: np.ndarray  # maximized
-    coo_r: np.ndarray
-    coo_c: np.ndarray
-    coo_v: np.ndarray
+    csr: sp.csr_matrix  # the rows' coefficients, each row's columns sorted and once
     sense: np.ndarray
     rhs: np.ndarray
     family: np.ndarray  # per row: its family's index in ``family_names``
     family_names: list[str]
     cones: np.ndarray  # (n, 4): the I, V, P, Q columns of each cone, I*V >= P^2 + Q^2
     meta: dict = field(default_factory=dict)
-    _matrix: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def ncols(self) -> int:
@@ -248,11 +285,7 @@ class LinearModel:
         return np.flatnonzero(self.col_binary & (self.col_lb < self.col_ub))
 
     def matrix(self) -> sp.csr_matrix:
-        if self._matrix is None:
-            self._matrix = sp.coo_matrix(
-                (self.coo_v, (self.coo_r, self.coo_c)), shape=(self.nrows, self.ncols)
-            ).tocsr()
-        return self._matrix
+        return self.csr
 
     def family_counts(self) -> dict[str, int]:
         """Rows per family with rows, in ``family_names`` order, then the cones as ``cone``."""
@@ -319,23 +352,18 @@ class LinearModel:
         pos[keep] = np.arange(keep.size)
         values = np.where(kept, 0.0, lb)
         rows = np.flatnonzero(alive)
-        sub = a[rows][:, keep].tocsr()
-        coo = sub.tocoo()
         restricted = LinearModel(
             catalog=None,
             col_lb=lb[keep],
             col_ub=ub[keep],
             col_binary=self.col_binary[keep],
             obj=self.obj[keep],
-            coo_r=coo.row.astype(np.int64),
-            coo_c=coo.col.astype(np.int64),
-            coo_v=coo.data,
+            csr=a[rows][:, keep].tocsr(),
             sense=self.sense[rows],
             rhs=self.rhs[rows] - (a @ values)[rows],
             family=self.family[rows],
             family_names=self.family_names,
             cones=pos[self.cones[live]],
-            _matrix=sub,
         )
         return Restriction(restricted, keep, values, lb, ub, float(self.obj @ values), pos)
 

@@ -177,8 +177,9 @@ def family_rows(model, *families: str, touching=None) -> np.ndarray:
     codes = [c for c, name in enumerate(model.family_names) if name in families]
     rows = np.isin(model.family, codes)
     if touching is not None:
+        a = model.matrix()
         hit = np.zeros(model.nrows, dtype=bool)
-        hit[model.coo_r[np.isin(model.coo_c, touching)]] = True
+        hit[np.repeat(np.arange(model.nrows), np.diff(a.indptr))[np.isin(a.indices, touching)]] = True
         rows &= hit
     return np.flatnonzero(rows)
 

@@ -365,6 +365,65 @@ def _stock_verdict(doc):
     return f"{path}: {errors[0].message}"
 
 
+class TestSchemaRefs:
+    """The validator's schema has its ``$defs`` inlined; its verdicts stay the stock validator's."""
+
+    EDITS = {
+        "phases-pattern": lambda doc: doc["nodes"][1].update(phases="abd"),
+        "phases-empty": lambda doc: doc["nodes"][1].update(phases=""),
+        "phases-type": lambda doc: doc["lines"][0].update(phases=3),
+        "series-extra-phase": lambda doc: doc["nodes"][1]["load_kw"].update(d=[1.0]),
+        "series-not-array": lambda doc: doc["nodes"][1]["load_kvar"].update(a=1.0),
+        "scalar-string": lambda doc: doc["lines"][0].update(ampacity_pu="2.5"),
+        "scalar-map-extra": lambda doc: doc["switchgears"][0].update(trapped_voltage_sq={"a": 1.0, "x": 1.0}),
+        "scalar-map-item": lambda doc: doc["ders"][0].update(charge_max_kw={"a": None}),
+        "complex-short": lambda doc: doc["lines"][0]["impedance_pu"].update(aa=[0.1]),
+        "complex-item": lambda doc: doc["lines"][0]["impedance_pu"].update(ab=["x", 0.1]),
+        # several errors at once: the first by path must stay the first
+        "several": lambda doc: (doc["nodes"][1].update(phases=""), doc["nodes"][1]["load_kw"].update(d=[1.0]),
+                                doc["lines"][0]["impedance_pu"].update(aa=[0.1, "y", 3])),
+    }
+
+    def test_no_reference_is_left(self):
+        from ugrestore.feeder import _inline_defs, _schema
+
+        assert '"$ref"' in json.dumps(_schema())  # the file itself is unchanged
+        assert '"$ref"' not in json.dumps(_inline_defs(_schema()))
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_same_verdict_as_the_stock_validator(self, edit):
+        doc = shipped_doc("reduced13")
+        self.EDITS[edit](doc)
+        want = _stock_verdict(doc)
+        assert want is not None
+        with pytest.raises(CaseSchemaError) as err:
+            validate_schema(doc)
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_shipped_cases_validate(self, name):
+        validate_schema(shipped_doc(name))
+
+    def test_recursive_reference_stays(self):
+        import jsonschema
+
+        from ugrestore.feeder import _inline_defs
+
+        tree = {"type": "object", "properties": {"kids": {"type": "array", "items": {"$ref": "#/$defs/tree"}},
+                                                   "size": {"$ref": "#/$defs/size"}}}
+        schema = {"$defs": {"tree": tree, "size": {"type": "integer", "default": {"$ref": "#/$defs/size"}}},
+                  "$ref": "#/$defs/tree"}
+        inlined = _inline_defs(schema)
+        root = inlined["allOf"][0]
+        assert root["properties"]["kids"]["items"] == {"$ref": "#/$defs/tree"}
+        assert root["properties"]["size"]["allOf"][0]["default"] == {"$ref": "#/$defs/size"}  # data, not a schema
+        for doc in ({"kids": [{"kids": [{"size": "x"}]}, {"size": 2}]}, {"kids": [{"kids": 1}]}, {"kids": []}):
+            def verdict(s):
+                return [(list(e.absolute_path), e.message) for e in jsonschema.Draft202012Validator(s).iter_errors(doc)]
+
+            assert verdict(inlined) == verdict(schema)
+
+
 class TestSchemaNumbers:
     """An array of numbers is checked at once; any other item gets the stock validator's verdict."""
 

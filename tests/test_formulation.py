@@ -93,9 +93,8 @@ class TestBuildBasics:
         a = build_model(case)
         b = build_model(case)
         assert row_families(a) == row_families(b)
-        assert np.array_equal(a.coo_r, b.coo_r)
-        assert np.array_equal(a.coo_c, b.coo_c)
-        assert np.array_equal(a.coo_v, b.coo_v)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.matrix(), field), getattr(b.matrix(), field)), field
         assert np.array_equal(a.rhs, b.rhs)
         assert np.array_equal(a.col_lb, b.col_lb)
         assert np.array_equal(a.obj, b.obj)
@@ -163,7 +162,8 @@ class TestAddRows:
     @staticmethod
     def _state(b: ModelBuilder) -> tuple:
         m = b.build()
-        return (m.coo_r.tolist(), m.coo_c.tolist(), m.coo_v.tobytes(), m.sense.tolist(),
+        a = m.matrix()
+        return (a.indptr.tolist(), a.indices.tolist(), a.data.tobytes(), m.sense.tolist(),
                 m.rhs.tobytes(), row_families(m))
 
     @staticmethod
@@ -174,8 +174,17 @@ class TestAddRows:
         b.add("head", [(5, 1.0)], SENSE_EQ, 1.0)  # blocks append after existing rows
         return b
 
-    COLS = np.array([[0, 1, 2, 0], [3, 3, 4, 0], [5, 0, 0, 0]])
-    VALS = np.array([[1.5, 0.0, -2.0, 0.0], [1.0, -1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]])
+    # ragged rows, row after row: a zero and a -0.0 entry, a column repeated
+    # in a row, unsorted columns, a row of only a -0.0 entry
+    COUNT = np.array([3, 4, 1])
+    COLS = np.array([0, 1, 2, 3, 3, 4, 0, 5])
+    VALS = np.array([1.5, 0.0, -2.0, 1.0, -1.0, -0.0, 2.0, -0.0])
+
+    @staticmethod
+    def _rows(count, cols, vals) -> list[list[tuple[int, float]]]:
+        """The (col, coef) terms of each row of a ragged block."""
+        ends = np.cumsum(count).tolist()
+        return [list(zip(cols[e - n : e].tolist(), vals[e - n : e].tolist())) for n, e in zip(count.tolist(), ends)]
 
     @pytest.mark.parametrize(
         "family, sense, rhs",
@@ -191,23 +200,25 @@ class TestAddRows:
         senses = np.broadcast_to(sense, (3,))
         rhss = np.broadcast_to(rhs, (3,))
         one = self._builder()
-        for i in range(3):
-            one.add(fams[i], zip(self.COLS[i].tolist(), self.VALS[i].tolist()),
-                    int(senses[i]), float(rhss[i]))
+        for i, terms in enumerate(self._rows(self.COUNT, self.COLS, self.VALS)):
+            one.add(fams[i], terms, int(senses[i]), float(rhss[i]))
         block = self._builder()
-        block.add_rows(family, self.COLS, self.VALS, sense, rhs)
+        block.add_rows(family, self.COUNT, self.COLS, self.VALS, sense, rhs)
         got, want = self._state(block), self._state(one)
         assert got == want
         # codes are numbered in the order the rows first use each name
         assert block.build().family_names == one.build().family_names
-        # zeros (and -0.0) are dropped; the repeated column 3 stays two entries
-        assert got[0] == [0, 1, 1, 2, 2] and got[1] == [5, 0, 2, 3, 3]
+        # zeros (and -0.0) are dropped, each row's columns sorted, and the
+        # repeated column 3 summed into one explicit 0.0
+        assert got[0] == [0, 1, 3, 5, 5] and got[1] == [5, 0, 2, 0, 3]
+        assert np.frombuffer(got[2]).tolist() == [1.0, 1.5, -2.0, 2.0, 0.0]
 
     def test_blocks_merge_stably_by_key(self):
         """Rows land by key; rows of one key come block by block, each block's in its order."""
-        first = RowBlock(np.array([2, 0, 2]), "a", self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0]))
+        first = RowBlock(np.array([2, 0, 2]), "a", self.COUNT, self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0]))
         second = RowBlock(
-            np.array([0, 2]), (["b1", "b2"], np.array([0, 1])), self.COLS[:2, :2], self.VALS[:2, :2], SENSE_GE, -1.0
+            np.array([0, 2]), (["b1", "b2"], np.array([0, 1])), np.array([2, 1]), self.COLS[:3], self.VALS[:3],
+            SENSE_GE, -1.0,
         )
         merged = self._builder()
         merged.add_blocks([first, second])
@@ -215,16 +226,96 @@ class TestAddRows:
         for block, i in ((first, 1), (second, 0), (first, 0), (first, 2), (second, 1)):
             fam = block.family if isinstance(block.family, str) else block.family[0][block.family[1][i]]
             rhs = float(np.broadcast_to(block.rhs, (len(block.key),))[i])
-            one.add(fam, zip(block.cols[i].tolist(), block.vals[i].tolist()), block.sense, rhs)
+            one.add(fam, self._rows(block.count, block.cols, block.vals)[i], block.sense, rhs)
         assert self._state(merged) == self._state(one)
 
     def test_empty_block(self):
         b = self._builder()
-        b.add_rows("none", np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)), SENSE_LE, 0.0)
+        b.add_rows("none", np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), SENSE_LE, 0.0)
         b.add("tail", [(2, 1.0)], SENSE_GE, 0.0)
         ref = self._builder()
         ref.add("tail", [(2, 1.0)], SENSE_GE, 0.0)
         assert self._state(b) == self._state(ref)
+
+    def test_entries_must_match_counts(self):
+        with pytest.raises(ValueError):
+            self._builder().add_rows("bad", np.array([2, 2]), self.COLS[:3], self.VALS[:3], SENSE_LE, 0.0)
+
+
+# -- the builder's matrix ----------------------------------------------------------
+
+_NCOLS = 5
+# exact zeros of both signs, values whose sums round, and a column repeated within a row
+_coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 1e-300]),
+                  st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6))
+_terms = st.lists(st.tuples(st.integers(0, _NCOLS - 1), _coef), max_size=6)  # empty rows too
+_row = st.tuples(st.sampled_from(["f", "g", "h"]), _terms, st.sampled_from([SENSE_LE, SENSE_GE, SENSE_EQ]),
+                 st.sampled_from([0.0, -0.0, 1.5]))
+_block_rows = st.lists(st.tuples(st.integers(0, 3), _row), max_size=5)  # (key, row): keys unsorted
+_op = st.one_of(
+    st.tuples(st.just("add"), _row),
+    st.tuples(st.just("add_rows"), st.lists(_row, max_size=5)),
+    st.tuples(st.just("add_blocks"), st.lists(_block_rows, max_size=3)),
+)
+
+
+def _ragged(rows) -> tuple:
+    """The :class:`RowBlock` fields after the key of ``rows``: one family table, counts, entries, sense, rhs."""
+    names = ["f", "g", "h"]
+    terms = [t for _, row, _, _ in rows for t in row]
+    return (
+        (names, np.array([names.index(f) for f, _, _, _ in rows], dtype=np.int64)),
+        np.array([len(row) for _, row, _, _ in rows], dtype=np.int64),
+        np.array([c for c, _ in terms], dtype=np.int64),
+        np.array([v for _, v in terms], dtype=np.float64),
+        np.array([sense for _, _, sense, _ in rows], dtype=np.int8),
+        np.array([rhs for _, _, _, rhs in rows]),
+    )
+
+
+@given(ops=st.lists(_op, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_builder_csr_equals_coo_of_its_rows(ops):
+    """The built CSR is ``coo_matrix(...).tocsr()`` of the rows' nonzero entries, in the order the rows land."""
+    cat = VariableCatalog()
+    cat.add_group("x", list(range(_NCOLS)))
+    b = ModelBuilder(cat)
+    landed = []  # (family, terms, sense, rhs) of each row, in the model's order
+    for kind, arg in ops:
+        if kind == "add":
+            b.add(*arg)
+            landed.append(arg)
+        elif kind == "add_rows":
+            b.add_rows(*_ragged(arg))
+            landed += arg
+        else:
+            b.add_blocks([RowBlock(np.array([k for k, _ in blk], dtype=np.int64), *_ragged([r for _, r in blk]))
+                          for blk in arg])
+            tagged = [(k, r) for blk in arg for k, r in blk]
+            landed += [r for _, r in sorted(tagged, key=lambda kr: kr[0])]  # a stable sort
+    m = b.build()
+    entries = [(i, col, val) for i, (_, terms, _, _) in enumerate(landed) for col, val in terms if val != 0.0]
+    r, c, v = (np.array([e[f] for e in entries], dtype=d) for f, d in enumerate((np.int64, np.int64, np.float64)))
+    want = sp.coo_matrix((v, (r, c)), shape=(len(landed), _NCOLS)).tocsr()
+    got = m.matrix()
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+    assert row_families(m) == [f for f, _, _, _ in landed]
+    assert m.sense.tolist() == [sense for _, _, sense, _ in landed]
+    assert m.rhs.tobytes() == np.array([rhs for _, _, _, rhs in landed], dtype=np.float64).tobytes()
+
+
+def test_model_holds_one_copy_of_its_entries():
+    """No array of the model but its CSR's data and indices is as long as the model has entries."""
+    model = build_model(shipped_case("reduced13"))
+    a = model.matrix()
+    assert a.has_canonical_format and a.nnz not in (model.nrows, model.ncols, model.cones.size)
+    held = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    held += [v for v in model.meta.values() if isinstance(v, np.ndarray)]
+    assert held and all(v.size != a.nnz for v in held)
+    assert sorted(f for f, v in vars(model).items() if isinstance(v, sp.sparray | sp.spmatrix)) == ["csr"]
 
 
 @pytest.mark.parametrize("name", ["reduced13", "toy_gear3"])
@@ -988,11 +1079,9 @@ def _dead_map(case) -> np.ndarray:
 def _cited_rows(model):
     """``model`` over only the rows that :func:`dead_pairs` cites, with no cone."""
     rows = family_rows(model, "coverage-unique", "coverage-parent", "wire-consistent")
-    a = model.matrix()[rows].tocoo()
     return replace(
-        model, coo_r=a.row.astype(np.int64), coo_c=a.col.astype(np.int64), coo_v=a.data,
-        sense=model.sense[rows], rhs=model.rhs[rows], family=model.family[rows], cones=model.cones[:0],
-        _matrix=None,
+        model, csr=model.matrix()[rows], sense=model.sense[rows], rhs=model.rhs[rows],
+        family=model.family[rows], cones=model.cones[:0],
     )
 
 

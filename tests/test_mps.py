@@ -160,9 +160,7 @@ def edge_model() -> LinearModel:
         col_ub=ub,
         col_binary=binary,
         obj=np.array([1.0, 0.0, -0.0, 0.5, 0.0, 0.0, 0.0, -0.0]),
-        coo_r=np.array(rows),
-        coo_c=np.array(cols),
-        coo_v=np.array(vals),
+        csr=sp.coo_matrix((vals, (rows, cols)), shape=(3, 8)).tocsr(),
         sense=np.array([SENSE_LE, SENSE_GE, SENSE_EQ], dtype=np.int8),
         rhs=np.array([1.5, -0.0, 7.0]),
         family=np.zeros(3, dtype=np.int32),
