@@ -841,6 +841,7 @@ def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:
 
 
 def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
+    """Closing, cover and flow gates of each switchgear; a flow or current of a dead pair (``_Ctx.dead``) has none."""
     case, cat, grid = ctx.case, ctx.cat, ctx.grid
     gears, K, T = case.switchgears, ctx.K, ctx.T
     beta = grid["beta"]
@@ -857,7 +858,8 @@ def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
     cap = np.concatenate(
         [np.full((len(gears), 3, 4), -ctx.m_flow), -ctx.amp_sq[line][:, :, None]], axis=-1
     )[:, None, None]  # (G, 1, 1, ph, 5)
-    rows.add("gear-flow-gate", [(flow, sign), (beta[:, :, None, None, None], cap)], SENSE_LE, 0.0)
+    live = ~ctx.dead_line[line][:, None, :, None, None]  # (G, 1, K, 1, 1)
+    rows.add("gear-flow-gate", [(flow, sign), (beta[:, :, None, None, None], cap)], SENSE_LE, 0.0, keep=live)
     for i, g in enumerate(gears):
         lat = list(g.downstream_lines)
         if not lat:
@@ -865,8 +867,9 @@ def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
         cc = grid["curr_sq"][lat].transpose(2, 0, 1, 3)  # (t, line, k, ph)
         amp = -ctx.amp_sq[lat][None, :, None, :]
         key = rows.key()[i].reshape(T, 1, 1, 1)
+        live = ~ctx.dead_line[lat][None, :, :, None]  # (1, line, k, 1)
         rows.blocks.append(
-            _block(key, "lateral-curr-gate", [(cc, 1.0), (beta[i].reshape(T, 1, 1, 1), amp)], SENSE_LE, 0.0)
+            _block(key, "lateral-curr-gate", [(cc, 1.0), (beta[i].reshape(T, 1, 1, 1), amp)], SENSE_LE, 0.0, live)
         )
 
 

@@ -148,15 +148,9 @@ def check_export_bytes(name: str, model, directory) -> None:
     """The export files of shipped case ``name`` are byte-identical to the golden digests.
 
     The digests pin the export format byte for byte.  Regenerate
-    ``data/mps_sha256.json`` only for an intended change of that format, and
-    log it::
-
-        PYTHONPATH=src python -c "import json, sys, tempfile; sys.path.insert(0, 'tests')
-        from conftest import export_digests, shipped_case, shipped_case_names
-        from ugrestore.formulation import build_model
-        with tempfile.TemporaryDirectory() as d: json.dump({n: export_digests(build_model(
-        shipped_case(n)), d) for n in shipped_case_names()},
-        open('tests/data/mps_sha256.json', 'w'), indent=1, sort_keys=True)"
+    ``data/mps_sha256.json`` only for an intended change of that format or
+    of the model, with ``scripts/regen_references.py mps_sha256.json``,
+    and log it.
     """
     golden = golden_exports()[name]
     got = export_digests(model, directory)
@@ -200,17 +194,25 @@ def rows_digest(model) -> str:
 def check_row_metadata(name: str, model) -> None:
     """The row families of shipped case ``name`` match ``data/rows_sha256.json``.
 
-    Regenerate it only for an intended change of the rows, and log it::
-
-        PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests')
-        from conftest import rows_digest, shipped_case, shipped_case_names
-        from ugrestore.formulation import build_model
-        json.dump({n: rows_digest(build_model(shipped_case(n))) for n in shipped_case_names()},
-        open('tests/data/rows_sha256.json', 'w'), indent=1, sort_keys=True)"
+    Regenerate it only for an intended change of the rows, with
+    ``scripts/regen_references.py rows_sha256.json``, and log it.
     """
     with open(GOLDEN_ROWS) as fh:
         golden = json.load(fh)[name]
     assert rows_digest(model) == golden, f"{name}: row families differ from {GOLDEN_ROWS.name}"
+
+
+GOLDEN_COUNTS = Path(__file__).parent / "data" / "feeder123_counts.json"
+
+
+def structural_counts(model) -> dict:
+    """Per-family rows and cones, per-group columns and the size fingerprint (``data/feeder123_counts.json``)."""
+    cat = model.catalog
+    return {
+        "families": model.family_counts(),
+        "columns": {name: cat.group(name).size for name in cat.group_names},
+        "fingerprint": [model.ncols, model.nrows, len(model.cones)],
+    }
 
 
 GOLDEN_PLAN = Path(__file__).parent / "data" / "plan_sha256.json"

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import (
+    GOLDEN_COUNTS,
     check_export_bytes,
     check_row_metadata,
     family_rows,
@@ -21,6 +23,7 @@ from conftest import (
     shipped_case,
     shipped_case_names,
     shipped_doc,
+    structural_counts,
     voltdiff_capped,
 )
 from ugrestore import bigm
@@ -361,7 +364,6 @@ def test_root_lp_objective_unchanged(name):
         for g in (True, False)} for n in shipped_case_names() if n != 'feeder123'},
         open('tests/data/root_lp.json', 'w'), indent=1, sort_keys=True)"
     """
-    import json
     from pathlib import Path
 
     from ugrestore.solver import LpBackend
@@ -1033,43 +1035,49 @@ class TestStructuralSmoke:
         check_row_metadata("feeder123", feeder123[1])
 
 
-def structural_counts(model) -> dict:
-    """Per-family rows and cones, per-group columns and the size fingerprint."""
-    cat = model.catalog
-    return {
-        "families": model.family_counts(),
-        "columns": {name: cat.group(name).size for name in cat.group_names},
-        "fingerprint": [model.ncols, model.nrows, len(model.cones)],
-    }
-
-
 def snapshot_123() -> dict:
     """Frozen structural counts for the shipped structural case.
 
     Regenerate ``data/feeder123_counts.json`` only for an intended model
-    change, and log the per-family and per-group diff::
-
-        PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests');
-        from test_formulation import structural_counts, shipped_case, build_model;
-        json.dump(structural_counts(build_model(shipped_case('feeder123'))),
-        open('tests/data/feeder123_counts.json', 'w'), indent=1, sort_keys=True)"
+    change, and log the per-family and per-group diff that
+    ``scripts/regen_references.py feeder123_counts.json`` prints.
     """
-    import json
+    with open(GOLDEN_COUNTS) as fh:
+        return json.load(fh)
+
+
+def test_regen_references_rewrites_only_what_moved(tmp_path, monkeypatch, capsys):
+    """The snapshot script restores a doctored entry byte for byte, names it, and leaves a matching file alone."""
+    import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).parent / "data" / "feeder123_counts.json"
-    with open(path) as fh:
-        return json.load(fh)
+    data = Path(__file__).parent / "data"
+    spec = importlib.util.spec_from_file_location("regen_references", data.parents[1] / "scripts" / "regen_references.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    rows = (data / "rows_sha256.json").read_bytes()
+    doctored = json.loads(rows) | {"toy_pair": "0" * 64}
+    (tmp_path / "rows_sha256.json").write_text(json.dumps(doctored))
+    (tmp_path / "feeder123_counts.json").write_text("{}")  # no feeder123 in --case: kept as it is
+    monkeypatch.setattr(regen, "DATA", tmp_path)
+    assert regen.main(["rows_sha256.json", "feeder123_counts.json", "--case", "toy_pair"]) == 0
+    assert (tmp_path / "rows_sha256.json").read_bytes() == rows
+    assert (tmp_path / "feeder123_counts.json").read_text() == "{}"
+    out = capsys.readouterr().out
+    assert f"toy_pair: {'0' * 64} -> {json.loads(rows)['toy_pair']}" in out
+    assert "feeder123_counts.json: 0 entries changed" in out
 
 
 # -- dead pairs ----------------------------------------------------------------
 
 BUILDS = {"default": BuildOptions(), "no-gate": BuildOptions(ferro_gate=False), "no-swap": BuildOptions(no_swap=True)}
-# the power flow rows and cones of one (node, microgrid) pair or of the line into it
+# the power flow rows and cones of one (node, microgrid) pair or of the line into
+# it, and the switchgear gates over that line's flows and currents
+GATE_FAMILIES = {"gear-flow-gate", "lateral-curr-gate"}
 PAIR_FAMILIES = {
     "balance-p", "balance-q", "volt-drop", "cone", "ess-line-p-lim", "ess-line-q-lim", "current-lim",
     "volt-cover", "reorder-bracket-p", "reorder-bracket-q", "reorder-bracket-v",
-}
+} | GATE_FAMILIES
 
 
 def _dead_map(case) -> np.ndarray:
@@ -1149,6 +1157,22 @@ class TestDeadPairs:
         got, want = model.family_counts(), before.family_counts()
         assert {f for f in want if got.get(f, 0) != want[f]} <= PAIR_FAMILIES
         assert all(got.get(f, 0) <= want[f] for f in want) and set(got) <= set(want)
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_no_gate_row_over_a_dead_pair(self, name, build, monkeypatch):
+        """The switchgear gates over a flow or current that the map fixes at 0 go, and only those."""
+        import ugrestore.formulation as formulation
+
+        case = shipped_case(name)
+        model = build_model(case, BUILDS[build])
+        dead = sorted(_dead_pair_columns(case, model))
+        monkeypatch.setattr(formulation, "dead_pairs", lambda case, orient: np.zeros((len(case.nodes), len(orient)), bool))
+        before = build_model(case, BUILDS[build])
+        assert family_rows(model, *GATE_FAMILIES, touching=dead).size == 0
+        gone = len(family_rows(before, *GATE_FAMILIES)) - len(family_rows(model, *GATE_FAMILIES))
+        assert gone == len(family_rows(before, *GATE_FAMILIES, touching=dead))
+        assert (gone > 0) == (len(case.ess_units) > 1 and bool(case.switchgears))
 
     def test_a_source_never_dies_for_its_own_microgrid(self):
         """Sources wired together: the rows refute the case, and the map leaves each source's u = 1 for an LP to find."""
