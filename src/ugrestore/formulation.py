@@ -18,8 +18,9 @@ holds only inside a microgrid is two big-M rows on its own expression.
 
 Row order is part of the model: the export writes it and warm-started LP
 runs follow it, so the build emits every row in one fixed order.  All but
-a few thousand rows go in as zero-padded numpy blocks, their columns taken
-from the groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``):
+a few thousand rows go in as numpy blocks of ragged rows (each row's entry
+count, then the entries row after row), their columns taken from the
+groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``):
 
 - the switchgear schedule (``swap-*``, ``inrush-*``, ``voltdiff-cap``,
   ``ferro-*``, ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
@@ -29,7 +30,7 @@ from the groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``):
   merged the same way;
 - the power flow (``balance-p/q``, ``volt-drop``, ``ess-line-p/q-lim``,
   ``current-lim`` and the cones): one block per microgrid, its period-0
-  rows copied over the horizon with the columns moved on by the period.
+  entries tiled over the horizon with the columns moved on by the period.
 
 The objective goes in as arrays.  Only the topology, radiality and storage
 rows are added row by row.
@@ -45,8 +46,10 @@ orientation (``coverage-parent``).  Of a dead pair, ``u`` and ``volt_sq``
 are fixed at 0, and so are ``flow_p``, ``flow_q``, ``curr_sq`` and, on a
 bracketed line, ``y_p``, ``y_q`` and ``y_v`` of the line of k's orientation
 into it; the pair has no balance, drop, line-limit, current, ``volt-cover``
-or bracket row and no cone.  The topology rows stay: they are the proof.
-The columns stay too, so the catalog and the plan keep every entry.  LP
+or bracket row and no cone, and no ``gear-flow-gate`` or
+``lateral-curr-gate`` row reads its flows or currents.  The topology rows
+stay: they are the proof.  The columns stay too, so the catalog and the
+plan keep every entry.  LP
 bound propagation derives each fixing but the ``y`` ones from the rows they
 replace.  Those follow from the MIP: at zero current and flow, every
 variant whose selector is 0 brackets ``y`` at 0, and ``reorder-pick-one``
@@ -299,7 +302,7 @@ _BRACKET_COUNT = np.array([5, 5, 5, 5, 11, 11])  # the terms of each bracket row
 
 
 def _bracket_rows(a: np.ndarray) -> np.ndarray:
-    """The terms ``(..., row, 11)`` of the six bracket rows, a p or q row's zero-padded, row after row: ``(..., 42)``."""
+    """The six bracket rows' terms ``(..., row, 11)``, row after row, less a p or q row's padding: ``(..., 42)``."""
     lead = a.shape[:-2]
     return np.concatenate([a[..., :4, :5].reshape(lead + (20,)), a[..., 4:, :].reshape(lead + (22,))], axis=-1)
 

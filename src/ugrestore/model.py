@@ -4,9 +4,10 @@ The rows are one CSR matrix, each row's columns sorted and each column
 once, plus per-row arrays of sense, rhs and family code (an index into the
 model's table of family names).  The builder makes that matrix once, from
 flat arrays, so the model stays cheap to build for large cases; the export,
-the LP and the replay of a candidate solution all read it as it is.  A cone is one row of an ``(n, 4)`` array of its (I, V, P, Q)
-columns.  Where a row or cone sits is not stored: a violation report names
-its columns from the catalog.  The objective is a dense vector, maximized.
+the LP and the replay of a candidate solution all read it as it is.  A
+cone is one row of an ``(n, 4)`` array of its (I, V, P, Q) columns.  Where
+a row or cone sits is not stored: a violation report names its columns
+from the catalog.  The objective is a dense vector, maximized.
 
 :meth:`LinearModel.restrict` reduces a model to the part that a set of
 column bounds leaves live, by the exact primal reductions of LP presolve

@@ -218,7 +218,9 @@ class TestAddRows:
 
     def test_blocks_merge_stably_by_key(self):
         """Rows land by key; rows of one key come block by block, each block's in its order."""
-        first = RowBlock(np.array([2, 0, 2]), "a", self.COUNT, self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0]))
+        first = RowBlock(
+            np.array([2, 0, 2]), "a", self.COUNT, self.COLS, self.VALS, SENSE_LE, np.array([1.0, 2.0, 3.0])
+        )
         second = RowBlock(
             np.array([0, 2]), (["b1", "b2"], np.array([0, 1])), np.array([2, 1]), self.COLS[:3], self.VALS[:3],
             SENSE_GE, -1.0,
@@ -1052,7 +1054,8 @@ def test_regen_references_rewrites_only_what_moved(tmp_path, monkeypatch, capsys
     from pathlib import Path
 
     data = Path(__file__).parent / "data"
-    spec = importlib.util.spec_from_file_location("regen_references", data.parents[1] / "scripts" / "regen_references.py")
+    script = data.parents[1] / "scripts" / "regen_references.py"
+    spec = importlib.util.spec_from_file_location("regen_references", script)
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
     rows = (data / "rows_sha256.json").read_bytes()
