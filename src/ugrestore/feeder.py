@@ -285,7 +285,7 @@ def _inline_defs(schema: dict) -> dict:
     so the errors, their order and their messages stay the same; only the
     lookup of the reference goes.  A reference inside the definition it
     names (a recursive one) stays a reference, and so does one beside an
-    ``allOf``.  Keywords that hold data, not schemas, are left as they are.
+    ``allOf``.
     """
     defs = schema.get("$defs", {})
 
@@ -299,8 +299,6 @@ def _inline_defs(schema: dict) -> dict:
             name = value.removeprefix("#/$defs/") if key == "$ref" and isinstance(value, str) else None
             if name in defs and name not in within and "allOf" not in node:
                 out["allOf"] = [inline(defs[name], within | {name})]
-            elif key in ("const", "default", "enum", "examples"):
-                out[key] = value
             else:
                 out[key] = inline(value, within)
         return out

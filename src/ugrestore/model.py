@@ -79,18 +79,8 @@ class RowBlock(NamedTuple):
     rhs: float | np.ndarray
 
 
-class _Piece(NamedTuple):
-    """Rows as the builder keeps them until :meth:`ModelBuilder.build`: flat arrays, row after row."""
-
-    count: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    sense: np.ndarray
-    rhs: np.ndarray
-    family: np.ndarray
-
-
-_DTYPES = (np.int64, np.int64, np.float64, np.int8, np.float64, np.int32)  # of each ``_Piece`` field
+# the dtypes of a piece of rows in ``ModelBuilder``: count, cols, vals, sense, rhs and family
+_DTYPES = (np.int64, np.int64, np.float64, np.int8, np.float64, np.int32)
 
 
 def _nonzero(block: RowBlock, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,16 +113,17 @@ class ModelBuilder:
     largest case, go row by row.  A row's family is stored as a code,
     numbered in the order the builder first meets each name.
 
-    The rows are kept as a list of flat pieces, one per block and one per
-    run of :meth:`add` rows; :meth:`build` joins each field once, into the
-    model's CSR matrix.
+    The rows are kept as pieces, each a tuple of flat arrays of one row
+    after another (entry counts, columns, values, sense, rhs and family
+    codes): one per block and one per run of :meth:`add` rows.
+    :meth:`build` joins each field once, into the model's CSR matrix.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
         self.catalog = catalog
-        self._pieces: list[_Piece] = []
+        self._pieces = [tuple(np.zeros(0, dtype=d) for d in _DTYPES)]
         self._nrows = 0  # the rows in ``_pieces``
-        self._row: tuple[list, ...] = ([], [], [], [], [], [])  # the ``_Piece`` fields of the rows ``add`` holds
+        self._row: tuple[list, ...] = ([], [], [], [], [], [])  # the piece fields of the rows ``add`` holds
         self._codes: dict[str, int] = {}  # family name -> code
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
         self._cones: list[np.ndarray] = []  # (n, 4) blocks of I, V, P, Q columns
@@ -162,7 +153,7 @@ class ModelBuilder:
     def _flush(self) -> None:
         """Move the rows that :meth:`add` holds into a piece."""
         if self._row[0]:
-            self._pieces.append(_Piece(*(np.array(f, dtype=d) for f, d in zip(self._row, _DTYPES))))
+            self._pieces.append(tuple(np.array(f, dtype=d) for f, d in zip(self._row, _DTYPES)))
             self._nrows += len(self._row[0])
             self._row = ([], [], [], [], [], [])
 
@@ -199,7 +190,7 @@ class ModelBuilder:
             start, count = (np.cumsum(count) - count)[order], count[order]
             entry = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
             cols, vals, sense, rhs, family = cols[entry], vals[entry], sense[order], rhs[order], family[order]
-        self._pieces.append(_Piece(count, cols, vals, sense, rhs, family))
+        self._pieces.append((count, cols, vals, sense, rhs, family))
         self._nrows += key.size
 
     def _family_codes(self, family: str | tuple[list[str], np.ndarray], n: int) -> np.ndarray:
@@ -236,8 +227,7 @@ class ModelBuilder:
         obj = np.zeros(self.catalog.ncols)
         for cols, coefs in self._obj:
             np.add.at(obj, cols, coefs)
-        empty = _Piece(*(np.zeros(0, dtype=d) for d in _DTYPES))
-        count, cols, vals, sense, rhs, family = (np.concatenate(f) for f in zip(empty, *self._pieces))
+        count, cols, vals, sense, rhs, family = (np.concatenate(f) for f in zip(*self._pieces))
         indptr = np.zeros(count.size + 1, dtype=np.int64)
         np.cumsum(count, out=indptr[1:])
         csr = sp.csr_matrix((vals, cols, indptr), shape=(count.size, self.catalog.ncols))

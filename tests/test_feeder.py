@@ -411,12 +411,11 @@ class TestSchemaRefs:
 
         tree = {"type": "object", "properties": {"kids": {"type": "array", "items": {"$ref": "#/$defs/tree"}},
                                                    "size": {"$ref": "#/$defs/size"}}}
-        schema = {"$defs": {"tree": tree, "size": {"type": "integer", "default": {"$ref": "#/$defs/size"}}},
-                  "$ref": "#/$defs/tree"}
+        schema = {"$defs": {"tree": tree, "size": {"type": "integer"}}, "$ref": "#/$defs/tree"}
         inlined = _inline_defs(schema)
         root = inlined["allOf"][0]
         assert root["properties"]["kids"]["items"] == {"$ref": "#/$defs/tree"}
-        assert root["properties"]["size"]["allOf"][0]["default"] == {"$ref": "#/$defs/size"}  # data, not a schema
+        assert root["properties"]["size"] == {"allOf": [{"type": "integer"}]}
         for doc in ({"kids": [{"kids": [{"size": "x"}]}, {"size": 2}]}, {"kids": [{"kids": 1}]}, {"kids": []}):
             def verdict(s):
                 return [(list(e.absolute_path), e.message) for e in jsonschema.Draft202012Validator(s).iter_errors(doc)]
