@@ -31,7 +31,8 @@ def voltage_diff_bound(case: FeederCase) -> float:
 
 def flow_bound(case: FeederCase) -> float:
     """Bound on any single per-phase line flow or balance mismatch."""
-    demand = max((case.total_demand_pu(t) for t in range(case.horizon)), default=0.0)
+    # per period: each node's phases summed, then the nodes one after another
+    demand = max(sum(n.load_p.sum(axis=1) for n in case.nodes).tolist(), default=0.0)
     res = sum(float(np.max(r.forecast_pu, initial=0.0)) * 3 for r in case.res_units)
     ess = sum(float(np.sum(e.rated_phase_pu)) for e in case.ess_units)
     return demand + res + ess

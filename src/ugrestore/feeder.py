@@ -257,9 +257,6 @@ class FeederCase:
     def ess_energy_pu_h(self, ess: EssUnit) -> float:
         return ess.energy_max_kwh / self.config.kw_base
 
-    def total_demand_pu(self, t: int) -> float:
-        return float(sum(n.load_p[t].sum() for n in self.nodes))
-
 
 # ---------------------------------------------------------------------------
 # loading

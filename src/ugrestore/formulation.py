@@ -1071,15 +1071,14 @@ class _PeriodRows:
         self.cones.append((col_i, col_v, col_p, col_q))
 
     def emit(self, b: ModelBuilder, T: int) -> None:
-        # (column, step, coefficient) per entry; a column is below 2**53, so exact as a float
-        terms = np.array(list(itertools.chain.from_iterable(self.terms)), dtype=np.float64).reshape(-1, 3)
-        col0, step = terms[:, :2].T.astype(np.int64)
+        entries = list(itertools.chain.from_iterable(self.terms))
+        col0, step, vals = zip(*entries) if entries else ((), (), ())
         periods = np.arange(T)[:, None]
         b.add_rows(
             (list(self.names), np.tile(np.array(self.family, dtype=np.int64), T)),
             np.tile(np.array([len(t) for t in self.terms], dtype=np.int64), T),
-            (col0 + periods * step).reshape(-1),
-            np.tile(terms[:, 2], T),
+            (np.array(col0, dtype=np.int64) + periods * np.array(step, dtype=np.int64)).reshape(-1),
+            np.tile(np.array(vals, dtype=np.float64), T),
             np.tile(np.array(self.sense, dtype=np.int8), T),
             np.tile(np.array(self.rhs, dtype=np.float64), T),
         )

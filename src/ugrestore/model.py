@@ -19,6 +19,7 @@ prove redundant is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -142,7 +143,7 @@ class ModelBuilder:
         n = len(cols)
         for col, coef in terms:
             if coef != 0.0:
-                cols.append(col)
+                cols.append(index(col))  # an integer, as a column must be
                 vals.append(float(coef))
         count.append(len(cols) - n)
         senses.append(sense)

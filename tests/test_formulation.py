@@ -246,6 +246,10 @@ class TestAddRows:
         with pytest.raises(ValueError):
             self._builder().add_rows("bad", np.array([2, 2]), self.COLS[:3], self.VALS[:3], SENSE_LE, 0.0)
 
+    def test_a_column_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            self._builder().add("bad", [(1.0, 2.0)], SENSE_LE, 0.0)
+
 
 # -- the builder's matrix ----------------------------------------------------------
 
