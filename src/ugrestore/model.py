@@ -213,7 +213,7 @@ class ModelBuilder:
 
     def add_cones(self, cols: np.ndarray) -> None:
         """Append one cone per row of ``cols``, its (I, V, P, Q) columns."""
-        self._cones.append(np.asarray(cols, dtype=np.int64).reshape(-1, 4))
+        self._cones.append(np.array(cols, dtype=np.int64).reshape(-1, 4))  # a copy: the caller may reuse ``cols``
 
     def add_obj(self, cols, coefs) -> None:
         """Add ``coefs`` to the objective coefficients of ``cols`` (arrays or scalars), in order."""
