@@ -17,23 +17,30 @@ renames what rows already fix: the event rows read the swap change
 holds only inside a microgrid is two big-M rows on its own expression.
 
 Row order is part of the model: the export writes it and warm-started LP
-runs follow it, so the build emits every row in one fixed order.  All but
-a few thousand rows go in as numpy blocks of ragged rows (each row's entry
-count, then the entries row after row), their columns taken from the
-groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``):
+runs follow it, so the build emits every row in one fixed order.  Every
+row goes in as part of a numpy block of ragged rows (each row's entry
+count, then the entries row after row), its columns taken from the
+groups' index grids (``_Ctx.grid``, see ``catalog.Group.grid``), and
+``ModelBuilder.add_blocks`` merges the blocks of one call by a per-row
+key:
 
+- the topology and radiality rows: per microgrid and node, per line and
+  microgrid, then per node and switch line;
 - the switchgear schedule (``swap-*``, ``inrush-*``, ``voltdiff-cap``,
   ``ferro-*``, ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
   block per family and row kind over every switchgear and period, merged
-  by ``ModelBuilder.add_blocks`` into switchgear, period and step order;
-- the loads and the voltage ranges: blocks over (node, period, phase),
-  merged the same way;
+  into switchgear, period and step order;
+- the storage rows, per unit and period; the loads and the voltage
+  ranges, per node, period and phase;
 - the power flow (``balance-p/q``, ``volt-drop``, ``ess-line-p/q-lim``,
-  ``current-lim`` and the cones): one block per microgrid, its period-0
-  entries tiled over the horizon with the columns moved on by the period.
+  ``current-lim``): per microgrid and period, the balance rows of each
+  live (node, phase), then the rows of each live (line, phase).  A
+  family whose rows differ in their terms (a node's children, a source,
+  renewables, a bracketed or plain line) is one ragged block, each row's
+  terms gathered from per-term index arrays, so no row is padded.
 
-The objective goes in as arrays.  Only the topology, radiality and storage
-rows are added row by row.
+The cones go in as one column array per microgrid and the objective as
+arrays.
 
 Power flow is built only where the case lets it run.  A column that the
 coverage rows fix takes its rows with it (Savelsbergh 1994, ORSA J.
@@ -120,7 +127,6 @@ Row families (each row's family code names one):
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -411,6 +417,13 @@ class _Ctx:
             for gid, lines in self.bracket_lines.items()
             if lines
         }
+        # the live phases of each node and line
+        self.node_ph = np.zeros((len(case.nodes), 3), dtype=bool)
+        for n in case.nodes:
+            self.node_ph[case.node_index[n.id], list(self.node_phases(n.id))] = True
+        self.line_ph = np.zeros((len(case.lines), 3), dtype=bool)
+        for l in case.lines:
+            self.line_ph[l.index, list(self.line_phases(l.index))] = True
         # column index grids, filled by _add_columns
         self.grid: dict[str, np.ndarray] = {}
 
@@ -442,11 +455,11 @@ def _add_columns(ctx: _Ctx) -> None:
     for k, e in enumerate(ctx.ess):
         cat.fix(cat.col("u", (e.node, k)), 1.0)
 
-    cat.add_group("gamma", lines, binary=True)
+    grid["gamma"] = cat.add_group("gamma", lines, binary=True).grid
     for l in case.lines:
         if not l.is_switch:
             cat.fix(cat.col("gamma", l.index), 1.0)
-    cat.add_group("fict_flow", lines, lb=-ctx.m_fict, ub=ctx.m_fict)
+    grid["fict_flow"] = cat.add_group("fict_flow", lines, lb=-ctx.m_fict, ub=ctx.m_fict).grid
 
     grid["beta"] = cat.add_group("beta", gear_ids, ts, binary=True).grid
     grid["alpha"] = cat.add_group("alpha", gear_ids, ts, binary=True).grid
@@ -481,23 +494,23 @@ def _add_columns(ctx: _Ctx) -> None:
     def per_unit(units, attr):  # one row of phase values per unit, the same in every period
         return np.array([getattr(u, attr) for u in units]).reshape(-1, 1, 3)
 
-    cat.add_group("ess_ch_on", ks, ts, binary=True)
-    cat.add_group("ess_dis_on", ks, ts, binary=True)
-    cat.add_group("ess_ch", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "charge_max_pu"))
-    cat.add_group("ess_dis", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "discharge_max_pu"))
+    grid["ess_ch_on"] = cat.add_group("ess_ch_on", ks, ts, binary=True).grid
+    grid["ess_dis_on"] = cat.add_group("ess_dis_on", ks, ts, binary=True).grid
+    grid["ess_ch"] = cat.add_group("ess_ch", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "charge_max_pu")).grid
+    grid["ess_dis"] = cat.add_group("ess_dis", ks, ts, phs, lb=0.0, ub=per_unit(ctx.ess, "discharge_max_pu")).grid
     q_max = per_unit(ctx.ess, "reactive_max_pu")
-    cat.add_group("ess_q", ks, ts, phs, lb=-q_max, ub=q_max)
+    grid["ess_q"] = cat.add_group("ess_q", ks, ts, phs, lb=-q_max, ub=q_max).grid
     energy = np.array([[case.ess_energy_pu_h(e)] for e in ctx.ess])
     soc_min, soc_max = (np.array([[getattr(e, f)] for e in ctx.ess]) * energy for f in ("soc_min", "soc_max"))
-    cat.add_group("ess_soc", ks, ts, lb=soc_min, ub=soc_max)
+    grid["ess_soc"] = cat.add_group("ess_soc", ks, ts, lb=soc_min, ub=soc_max).grid
 
     # the chance constraint is these bounds: output within the derated
     # forecast, reactive support within the rating
     units = range(len(ctx.res))
     forecast = np.array([u.forecast_pu * derated_multiplier(u.sigma, u.confidence) for u in ctx.res])
-    cat.add_group("res_p", units, ts, phs, lb=0.0, ub=forecast.reshape(-1, T, 3))
+    grid["res_p"] = cat.add_group("res_p", units, ts, phs, lb=0.0, ub=forecast.reshape(-1, T, 3)).grid
     q_max = per_unit(ctx.res, "reactive_max_pu")
-    cat.add_group("res_q", units, ts, phs, lb=-q_max, ub=q_max)
+    grid["res_q"] = cat.add_group("res_q", units, ts, phs, lb=-q_max, ub=q_max).grid
 
     # (t, ph) load bounds per node; a lateral node's conductor may land on
     # any phase, so each phase takes the period's largest demand
@@ -569,40 +582,35 @@ def _add_columns(ctx: _Ctx) -> None:
 
 
 def _encode_topology(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
-    K = ctx.K
-    for k in range(K):
-        o = ctx.orient[k]
-        for nid in o.order:
-            if nid == o.root:
-                continue
-            b.add(
-                "coverage-parent",
-                [
-                    (cat.col("u", (nid, k)), 1.0),
-                    (cat.col("u", (o.parent_node[nid], k)), -1.0),
-                ],
-                SENSE_LE,
-                0.0,
-            )
-    for n in case.nodes:
-        b.add(
-            "coverage-unique",
-            [(cat.col("u", (n.id, k)), 1.0) for k in range(K)],
-            SENSE_LE,
-            1.0,
-        )
-    for l in case.lines:
-        for k in range(K):
-            ui = cat.col("u", (l.from_node, k))
-            uj = cat.col("u", (l.to_node, k))
-            if l.is_switch:
-                gcol = cat.col("gamma", l.index)
-                b.add("switch-split", [(ui, 1.0), (uj, 1.0), (gcol, -1.0)], SENSE_LE, 1.0)
-                b.add("switch-join", [(ui, 1.0), (uj, -1.0), (gcol, 1.0)], SENSE_LE, 1.0)
-                b.add("switch-join", [(ui, -1.0), (uj, 1.0), (gcol, 1.0)], SENSE_LE, 1.0)
-            else:
-                b.add("wire-consistent", [(ui, 1.0), (uj, -1.0)], SENSE_EQ, 0.0)
+    """Coverage rows per microgrid and node, then per line and microgrid, then the radiality rows."""
+    case, grid, K = ctx.case, ctx.grid, ctx.K
+    u = grid["u"]
+    # per microgrid, every node but the root in breadth-first order, and its parent
+    pairs = [
+        (case.node_index[nid], case.node_index[o.parent_node[nid]], k)
+        for k, o in enumerate(ctx.orient)
+        for nid in o.order[1:]
+    ]
+    child, parent, ks = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    ctx.b.add_blocks([
+        _block(0, "coverage-parent", [(u[child, ks], 1.0), (u[parent, ks], -1.0)], SENSE_LE, 0.0),
+        _block(0, "coverage-unique", [(u[:, k], 1.0) for k in range(K)], SENSE_LE, 1.0),
+    ])
+    # per line and microgrid: a switch's split row and two join rows, or a wire's one row
+    ui = u[[case.node_index[l.from_node] for l in case.lines]]  # (line, k)
+    uj = u[[case.node_index[l.to_node] for l in case.lines]]
+    sw = np.array([l.is_switch for l in case.lines], dtype=bool)
+    key = np.arange(ui.size).reshape(ui.shape) * 3
+    gamma = grid["gamma"][sw, None]
+    sign = np.array([1.0, -1.0])
+    ctx.b.add_blocks([
+        _block(key[sw], "switch-split", [(ui[sw], 1.0), (uj[sw], 1.0), (gamma, -1.0)], SENSE_LE, 1.0),
+        _block(
+            key[sw][..., None] + [1, 2], "switch-join",
+            [(ui[sw][..., None], sign), (uj[sw][..., None], -sign), (gamma[..., None], 1.0)], SENSE_LE, 1.0,
+        ),
+        _block(key[~sw], "wire-consistent", [(ui[~sw], 1.0), (uj[~sw], -1.0)], SENSE_EQ, 0.0),
+    ])
     encode_radiality(ctx)
 
 
@@ -614,34 +622,34 @@ def encode_radiality(ctx: _Ctx) -> None:
     closes it, so commodity feasibility certifies that every node is
     connected to exactly one source through closed lines.
     """
-    case, cat, b = ctx.case, ctx.cat, ctx.b
-    n_nodes, n_roots = len(case.nodes), ctx.K
-    b.add(
-        "tree-count",
-        [(cat.col("gamma", l.index), 1.0) for l in case.lines],
-        SENSE_EQ,
-        float(n_nodes - n_roots),
+    case, grid = ctx.case, ctx.grid
+    gamma, fict = grid["gamma"], grid["fict_flow"]
+    tree = RowBlock(np.zeros(1, dtype=np.int64), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
+                    float(len(case.nodes) - ctx.K))
+    # Per node, its lines' commodity flows, each line in index order and
+    # signed +1 into the node: a line's from end, then its to end.  A source
+    # wired to a neighbor always feeds it; a source whose every connection
+    # is switchable may legitimately stand alone, so the
+    # ship-at-least-one-unit row is emitted only where it cannot wrongly
+    # forbid that.
+    ends = np.array([[case.node_index[l.from_node], case.node_index[l.to_node]] for l in case.lines], dtype=np.int64)
+    ends = ends.reshape(-1, 2)
+    at = ends.reshape(-1)
+    sign = np.stack([np.where(ends[:, 1] == ends[:, 0], 1.0, -1.0), np.ones(len(ends))], axis=-1).reshape(-1)
+    sw = np.array([l.is_switch for l in case.lines], dtype=bool)
+    root = np.zeros(len(case.nodes), dtype=bool)
+    root[[case.node_index[e.node] for e in ctx.ess]] = True
+    keep = ~root
+    keep[ends[~sw].reshape(-1)] = True
+    entry = np.flatnonzero(keep[at])
+    entry = entry[np.argsort(at[entry], kind="stable")]
+    flow = RowBlock(
+        np.zeros(keep.sum(), dtype=np.int64), (["flow-demand", "flow-root"], root[keep].astype(np.int64)),
+        np.bincount(at, minlength=len(case.nodes))[keep], np.repeat(fict, 2)[entry],
+        (sign * np.where(root[at], -1.0, 1.0))[entry], np.where(root, SENSE_GE, SENSE_EQ)[keep], 1.0,
     )
-    roots = {e.node for e in ctx.ess}
-    for n in case.nodes:
-        terms = []
-        for l in case.lines_at(n.id):
-            sign = 1.0 if l.to_node == n.id else -1.0
-            terms.append((cat.col("fict_flow", l.index), sign))
-        if n.id in roots:
-            # a source wired to a neighbor always feeds it; a source whose
-            # every connection is switchable may legitimately stand alone,
-            # so the ship-at-least-one-unit row is emitted only where it
-            # cannot wrongly forbid that
-            if any(not l.is_switch for l in case.lines_at(n.id)):
-                b.add("flow-root", [(c, -s) for c, s in terms], SENSE_GE, 1.0)
-        else:
-            b.add("flow-demand", terms, SENSE_EQ, 1.0)
-    for l in case.switch_lines:
-        fcol = cat.col("fict_flow", l.index)
-        gcol = cat.col("gamma", l.index)
-        b.add("flow-gate", [(fcol, 1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
-        b.add("flow-gate", [(fcol, -1.0), (gcol, -ctx.m_fict)], SENSE_LE, 0.0)
+    gate = _block(0, "flow-gate", [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)], SENSE_LE, 0.0)
+    ctx.b.add_blocks([tree, flow, gate])
 
 
 # -- switchgear scheduling ---------------------------------------------------
@@ -941,45 +949,33 @@ def _encode_switchgears(ctx: _Ctx) -> None:
 
 
 def _encode_ess(ctx: _Ctx) -> None:
-    case, cat, b = ctx.case, ctx.cat, ctx.b
-    for k, e in enumerate(ctx.ess):
-        cap = case.ess_energy_pu_h(e)
-        for t in range(ctx.T):
-            b.add(
-                "ess-exclusive",
-                [(cat.col("ess_ch_on", (k, t)), 1.0), (cat.col("ess_dis_on", (k, t)), 1.0)],
-                SENSE_LE,
-                1.0,
-            )
-            terms = [(cat.col("ess_soc", (k, t)), 1.0)]
-            for ph in range(3):
-                terms.append((cat.col("ess_ch", (k, t, ph)), -e.eff_charge * ctx.dt))
-                terms.append((cat.col("ess_dis", (k, t, ph)), ctx.dt / e.eff_discharge))
-            rhs = 0.0
-            if t == 0:
-                rhs = e.soc_init * cap
-            else:
-                terms.append((cat.col("ess_soc", (k, t - 1)), -1.0))
-            b.add("ess-energy", terms, SENSE_EQ, rhs)
-            for ph in range(3):
-                b.add(
-                    "ess-charge-lim",
-                    [
-                        (cat.col("ess_ch", (k, t, ph)), 1.0),
-                        (cat.col("ess_ch_on", (k, t)), -float(e.charge_max_pu[ph])),
-                    ],
-                    SENSE_LE,
-                    0.0,
-                )
-                b.add(
-                    "ess-discharge-lim",
-                    [
-                        (cat.col("ess_dis", (k, t, ph)), 1.0),
-                        (cat.col("ess_dis_on", (k, t)), -float(e.discharge_max_pu[ph])),
-                    ],
-                    SENSE_LE,
-                    0.0,
-                )
+    """Per storage unit and period: the exclusive row, the energy row, then per phase the charge and discharge limits."""
+    case, grid, dt = ctx.case, ctx.grid, ctx.dt
+    on_ch, on_dis, ch, dis, soc = (grid[name] for name in ("ess_ch_on", "ess_dis_on", "ess_ch", "ess_dis", "ess_soc"))
+    key = np.arange(soc.size).reshape(soc.shape) * 8
+
+    def per_unit(values) -> np.ndarray:  # one value per unit, on the (k, t) grid
+        return np.array(values, dtype=float).reshape(-1, 1)
+
+    eff_ch, eff_dis = per_unit([e.eff_charge for e in ctx.ess]), per_unit([e.eff_discharge for e in ctx.ess])
+    soc_init = per_unit([e.soc_init * case.ess_energy_pu_h(e) for e in ctx.ess])
+    energy = [(soc, 1.0)] + [term for ph in range(3) for term in ((ch[..., ph], -eff_ch * dt), (dis[..., ph], dt / eff_dis))]
+    first = [(c[:, :1], v) for c, v in energy]  # period 0 starts from the initial charge
+    later = [(c[:, 1:], v) for c, v in energy] + [(soc[:, :-1], -1.0)]
+    ph = 2 + 2 * np.arange(3)
+    ctx.b.add_blocks([
+        _block(key, "ess-exclusive", [(on_ch, 1.0), (on_dis, 1.0)], SENSE_LE, 1.0),
+        _block(key[:, :1] + 1, "ess-energy", first, SENSE_EQ, soc_init),
+        _block(key[:, 1:] + 1, "ess-energy", later, SENSE_EQ, 0.0),
+        _block(
+            key[..., None] + ph, "ess-charge-lim",
+            [(ch, 1.0), (on_ch[..., None], -np.array([e.charge_max_pu for e in ctx.ess])[:, None])], SENSE_LE, 0.0,
+        ),
+        _block(
+            key[..., None] + ph + 1, "ess-discharge-lim",
+            [(dis, 1.0), (on_dis[..., None], -np.array([e.discharge_max_pu for e in ctx.ess])[:, None])], SENSE_LE, 0.0,
+        ),
+    ])
 
 
 # -- loads --------------------------------------------------------------------
@@ -1020,174 +1016,180 @@ def _encode_loads(ctx: _Ctx) -> None:
 # -- power flow ----------------------------------------------------------------
 
 
-def _res_at_node(ctx: _Ctx) -> dict[str, list[int]]:
-    at: dict[str, list[int]] = {}
-    for r, unit in enumerate(ctx.res):
-        at.setdefault(unit.node, []).append(r)
-    return at
+def _period_rows(n: int, terms, keep=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ragged rows ``0..n-1`` of each period, period by period: their entry counts, columns and values.
 
-
-class _PeriodRows:
-    """The rows and cones of one microgrid's period 0, replicated over the horizon.
-
-    A term is ``(column at t = 0, column step per period, coefficient)``:
-    the step is 3 for a ``(..., t, ph)`` group, 1 for ``beta`` and 0 for
-    ``u``.  The horizon is one block, period by period: every row and cone
-    of period 0, in the order stated, with each column moved by ``t * step``.
+    A term is ``(row, cols, vals)``: per entry its row, its column in each
+    period (``(entries, T)``) and its coefficient.  A row's entries come
+    term by term, each term's in its order.  ``keep`` drops the rows where
+    it is False.
     """
-
-    def __init__(self) -> None:
-        self.names: dict[str, int] = {}  # family name -> its place in the block's table
-        self.family: list[int] = []  # per row
-        self.terms: list[list[tuple[int, int, float]]] = []
-        self.sense: list[int] = []
-        self.rhs: list[float] = []
-        self.cones: list[tuple[int, int, int, int]] = []  # the I, V, P, Q columns at t = 0
-
-    def add(self, family: str, terms, sense: int, rhs: float) -> None:
-        self.family.append(self.names.setdefault(family, len(self.names)))
-        self.terms.append(terms)
-        self.sense.append(sense)
-        self.rhs.append(rhs)
-
-    def add_where_on(self, family: str, terms, on, m: float) -> None:
-        """``sum(terms) = 0`` wherever every ``on`` column is 1.
-
-        An equality row when ``on`` is empty, else two big-M rows stating
-        ``|sum(terms)| <= m * (len(on) - sum(on))``.
-        """
-        if not on:
-            self.add(family, terms, SENSE_EQ, 0.0)
-            return
-        relax = [(c, s, m) for c, s in on]
-        rhs = m * len(on)
-        # The order of the two rows steers warm-started simplex runs; with the
-        # upper row first, one reduced13 workload seed ended a warm start 5e-11
-        # short of its LP optimum, on a point whose cone was not tight.
-        self.add(family, [(c, s, -v) for c, s, v in terms] + relax, SENSE_LE, rhs)
-        self.add(family, terms + relax, SENSE_LE, rhs)
-
-    def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
-        self.cones.append((col_i, col_v, col_p, col_q))
-
-    def emit(self, b: ModelBuilder, T: int) -> None:
-        entries = list(itertools.chain.from_iterable(self.terms))
-        col0, step, vals = zip(*entries) if entries else ((), (), ())
-        periods = np.arange(T)[:, None]
-        b.add_rows(
-            (list(self.names), np.tile(np.array(self.family, dtype=np.int64), T)),
-            np.tile(np.array([len(t) for t in self.terms], dtype=np.int64), T),
-            (np.array(col0, dtype=np.int64) + periods * np.array(step, dtype=np.int64)).reshape(-1),
-            np.tile(np.array(vals, dtype=np.float64), T),
-            np.tile(np.array(self.sense, dtype=np.int8), T),
-            np.tile(np.array(self.rhs, dtype=np.float64), T),
-        )
-        cones = np.array(self.cones, dtype=np.int64).reshape(-1, 4)
-        b.add_cones((cones[None] + 3 * periods[..., None]).reshape(-1, 4))
+    row = np.concatenate([r for r, _, _ in terms])
+    cols = np.concatenate([c for _, c, _ in terms])
+    vals = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), r.shape) for r, _, v in terms])
+    entry = np.argsort(row, kind="stable")
+    count = np.bincount(row, minlength=n)
+    if keep is not None:
+        entry, count = entry[keep[row[entry]]], count[keep]
+    periods = cols.shape[1]
+    return np.tile(count, periods), cols[entry].T.reshape(-1), np.tile(vals[entry], periods)
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:
     """Balance, voltage-drop, cone and line-limit rows, per microgrid and period.
 
     Within a period the balance rows come first, node by node in
-    breadth-first order, then per line and phase the drop pair, its cone
-    and its line limits.  A dead pair (``_Ctx.dead``) and the line into it
-    have none.
+    breadth-first order and phase by phase, the ``balance-p`` rows then the
+    ``balance-q`` ones; then per line and phase the drop pair, its cone and
+    its line limits.  A dead pair (``_Ctx.dead``) and the line into it have
+    none.  Each row's key is its microgrid, period, place in the period and
+    place among its neighbors.
     """
-    case, cat, grid = ctx.case, ctx.cat, ctx.grid
-    res_at = _res_at_node(ctx)
-    for k in range(ctx.K):
-        o = ctx.orient[k]
-        e = ctx.ess[k]
-        rated_q = [
-            float(e.reactive_max_pu[ph]) + sum(float(r.reactive_max_pu[ph]) for r in ctx.res) for ph in range(3)
-        ]
-        # period-0 columns; a (..., t, ph) group steps 3 per period
-        fp, fq, cs = (grid[name][:, k, 0] for name in ("flow_p", "flow_q", "curr_sq"))
-        vs, u = grid["volt_sq"][:, k, 0], grid["u"][:, k]
-        y = {name: grid[name][:, k, 0] for name in ("y_p", "y_q", "y_v")}
-        rows = _PeriodRows()
-        for nid in o.order:
-            n = case.node_index[nid]
-            if ctx.dead[n, k]:
-                continue
-            for ph in ctx.node_phases(nid):
-                terms_p = []
-                terms_q = []
-                for li, child in o.children.get(nid, ()):  # outgoing
-                    if ph in ctx.line_phases(li):
-                        terms_p.append((fp[li, ph], 3, 1.0))
-                        terms_q.append((fq[li, ph], 3, 1.0))
-                pline = o.parent_line.get(nid)
-                on = []  # a node outside microgrid k leaves its balance free
-                if pline is not None and ph in ctx.line_phases(pline):
-                    on.append((u[n], 0))
-                    terms_p.append((fp[pline, ph], 3, -1.0))
-                    terms_q.append((fq[pline, ph], 3, -1.0))
-                    if pline in ctx.bracketed:
-                        terms_p.append((y["y_p"][ctx.bracket_pos[pline], ph], 3, 1.0))
-                        terms_q.append((y["y_q"][ctx.bracket_pos[pline], ph], 3, 1.0))
-                    else:
-                        coeffs = ctx.coeffs[pline]
-                        for ps in ctx.line_phases(pline):
-                            terms_p.append((cs[pline, ps], 3, coeffs.r[ph, ps]))
-                            terms_q.append((cs[pline, ps], 3, coeffs.x[ph, ps]))
-                if nid == o.root:
-                    terms_p.append((cat.col("ess_dis", (k, 0, ph)), 3, -1.0))
-                    terms_p.append((cat.col("ess_ch", (k, 0, ph)), 3, 1.0))
-                    terms_q.append((cat.col("ess_q", (k, 0, ph)), 3, -1.0))
-                terms_p.append((cat.col("load_p", (nid, 0, ph)), 3, 1.0))
-                terms_q.append((cat.col("load_q", (nid, 0, ph)), 3, 1.0))
-                for r in res_at.get(nid, ()):  # renewable injections
-                    terms_p.append((cat.col("res_p", (r, 0, ph)), 3, -1.0))
-                    terms_q.append((cat.col("res_q", (r, 0, ph)), 3, -1.0))
-                rows.add_where_on("balance-p", terms_p, on, ctx.m_flow)
-                rows.add_where_on("balance-q", terms_q, on, ctx.m_flow)
+    case, grid, T = ctx.case, ctx.grid, ctx.T
+    N, L = len(case.nodes), len(case.lines)
+    coef = {f: np.zeros((L, 3, 3)) for f in ("r", "x", "r_hat", "x_hat", "z_hat")}  # 0 on a bracketed line
+    for li, c in ctx.coeffs.items():
+        for f, a in coef.items():
+            a[li] = getattr(c, f)
+    bpos = np.full(L, -1)  # per line: its place among the bracketed lines, else -1
+    bpos[list(ctx.bracket_pos)] = list(ctx.bracket_pos.values())
+    gpos = np.full(L, -1)  # per line: the switchgear it couples, else -1
+    gpos[[g.line_index for g in case.switchgears]] = np.arange(len(case.switchgears))
+    blocks = []
+    for k, o in enumerate(ctx.orient):
+        flow = [grid[name][:, k] for name in ("flow_p", "flow_q", "curr_sq", "volt_sq")]  # (..., t, ph)
+        key = (k * T + np.arange(T)[:, None]) * 3 * (N + L)  # per period: its first place
+        into, out = np.full(L, -1), np.full(L, -1)  # per line of ``o``: the node it feeds, the node feeding it
         for li, (i, j) in o.direction.items():
-            if ctx.dead_line[li, k]:
-                continue
-            live = ctx.line_phases(li)
-            ni, nj = case.node_index[i], case.node_index[j]
-            # the drop holds inside microgrid k, and across a coupling
-            # line only while its switchgear is closed
-            on = [(u[nj], 0)]
-            gear = case.gear_of_line(li)
-            if gear is not None:
-                on.append((grid["beta"][ctx.gear_pos[gear.id], 0], 1))
-            for ph in live:
-                terms = [(vs[ni, ph], 3, 1.0), (vs[nj, ph], 3, -1.0)]
-                if li in ctx.bracketed:
-                    terms.append((y["y_v"][ctx.bracket_pos[li], ph], 3, -1.0))
-                else:
-                    c = ctx.coeffs[li]
-                    for ps in live:
-                        terms.append((fp[li, ps], 3, -2.0 * c.r_hat[ph, ps]))
-                        terms.append((fq[li, ps], 3, -2.0 * c.x_hat[ph, ps]))
-                        terms.append((cs[li, ps], 3, -c.z_hat[ph, ps]))
-                rows.add_where_on("volt-drop", terms, on, ctx.m_volt)
-                rows.add_cone(cs[li, ph], vs[nj, ph], fp[li, ph], fq[li, ph])
-                # line limits: flows within the source's per-phase ratings,
-                # squared current within ampacity, all only when covered
-                limits = (
-                    ("ess-line-p-lim", fp[li, ph], float(e.rated_phase_pu[ph])),
-                    ("ess-line-q-lim", fq[li, ph], rated_q[ph]),
-                )
-                for family, col, rated in limits:
-                    rows.add(family, [(col, 3, 1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
-                    rows.add(family, [(col, 3, -1.0), (u[nj], 0, -rated)], SENSE_LE, 0.0)
-                amp = [(cs[li, ph], 3, 1.0), (u[nj], 0, -ctx.amp_sq[li, ph])]
-                rows.add("current-lim", amp, SENSE_LE, 0.0)
-        rows.emit(ctx.b, ctx.T)
+            out[li], into[li] = case.node_index[i], case.node_index[j]
+        nodes = np.array([case.node_index[nid] for nid in o.order], dtype=np.int64)
+        nodes = nodes[~ctx.dead[nodes, k]]
+        node, ph = np.nonzero(ctx.node_ph[nodes])
+        blocks += _balance_rows(ctx, k, nodes[node], ph, into, out, flow, coef, bpos, key * 8)
+        lines = np.array([li for li in o.direction if not ctx.dead_line[li, k]], dtype=np.int64)
+        line, ph = np.nonzero(ctx.line_ph[lines])
+        line = lines[line]
+        blocks += _line_rows(ctx, k, line, ph, into[line], out[line], flow, coef, bpos, gpos, (key + 3 * N) * 8)
+        fp, fq, cs, vs = flow
+        cones = np.stack([cs[line, :, ph], vs[into[line], :, ph], fp[line, :, ph], fq[line, :, ph]], axis=-1)
+        ctx.b.add_cones(cones.transpose(1, 0, 2).reshape(-1, 4))
+    ctx.b.add_blocks(blocks)
+
+
+def _balance_rows(ctx: _Ctx, k: int, node, ph, into, out, flow, coef, bpos, key) -> list[RowBlock]:
+    """The balance rows of microgrid ``k``, per period and (``node``, ``ph``): ``balance-p``, then ``balance-q``.
+
+    A node whose line from its parent carries the phase holds each balance
+    as two big-M rows on its ``u``, the lower one first; any other node as
+    one equality.  The row of a period's ``i``-th pair has key
+    ``key[t] + 8 i`` plus 0 to 3.
+    """
+    case, grid, T = ctx.case, ctx.grid, ctx.T
+    fp, fq, cs, _ = flow
+    n = node.size
+    rows = np.arange(n)
+    slot = np.full((len(case.nodes), 3), -1)  # per (node, phase): its row
+    slot[node, ph] = rows
+    parent = np.full(len(case.nodes), -1)
+    parent[into[into >= 0]] = np.flatnonzero(into >= 0)
+    line = parent[node]
+    relaxed = line >= 0
+    relaxed[relaxed] = ctx.line_ph[line[relaxed], ph[relaxed]]
+    on = np.flatnonzero(relaxed)
+    bracketed, plain = on[bpos[line[on]] >= 0], on[bpos[line[on]] < 0]
+    i, ps = np.nonzero(ctx.line_ph[line[plain]])
+    plain = plain[i]  # per loss term of a plain parent line: its row, and its ``ps``
+    child, cph = np.nonzero(ctx.line_ph * (out >= 0)[:, None])  # a node's outgoing lines, in line order
+    crow = slot[out[child], cph]
+    child, cph, crow = child[crow >= 0], cph[crow >= 0], crow[crow >= 0]
+    unit, rph = np.divmod(np.arange(3 * len(ctx.res)), 3)
+    rrow = slot[[case.node_index[ctx.res[r].node] for r in unit], rph]
+    unit, rph, rrow = unit[rrow >= 0], rph[rrow >= 0], rrow[rrow >= 0]
+    root = np.flatnonzero(node == case.node_index[ctx.orient[k].root])
+    relax = (on, np.broadcast_to(grid["u"][node[on], k, None], (on.size, T)), ctx.m_flow)
+    blocks = []
+    for sub, (family, f, y, c, source, load, res) in enumerate((
+        ("balance-p", fp, "y_p", "r", [("ess_dis", -1.0), ("ess_ch", 1.0)], "load_p", "res_p"),
+        ("balance-q", fq, "y_q", "x", [("ess_q", -1.0)], "load_q", "res_q"),
+    )):
+        terms = [
+            (crow, f[child, :, cph], 1.0),
+            (on, f[line[on], :, ph[on]], -1.0),
+            (bracketed, grid[y][bpos[line[bracketed]], k, :, ph[bracketed]], 1.0),
+            (plain, cs[line[plain], :, ps], coef[c][line[plain], ph[plain], ps]),
+        ]
+        terms += [(root, grid[name][k].T[ph[root]], v) for name, v in source]
+        terms += [(rows, grid[load][node, :, ph], 1.0), (rrow, grid[res][unit, :, rph], -1.0)]
+        lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + [relax]
+        at = key + rows * 8 + 2 * sub
+        sense, rhs = np.where(relaxed, SENSE_LE, SENSE_EQ), np.where(relaxed, ctx.m_flow, 0.0)
+        blocks += [
+            RowBlock(at[:, on].reshape(-1), family, *_period_rows(n, lower, relaxed), SENSE_LE, ctx.m_flow),
+            RowBlock((at + 1).reshape(-1), family, *_period_rows(n, terms + [relax]), np.tile(sense, T), np.tile(rhs, T)),
+        ]
+    return blocks
+
+
+def _line_rows(ctx: _Ctx, k: int, line, ph, into, out, flow, coef, bpos, gpos, key) -> list[RowBlock]:
+    """The line rows of microgrid ``k``, per period and (``line``, ``ph``): the drop pair, then the line limits.
+
+    The drop holds inside microgrid ``k``, and across a coupling line only
+    while its switchgear is closed: two big-M rows, the lower one first.
+    The limits keep the flows within the source's per-phase ratings and
+    the squared current within ampacity, all only when covered.  The rows
+    of a period's ``i``-th (line, phase) have keys ``key[t] + 8 i`` plus 0
+    to 6.
+    """
+    grid, T, e = ctx.grid, ctx.T, ctx.ess[k]
+    fp, fq, cs, vs = flow
+    n = line.size
+    rows = np.arange(n)
+    at = key + rows * 8
+    u = grid["u"][into, k]
+    bracketed, plain = np.flatnonzero(bpos[line] >= 0), np.flatnonzero(bpos[line] < 0)
+    i, ps = np.nonzero(ctx.line_ph[line[plain]])
+    plain = plain[i]  # per product term of a plain line: its row, and its ``ps``
+    l, p = line[plain], ph[plain]
+    products = (
+        (fp, -2.0 * coef["r_hat"][l, p, ps]), (fq, -2.0 * coef["x_hat"][l, p, ps]), (cs, -coef["z_hat"][l, p, ps])
+    )
+    terms = [
+        (rows, vs[out, :, ph], 1.0),
+        (rows, vs[into, :, ph], -1.0),
+        (bracketed, grid["y_v"][bpos[line[bracketed]], k, :, ph[bracketed]], -1.0),
+        (
+            plain.repeat(3),  # per ``ps`` its P, Q and I terms
+            np.stack([f[l, :, ps] for f, _ in products], axis=1).reshape(-1, T),
+            np.stack([v for _, v in products], axis=1).reshape(-1),
+        ),
+    ]
+    gear = np.flatnonzero(gpos[line] >= 0)
+    relax = [
+        (rows, np.broadcast_to(u[:, None], (n, T)), ctx.m_volt),
+        (gear, grid["beta"][gpos[line[gear]]], ctx.m_volt),
+    ]
+    rhs = ctx.m_volt * np.tile(1 + (gpos[line] >= 0), T)
+    lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + relax
+    rated_q = [float(e.reactive_max_pu[p]) + sum(float(r.reactive_max_pu[p]) for r in ctx.res) for p in range(3)]
+    rated = [(fp, e.rated_phase_pu), (fq, np.array(rated_q))]
+    sign = np.array([1.0, -1.0])
+    return [
+        RowBlock(at.reshape(-1), "volt-drop", *_period_rows(n, lower), SENSE_LE, rhs),
+        RowBlock((at + 1).reshape(-1), "volt-drop", *_period_rows(n, terms + relax), SENSE_LE, rhs),
+    ] + [
+        _block(at[..., None] + [2 + 2 * i, 3 + 2 * i], family,
+               [(f[line, :, ph].T[..., None], sign), (u[:, None], -r[ph][:, None])], SENSE_LE, 0.0)
+        for i, (family, (f, r)) in enumerate(zip(("ess-line-p-lim", "ess-line-q-lim"), rated))
+    ] + [
+        _block(at + 6, "current-lim", [(cs[line, :, ph].T, 1.0), (u, -ctx.amp_sq[line, ph])], SENSE_LE, 0.0),
+    ]
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:
     """Per node, period and live phase: the range row, then one cover row per microgrid but the dead ones."""
     case, grid, K = ctx.case, ctx.grid, ctx.K
     vmin, vmax = case.config.v_min_sq, case.config.v_max_sq
-    live = np.zeros((len(case.nodes), 1, 3), dtype=bool)
-    for i, n in enumerate(case.nodes):
-        live[i, 0, list(ctx.node_phases(n.id))] = True
-    live = np.broadcast_to(live, (len(case.nodes), ctx.T, 3))
+    live = np.broadcast_to(ctx.node_ph[:, None], (len(case.nodes), ctx.T, 3))
     vs = grid["volt_sq"].transpose(0, 2, 3, 1)  # (node, t, ph, k)
     u = grid["u"][:, None, None, :]
     dead = ctx.dead[:, None, None, :]

@@ -19,7 +19,6 @@ prove redundant is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +68,13 @@ class Violation:
 
 
 class RowBlock(NamedTuple):
-    """Rows for :meth:`ModelBuilder.add_blocks`: each row's key, then an :meth:`ModelBuilder.add_rows` block."""
+    """Rows for :meth:`ModelBuilder.add_blocks`: each row's key, family, entry count, entries, sense and rhs.
+
+    ``family`` is one name, or a pair of a table of names and an int array
+    of each row's place in it, so a block that repeats a few families maps
+    each name once; ``sense`` and ``rhs`` are scalars or one per row.  Row
+    ``i`` has the next ``count[i]`` entries of ``cols``/``vals``.
+    """
 
     key: np.ndarray
     family: str | tuple[list[str], np.ndarray]
@@ -87,10 +92,13 @@ _DTYPES = (np.int64, np.int64, np.float64, np.int8, np.float64, np.int32)
 def _nonzero(block: RowBlock, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entry counts and entries of ``block``'s ``n`` rows, less every exact-zero coefficient (``-0.0`` too)."""
     count = np.asarray(block.count, dtype=np.int64)
-    cols = np.asarray(block.cols, dtype=np.int64)
+    cols = np.asarray(block.cols)
     vals = np.asarray(block.vals, dtype=np.float64)
+    if cols.dtype.kind not in "iu":
+        raise TypeError("a column must be an integer")
     if count.shape != (n,) or count.sum() != cols.size or cols.shape != vals.shape:
         raise ValueError("a block needs one entry count per row and one column per value")
+    cols = cols.astype(np.int64, copy=False)
     kept = vals != 0.0
     if not kept.all():
         before = np.concatenate([[0], np.cumsum(kept)])  # per entry: the kept entries before it
@@ -100,87 +108,52 @@ def _nonzero(block: RowBlock, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 class ModelBuilder:
-    """Row-by-row and block-wise assembly of a :class:`LinearModel`.
+    """Block-wise assembly of a :class:`LinearModel`.
 
     Rows land in the order they are appended, and that order is fixed: the
     export and the LP both read it, and a warm-started simplex path depends
-    on it.  :meth:`add` appends one row; :meth:`add_rows` appends a block
-    of rows, given as each row's entry count and the entries row after row,
-    and :meth:`add_blocks` several blocks interleaved by a key.  Both store
-    exactly what the same rows appended one by one would store.  The
-    formulation builds every family of the switchgear schedule, the loads,
-    the power flow and the voltage ranges as blocks, and the objective as
-    arrays; only the topology and the storage rows, a few thousand on the
-    largest case, go row by row.  A row's family is stored as a code,
-    numbered in the order the builder first meets each name.
+    on it.  :meth:`add_blocks` appends blocks of ragged rows, each given as
+    its rows' entry counts and the entries row after row, interleaved by a
+    per-row key; every exact-zero coefficient is dropped.  The formulation
+    builds every row family this way, the cones with :meth:`add_cones` and
+    the objective with :meth:`add_obj`.  A row's family is stored as a
+    code, numbered in the order the model's rows first use each name, so
+    the model's table names exactly the families that have rows.
 
-    The rows are kept as pieces, each a tuple of flat arrays of one row
-    after another (entry counts, columns, values, sense, rhs and family
-    codes): one per block and one per run of :meth:`add` rows.
-    :meth:`build` joins each field once, into the model's CSR matrix.
+    The rows are kept as pieces, one per :meth:`add_blocks` call, each a
+    tuple of flat arrays of one row after another (entry counts, columns,
+    values, sense, rhs and family codes).  :meth:`build` joins each field
+    once, into the model's CSR matrix.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
         self.catalog = catalog
         self._pieces = [tuple(np.zeros(0, dtype=d) for d in _DTYPES)]
-        self._nrows = 0  # the rows in ``_pieces``
-        self._row: tuple[list, ...] = ([], [], [], [], [], [])  # the piece fields of the rows ``add`` holds
         self._codes: dict[str, int] = {}  # family name -> code
         self._obj: list[tuple[np.ndarray, np.ndarray]] = []
         self._cones: list[np.ndarray] = []  # (n, 4) blocks of I, V, P, Q columns
-
-    @property
-    def nrows(self) -> int:
-        return self._nrows + len(self._row[0])
-
-    def _code(self, family: str) -> int:
-        return self._codes.setdefault(family, len(self._codes))
-
-    def add(self, family: str, terms, sense: int, rhs: float) -> int:
-        """Append one linear row; ``terms`` is an iterable of (col, coef)."""
-        row = self.nrows
-        count, cols, vals, senses, rhss, families = self._row
-        n = len(cols)
-        for col, coef in terms:
-            if coef != 0.0:
-                cols.append(index(col))  # an integer, as a column must be
-                vals.append(float(coef))
-        count.append(len(cols) - n)
-        senses.append(sense)
-        rhss.append(float(rhs))
-        families.append(self._code(family))
-        return row
-
-    def _flush(self) -> None:
-        """Move the rows that :meth:`add` holds into a piece."""
-        if self._row[0]:
-            self._pieces.append(tuple(np.array(f, dtype=d) for f, d in zip(self._row, _DTYPES)))
-            self._nrows += len(self._row[0])
-            self._row = ([], [], [], [], [], [])
-
-    def add_rows(self, family, count: np.ndarray, cols: np.ndarray, vals: np.ndarray, sense, rhs) -> None:
-        """Append a block of rows: row ``i`` has the next ``count[i]`` entries of ``cols``/``vals``.
-
-        Like :meth:`add`, every exact-zero coefficient (``-0.0`` too) is
-        dropped and every other one kept in its place.  ``family`` is one
-        name, or a pair of a table of names and an int array of each row's
-        place in it, so a block that repeats a few families maps each name
-        once; ``sense`` and ``rhs`` are scalars or one per row.
-        """
-        self.add_blocks([RowBlock(np.zeros(len(count), dtype=np.int64), family, count, cols, vals, sense, rhs)])
 
     def add_blocks(self, blocks: list[RowBlock]) -> None:
         """Append the rows of ``blocks`` in the order of their keys, a stable order.
 
         The rows of one key come block by block, each block's in its own
-        order: what :meth:`add_rows` of each block's rows of the smallest
-        key, then of the next one, and so on, would store.
+        order.
         """
         if not blocks:
             return
-        self._flush()
         n = [len(b.key) for b in blocks]
-        family = np.concatenate([self._family_codes(b.family, k) for b, k in zip(blocks, n)])
+        names: list[str] = []  # the family names of this call, a block's table after the previous one's
+        index = []  # per row: its family's place in ``names``
+        for b, k in zip(blocks, n):
+            if isinstance(b.family, str):
+                table, at = [b.family], np.zeros(k, dtype=np.int64)
+            else:
+                table, at = b.family
+                if np.shape(at) != (k,):
+                    raise ValueError("a block needs one family or an index per row")
+            index.append(np.asarray(at, dtype=np.int64) + len(names))
+            names += table
+        family = np.concatenate(index)
         key = np.concatenate([b.key for b in blocks])
         count, cols, vals = (np.concatenate(f) for f in zip(*map(_nonzero, blocks, n)))
         sense = np.concatenate([np.broadcast_to(np.asarray(b.sense, dtype=np.int8), (k,)) for b, k in zip(blocks, n)])
@@ -191,25 +164,12 @@ class ModelBuilder:
             start, count = (np.cumsum(count) - count)[order], count[order]
             entry = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(count.sum())
             cols, vals, sense, rhs, family = cols[entry], vals[entry], sense[order], rhs[order], family[order]
-        self._pieces.append((count, cols, vals, sense, rhs, family))
-        self._nrows += key.size
-
-    def _family_codes(self, family: str | tuple[list[str], np.ndarray], n: int) -> np.ndarray:
-        """The codes of a block's ``n`` rows: of ``family``, one name or a (names, per-row index) pair."""
-        if isinstance(family, str):
-            return np.full(n, self._code(family), dtype=np.int32)
-        names, index = family
-        if np.shape(index) != (n,):
-            raise ValueError("a block needs one family or an index per row")
+        # codes by first use: the names at the start of each run of rows of one name, in order
+        runs = np.flatnonzero(np.diff(family, prepend=-1))
         table = np.zeros(len(names), dtype=np.int32)
-        _, first = np.unique(index, return_index=True)
-        for i in index[np.sort(first)].tolist():  # the names its rows use, in the order they first do
-            table[i] = self._code(names[i])
-        return table[index]
-
-    def add_cone(self, col_i: int, col_v: int, col_p: int, col_q: int) -> None:
-        """Append the cone ``col_i * col_v >= col_p^2 + col_q^2``."""
-        self.add_cones([(col_i, col_v, col_p, col_q)])
+        for i in dict.fromkeys(family[runs].tolist()):
+            table[i] = self._codes.setdefault(names[i], len(self._codes))
+        self._pieces.append((count, cols, vals, sense, rhs, table[family]))
 
     def add_cones(self, cols: np.ndarray) -> None:
         """Append one cone per row of ``cols``, its (I, V, P, Q) columns."""
@@ -223,7 +183,6 @@ class ModelBuilder:
 
     def build(self, meta: dict | None = None) -> "LinearModel":
         """The model: the rows joined once, into a CSR matrix with each row's repeated columns summed."""
-        self._flush()
         lb, ub, binary = self.catalog.finalize()
         obj = np.zeros(self.catalog.ncols)
         for cols, coefs in self._obj:

@@ -8,7 +8,7 @@ import pytest
 
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case, load_case_dict
-from ugrestore.model import SENSE_LE, ModelBuilder
+from ugrestore.model import SENSE_LE, ModelBuilder, RowBlock
 
 
 def case_path(name: str) -> Path:
@@ -100,6 +100,13 @@ def load_minimal(**overrides):
     return load_case_dict(minimal_doc(**overrides))
 
 
+def add_row(b: ModelBuilder, family: str, terms, sense: int, rhs: float) -> None:
+    """Append one row of ``(col, coef)`` terms to ``b``."""
+    cols = np.array([c for c, _ in terms], dtype=np.int64)
+    vals = np.array([v for _, v in terms], dtype=np.float64)
+    b.add_blocks([RowBlock(np.zeros(1, dtype=np.int64), family, np.array([cols.size]), cols, vals, sense, rhs)])
+
+
 def cone_toy(demand=("p",)):
     """One cone over four columns with loss pressure on the current, and a demand row over ``demand``."""
     cat = VariableCatalog()
@@ -108,10 +115,10 @@ def cone_toy(demand=("p",)):
     cat.add_group("p", [0], lb=0.0, ub=2.0)
     cat.add_group("q", [0], lb=0.0, ub=2.0)
     b = ModelBuilder(cat)
-    b.add("demand", [(cat.col(name, 0), 1.0) for name in demand], SENSE_LE, 1.3)
+    add_row(b, "demand", [(cat.col(name, 0), 1.0) for name in demand], SENSE_LE, 1.3)
     b.add_obj(cat.col("p", 0), 1.0)
     b.add_obj(cat.col("i", 0), -0.1)
-    b.add_cone(cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
+    b.add_cones([(cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))])
     return cat, b.build({})
 
 

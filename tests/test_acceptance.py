@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from conftest import case_path, shipped_case
+from conftest import add_row, case_path, shipped_case
 from enum_oracle import exhaustive_solve
 from test_validator import RADIALITY_FAMILIES, _encoding_feasible
 from ugrestore import physics
@@ -164,7 +164,8 @@ def _two_gear_bracket_model(z1, z2, amp_sq=1.0):
             for ph in range(3):
                 for ps in range(3):
                     if physics.PERMUTATIONS[v][ph, ps] == 0.0:
-                        b.add(
+                        add_row(
+                            b,
                             "sel",
                             [(zc, 1.0), (cat.col(f"swap_{gid}", (ph, ps)), -1.0)],
                             SENSE_GE,
@@ -176,9 +177,9 @@ def _two_gear_bracket_model(z1, z2, amp_sq=1.0):
                     for ps in range(3)
                 ]
                 ycol = cat.col(f"y_{gid}", ph)
-                b.add("ub", [(ycol, 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
-                b.add("lb", [(ycol, 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
-        b.add("pick", [(cat.col(f"zeta_{gid}", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
+                add_row(b, "ub", [(ycol, 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
+                add_row(b, "lb", [(ycol, 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
+        add_row(b, "pick", [(cat.col(f"zeta_{gid}", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
         for ph in range(3):
             b.add_obj(cat.col(f"y_{gid}", ph), 1.0)
     return cat, b.build({}), variants

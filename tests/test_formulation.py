@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 
 from conftest import (
     GOLDEN_COUNTS,
+    add_row,
     check_export_bytes,
     check_row_metadata,
     family_rows,
@@ -159,22 +160,29 @@ def test_row_tags_unchanged(name):
     check_row_metadata(name, build_model(shipped_case(name)))
 
 
-class TestAddRows:
-    """A block of rows stores exactly what the same rows added one by one store."""
+@pytest.mark.parametrize("name", shipped_case_names())
+def test_family_codes_follow_first_use(name):
+    """The family table lists exactly the families that have rows, in the order of their first rows."""
+    model = build_model(shipped_case(name))
+    assert model.family_names == list(dict.fromkeys(row_families(model)))
+
+
+class TestAddBlocks:
+    """A block of rows stores exactly what the same rows appended one at a time store."""
 
     @staticmethod
     def _state(b: ModelBuilder) -> tuple:
         m = b.build()
         a = m.matrix()
         return (a.indptr.tolist(), a.indices.tolist(), a.data.tobytes(), m.sense.tolist(),
-                m.rhs.tobytes(), row_families(m))
+                m.rhs.tobytes(), row_families(m), m.family_names)
 
     @staticmethod
     def _builder() -> ModelBuilder:
         cat = VariableCatalog()
         cat.add_group("x", list(range(6)))
         b = ModelBuilder(cat)
-        b.add("head", [(5, 1.0)], SENSE_EQ, 1.0)  # blocks append after existing rows
+        add_row(b, "head", [(5, 1.0)], SENSE_EQ, 1.0)  # blocks append after existing rows
         return b
 
     # ragged rows, row after row: a zero and a -0.0 entry, a column repeated
@@ -190,27 +198,28 @@ class TestAddRows:
         return [list(zip(cols[e - n : e].tolist(), vals[e - n : e].tolist())) for n, e in zip(count.tolist(), ends)]
 
     @pytest.mark.parametrize(
-        "family, sense, rhs",
+        "family, sense, rhs, names",
         [
-            ("blk", SENSE_LE, 2.5),
+            ("blk", SENSE_LE, 2.5, ["head", "blk"]),
             # a table in another order than the rows first use it, with a name no row uses
             ((["f2", "none", "f1"], np.array([2, 0, 2])), np.array([SENSE_LE, SENSE_GE, SENSE_EQ]),
-             np.array([0.0, -1.0, 3.0])),
+             np.array([0.0, -1.0, 3.0]), ["head", "f1", "f2"]),
         ],
     )
-    def test_block_equals_row_loop(self, family, sense, rhs):
+    def test_block_equals_row_loop(self, family, sense, rhs, names):
         fams = [family] * 3 if isinstance(family, str) else [family[0][i] for i in family[1]]
         senses = np.broadcast_to(sense, (3,))
         rhss = np.broadcast_to(rhs, (3,))
         one = self._builder()
         for i, terms in enumerate(self._rows(self.COUNT, self.COLS, self.VALS)):
-            one.add(fams[i], terms, int(senses[i]), float(rhss[i]))
+            add_row(one, fams[i], terms, int(senses[i]), float(rhss[i]))
         block = self._builder()
-        block.add_rows(family, self.COUNT, self.COLS, self.VALS, sense, rhs)
+        block.add_blocks([RowBlock(np.zeros(3, dtype=np.int64), family, self.COUNT, self.COLS, self.VALS, sense, rhs)])
         got, want = self._state(block), self._state(one)
         assert got == want
-        # codes are numbered in the order the rows first use each name
-        assert block.build().family_names == one.build().family_names
+        # codes are numbered in the order the rows first use each name, and
+        # a name that no row uses has none
+        assert got[-1] == names
         # zeros (and -0.0) are dropped, each row's columns sorted, and the
         # repeated column 3 summed into one explicit 0.0
         assert got[0] == [0, 1, 3, 5, 5] and got[1] == [5, 0, 2, 0, 3]
@@ -231,24 +240,30 @@ class TestAddRows:
         for block, i in ((first, 1), (second, 0), (first, 0), (first, 2), (second, 1)):
             fam = block.family if isinstance(block.family, str) else block.family[0][block.family[1][i]]
             rhs = float(np.broadcast_to(block.rhs, (len(block.key),))[i])
-            one.add(fam, self._rows(block.count, block.cols, block.vals)[i], block.sense, rhs)
+            add_row(one, fam, self._rows(block.count, block.cols, block.vals)[i], block.sense, rhs)
         assert self._state(merged) == self._state(one)
+        # the first row of family "a" lands before the first of "b1", though "b1"'s block comes second
+        assert merged.build().family_names == ["head", "a", "b1", "b2"]
 
     def test_empty_block(self):
         b = self._builder()
-        b.add_rows("none", np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), SENSE_LE, 0.0)
-        b.add("tail", [(2, 1.0)], SENSE_GE, 0.0)
+        none = np.zeros(0, dtype=np.int64)
+        b.add_blocks([RowBlock(none, "none", none, none, np.zeros(0), SENSE_LE, 0.0)])
+        add_row(b, "tail", [(2, 1.0)], SENSE_GE, 0.0)
         ref = self._builder()
-        ref.add("tail", [(2, 1.0)], SENSE_GE, 0.0)
+        add_row(ref, "tail", [(2, 1.0)], SENSE_GE, 0.0)
         assert self._state(b) == self._state(ref)
+        assert "none" not in b.build().family_names
 
     def test_entries_must_match_counts(self):
+        bad = RowBlock(np.zeros(2, dtype=np.int64), "bad", np.array([2, 2]), self.COLS[:3], self.VALS[:3], SENSE_LE, 0.0)
         with pytest.raises(ValueError):
-            self._builder().add_rows("bad", np.array([2, 2]), self.COLS[:3], self.VALS[:3], SENSE_LE, 0.0)
+            self._builder().add_blocks([bad])
 
     def test_a_column_must_be_an_integer(self):
+        bad = RowBlock(np.zeros(1, dtype=np.int64), "bad", np.array([1]), np.array([1.0]), np.array([2.0]), SENSE_LE, 0.0)
         with pytest.raises(TypeError):
-            self._builder().add("bad", [(1.0, 2.0)], SENSE_LE, 0.0)
+            self._builder().add_blocks([bad])
 
 
 # -- the builder's matrix ----------------------------------------------------------
@@ -260,12 +275,8 @@ _coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 1e-300]),
 _terms = st.lists(st.tuples(st.integers(0, _NCOLS - 1), _coef), max_size=6)  # empty rows too
 _row = st.tuples(st.sampled_from(["f", "g", "h"]), _terms, st.sampled_from([SENSE_LE, SENSE_GE, SENSE_EQ]),
                  st.sampled_from([0.0, -0.0, 1.5]))
-_block_rows = st.lists(st.tuples(st.integers(0, 3), _row), max_size=5)  # (key, row): keys unsorted
-_op = st.one_of(
-    st.tuples(st.just("add"), _row),
-    st.tuples(st.just("add_rows"), st.lists(_row, max_size=5)),
-    st.tuples(st.just("add_blocks"), st.lists(_block_rows, max_size=3)),
-)
+_block_rows = st.lists(st.tuples(st.integers(0, 3), _row), max_size=5)  # (key, row): keys unsorted, empty blocks too
+_call = st.lists(_block_rows, max_size=3)  # the blocks of one ``add_blocks`` call
 
 
 def _ragged(rows) -> tuple:
@@ -282,26 +293,19 @@ def _ragged(rows) -> tuple:
     )
 
 
-@given(ops=st.lists(_op, max_size=6))
+@given(calls=st.lists(_call, max_size=6))
 @settings(max_examples=300, deadline=None)
-def test_builder_csr_equals_coo_of_its_rows(ops):
+def test_builder_csr_equals_coo_of_its_rows(calls):
     """The built CSR is ``coo_matrix(...).tocsr()`` of the rows' nonzero entries, in the order the rows land."""
     cat = VariableCatalog()
     cat.add_group("x", list(range(_NCOLS)))
     b = ModelBuilder(cat)
     landed = []  # (family, terms, sense, rhs) of each row, in the model's order
-    for kind, arg in ops:
-        if kind == "add":
-            b.add(*arg)
-            landed.append(arg)
-        elif kind == "add_rows":
-            b.add_rows(*_ragged(arg))
-            landed += arg
-        else:
-            b.add_blocks([RowBlock(np.array([k for k, _ in blk], dtype=np.int64), *_ragged([r for _, r in blk]))
-                          for blk in arg])
-            tagged = [(k, r) for blk in arg for k, r in blk]
-            landed += [r for _, r in sorted(tagged, key=lambda kr: kr[0])]  # a stable sort
+    for call in calls:
+        b.add_blocks([RowBlock(np.array([k for k, _ in blk], dtype=np.int64), *_ragged([r for _, r in blk]))
+                      for blk in call])
+        tagged = [(k, r) for blk in call for k, r in blk]
+        landed += [r for _, r in sorted(tagged, key=lambda kr: kr[0])]  # a stable sort
     m = b.build()
     entries = [(i, col, val) for i, (_, terms, _, _) in enumerate(landed) for col, val in terms if val != 0.0]
     r, c, v = (np.array([e[f] for e in entries], dtype=d) for f, d in enumerate((np.int64, np.int64, np.float64)))
@@ -312,6 +316,7 @@ def test_builder_csr_equals_coo_of_its_rows(ops):
         g, w = getattr(got, field), getattr(want, field)
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
     assert row_families(m) == [f for f, _, _, _ in landed]
+    assert m.family_names == list(dict.fromkeys(f for f, _, _, _ in landed))
     assert m.sense.tolist() == [sense for _, _, sense, _ in landed]
     assert m.rhs.tobytes() == np.array([rhs for _, _, _, rhs in landed], dtype=np.float64).tobytes()
 
@@ -335,12 +340,15 @@ def test_index_grids_match_catalog(name):
     _add_columns(ctx)
     nodes, gears = case.node_index, ctx.gear_pos
     lines = {l.index: l.index for l in case.lines}
+    units, res = {k: k for k in range(ctx.K)}, {r: r for r in range(len(ctx.res))}
     first = {
         "u": nodes, "volt_sq": nodes, "load_p": nodes, "load_q": nodes,
         "beta": gears, "alpha": gears, "swap": gears, "swap_event": gears, "reorder_sel": gears,
         "swap_any": gears, "angle_diff": gears, "volt_diff": gears, "inrush_mag": gears,
         "inrush_ang": gears, "inrush": gears,
-        "flow_p": lines, "flow_q": lines, "curr_sq": lines,
+        "gamma": lines, "fict_flow": lines, "flow_p": lines, "flow_q": lines, "curr_sq": lines,
+        "ess_ch_on": units, "ess_dis_on": units, "ess_ch": units, "ess_dis": units, "ess_q": units,
+        "ess_soc": units, "res_p": res, "res_q": res,
         "y_p": ctx.bracket_pos, "y_q": ctx.bracket_pos, "y_v": ctx.bracket_pos,
     }
     assert set(ctx.grid) == set(first)
@@ -350,7 +358,7 @@ def test_index_grids_match_catalog(name):
         assert grid.shape == g.shape, group
         for key in itertools.product(*g.axes):
             at = (pos[key[0]],) + key[1:]
-            assert grid[at] == ctx.cat.col(group, key), (group, key)
+            assert grid[at] == ctx.cat.col(group, key if len(key) > 1 else key[0]), (group, key)
 
 
 @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
@@ -688,7 +696,8 @@ class TestLinearizedProducts:
             for ph in range(3):
                 for ps in range(3):
                     if PERMUTATIONS[v][ph, ps] == 0.0:
-                        b.add(
+                        add_row(
+                            b,
                             "reorder-select",
                             [(zc, 1.0), (cat.col("swap", (ph, ps)), -1.0)],
                             SENSE_GE,
@@ -696,9 +705,9 @@ class TestLinearizedProducts:
                         )
             for ph in range(3):
                 terms = [(cat.col("curr", ps), -float(variants[v].real[ph, ps])) for ps in range(3)]
-                b.add("ub", [(cat.col("y", ph), 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
-                b.add("lb", [(cat.col("y", ph), 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
-        b.add("pick", [(cat.col("zeta", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
+                add_row(b, "ub", [(cat.col("y", ph), 1.0)] + terms + [(zc, -m_p)], SENSE_LE, 0.0)
+                add_row(b, "lb", [(cat.col("y", ph), 1.0)] + terms + [(zc, m_p)], SENSE_GE, 0.0)
+        add_row(b, "pick", [(cat.col("zeta", v), 1.0) for v in range(6)], SENSE_LE, 5.0)
         return cat, b.build({}), variants
 
     def test_identity_selection(self):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import cone_toy, load_minimal, row_families, shipped_case, shipped_case_names, shipped_doc
+from conftest import add_row, cone_toy, load_minimal, row_families, shipped_case, shipped_case_names, shipped_doc
 from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case_dict
@@ -69,7 +69,7 @@ class TestLpRelax:
         cat = VariableCatalog()
         cat.add_group("x", [0, 1], lb=0.0, ub=1.0)
         b = ModelBuilder(cat)
-        b.add("cap", [(0, 1.0), (1, 1.0)], SENSE_LE, 1.0)
+        add_row(b, "cap", [(0, 1.0), (1, 1.0)], SENSE_LE, 1.0)
         b.add_obj(0, 1.0)
         b.add_obj(1, 1.0)
         model = b.build({})
@@ -362,14 +362,14 @@ class TestRestriction:
         cat.add_group("w", [0], lb=0.0, ub=np.inf)
         x, y, z, w = (cat.col(name, 0) for name in "xyzw")
         b = ModelBuilder(cat)
-        b.add("single", [(x, 3.0)], SENSE_LE, 1.0)  # x <= 1/3, divided exactly
-        b.add("after-single", [(x, 1.0), (y, 1.0)], SENSE_LE, 5.0)  # redundant once x <= 1/3
-        b.add("fixed", [(z, 1.0), (y, 4.0)], SENSE_LE, 4.0)  # z substituted: y <= 1/2
-        b.add("floor", [(w, 1.0), (y, 1.0)], SENSE_GE, 0.0)  # redundant: activity >= 0
-        b.add("open", [(w, 1.0), (y, -1.0)], SENSE_LE, 3.0)  # infinite maximum: kept
+        add_row(b, "single", [(x, 3.0)], SENSE_LE, 1.0)  # x <= 1/3, divided exactly
+        add_row(b, "after-single", [(x, 1.0), (y, 1.0)], SENSE_LE, 5.0)  # redundant once x <= 1/3
+        add_row(b, "fixed", [(z, 1.0), (y, 4.0)], SENSE_LE, 4.0)  # z substituted: y <= 1/2
+        add_row(b, "floor", [(w, 1.0), (y, 1.0)], SENSE_GE, 0.0)  # redundant: activity >= 0
+        add_row(b, "open", [(w, 1.0), (y, -1.0)], SENSE_LE, 3.0)  # infinite maximum: kept
         b.add_obj(x, 1.0)
         b.add_obj(z, 0.5)
-        b.add_cone(w, y, x, x)
+        b.add_cones([(w, y, x, x)])
         model = b.build({})
         got = model.restrict(model.col_lb, model.col_ub)
         assert got.col_ub[x] == 1.0 / 3.0 and got.col_ub[y] == 0.5 and got.col_ub[w] == np.inf
@@ -558,8 +558,8 @@ class TestViolationReport:
         cat = VariableCatalog()
         cat.add_group("x", ["a", "b"])
         b = ModelBuilder(cat)
-        b.add("twice", [(0, 1.0), (1, 1.0), (0, 1.0)], SENSE_LE, 0.0)
-        b.add_cone(1, 1, 0, 0)
+        add_row(b, "twice", [(0, 1.0), (1, 1.0), (0, 1.0)], SENSE_LE, 0.0)
+        b.add_cones([(1, 1, 0, 0)])
         violations = b.build().check_solution(np.array([1.0, 0.5]))
         assert {v.family: v.loc for v in violations} == {"twice": ("x[a]", "x[b]"), "cone": ("x[b]", "x[a]")}
 
@@ -1159,7 +1159,7 @@ def _trade_off_fixture():
     b = ModelBuilder(cat)
     b.add_obj(cat.col("p", 0), 1.0)
     b.add_obj(cat.col("i", 0), -0.5)
-    b.add_cone(cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))
+    b.add_cones([(cat.col("i", 0), cat.col("v", 0), cat.col("p", 0), cat.col("q", 0))])
     model = b.build({})
     x = np.zeros(model.ncols)
     x[[cat.col("i", 0), cat.col("v", 0), cat.col("p", 0)]] = (1.0 / 1.1, 1.1, 1.0)
