@@ -648,7 +648,8 @@ def encode_radiality(ctx: _Ctx) -> None:
         np.bincount(at, minlength=len(case.nodes))[keep], np.repeat(fict, 2)[entry],
         (sign * np.where(root[at], -1.0, 1.0))[entry], np.where(root, SENSE_GE, SENSE_EQ)[keep], 1.0,
     )
-    gate = _block(0, "flow-gate", [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)], SENSE_LE, 0.0)
+    gate = [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)]
+    gate = _block(0, "flow-gate", gate, SENSE_LE, 0.0)
     ctx.b.add_blocks([tree, flow, gate])
 
 
@@ -949,7 +950,7 @@ def _encode_switchgears(ctx: _Ctx) -> None:
 
 
 def _encode_ess(ctx: _Ctx) -> None:
-    """Per storage unit and period: the exclusive row, the energy row, then per phase the charge and discharge limits."""
+    """Per storage unit and period: the exclusive and energy rows, then per phase the charge and discharge limits."""
     case, grid, dt = ctx.case, ctx.grid, ctx.dt
     on_ch, on_dis, ch, dis, soc = (grid[name] for name in ("ess_ch_on", "ess_dis_on", "ess_ch", "ess_dis", "ess_soc"))
     key = np.arange(soc.size).reshape(soc.shape) * 8
@@ -959,7 +960,9 @@ def _encode_ess(ctx: _Ctx) -> None:
 
     eff_ch, eff_dis = per_unit([e.eff_charge for e in ctx.ess]), per_unit([e.eff_discharge for e in ctx.ess])
     soc_init = per_unit([e.soc_init * case.ess_energy_pu_h(e) for e in ctx.ess])
-    energy = [(soc, 1.0)] + [term for ph in range(3) for term in ((ch[..., ph], -eff_ch * dt), (dis[..., ph], dt / eff_dis))]
+    energy = [(soc, 1.0)]
+    for ph in range(3):
+        energy += [(ch[..., ph], -eff_ch * dt), (dis[..., ph], dt / eff_dis)]
     first = [(c[:, :1], v) for c, v in energy]  # period 0 starts from the initial charge
     later = [(c[:, 1:], v) for c, v in energy] + [(soc[:, :-1], -1.0)]
     ph = 2 + 2 * np.arange(3)
@@ -1031,19 +1034,50 @@ def _period_rows(n: int, terms, keep=None) -> tuple[np.ndarray, np.ndarray, np.n
     count = np.bincount(row, minlength=n)
     if keep is not None:
         entry, count = entry[keep[row[entry]]], count[keep]
-    periods = cols.shape[1]
-    return np.tile(count, periods), cols[entry].T.reshape(-1), np.tile(vals[entry], periods)
+    return np.tile(count, cols.shape[1]), cols[entry].T.reshape(-1), np.tile(vals[entry], cols.shape[1])
+
+
+def _where_on(key: np.ndarray, family: str, terms, on, m: float) -> list[RowBlock]:
+    """``sum(terms) = 0`` wherever every ``on`` column is 1, per row of ``key`` (``(T, n)``) and period.
+
+    ``terms`` and ``on`` are :func:`_period_rows` terms, the ``on`` ones
+    of coefficient ``m``.  A row with ``on`` columns is two big-M rows
+    ``|sum(terms)| <= m * (len(on) - sum(on))``, at ``key`` and
+    ``key + 1``; a row with none is one equality, at ``key + 1``.  The
+    order of the two rows steers warm-started simplex runs: with the upper
+    row first, one reduced13 workload seed ended a warm start 5e-11 short
+    of its LP optimum, on a point whose cone was not tight.
+    """
+    periods, n = key.shape
+    ons = sum(np.bincount(r, minlength=n) for r, _, _ in on)
+    relaxed = ons > 0
+    lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + on
+    sense = np.where(relaxed, SENSE_LE, SENSE_EQ)
+    return [
+        RowBlock(
+            key[:, relaxed].reshape(-1), family, *_period_rows(n, lower, relaxed), SENSE_LE,
+            np.tile(m * ons[relaxed], periods),
+        ),
+        RowBlock(
+            (key + 1).reshape(-1), family, *_period_rows(n, terms + on), np.tile(sense, periods),
+            np.tile(m * ons, periods),
+        ),
+    ]
 
 
 def _encode_power_flow(ctx: _Ctx) -> None:
     """Balance, voltage-drop, cone and line-limit rows, per microgrid and period.
 
     Within a period the balance rows come first, node by node in
-    breadth-first order and phase by phase, the ``balance-p`` rows then the
-    ``balance-q`` ones; then per line and phase the drop pair, its cone and
-    its line limits.  A dead pair (``_Ctx.dead``) and the line into it have
-    none.  Each row's key is its microgrid, period, place in the period and
-    place among its neighbors.
+    breadth-first order and phase by phase: ``balance-p``, then
+    ``balance-q``.  A node outside microgrid k leaves its balance free, so
+    a node whose parent line carries the phase relaxes it on its ``u``.
+    Then per line and phase come the drop pair, its cone and the line
+    limits.  The drop holds inside microgrid k, and across a coupling line
+    only while its switchgear is closed; the limits keep the flows within
+    the source's per-phase ratings and the squared current within
+    ampacity, all only when covered.  A dead pair (``_Ctx.dead``) and the
+    line into it have none of these.
     """
     case, grid, T = ctx.case, ctx.grid, ctx.T
     N, L = len(case.nodes), len(case.lines)
@@ -1055,134 +1089,87 @@ def _encode_power_flow(ctx: _Ctx) -> None:
     bpos[list(ctx.bracket_pos)] = list(ctx.bracket_pos.values())
     gpos = np.full(L, -1)  # per line: the switchgear it couples, else -1
     gpos[[g.line_index for g in case.switchgears]] = np.arange(len(case.switchgears))
+    unit, rph = np.divmod(np.arange(3 * len(ctx.res)), 3)  # per renewable and phase
     blocks = []
-    for k, o in enumerate(ctx.orient):
-        flow = [grid[name][:, k] for name in ("flow_p", "flow_q", "curr_sq", "volt_sq")]  # (..., t, ph)
-        key = (k * T + np.arange(T)[:, None]) * 3 * (N + L)  # per period: its first place
+    for k, (o, e) in enumerate(zip(ctx.orient, ctx.ess)):
+        fp, fq, cs, vs = (grid[name][:, k] for name in ("flow_p", "flow_q", "curr_sq", "volt_sq"))  # (..., t, ph)
+        u = grid["u"][:, k, None].repeat(T, axis=1)
+        key = (k * T + np.arange(T)[:, None]) * 3 * (N + L) * 8  # per period: its first key, 8 per row pair
         into, out = np.full(L, -1), np.full(L, -1)  # per line of ``o``: the node it feeds, the node feeding it
         for li, (i, j) in o.direction.items():
             out[li], into[li] = case.node_index[i], case.node_index[j]
+
+        # balance rows, per live (node, phase)
         nodes = np.array([case.node_index[nid] for nid in o.order], dtype=np.int64)
         nodes = nodes[~ctx.dead[nodes, k]]
         node, ph = np.nonzero(ctx.node_ph[nodes])
-        blocks += _balance_rows(ctx, k, nodes[node], ph, into, out, flow, coef, bpos, key * 8)
+        node, rows = nodes[node], np.arange(node.size)
+        at = np.full((N, 3), -1)  # per (node, phase): its row
+        at[node, ph] = rows
+        parent = np.full(N, -1)
+        parent[into[into >= 0]] = np.flatnonzero(into >= 0)
+        line = parent[node]
+        on = line >= 0
+        on[on] = ctx.line_ph[line[on], ph[on]]
+        on = np.flatnonzero(on)
+        bracketed, plain = on[bpos[line[on]] >= 0], on[bpos[line[on]] < 0]
+        i, ps = np.nonzero(ctx.line_ph[line[plain]])
+        plain = plain[i]  # per loss term of a plain parent line: its row; ``ps`` its phase
+        child, cph = np.nonzero(ctx.line_ph * (out >= 0)[:, None])  # outgoing lines, in line order
+        crow = at[out[child], cph]
+        rrow = at[[case.node_index[ctx.res[r].node] for r in unit], rph]
+        root = np.flatnonzero(node == case.node_index[o.root])
+        for sub, (f, y, c, source, load, res) in enumerate((
+            (fp, "y_p", "r", [("ess_dis", -1.0), ("ess_ch", 1.0)], "load_p", "res_p"),
+            (fq, "y_q", "x", [("ess_q", -1.0)], "load_q", "res_q"),
+        )):
+            terms = [
+                (crow[crow >= 0], f[child, :, cph][crow >= 0], 1.0),
+                (on, f[line[on], :, ph[on]], -1.0),
+                (bracketed, grid[y][bpos[line[bracketed]], k, :, ph[bracketed]], 1.0),
+                (plain, cs[line[plain], :, ps], coef[c][line[plain], ph[plain], ps]),
+            ]
+            terms += [(root, grid[name][k].T[ph[root]], v) for name, v in source]
+            terms += [(rows, grid[load][node, :, ph], 1.0), (rrow[rrow >= 0], grid[res][unit, :, rph][rrow >= 0], -1.0)]
+            relax = [(on, u[node[on]], ctx.m_flow)]
+            blocks += _where_on(key + 8 * rows + 2 * sub, ("balance-p", "balance-q")[sub], terms, relax, ctx.m_flow)
+
+        # line rows, per live (line, phase)
         lines = np.array([li for li in o.direction if not ctx.dead_line[li, k]], dtype=np.int64)
         line, ph = np.nonzero(ctx.line_ph[lines])
-        line = lines[line]
-        blocks += _line_rows(ctx, k, line, ph, into[line], out[line], flow, coef, bpos, gpos, (key + 3 * N) * 8)
-        fp, fq, cs, vs = flow
+        line, rows = lines[line], np.arange(line.size)
+        at = key + 8 * (3 * N + rows)
+        bracketed, plain = np.flatnonzero(bpos[line] >= 0), np.flatnonzero(bpos[line] < 0)
+        i, ps = np.nonzero(ctx.line_ph[line[plain]])
+        plain = plain[i]  # per product term of a plain line: its row; ``ps`` its phase
+        l, p = line[plain], ph[plain]
+        products = ((fp, -2.0 * coef["r_hat"]), (fq, -2.0 * coef["x_hat"]), (cs, -coef["z_hat"]))
+        terms = [
+            (rows, vs[out[line], :, ph], 1.0),
+            (rows, vs[into[line], :, ph], -1.0),
+            (bracketed, grid["y_v"][bpos[line[bracketed]], k, :, ph[bracketed]], -1.0),
+            (
+                plain.repeat(3),  # per ``ps``: its P, Q and I terms
+                np.stack([f[l, :, ps] for f, _ in products], axis=1).reshape(-1, T),
+                np.stack([a[l, p, ps] for _, a in products], axis=1).reshape(-1),
+            ),
+        ]
+        gear = np.flatnonzero(gpos[line] >= 0)
+        on = [(rows, u[into[line]], ctx.m_volt), (gear, grid["beta"][gpos[line[gear]]], ctx.m_volt)]
+        blocks += _where_on(at, "volt-drop", terms, on, ctx.m_volt)
+        rated_q = [float(e.reactive_max_pu[p]) + sum(float(r.reactive_max_pu[p]) for r in ctx.res) for p in range(3)]
+        sign = np.array([1.0, -1.0])
+        uj = grid["u"][into[line], k]
+        for i, (family, f, rated) in enumerate((
+            ("ess-line-p-lim", fp, e.rated_phase_pu), ("ess-line-q-lim", fq, np.array(rated_q))
+        )):
+            terms = [(f[line, :, ph].T[..., None], sign), (uj[:, None], -rated[ph][:, None])]
+            blocks.append(_block(at[..., None] + [2 + 2 * i, 3 + 2 * i], family, terms, SENSE_LE, 0.0))
+        amp = [(cs[line, :, ph].T, 1.0), (uj, -ctx.amp_sq[line, ph])]
+        blocks.append(_block(at + 6, "current-lim", amp, SENSE_LE, 0.0))
         cones = np.stack([cs[line, :, ph], vs[into[line], :, ph], fp[line, :, ph], fq[line, :, ph]], axis=-1)
         ctx.b.add_cones(cones.transpose(1, 0, 2).reshape(-1, 4))
     ctx.b.add_blocks(blocks)
-
-
-def _balance_rows(ctx: _Ctx, k: int, node, ph, into, out, flow, coef, bpos, key) -> list[RowBlock]:
-    """The balance rows of microgrid ``k``, per period and (``node``, ``ph``): ``balance-p``, then ``balance-q``.
-
-    A node whose line from its parent carries the phase holds each balance
-    as two big-M rows on its ``u``, the lower one first; any other node as
-    one equality.  The row of a period's ``i``-th pair has key
-    ``key[t] + 8 i`` plus 0 to 3.
-    """
-    case, grid, T = ctx.case, ctx.grid, ctx.T
-    fp, fq, cs, _ = flow
-    n = node.size
-    rows = np.arange(n)
-    slot = np.full((len(case.nodes), 3), -1)  # per (node, phase): its row
-    slot[node, ph] = rows
-    parent = np.full(len(case.nodes), -1)
-    parent[into[into >= 0]] = np.flatnonzero(into >= 0)
-    line = parent[node]
-    relaxed = line >= 0
-    relaxed[relaxed] = ctx.line_ph[line[relaxed], ph[relaxed]]
-    on = np.flatnonzero(relaxed)
-    bracketed, plain = on[bpos[line[on]] >= 0], on[bpos[line[on]] < 0]
-    i, ps = np.nonzero(ctx.line_ph[line[plain]])
-    plain = plain[i]  # per loss term of a plain parent line: its row, and its ``ps``
-    child, cph = np.nonzero(ctx.line_ph * (out >= 0)[:, None])  # a node's outgoing lines, in line order
-    crow = slot[out[child], cph]
-    child, cph, crow = child[crow >= 0], cph[crow >= 0], crow[crow >= 0]
-    unit, rph = np.divmod(np.arange(3 * len(ctx.res)), 3)
-    rrow = slot[[case.node_index[ctx.res[r].node] for r in unit], rph]
-    unit, rph, rrow = unit[rrow >= 0], rph[rrow >= 0], rrow[rrow >= 0]
-    root = np.flatnonzero(node == case.node_index[ctx.orient[k].root])
-    relax = (on, np.broadcast_to(grid["u"][node[on], k, None], (on.size, T)), ctx.m_flow)
-    blocks = []
-    for sub, (family, f, y, c, source, load, res) in enumerate((
-        ("balance-p", fp, "y_p", "r", [("ess_dis", -1.0), ("ess_ch", 1.0)], "load_p", "res_p"),
-        ("balance-q", fq, "y_q", "x", [("ess_q", -1.0)], "load_q", "res_q"),
-    )):
-        terms = [
-            (crow, f[child, :, cph], 1.0),
-            (on, f[line[on], :, ph[on]], -1.0),
-            (bracketed, grid[y][bpos[line[bracketed]], k, :, ph[bracketed]], 1.0),
-            (plain, cs[line[plain], :, ps], coef[c][line[plain], ph[plain], ps]),
-        ]
-        terms += [(root, grid[name][k].T[ph[root]], v) for name, v in source]
-        terms += [(rows, grid[load][node, :, ph], 1.0), (rrow, grid[res][unit, :, rph], -1.0)]
-        lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + [relax]
-        at = key + rows * 8 + 2 * sub
-        sense, rhs = np.where(relaxed, SENSE_LE, SENSE_EQ), np.where(relaxed, ctx.m_flow, 0.0)
-        blocks += [
-            RowBlock(at[:, on].reshape(-1), family, *_period_rows(n, lower, relaxed), SENSE_LE, ctx.m_flow),
-            RowBlock((at + 1).reshape(-1), family, *_period_rows(n, terms + [relax]), np.tile(sense, T), np.tile(rhs, T)),
-        ]
-    return blocks
-
-
-def _line_rows(ctx: _Ctx, k: int, line, ph, into, out, flow, coef, bpos, gpos, key) -> list[RowBlock]:
-    """The line rows of microgrid ``k``, per period and (``line``, ``ph``): the drop pair, then the line limits.
-
-    The drop holds inside microgrid ``k``, and across a coupling line only
-    while its switchgear is closed: two big-M rows, the lower one first.
-    The limits keep the flows within the source's per-phase ratings and
-    the squared current within ampacity, all only when covered.  The rows
-    of a period's ``i``-th (line, phase) have keys ``key[t] + 8 i`` plus 0
-    to 6.
-    """
-    grid, T, e = ctx.grid, ctx.T, ctx.ess[k]
-    fp, fq, cs, vs = flow
-    n = line.size
-    rows = np.arange(n)
-    at = key + rows * 8
-    u = grid["u"][into, k]
-    bracketed, plain = np.flatnonzero(bpos[line] >= 0), np.flatnonzero(bpos[line] < 0)
-    i, ps = np.nonzero(ctx.line_ph[line[plain]])
-    plain = plain[i]  # per product term of a plain line: its row, and its ``ps``
-    l, p = line[plain], ph[plain]
-    products = (
-        (fp, -2.0 * coef["r_hat"][l, p, ps]), (fq, -2.0 * coef["x_hat"][l, p, ps]), (cs, -coef["z_hat"][l, p, ps])
-    )
-    terms = [
-        (rows, vs[out, :, ph], 1.0),
-        (rows, vs[into, :, ph], -1.0),
-        (bracketed, grid["y_v"][bpos[line[bracketed]], k, :, ph[bracketed]], -1.0),
-        (
-            plain.repeat(3),  # per ``ps`` its P, Q and I terms
-            np.stack([f[l, :, ps] for f, _ in products], axis=1).reshape(-1, T),
-            np.stack([v for _, v in products], axis=1).reshape(-1),
-        ),
-    ]
-    gear = np.flatnonzero(gpos[line] >= 0)
-    relax = [
-        (rows, np.broadcast_to(u[:, None], (n, T)), ctx.m_volt),
-        (gear, grid["beta"][gpos[line[gear]]], ctx.m_volt),
-    ]
-    rhs = ctx.m_volt * np.tile(1 + (gpos[line] >= 0), T)
-    lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + relax
-    rated_q = [float(e.reactive_max_pu[p]) + sum(float(r.reactive_max_pu[p]) for r in ctx.res) for p in range(3)]
-    rated = [(fp, e.rated_phase_pu), (fq, np.array(rated_q))]
-    sign = np.array([1.0, -1.0])
-    return [
-        RowBlock(at.reshape(-1), "volt-drop", *_period_rows(n, lower), SENSE_LE, rhs),
-        RowBlock((at + 1).reshape(-1), "volt-drop", *_period_rows(n, terms + relax), SENSE_LE, rhs),
-    ] + [
-        _block(at[..., None] + [2 + 2 * i, 3 + 2 * i], family,
-               [(f[line, :, ph].T[..., None], sign), (u[:, None], -r[ph][:, None])], SENSE_LE, 0.0)
-        for i, (family, (f, r)) in enumerate(zip(("ess-line-p-lim", "ess-line-q-lim"), rated))
-    ] + [
-        _block(at + 6, "current-lim", [(cs[line, :, ph].T, 1.0), (u, -ctx.amp_sq[line, ph])], SENSE_LE, 0.0),
-    ]
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:
