@@ -9,7 +9,9 @@ are decided per period.
 Each restriction is stated once.  What a column bound says is not repeated
 as a row: a source's coverage of its own microgrid is a fixed column, and
 the renewable chance constraint is the bounds of ``res_p`` (forecast times
-:func:`derated_multiplier`) and ``res_q`` (the reactive rating).  No row is
+:func:`derated_multiplier`) and ``res_q`` (the reactive rating), a
+switchgear's inrush rating is the bounds of ``inrush`` and the optional cap
+on the closing voltage step those of ``volt_diff``.  No row is
 the sum of others either: the voltage cap of a covered node is its
 ``volt-cover`` rows, not a second row over all microgrids.  No column only
 renames what rows already fix: the event rows read the swap change
@@ -26,8 +28,8 @@ key:
 
 - the topology and radiality rows: per microgrid and node, per line and
   microgrid, then per node and switch line;
-- the switchgear schedule (``swap-*``, ``inrush-*``, ``voltdiff-cap``,
-  ``ferro-*``, ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
+- the switchgear schedule (``swap-*``, ``inrush-*``, ``ferro-*``,
+  ``gear-*``, ``lateral-curr-gate``, ``reorder-*``): one
   block per family and row kind over every switchgear and period, merged
   into switchgear, period and step order;
 - the storage rows, per unit and period; the loads and the voltage
@@ -85,10 +87,8 @@ Row families (each row's family code names one):
   inrush-pin             closing pins the voltage difference to its physics
   inrush-zero            no closing event, no voltage difference
   inrush-def             inrush current from the voltage step and rise time
-  inrush-limit           inrush magnitude within the switchgear rating
   inrush-guard           closing-step magnitude and angle parts jointly capped
                          at sqrt(2) x rating (no cancellation)
-  voltdiff-cap           optional explicit cap on the closing voltage step
   ferro-gate             energizing requires enough damping load downstream
   ferro-sequence         the gate is checked at every closing transition
   ess-exclusive          charge and discharge do not overlap
@@ -481,10 +481,13 @@ def _add_columns(ctx: _Ctx) -> None:
         )
         for g in gears
     }
-    inr_ub = np.array([ctx.inr_coef[g.id] * ctx.m_dv for g in gears]).reshape(-1, 1, 1)
+    # the switchgear's rating bounds the inrush current, and the optional cap the voltage step
+    inr_ub = np.array([min(ctx.inr_coef[g.id] * ctx.m_dv, g.inrush_limit_pu) for g in gears]).reshape(-1, 1, 1)
+    cap = case.config.delta_v_max_pu
+    dv_ub = ctx.m_dv if cap is None else min(ctx.m_dv, cap)
     for name, lb, ub in (
         ("angle_diff", -w, w),
-        ("volt_diff", -ctx.m_dv, ctx.m_dv),
+        ("volt_diff", -dv_ub, dv_ub),
         ("inrush_mag", 0.0, ctx.m_dv),
         ("inrush_ang", 0.0, w),
         ("inrush", -inr_ub, inr_ub),
@@ -741,7 +744,10 @@ def encode_swap_transition(ctx: _Ctx, rows: _GearRows) -> None:
 
 
 def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
-    """Voltage-difference pinning, zeroing, current definition and limits.
+    """Voltage-difference pinning, zeroing, current definition and guard.
+
+    The inrush rating and the optional cap on the step are the bounds of
+    ``inrush`` and ``volt_diff`` (:func:`_add_columns`).
 
     The linearized step ``(V_f^2 - V_t^2) / 2 + theta`` is a near-synchronism
     form.  Under the signed limit alone, a closing can cancel a large
@@ -802,8 +808,6 @@ def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
         ("inrush-zero", [(dv, 1.0), (x, -m)], SENSE_LE, 0.0),
         ("inrush-zero", [(dv, -1.0), (x, -m)], SENSE_LE, 0.0),
         ("inrush-def", [(inr, 1.0), (dv, -coef)], SENSE_EQ, 0.0),
-        ("inrush-limit", [(inr, 1.0)], SENSE_LE, limit),
-        ("inrush-limit", [(inr, -1.0)], SENSE_LE, limit),
         # s_mag >= +/- magnitude component, s_ang >= +/- angle, when closing
         ("inrush-guard", [(s_mag, 1.0)] + neg_mag + [(x, -m)], SENSE_GE, -m),
         ("inrush-guard", [(s_mag, 1.0)] + mag_terms + [(x, -m)], SENSE_GE, -m),
@@ -821,10 +825,6 @@ def encode_inrush_gate(ctx: _Ctx, rows: _GearRows) -> None:
         sub,
         keep=joint,
     )
-    if case.config.delta_v_max_pu is not None:
-        cap = case.config.delta_v_max_pu
-        rows.add("voltdiff-cap", [(dv, 1.0)], SENSE_LE, cap, sub)
-        rows.add("voltdiff-cap", [(dv, -1.0)], SENSE_LE, cap, sub)
 
 
 def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:

@@ -138,20 +138,19 @@ class TestBuildBasics:
         assert built == catalog
 
 
-def test_voltdiff_cap_rows():
-    """A cap on the closing voltage step is two rows per switchgear, period and phase."""
+def test_voltdiff_cap_bounds():
+    """A cap on the closing voltage step bounds ``volt_diff`` of every switchgear, period and phase, and adds no row."""
     case = voltdiff_capped("toy_gear3", 0.05)
     model = build_model(case)
-    rows = family_rows(model, "voltdiff-cap").tolist()
+    free = build_model(shipped_case("toy_gear3"))
     keys = [(g.id, t, ph) for g in case.switchgears for t in range(case.horizon) for ph in range(3)]
-    assert len(rows) == 2 * len(keys) and len(keys) > 0
-    a = model.matrix().tocsr()
-    for key, up, down in zip(keys, rows[0::2], rows[1::2]):
+    assert len(keys) > 0
+    for key in keys:
         col = model.catalog.col("volt_diff", key)
-        for row, sign in ((up, 1.0), (down, -1.0)):
-            assert a[row].indices.tolist() == [col] and a[row].data.tolist() == [sign]
-            assert model.sense[row] == SENSE_LE and model.rhs[row] == 0.05
-    assert "voltdiff-cap" not in build_model(shipped_case("toy_gear3")).family_counts()
+        assert model.col_lb[col] == -0.05 and model.col_ub[col] == 0.05
+        assert free.col_lb[col] == -free.col_ub[col] and free.col_ub[col] > 0.05
+    assert model.nrows == free.nrows and row_families(model) == row_families(free)
+    assert "voltdiff-cap" not in model.family_names
 
 
 @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
@@ -862,10 +861,10 @@ class TestOrientation:
 
 @dataclass(frozen=True)
 class _GuardRows:
-    """One switchgear's inrush rows at one (period, phase), read from a model."""
+    """One switchgear's inrush rows and rating at one (period, phase), read from a model."""
 
     coef: float  # inrush per unit of linearized step (inrush-def)
-    rating: float  # inrush_limit_pu (inrush-limit rhs)
+    rating: float  # inrush_limit_pu (the bound of the inrush column)
     c_mag: float  # inrush_mag coefficient of the joint inrush-guard row
     c_ang: float  # inrush_ang coefficient of the joint inrush-guard row
     cap: float  # rhs of the joint inrush-guard row
@@ -906,13 +905,14 @@ def _guard_rows(case, gear_id: str, t: int = 0, ph: int = 0) -> _GuardRows:
         rows.setdefault(fam, []).append((int(model.sense[i]), float(model.rhs[i]), terms))
     (_, _, definition), = rows["inrush-def"]
     (_, cap, joint), = [r for r in rows["inrush-guard"] if r[0] == SENSE_LE]
-    rating = {rhs for _, rhs, _ in rows["inrush-limit"]}
-    assert len(rating) == 1
+    col = cat.col("inrush", (gear_id, t, ph))
+    rating = float(model.col_ub[col])
+    assert model.col_lb[col] == -rating
     g = next(g for g in case.switchgears if g.id == gear_id)
     cfg = case.config
     return _GuardRows(
         coef=-definition["volt_diff"],
-        rating=rating.pop(),
+        rating=rating,
         c_mag=joint.get("inrush_mag", 0.0),
         c_ang=joint.get("inrush_ang", 0.0),
         cap=cap,
