@@ -230,12 +230,6 @@ class FeederCase:
     def coupling_line_indices(self) -> KeysView[int]:
         return self._gear_of_coupling.keys()
 
-    @property
-    def feeder_switch_lines(self) -> list[Line]:
-        """Sectionalizing/tie switches that are not switchgear couplings."""
-        couplings = self.coupling_line_indices
-        return [l for l in self.lines if l.is_switch and l.index not in couplings]
-
     def node(self, node_id: str) -> Node:
         return self.nodes[self.node_index[node_id]]
 

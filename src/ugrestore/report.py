@@ -198,17 +198,6 @@ def _axes(x_label: str, y_label: str) -> str:
     )
 
 
-def svg_data_rows(path) -> list[dict]:
-    """Parse the embedded data table back out of one of our SVG files."""
-    import xml.etree.ElementTree as ET
-
-    root = ET.parse(path).getroot()
-    meta = root.find("{http://www.w3.org/2000/svg}metadata")
-    if meta is None or not meta.text:
-        raise ValueError(f"{path}: no embedded data")
-    return json.loads(meta.text)
-
-
 def rows_to_csv_text(rows: list[dict]) -> str:
     import csv
     import io

@@ -64,8 +64,7 @@ reaches it; the dual bound of a MIP search bounds every node still open,
 so one read before the end is a bound as much as the final one.
 
 :func:`infeasibility_hint` names an irreducible infeasible subset (IIS)
-found by the same HiGHS, and :func:`read_lp` reads an exported MPS file
-back into it.
+found by the same HiGHS.
 
 :func:`linprog` is the one HiGHS run; it keeps that name because the
 benchmark's ``lp.highs`` span wraps it.
@@ -457,10 +456,3 @@ def infeasibility_hint(model: LinearModel) -> str:
         f"bounds of {', '.join(columns) or 'no column'}"
     )
 
-
-def read_lp(path):
-    """The model HiGHS reads from an MPS file, as its ``HighsLp`` (column-wise matrix)."""
-    h = _Highs()
-    h.setOptionValue("output_flag", False)
-    _check(h.readModel(str(path)), f"reading {path}")
-    return h.getLp()

@@ -48,7 +48,9 @@ class TestLoadCase:
         case = shipped_case("feeder123")
         assert len(case.nodes) == 123
         assert len(case.switchgears) == 14
-        assert len(case.feeder_switch_lines) == 5
+        # sectionalizing and tie switches, not switchgear couplings
+        couplings = case.coupling_line_indices
+        assert sum(l.is_switch and l.index not in couplings for l in case.lines) == 5
         assert len(case.ess_units) == 3
         kinds = [r.kind for r in case.res_units]
         assert kinds.count("PV") == 3

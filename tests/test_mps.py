@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize._highspy._core import HighsStatus, _Highs
 
 from conftest import check_export_bytes, cone_toy, golden_exports, shipped_case, shipped_case_names
 from ugrestore.catalog import VariableCatalog
@@ -17,7 +18,6 @@ from ugrestore.solver import (
     solve,
 )
 from ugrestore.solver.cuts import seed_tangents, unit_tangents
-from ugrestore.solver.lp import read_lp
 from ugrestore.solver import mps
 from ugrestore.solver.mps import (
     MpsFormatError,
@@ -70,6 +70,14 @@ class TestExport:
         bad.write_text("NAME foo\nROWS\n")
         with pytest.raises(MpsFormatError):
             parse_mps(bad)
+
+
+def read_lp(path):
+    """The model HiGHS reads from an MPS file, as its ``HighsLp`` (column-wise matrix)."""
+    h = _Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == HighsStatus.kOk, f"reading {path}"
+    return h.getLp()
 
 
 def tangent_rows(model):

@@ -8,10 +8,19 @@ import pytest
 from conftest import shipped_case
 from ugrestore.formulation import build_model
 from ugrestore.plan import RestorationPlan
-from ugrestore.report import build_report, emit_plots, rows_to_csv_text, svg_data_rows
+from ugrestore.report import build_report, emit_plots, rows_to_csv_text
 from ugrestore.solver import SolverOptions, greedy_warm_start, solve
 
 OPTS = SolverOptions(time_limit_s=90, rel_gap=1e-6, abs_gap=1e-9)
+
+
+def svg_data_rows(path) -> list[dict]:
+    """Parse the embedded data table back out of one of the report's SVG files."""
+    root = ET.parse(path).getroot()
+    meta = root.find("{http://www.w3.org/2000/svg}metadata")
+    if meta is None or not meta.text:
+        raise ValueError(f"{path}: no embedded data")
+    return json.loads(meta.text)
 
 
 @pytest.fixture(scope="module")
