@@ -231,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--plan", required=True, help="plan JSON file")
         sp.add_argument("--out", default=None, help="output directory (or $UGRESTORE_OUT)")
         sp.add_argument("--json", action="store_true", help="machine-readable summary")
-        sp.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
 
     sp = sub.add_parser("solve", help="build, solve, validate, write artifacts")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="tie-breaking seed")
     sp.add_argument("--time-limit", type=float, default=600.0, help="seconds")
     sp.add_argument("--gap", type=float, default=1e-3, help="relative optimality gap")
     sp.add_argument("--no-swap", action="store_true", help="pin swap matrices to identity")

@@ -142,6 +142,14 @@ class TestCheck:
         )
         assert rc == 0
 
+    def test_seed_is_refused(self, outdir, capsys):
+        """Only ``solve`` reads a seed, so ``check`` offers none."""
+        args = ["check", "--case", str(case_path("toy_gear3")), "--plan", str(outdir / "plan.json"), "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_corrupted_plan_exits_2(self, outdir, capsys):
         assert main(_solve_args("toy_gear3", outdir)) == 0
         capsys.readouterr()
