@@ -4,14 +4,17 @@
     PYTHONPATH=src python scripts/regen_references.py FILE [FILE ...] [--case NAME ...]
 
 FILE is one of ``mps_sha256.json`` (the export digests of each shipped case),
-``rows_sha256.json`` (the digest of each shipped case's row families) and
+``rows_sha256.json`` (the digest of each shipped case's row families),
 ``feeder123_counts.json`` (rows per family, columns per group and the size
-of ``feeder123``).  Every snapshot is of the case's default build.  With
-``--case``, only the named cases' entries are rewritten and the others kept.
+of ``feeder123``), ``root_lp.json`` (the root LP objective of each shipped
+case but ``feeder123``, gate on and off) and ``plan_sha256.json`` (the
+digest of the plan of the ``reduced13`` solve at seed 0).  Every other
+snapshot is of the case's default build.  With ``--case``, only the named
+cases' entries are rewritten and the others kept.
 
-For each file it prints the entries that changed: per case the digests, and
-for the counts the rows of each family and the columns of each group, old
-and new.  Regenerate a snapshot only for an intended change of the model or
+For each file it prints the entries that changed: per case the digests or
+objectives, and for the counts the rows of each family and the columns of
+each group, old and new.  Regenerate a snapshot only for an intended change of the model or
 its export, and declare the printed diff with the change.
 """
 
@@ -26,12 +29,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import export_digests, rows_digest, shipped_case, shipped_case_names, structural_counts  # noqa: E402
+from conftest import (  # noqa: E402
+    export_digests,
+    root_lp,
+    rows_digest,
+    shipped_case,
+    shipped_case_names,
+    solved_plan_digest,
+    structural_counts,
+)
 
 from ugrestore.formulation import build_model  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
-FILES = ("mps_sha256.json", "rows_sha256.json", "feeder123_counts.json")
+FILES = ("mps_sha256.json", "rows_sha256.json", "feeder123_counts.json", "root_lp.json", "plan_sha256.json")
 
 
 def _diff(old: dict, new: dict, where: str) -> list[str]:
@@ -66,6 +77,11 @@ def main(argv=None) -> int:
             new = structural_counts(model("feeder123")) if "feeder123" in cases else old
         elif fname == "rows_sha256.json":
             new = old | {n: rows_digest(model(n)) for n in cases}
+        elif fname == "root_lp.json":
+            new = old | {n: {str(g): root_lp(n, g).objective for g in (True, False)} for n in cases if n != "feeder123"}
+        elif fname == "plan_sha256.json":
+            with tempfile.TemporaryDirectory() as d:
+                new = old | ({"reduced13": solved_plan_digest(d)} if "reduced13" in cases else {})
         else:
             with tempfile.TemporaryDirectory() as d:
                 new = old | {n: export_digests(model(n), d) for n in cases}

@@ -222,6 +222,14 @@ def structural_counts(model) -> dict:
     }
 
 
+def root_lp(name: str, gate: bool):
+    """The root LP (no cone cut) of shipped case ``name``'s build with the gate on or off (``data/root_lp.json``)."""
+    from ugrestore.formulation import BuildOptions, build_model
+    from ugrestore.solver import LpBackend
+
+    return LpBackend(build_model(shipped_case(name), BuildOptions(ferro_gate=gate))).solve()
+
+
 GOLDEN_PLAN = Path(__file__).parent / "data" / "plan_sha256.json"
 
 
@@ -231,12 +239,8 @@ def solved_plan_digest(directory) -> str:
     The solve is the benchmark's: greedy warm start, then the search with
     the diver, at a 15 s budget.  The plan's ``solver_info`` leaves out the
     run time.  Regenerate ``data/plan_sha256.json`` only for an intended
-    change of the plan, and log it::
-
-        PYTHONPATH=src python -c "import json, sys, tempfile; sys.path.insert(0, 'tests')
-        from conftest import solved_plan_digest
-        with tempfile.TemporaryDirectory() as d: json.dump({'reduced13': solved_plan_digest(d)},
-        open('tests/data/plan_sha256.json', 'w'), indent=1, sort_keys=True)"
+    change of the plan, with ``scripts/regen_references.py plan_sha256.json``,
+    and log it.
     """
     from ugrestore.formulation import build_model
     from ugrestore.plan import RestorationPlan

@@ -20,6 +20,7 @@ from conftest import (
     family_rows,
     load_minimal,
     minimal_doc,
+    root_lp,
     row_families,
     shipped_case,
     shipped_case_names,
@@ -367,24 +368,15 @@ def test_root_lp_objective_unchanged(name):
     A model change that keeps the feasible set up to a projection keeps the
     relaxation, so every value must come back within 1e-9 relative.
     Regenerate ``data/root_lp.json`` only for an intended change of the
-    relaxation, and log it::
-
-        PYTHONPATH=src python -c "import json, sys; sys.path.insert(0, 'tests')
-        from conftest import shipped_case, shipped_case_names
-        from ugrestore.formulation import BuildOptions, build_model
-        from ugrestore.solver import LpBackend
-        json.dump({n: {str(g): LpBackend(build_model(shipped_case(n), BuildOptions(ferro_gate=g))).solve().objective
-        for g in (True, False)} for n in shipped_case_names() if n != 'feeder123'},
-        open('tests/data/root_lp.json', 'w'), indent=1, sort_keys=True)"
+    relaxation, with ``scripts/regen_references.py root_lp.json``, and log
+    it.
     """
     from pathlib import Path
-
-    from ugrestore.solver import LpBackend
 
     with open(Path(__file__).parent / "data" / "root_lp.json") as fh:
         want = json.load(fh)[name]
     for gate in (True, False):
-        res = LpBackend(build_model(shipped_case(name), BuildOptions(ferro_gate=gate))).solve()
+        res = root_lp(name, gate)
         assert res.status == "optimal", gate
         assert res.objective == pytest.approx(want[str(gate)], rel=1e-9), gate
 
@@ -1071,17 +1063,25 @@ def test_regen_references_rewrites_only_what_moved(tmp_path, monkeypatch, capsys
     spec = importlib.util.spec_from_file_location("regen_references", script)
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
-    rows = (data / "rows_sha256.json").read_bytes()
-    doctored = json.loads(rows) | {"toy_pair": "0" * 64}
-    (tmp_path / "rows_sha256.json").write_text(json.dumps(doctored))
+    rows, lp, plan = ((data / name).read_bytes() for name in ("rows_sha256.json", "root_lp.json", "plan_sha256.json"))
+    (tmp_path / "rows_sha256.json").write_text(json.dumps(json.loads(rows) | {"toy_pair": "0" * 64}))
+    (tmp_path / "root_lp.json").write_text(json.dumps(json.loads(lp) | {"toy_pair": {"False": 0.5, "True": 0.5}}))
     (tmp_path / "feeder123_counts.json").write_text("{}")  # no feeder123 in --case: kept as it is
+    (tmp_path / "plan_sha256.json").write_text("{}")  # no reduced13 in --case: kept as it is
     monkeypatch.setattr(regen, "DATA", tmp_path)
-    assert regen.main(["rows_sha256.json", "feeder123_counts.json", "--case", "toy_pair"]) == 0
+    files = ["rows_sha256.json", "root_lp.json", "feeder123_counts.json", "plan_sha256.json"]
+    assert regen.main(files + ["--case", "toy_pair"]) == 0
     assert (tmp_path / "rows_sha256.json").read_bytes() == rows
+    assert (tmp_path / "root_lp.json").read_bytes() == lp
     assert (tmp_path / "feeder123_counts.json").read_text() == "{}"
+    assert (tmp_path / "plan_sha256.json").read_text() == "{}"
     out = capsys.readouterr().out
     assert f"toy_pair: {'0' * 64} -> {json.loads(rows)['toy_pair']}" in out
-    assert "feeder123_counts.json: 0 entries changed" in out
+    assert f"toy_pair/True: 0.5 -> {json.loads(lp)['toy_pair']['True']}" in out
+    assert "feeder123_counts.json: 0 entries changed" in out and "plan_sha256.json: 0 entries changed" in out
+    (tmp_path / "plan_sha256.json").write_text(json.dumps({"reduced13": "0" * 64}))
+    assert regen.main(["plan_sha256.json", "--case", "reduced13"]) == 0
+    assert (tmp_path / "plan_sha256.json").read_bytes() == plan
 
 
 # -- dead pairs ----------------------------------------------------------------
