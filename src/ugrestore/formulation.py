@@ -627,17 +627,18 @@ def encode_radiality(ctx: _Ctx) -> None:
     """
     case, grid = ctx.case, ctx.grid
     gamma, fict = grid["gamma"], grid["fict_flow"]
-    tree = RowBlock(np.zeros(1, dtype=np.int64), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
-                    float(len(case.nodes) - ctx.K))
+    tree = RowBlock(
+        np.zeros(1, dtype=np.int64), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
+        float(len(case.nodes) - ctx.K),
+    )
     # Per node, its lines' commodity flows, each line in index order and
     # signed +1 into the node: a line's from end, then its to end.  A source
     # wired to a neighbor always feeds it; a source whose every connection
     # is switchable may legitimately stand alone, so the
     # ship-at-least-one-unit row is emitted only where it cannot wrongly
     # forbid that.
-    ends = np.array([[case.node_index[l.from_node], case.node_index[l.to_node]] for l in case.lines], dtype=np.int64)
-    ends = ends.reshape(-1, 2)
-    at = ends.reshape(-1)
+    at = np.array([case.node_index[n] for l in case.lines for n in (l.from_node, l.to_node)], dtype=np.int64)
+    ends = at.reshape(-1, 2)
     sign = np.stack([np.where(ends[:, 1] == ends[:, 0], 1.0, -1.0), np.ones(len(ends))], axis=-1).reshape(-1)
     sw = np.array([l.is_switch for l in case.lines], dtype=bool)
     root = np.zeros(len(case.nodes), dtype=bool)
@@ -651,9 +652,8 @@ def encode_radiality(ctx: _Ctx) -> None:
         np.bincount(at, minlength=len(case.nodes))[keep], np.repeat(fict, 2)[entry],
         (sign * np.where(root[at], -1.0, 1.0))[entry], np.where(root, SENSE_GE, SENSE_EQ)[keep], 1.0,
     )
-    gate = [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)]
-    gate = _block(0, "flow-gate", gate, SENSE_LE, 0.0)
-    ctx.b.add_blocks([tree, flow, gate])
+    terms = [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)]
+    ctx.b.add_blocks([tree, flow, _block(0, "flow-gate", terms, SENSE_LE, 0.0)])
 
 
 # -- switchgear scheduling ---------------------------------------------------
@@ -854,11 +854,11 @@ def encode_q_gate(ctx: _Ctx, rows: _GearRows) -> None:
 
 def _encode_gear_gates(ctx: _Ctx, rows: _GearRows) -> None:
     """Closing, cover and flow gates of each switchgear; a flow or current of a dead pair (``_Ctx.dead``) has none."""
-    case, cat, grid = ctx.case, ctx.cat, ctx.grid
+    case, grid = ctx.case, ctx.grid
     gears, K, T = case.switchgears, ctx.K, ctx.T
     beta = grid["beta"]
     line = [g.line_index for g in gears]
-    gamma = cat.group("gamma").start + np.array(line, dtype=np.int64).reshape(-1, 1)
+    gamma = grid["gamma"][line, None]
     rows.add("gear-in-topology", [(beta, 1.0), (gamma, -1.0)], SENSE_LE, 0.0)
     u = grid["u"][[case.node_index[g.lateral_node] for g in gears]]  # (G, K)
     terms = [(beta, 1.0)] + [(u[:, k, None], -1.0) for k in range(K)]
@@ -1040,8 +1040,8 @@ def _period_rows(n: int, terms, keep=None) -> tuple[np.ndarray, np.ndarray, np.n
 def _where_on(key: np.ndarray, family: str, terms, on, m: float) -> list[RowBlock]:
     """``sum(terms) = 0`` wherever every ``on`` column is 1, per row of ``key`` (``(T, n)``) and period.
 
-    ``terms`` and ``on`` are :func:`_period_rows` terms, the ``on`` ones
-    of coefficient ``m``.  A row with ``on`` columns is two big-M rows
+    ``terms`` are :func:`_period_rows` terms and ``on`` pairs of their
+    rows and columns.  A row with ``on`` columns is two big-M rows
     ``|sum(terms)| <= m * (len(on) - sum(on))``, at ``key`` and
     ``key + 1``; a row with none is one equality, at ``key + 1``.  The
     order of the two rows steers warm-started simplex runs: with the upper
@@ -1049,6 +1049,7 @@ def _where_on(key: np.ndarray, family: str, terms, on, m: float) -> list[RowBloc
     of its LP optimum, on a point whose cone was not tight.
     """
     periods, n = key.shape
+    on = [(r, cols, m) for r, cols in on]
     ons = sum(np.bincount(r, minlength=n) for r, _, _ in on)
     relaxed = ons > 0
     lower = [(r, cols, -np.asarray(v)) for r, cols, v in terms] + on
@@ -1131,8 +1132,8 @@ def _encode_power_flow(ctx: _Ctx) -> None:
             ]
             terms += [(root, grid[name][k].T[ph[root]], v) for name, v in source]
             terms += [(rows, grid[load][node, :, ph], 1.0), (rrow[rrow >= 0], grid[res][unit, :, rph][rrow >= 0], -1.0)]
-            relax = [(on, u[node[on]], ctx.m_flow)]
-            blocks += _where_on(key + 8 * rows + 2 * sub, ("balance-p", "balance-q")[sub], terms, relax, ctx.m_flow)
+            family = ("balance-p", "balance-q")[sub]
+            blocks += _where_on(key + 8 * rows + 2 * sub, family, terms, [(on, u[node[on]])], ctx.m_flow)
 
         # line rows, per live (line, phase)
         lines = np.array([li for li in o.direction if not ctx.dead_line[li, k]], dtype=np.int64)
@@ -1155,7 +1156,7 @@ def _encode_power_flow(ctx: _Ctx) -> None:
             ),
         ]
         gear = np.flatnonzero(gpos[line] >= 0)
-        on = [(rows, u[into[line]], ctx.m_volt), (gear, grid["beta"][gpos[line[gear]]], ctx.m_volt)]
+        on = [(rows, u[into[line]]), (gear, grid["beta"][gpos[line[gear]]])]
         blocks += _where_on(at, "volt-drop", terms, on, ctx.m_volt)
         rated_q = [float(e.reactive_max_pu[p]) + sum(float(r.reactive_max_pu[p]) for r in ctx.res) for p in range(3)]
         sign = np.array([1.0, -1.0])
