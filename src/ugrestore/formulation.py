@@ -585,7 +585,7 @@ def _add_columns(ctx: _Ctx) -> None:
 
 
 def _encode_topology(ctx: _Ctx) -> None:
-    """Coverage rows per microgrid and node, then per line and microgrid, then the radiality rows."""
+    """Coverage rows per microgrid and node, then per line and microgrid, then the radiality rows (key order)."""
     case, grid, K = ctx.case, ctx.grid, ctx.K
     u = grid["u"]
     # per microgrid, every node but the root in breadth-first order, and its parent
@@ -595,30 +595,27 @@ def _encode_topology(ctx: _Ctx) -> None:
         for nid in o.order[1:]
     ]
     child, parent, ks = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
-    ctx.b.add_blocks([
-        _block(0, "coverage-parent", [(u[child, ks], 1.0), (u[parent, ks], -1.0)], SENSE_LE, 0.0),
-        _block(0, "coverage-unique", [(u[:, k], 1.0) for k in range(K)], SENSE_LE, 1.0),
-    ])
     # per line and microgrid: a switch's split row and two join rows, or a wire's one row
     ui = u[[case.node_index[l.from_node] for l in case.lines]]  # (line, k)
     uj = u[[case.node_index[l.to_node] for l in case.lines]]
     sw = np.array([l.is_switch for l in case.lines], dtype=bool)
-    key = np.arange(ui.size).reshape(ui.shape) * 3
+    key = 1 + np.arange(ui.size).reshape(ui.shape) * 3
     gamma = grid["gamma"][sw, None]
     sign = np.array([1.0, -1.0])
     ctx.b.add_blocks([
+        _block(0, "coverage-parent", [(u[child, ks], 1.0), (u[parent, ks], -1.0)], SENSE_LE, 0.0),
+        _block(0, "coverage-unique", [(u[:, k], 1.0) for k in range(K)], SENSE_LE, 1.0),
         _block(key[sw], "switch-split", [(ui[sw], 1.0), (uj[sw], 1.0), (gamma, -1.0)], SENSE_LE, 1.0),
         _block(
             key[sw][..., None] + [1, 2], "switch-join",
             [(ui[sw][..., None], sign), (uj[sw][..., None], -sign), (gamma[..., None], 1.0)], SENSE_LE, 1.0,
         ),
         _block(key[~sw], "wire-consistent", [(ui[~sw], 1.0), (uj[~sw], -1.0)], SENSE_EQ, 0.0),
-    ])
-    encode_radiality(ctx)
+    ] + _radiality_rows(ctx, 1 + 3 * ui.size))
 
 
-def encode_radiality(ctx: _Ctx) -> None:
-    """Spanning-forest rows: a count plus a single-commodity feasibility check.
+def _radiality_rows(ctx: _Ctx, key: int) -> list[RowBlock]:
+    """Spanning-forest rows, all at ``key``: a count plus a single-commodity feasibility check.
 
     The count row fixes the number of closed lines at nodes minus sources,
     and ``flow-gate`` lets the commodity use a switch only while ``gamma``
@@ -628,7 +625,7 @@ def encode_radiality(ctx: _Ctx) -> None:
     case, grid = ctx.case, ctx.grid
     gamma, fict = grid["gamma"], grid["fict_flow"]
     tree = RowBlock(
-        np.zeros(1, dtype=np.int64), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
+        np.full(1, key), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
         float(len(case.nodes) - ctx.K),
     )
     # Per node, its lines' commodity flows, each line in index order and
@@ -648,12 +645,12 @@ def encode_radiality(ctx: _Ctx) -> None:
     entry = np.flatnonzero(keep[at])
     entry = entry[np.argsort(at[entry], kind="stable")]
     flow = RowBlock(
-        np.zeros(keep.sum(), dtype=np.int64), (["flow-demand", "flow-root"], root[keep].astype(np.int64)),
+        np.full(keep.sum(), key), (["flow-demand", "flow-root"], root[keep].astype(np.int64)),
         np.bincount(at, minlength=len(case.nodes))[keep], np.repeat(fict, 2)[entry],
         (sign * np.where(root[at], -1.0, 1.0))[entry], np.where(root, SENSE_GE, SENSE_EQ)[keep], 1.0,
     )
     terms = [(fict[sw, None], np.array([1.0, -1.0])), (gamma[sw, None], -ctx.m_fict)]
-    ctx.b.add_blocks([tree, flow, _block(0, "flow-gate", terms, SENSE_LE, 0.0)])
+    return [tree, flow, _block(key, "flow-gate", terms, SENSE_LE, 0.0)]
 
 
 # -- switchgear scheduling ---------------------------------------------------
@@ -670,18 +667,21 @@ def _block(key, family, terms, sense, rhs, keep=None) -> RowBlock:
     shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
     rows = slice(None) if keep is None else np.flatnonzero(np.broadcast_to(keep, shape))
 
-    def flat(a, dtype) -> np.ndarray:
-        return np.broadcast_to(np.asarray(a, dtype=dtype), shape).reshape(-1)[rows]
+    def flat(dtype, *arrays) -> np.ndarray:  # per kept row, its value of each array, row after row
+        out = np.empty(shape + (len(arrays),), dtype=dtype)
+        for i, a in enumerate(arrays):
+            out[..., i] = a
+        return out.reshape(-1, len(arrays))[rows].reshape(-1)
 
-    key = flat(key, np.int64)
+    key = flat(np.int64, key)
     return RowBlock(
         key,
         family,
         np.full(key.size, len(terms)),
-        np.stack([flat(c, np.int64) for c, _ in terms], axis=-1).reshape(-1),
-        np.stack([flat(v, np.float64) for _, v in terms], axis=-1).reshape(-1),
-        flat(sense, np.int8),
-        flat(rhs, np.float64),
+        flat(np.int64, *(c for c, _ in terms)),
+        flat(np.float64, *(v for _, v in terms)),
+        flat(np.int8, sense),
+        flat(np.float64, rhs),
     )
 
 
@@ -1028,13 +1028,13 @@ def _period_rows(n: int, terms, keep=None) -> tuple[np.ndarray, np.ndarray, np.n
     it is False.
     """
     row = np.concatenate([r for r, _, _ in terms])
-    cols = np.concatenate([c for _, c, _ in terms])
     vals = np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), r.shape) for r, _, v in terms])
     entry = np.argsort(row, kind="stable")
     count = np.bincount(row, minlength=n)
     if keep is not None:
         entry, count = entry[keep[row[entry]]], count[keep]
-    return np.tile(count, cols.shape[1]), cols[entry].T.reshape(-1), np.tile(vals[entry], cols.shape[1])
+    cols = np.concatenate([c.T for _, c, _ in terms], axis=1)  # (T, entries)
+    return np.tile(count, len(cols)), cols[:, entry].reshape(-1), np.tile(vals[entry], len(cols))
 
 
 def _where_on(key: np.ndarray, family: str, terms, on, m: float) -> list[RowBlock]:
@@ -1091,16 +1091,16 @@ def _encode_power_flow(ctx: _Ctx) -> None:
     gpos = np.full(L, -1)  # per line: the switchgear it couples, else -1
     gpos[[g.line_index for g in case.switchgears]] = np.arange(len(case.switchgears))
     unit, rph = np.divmod(np.arange(3 * len(ctx.res)), 3)  # per renewable and phase
-    blocks = []
     for k, (o, e) in enumerate(zip(ctx.orient, ctx.ess)):
         fp, fq, cs, vs = (grid[name][:, k] for name in ("flow_p", "flow_q", "curr_sq", "volt_sq"))  # (..., t, ph)
         u = grid["u"][:, k, None].repeat(T, axis=1)
-        key = (k * T + np.arange(T)[:, None]) * 3 * (N + L) * 8  # per period: its first key, 8 per row pair
+        key = np.arange(T)[:, None] * 3 * (N + L) * 8  # per period: its first key, 8 per row pair
         into, out = np.full(L, -1), np.full(L, -1)  # per line of ``o``: the node it feeds, the node feeding it
         for li, (i, j) in o.direction.items():
             out[li], into[li] = case.node_index[i], case.node_index[j]
 
         # balance rows, per live (node, phase)
+        blocks = []
         nodes = np.array([case.node_index[nid] for nid in o.order], dtype=np.int64)
         nodes = nodes[~ctx.dead[nodes, k]]
         node, ph = np.nonzero(ctx.node_ph[nodes])
@@ -1168,9 +1168,9 @@ def _encode_power_flow(ctx: _Ctx) -> None:
             blocks.append(_block(at[..., None] + [2 + 2 * i, 3 + 2 * i], family, terms, SENSE_LE, 0.0))
         amp = [(cs[line, :, ph].T, 1.0), (uj, -ctx.amp_sq[line, ph])]
         blocks.append(_block(at + 6, "current-lim", amp, SENSE_LE, 0.0))
+        ctx.b.add_blocks(blocks)
         cones = np.stack([cs[line, :, ph], vs[into[line], :, ph], fp[line, :, ph], fq[line, :, ph]], axis=-1)
         ctx.b.add_cones(cones.transpose(1, 0, 2).reshape(-1, 4))
-    ctx.b.add_blocks(blocks)
 
 
 def _encode_voltage_ranges(ctx: _Ctx) -> None:
