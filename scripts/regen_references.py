@@ -14,8 +14,9 @@ cases' entries are rewritten and the others kept.
 
 For each file it prints the entries that changed: per case the digests or
 objectives, and for the counts the rows of each family and the columns of
-each group, old and new.  Regenerate a snapshot only for an intended change of the model or
-its export, and declare the printed diff with the change.
+each group, old and new.  Regenerate a snapshot only for an intended change
+of the model, its export or its plan, and declare the printed diff with the
+change.
 """
 
 from __future__ import annotations

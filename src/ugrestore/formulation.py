@@ -628,8 +628,9 @@ def _radiality_rows(ctx: _Ctx, key: int) -> list[RowBlock]:
         np.full(1, key), "tree-count", [gamma.size], gamma, np.ones(gamma.size), SENSE_EQ,
         float(len(case.nodes) - ctx.K),
     )
-    # Per node, its lines' commodity flows, each line in index order and
-    # signed +1 into the node: a line's from end, then its to end.  A source
+    # Per node, its lines' commodity flows, each line in index order, its
+    # from end before its to end, signed +1 where the line ends (at both
+    # ends of a line from a node to itself) and -1 where it starts.  A source
     # wired to a neighbor always feeds it; a source whose every connection
     # is switchable may legitimately stand alone, so the
     # ship-at-least-one-unit row is emitted only where it cannot wrongly
