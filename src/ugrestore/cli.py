@@ -51,6 +51,11 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_solve(args) -> int:
     try:
+        opts = SolverOptions(time_limit_s=args.time_limit, rel_gap=args.gap, seed=args.seed)
+    except ValueError as exc:  # a --time-limit or --gap out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    try:
         case = load_case(args.case)
         build = BuildOptions(no_swap=args.no_swap, ferro_gate=not args.no_ferro_gate)
         model = build_model(case, build)
@@ -58,11 +63,6 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     out = _out_dir(args)
-    opts = SolverOptions(
-        time_limit_s=args.time_limit,
-        rel_gap=args.gap,
-        seed=args.seed,
-    )
     t0 = time.monotonic()
     if args.solver == "external":
         if not args.import_solution:

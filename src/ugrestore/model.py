@@ -13,7 +13,8 @@ from the catalog.  The objective is a dense vector, maximized.
 column bounds leaves live, by the exact primal reductions of LP presolve
 (Andersen & Andersen 1995): fixed columns are substituted, a row with one
 non-fixed column becomes bounds on it, and a row that its activity bounds
-prove redundant is dropped.
+prove redundant is dropped; last, the kept rows that are equal up to sign
+are merged, a pair whose bounds meet into one equality.
 """
 
 from __future__ import annotations
@@ -262,7 +263,17 @@ class LinearModel:
            counted, never multiplied.
 
         The first pass reads every row; each later one only the rows that
-        touch a column whose bound moved.  No dual reduction is made, so
+        touch a column whose bound moved.  After the fixpoint:
+
+        4. the kept rows whose restricted coefficient vectors are equal up
+           to sign form a group, and the group keeps the intersection of
+           their bounds.  If its bounds meet, the group's first row becomes
+           that equality; otherwise the row of the tightest bound on each
+           side stays, as it is, so an exact duplicate keeps its tighter
+           bound and a range stays two rows.  Equal means equal, as in the
+           other rules: no tolerance.
+
+        No dual reduction is made, so
         the restriction holds for any objective and any valid cut.  A cone
         with a non-fixed column keeps all four columns (fixed or not), so
         every cone and every cut maps; a cone whose columns are all fixed
@@ -276,8 +287,10 @@ class LinearModel:
         lb = np.array(lb, dtype=float)
         ub = np.array(ub, dtype=float)
         given = lb.copy(), ub.copy()
-        a = self.matrix().copy()
-        a.eliminate_zeros()  # a summed-out duplicate would be a non-fixed term with coefficient 0
+        a = self.matrix()
+        if not a.data.all():  # a summed-out duplicate would be a non-fixed term with coefficient 0
+            a = a.copy()
+            a.eliminate_zeros()
         at = a.tocsc()
         row_lo = np.where(self.sense == SENSE_LE, -np.inf, self.rhs)
         row_hi = np.where(self.sense == SENSE_GE, np.inf, self.rhs)
@@ -303,15 +316,18 @@ class LinearModel:
         pos[keep] = np.arange(keep.size)
         values = np.where(kept, 0.0, lb)
         rows = np.flatnonzero(alive)
+        csr = a[rows][:, keep].tocsr()
+        pick, sense, rhs = _merge_pairs(csr, self.sense[rows], self.rhs[rows] - (a @ values)[rows])
+        rows = rows[pick]
         restricted = LinearModel(
             catalog=None,
             col_lb=lb[keep],
             col_ub=ub[keep],
             col_binary=self.col_binary[keep],
             obj=self.obj[keep],
-            csr=a[rows][:, keep].tocsr(),
-            sense=self.sense[rows],
-            rhs=self.rhs[rows] - (a @ values)[rows],
+            csr=csr[pick],
+            sense=sense,
+            rhs=rhs,
             family=self.family[rows],
             family_names=self.family_names,
             cones=pos[self.cones[live]],
@@ -444,3 +460,54 @@ def _propagate(a, rows, lb, ub, row_lo, row_hi, alive) -> tuple[bool, np.ndarray
     alive[rows[redundant | single]] = False
     moved = np.flatnonzero((lb != old_lb) | (ub != old_ub))
     return bool(np.all(lb[moved] <= ub[moved])), moved
+
+
+def _merge_pairs(a: sp.csr_matrix, sense: np.ndarray, rhs: np.ndarray):
+    """Rule 4 of :meth:`LinearModel.restrict` on the rows of ``a``: the rows kept, in order, and their sense and rhs.
+
+    Each row is sign-normalized, so that its first coefficient is positive.
+    The rows are sorted by their normalized product with fixed random
+    weights, and a group is a run of rows in that order whose columns and
+    normalized coefficients each equal those of the row before.
+    """
+    n = a.shape[0]
+    a.sort_indices()
+    count = np.diff(a.indptr)
+    sign = np.ones(n)
+    sign[count > 0] = np.sign(a.data[a.indptr[:-1][count > 0]])
+    key = sign * (a @ np.random.default_rng(0).uniform(1.0, 2.0, a.shape[1]))  # negation is exact
+    order = np.argsort(key)
+    # the sorted places whose row has the key and the entries of the row before it
+    at = np.flatnonzero(key[order[1:]] == key[order[:-1]]) + 1
+    at = at[count[order[at]] == count[order[at - 1]]]
+    i, j, c = order[at], order[at - 1], count[order[at]]
+    offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+    ei, ej = np.repeat(a.indptr[i], c) + offset, np.repeat(a.indptr[j], c) + offset
+    si, sj = np.repeat(sign[i], c), np.repeat(sign[j], c)
+    differ = (a.indices[ei] != a.indices[ej]) | (si * a.data[ei] != sj * a.data[ej])
+    same = np.zeros(n + 1, dtype=bool)
+    same[at[np.bincount(np.repeat(np.arange(c.size), c), differ, minlength=c.size) == 0]] = True
+    place = np.flatnonzero(same[:-1] | same[1:])  # the sorted places in a group of two or more
+    if not place.size:
+        return np.arange(n), sense, rhs
+    row, s = order[place], sign[order[place]]
+    start = np.flatnonzero(~same[place])
+    group = np.cumsum(~same[place]) - 1
+    lo = np.where(sense[row] == SENSE_LE, -np.inf, rhs[row])
+    hi = np.where(sense[row] == SENSE_GE, np.inf, rhs[row])
+    lo, hi = np.where(s > 0, lo, -hi), np.where(s > 0, hi, -lo)  # of the normalized rows
+    glo, ghi = np.maximum.reduceat(lo, start), np.minimum.reduceat(hi, start)
+    first = np.minimum.reduceat(row, start)
+    at_lo = np.minimum.reduceat(np.where(lo == glo[group], row, n), start)
+    at_hi = np.minimum.reduceat(np.where(hi == ghi[group], row, n), start)
+    meet = glo == ghi
+    pick = np.ones(n, dtype=bool)
+    pick[row] = False
+    pick[first[meet]] = True
+    pick[at_lo[~meet & np.isfinite(glo)]] = True
+    pick[at_hi[~meet & np.isfinite(ghi)]] = True
+    sense, rhs = sense.copy(), rhs.copy()
+    sense[first[meet]] = SENSE_EQ
+    rhs[first[meet]] = sign[first[meet]] * glo[meet]
+    pick = np.flatnonzero(pick)
+    return pick, sense[pick], rhs[pick]

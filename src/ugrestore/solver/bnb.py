@@ -92,10 +92,10 @@ class SolverOptions:
     replay_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
-        if self.rel_gap < 0:
-            raise ValueError("rel_gap must be non-negative")
+        if not self.time_limit_s > 0:  # NaN too
+            raise ValueError(f"time_limit_s must be positive, not {self.time_limit_s}")
+        if not self.rel_gap >= 0:
+            raise ValueError(f"rel_gap must be non-negative, not {self.rel_gap}")
 
 
 @dataclass

@@ -4,16 +4,19 @@ A backend loads one instance of the HiGHS that scipy bundles with the
 model restricted to its column bounds plus a set of base fixings
 (:meth:`LinearModel.restrict`): fixed columns are substituted into the row
 bounds and a constant objective offset, a row with one non-fixed column
-becomes bounds on it, and a row that its activity bounds prove redundant
-is dropped.  These are exact primal reductions, with no dual ones, so the
-restriction holds for any objective and any valid cut; a restriction that
-removes nothing is the same code.  The greedy warm start gives a backend
-its skeleton; the search gives it nothing beyond the model's bounds, which
-hold at every node.  Points come back as full vectors, and the objective
-as the full model's (the constant is the ``passModel`` offset).  When the
-propagation proves the bounds inconsistent, the backend loads the whole
-model, so ``infeasible`` is always a verdict of HiGHS on an LP, and
-:func:`infeasibility_hint` names an IIS of the full model.
+becomes bounds on it, a row that its activity bounds prove redundant is
+dropped, and rows equal up to sign are merged, a pair whose bounds meet
+into one equality.  These are exact primal reductions, with no dual ones,
+so the restriction holds for any objective and any valid cut; a
+restriction that removes nothing is the same code.  The greedy warm start
+gives a backend its skeleton; the search gives it nothing beyond the
+model's bounds, which hold at every node.  Points come back as full
+vectors, and the objective as the full model's (the constant is the
+``passModel`` offset).  When the propagation proves the bounds
+inconsistent, the backend loads the whole model, so ``infeasible`` is
+always the verdict of an LP (of HiGHS, or of :func:`linprog` on one with
+no column left), and :func:`infeasibility_hint` names an IIS of the full
+model.
 
 The backend owns everything that changes between solves:
 
@@ -38,7 +41,10 @@ The backend owns everything that changes between solves:
   run time, so it gets that run time plus the seconds left; an LP cut off by
   it ends as ``error``.
 
-Every LP is a dual simplex re-solve from the last basis.  Warm-started
+Every LP is a dual simplex re-solve from the last basis, on the unscaled
+LP (``simplex_scale_strategy`` 0).  On workload seeds 0-31 of both
+``reduced13`` workloads, scaling made 45 first runs refused, and 72 once the
+paired rows were merged; unscaled and merged, none was.  Warm-started
 primal values can drift past the tolerance HiGHS reports, so a result is
 accepted only if it is optimal and its point meets every row and column
 bound HiGHS holds within ``MAX_ROW_RESIDUAL`` (the column bounds too, since
@@ -97,6 +103,9 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-9,
     "simplex_dual_edge_weight_strategy": 1,  # Devex: measured faster than the default on reduced13
+    # no scaling: on workload seeds 0-31 of both reduced13 workloads (scripts/seed_sweep.py),
+    # with the paired rows merged, HiGHS refused 72 first runs scaled and none unscaled
+    "simplex_scale_strategy": 0,
 }
 
 _MASTER_OPTIONS = {
@@ -273,7 +282,18 @@ def master_bound(
 
 
 def linprog(highs: _Highs, time_limit: float) -> LpResult:
-    """One HiGHS run of the loaded instance, stopped at cumulative run time ``time_limit``."""
+    """One HiGHS run of the loaded instance, stopped at cumulative run time ``time_limit``.
+
+    An instance with no column (a restriction that fixed them all) is not
+    run: HiGHS would call it empty without reading its rows or its offset.
+    It is ``optimal`` at the offset if 0 meets every row's bounds, else
+    ``infeasible``.
+    """
+    if highs.getNumCol() == 0:
+        lp = highs.getLp()
+        if np.all(np.asarray(lp.row_lower_) <= 0.0) and np.all(np.asarray(lp.row_upper_) >= 0.0):
+            return LpResult("optimal", np.zeros(0), -lp.offset_)
+        return _INFEASIBLE
     highs.setOptionValue("time_limit", time_limit)
     highs.run()
     info = highs.getInfo()

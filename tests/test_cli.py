@@ -105,6 +105,13 @@ class TestSolve:
         rc = main(["solve", "--case", str(bad), "--out", str(outdir)])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value", [("--time-limit", "0"), ("--time-limit", "nan"), ("--gap", "-1"), ("--gap", "nan")])
+    def test_bad_budget_or_gap_is_one_error_line(self, outdir, capsys, flag, value):
+        rc = main(_solve_args("toy_pair", outdir, flag, value))
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1 and value in err
+        assert not (outdir / "plan.json").exists()
+
     def test_comparative_flags(self, outdir, capsys):
         rc = main(_solve_args("toy_gear3", outdir, "--no-swap", "--json"))
         assert rc == 0

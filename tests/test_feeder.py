@@ -38,6 +38,14 @@ class TestLoadCase:
         with pytest.raises(CaseSchemaError, match="surprise"):
             load_case_dict(doc)
 
+    def test_negative_voltage_difference_cap_rejected(self):
+        doc = minimal_doc()
+        doc["config"]["delta_v_max_pu"] = -0.01
+        with pytest.raises(CaseSchemaError, match="delta_v_max_pu"):
+            load_case_dict(doc)
+        doc["config"]["delta_v_max_pu"] = 0
+        assert load_case_dict(doc).config.delta_v_max_pu == 0
+
     def test_missing_file(self, tmp_path):
         from ugrestore.feeder import CaseError
 

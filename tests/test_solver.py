@@ -21,7 +21,7 @@ from enum_oracle import _lp_with_cones, exhaustive_solve
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import BuildOptions, build_model
-from ugrestore.model import SENSE_GE, SENSE_LE, ModelBuilder, Violation
+from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ModelBuilder, Violation
 from ugrestore.physics import PERMUTATIONS
 from ugrestore.plan import RestorationPlan
 from ugrestore.solver import (
@@ -401,11 +401,16 @@ class TestRestriction:
         model = build_model(reduced13)
         skeleton, fixes = _greedy_fixings(model, reduced13, monkeypatch)
         x = warmstart._lp_with_oa(LpBackend(model, fixes=skeleton), fixes, SolverOptions())  # meets every cone
-        # the skeleton leaves every cone of reduced13 live, so pin the columns of one loaded cone at x
-        idx = int(np.argmax(x[model.cones[:, 1]] * np.abs(x[model.cones[:, 2]])))
-        cols = model.cones[idx]
-        pinned = dict(zip(cols.tolist(), x[cols].tolist()))
-        backend = LpBackend(model, fixes={**skeleton, **pinned})
+        # the skeleton leaves every cone of reduced13 live, so pin the columns of one loaded cone at
+        # x: the most loaded one whose pins the restriction finds consistent.  x meets the rows only
+        # within HiGHS's tolerance, and a pin one ulp past a bound that propagation derives from the
+        # others makes the restriction the whole model, as documented
+        for idx in np.argsort(-x[model.cones[:, 1]] * np.abs(x[model.cones[:, 2]]), kind="stable").tolist():
+            cols = model.cones[idx]
+            pinned = dict(zip(cols.tolist(), x[cols].tolist()))
+            backend = LpBackend(model, fixes={**skeleton, **pinned})
+            if backend.restriction.keep.size < model.ncols:
+                break
         fixes = {**fixes, **pinned}
         assert np.all(backend.restriction.pos[cols] < 0) and np.all(backend.restriction.fixed[cols] == x[cols])
         res = backend.solve(fixes)
@@ -451,6 +456,121 @@ class TestRestriction:
         assert backend.solve({col: 0.0}).status == "infeasible"
         model.col_lb[col] = model.col_ub[col] = 0.0
         assert "wire-consistent" in lp.infeasibility_hint(model)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_up_to_sign_merge_exactly(self, data):
+        model, fixes = data.draw(_paired_model())
+        got = model.restrict(*(lp._pinned(model.col_lb, model.col_ub, fixes) or (model.col_lb, model.col_ub)))
+        whole = got.model.csr is model.csr  # bounds proven inconsistent: the whole model, nothing merged
+        assert whole or not _mergeable_pairs(got.model)
+        # both ways exact: each full row is implied by the restriction, and each kept row by the full rows
+        shift = model.csr @ got.fixed
+        lo, hi = (side - shift for side in _row_bounds(model))
+        a = model.csr[:, got.keep].tocsr().sorted_indices()
+        col_lb, col_ub = got.col_lb[got.keep], got.col_ub[got.keep]
+        act_lo = a.multiply(a > 0) @ col_lb + a.multiply(a < 0) @ col_ub
+        act_hi = a.multiply(a > 0) @ col_ub + a.multiply(a < 0) @ col_lb
+        full, kept = _by_vector(a, lo, hi), _by_vector(got.model.csr, *_row_bounds(got.model))
+        for j in range(model.nrows):
+            if act_lo[j] >= lo[j] - 1e-9 and act_hi[j] <= hi[j] + 1e-9:
+                continue  # the column bounds imply it
+            key, s = _signed_row(a, j)
+            glo, ghi = _meet(kept[key])  # a KeyError: a dropped row that no kept row equals
+            assert glo >= (lo[j] if s > 0 else -hi[j]) and ghi <= (hi[j] if s > 0 else -lo[j]), j
+        ilo, ihi = _row_bounds(got.model)
+        for i in range(got.model.nrows):
+            key, s = _signed_row(got.model.csr, i)
+            glo, ghi = _meet(full[key])
+            assert glo >= (ilo[i] if s > 0 else -ihi[i]) and ghi <= (ihi[i] if s > 0 else -ilo[i]), i
+        res = LpBackend(model, fixes=fixes).solve(fixes)
+        want, _, _ = _full_lp(model, fixes)
+        assert res.status == want.status
+        if res.ok:
+            assert res.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+
+    def test_reduced13_skeleton_holds_no_pair_to_merge(self, monkeypatch):
+        case = shipped_case("reduced13")
+        model = build_model(case, BuildOptions(ferro_gate=False))
+        skeleton, _ = _greedy_fixings(model, case, monkeypatch)
+        sub = LpBackend(model, fixes=skeleton).restriction.model
+        assert sub.nrows < 1398  # its rows before the merge; 762 after it
+        assert not _mergeable_pairs(sub)
+
+    def test_lps_run_unscaled(self, toy_pair):
+        backend = LpBackend(build_model(toy_pair))
+        assert backend.highs.getOptionValue("simplex_scale_strategy")[1] == 0
+        assert backend.solve().ok
+        backend.release()
+        assert backend.solve().ok and backend.highs.getOptionValue("simplex_scale_strategy")[1] == 0
+
+
+_COEFS = (-3.0, -1.5, -1.0, 0.1, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def _paired_model(draw):
+    """A model of 3-5 columns whose rows come with copies, negated or not, and fixings of some columns.
+
+    A copy's bound meets its row's, repeats it or moves past it, so the
+    rows hold equalities split in two, duplicates, ranges and crossings.
+    """
+    n = draw(st.integers(3, 5))
+    lb = np.array(draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n)), dtype=float)
+    ub = lb + draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cat = VariableCatalog()
+    cat.add_group("x", range(n), lb=lb, ub=ub)
+    b = ModelBuilder(cat)
+    senses = st.sampled_from([SENSE_LE, SENSE_GE, SENSE_EQ])
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        terms = [(c, draw(st.sampled_from(_COEFS))) for c in cols]
+        rhs = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.5]))
+        add_row(b, "row", terms, draw(senses), rhs)
+        for _ in range(draw(st.integers(0, 3))):
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            moved = draw(st.sampled_from([0.0, 0.0, -0.5, 1.0]))
+            add_row(b, "copy", [(c, sign * v) for c, v in terms], draw(senses), sign * rhs + moved)
+    b.add_obj(np.arange(n), draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=n, max_size=n)))
+    fixed = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    fixes = {j: float(draw(st.integers(int(lb[j]), int(ub[j])))) for j in fixed}
+    return b.build({}), fixes
+
+
+def _row_bounds(model):
+    return np.where(model.sense == SENSE_LE, -np.inf, model.rhs), np.where(model.sense == SENSE_GE, np.inf, model.rhs)
+
+
+def _signed_row(a, i):
+    """Row ``i`` of ``a`` as its columns and values, signed so that its first value is positive, and that sign."""
+    cols, vals = a.indices[a.indptr[i] : a.indptr[i + 1]], a.data[a.indptr[i] : a.indptr[i + 1]]
+    sign = -1.0 if vals.size and vals[0] < 0 else 1.0
+    return (tuple(cols.tolist()), tuple((sign * vals).tolist())), sign
+
+
+def _by_vector(a, lo, hi) -> dict:
+    """The rows of ``a`` grouped by their signed vector, each as its bounds on the signed row."""
+    out = {}
+    for i in range(a.shape[0]):
+        key, s = _signed_row(a, i)
+        out.setdefault(key, []).append((lo[i], hi[i]) if s > 0 else (-hi[i], -lo[i]))
+    return out
+
+
+def _meet(bounds):
+    """The intersection of the ``(lo, hi)`` intervals."""
+    return max(lo for lo, _ in bounds), min(hi for _, hi in bounds)
+
+
+def _mergeable_pairs(model) -> list:
+    """The pairs of rows equal up to sign whose bounds meet or bound the same side: one row would do."""
+    pairs = []
+    for bounds in _by_vector(model.csr, *_row_bounds(model)).values():
+        for p, q in itertools.combinations(bounds, 2):
+            lo, hi = _meet((p, q))
+            if lo == hi or lo == -np.inf or hi == np.inf:
+                pairs.append((p, q))
+    return pairs
 
 
 class TestOaRound:
@@ -1315,7 +1435,7 @@ class TestRootOrder:
             return None
 
         monkeypatch.setattr(bnb._Search, "oa_refine", refine)
-        sol = solve(model, SolverOptions(time_limit_s=60), diver=recording)
+        sol = solve(model, EXACT, diver=recording)  # no gap, for a tree of many dive periods
         assert sol.status == "optimal" and sol.node_count > 2 * bnb.DIVE_EVERY
         assert dived_at[0] == (1, 0)  # before the root's refinement
         nodes = [count for count, _ in dived_at[1:]]
