@@ -15,8 +15,8 @@ The record goes to ``--out`` as JSON, a non-finite number as ``null``.
 With ``--compare OLD.json`` it then prints each solve whose status, node
 count, verdict, cut count or solution differs from OLD, the worst relative
 objective move and the largest bound moves up and down, and the fallbacks
-and median seconds of both sides.  It exits 1 if a status, node count or
-verdict differs.
+and median seconds of both sides over the seeds both hold.  It exits 1 if
+a status, node count or verdict differs.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ def compare(new: dict, old: dict) -> int:
     print(f"bound moves: {up[0]:+.2g} ({up[1] or 'none'}), {down[0]:+.2g} ({down[1] or 'none'})")
     for name in WORKLOADS:
         sides = []
+        common = new.get(name, {}).keys() & old.get(name, {}).keys()
         for side, record in (("old", old), ("new", new)):
-            runs = record.get(name, {}).values()
+            runs = [record[name][seed] for seed in common]
             if runs:
                 fallbacks = sum(r["fallbacks"] for r in runs)
                 lps = sum(r["lps"] for r in runs)
