@@ -172,8 +172,7 @@ class RestorationPlan:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, allow_nan=False)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), allow_nan=False) + "\n")  # dumps, unlike dump, runs the C encoder
 
     @classmethod
     def from_dict(cls, data: dict) -> "RestorationPlan":

@@ -53,7 +53,7 @@ basis it ended on (``setBasis(getBasis())``), which refactorizes that basis
 and recomputes the point from it, and runs again; that fixes a drift or an ``Unknown`` in
 a few iterations.  Only if that run fails too does the same instance run
 once more from scratch, and that verdict is final (a drifted cold point is
-an ``error``).  ``clear_basis`` makes the next solve start from scratch.
+an ``error``).
 
 The greedy warm start builds one backend per skeleton; the search owns
 another, which the diver borrows.  ``release()`` drops the HiGHS instance
@@ -405,12 +405,6 @@ class LpBackend:
             _check(self.highs.changeRowBounds(row, -np.inf, side), "a cut bound")
         self.cut_coefs[evicted] = coefs
         self.cut_rhs[evicted] = rhs
-
-    def clear_basis(self) -> None:
-        """The next solve runs from scratch, not from the last basis."""
-        self._basis = None
-        if self.highs is not None:
-            self.highs.clearSolver()
 
     def solve(self, fixes: dict[int, float] | None = None) -> LpResult:
         """Relaxation with ``fixes`` (column -> value) pinned, over the rows and the cut pool."""

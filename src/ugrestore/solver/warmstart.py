@@ -12,21 +12,18 @@ rejects it should a binary ever be left free.  The warm start builds one
 HiGHS holds only the part of the model the skeleton leaves live (on
 ``reduced13`` about a sixth of the rows); the storage flags pinned later
 are ordinary ``solve`` fixings.  Each backend is freed when its skeleton is
-done, so its HiGHS instance never lives beside the search's.  The diver
-owns none: it dives in the backend the search lends it, whose capped cut
-pool and deadline it shares, and every call dives afresh.
+done, so its HiGHS instance never lives beside the search's.  Every
+backend of the warm start shares one deadline, ``time_limit_s`` after the
+warm start begins, as the search's backend has its own from the start of
+:func:`bnb.solve`; an LP cut off by it is an ``error``, so the skeleton
+yields None.  The diver owns none: it dives in the backend the search lends
+it, whose capped cut pool and deadline it shares, and every call dives
+afresh.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
 per-phase peak); the diver derives it from a relaxation point supplied by
 the search.
-
-The last LP of a skeleton is solved once more from scratch
-(``LpBackend.clear_basis``), and refined again if it needs it, before the
-replay.  A warm re-solve can stop a few 1e-11 short of its optimum at a
-point where a cone carrying little current is not tight, and the
-validator's ``cone-tightness`` rejects such a plan; the cold run reaches
-the optimum, where the loss pressure makes the cones tight.
 
 The diver is also given a cutoff, the search's incumbent value, and stops
 at the first optimal LP whose objective is no better, before it separates,
@@ -38,6 +35,8 @@ without a cutoff.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -215,8 +214,9 @@ def greedy_warm_start(
     case: FeederCase,
     options: SolverOptions | None = None,
 ) -> np.ndarray | None:
-    """Feasible full solution vector, or None when construction fails."""
+    """Feasible full solution vector, or None when construction fails or outlasts ``time_limit_s``."""
     opts = options or SolverOptions()
+    deadline = time.monotonic() + opts.time_limit_s
     ferro = bool(model.meta.get("ferro_gate", True))
     no_swap = bool(model.meta.get("no_swap", False))
     zero = {
@@ -227,7 +227,7 @@ def greedy_warm_start(
         fixes = _structural_fixes(model, case, schedule)
         if fixes is None:
             return None
-        x = _resolve(model, LpBackend(model, fixes=fixes), fixes, opts)
+        x = _resolve(model, LpBackend(model, deadline, fixes), fixes, opts)
         if x is not None:
             return x
     return None
@@ -293,10 +293,9 @@ def _resolve(
 ):
     """The replayed point of a skeleton, or None.
 
-    Three LP passes with ``fixes`` pinned, each refined by cone cuts: the
+    Two LP passes with ``fixes`` pinned, each refined by cone cuts: the
     first gives the dispatch, whose storage on/off flags are then rounded
-    and pinned; the second re-solves with them; the third is the second
-    from scratch (see the module docstring).
+    and pinned; the second re-solves with them, warm from the first.
     """
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
@@ -311,10 +310,6 @@ def _resolve(
     for ch, dis in zip(on["ess_ch_on"].tolist(), on["ess_dis_on"].tolist()):
         if fixes.get(ch, 0.0) > 0.5 and fixes.get(dis, 0.0) > 0.5:
             fixes[ch] = 0.0
-    x = _lp_with_oa(backend, fixes, opts, cutoff)
-    if x is None:
-        return None
-    backend.clear_basis()  # the final LP from scratch: see the module docstring
     x = _lp_with_oa(backend, fixes, opts, cutoff)
     if x is None:
         return None

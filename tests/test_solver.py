@@ -1640,6 +1640,13 @@ class TestWarmStart:
         if ws is not None:
             assert free <= pinned[-1] and model.check_solution(ws) == []
 
+    def test_time_limit_bounds_the_warm_start(self, reduced13):
+        """The greedy's LPs stop at ``time_limit_s`` after it starts, so a budget shorter than one LP yields no point."""
+        model = build_model(reduced13)
+        t0 = time.monotonic()
+        assert greedy_warm_start(model, reduced13, SolverOptions(time_limit_s=1e-3)) is None
+        assert time.monotonic() - t0 < 1.0
+
     def test_zero_load_gives_zero(self):
         doc_case = load_minimal()
         import copy
@@ -1695,9 +1702,9 @@ class TestWarmStart:
 
     def test_greedy_plan_passes_the_validator_on_scaled_loads(self):
         # reduced13 with each node's load scaled by one U(0.95, 1.05) factor of
-        # random.Random(6): the greedy's last LP, warm-started, stopped 2.7e-11
+        # random.Random(6): the greedy's last LP, warm-started, once stopped 2.7e-11
         # short of its optimum with line m5-m6 (t 0, phase a) 2.8e-4 off tight
-        # on its cone; solved from scratch, every cone is tight
+        # on its cone, which the validator's cone-tightness rejects
         doc = shipped_doc("reduced13")
         rng = random.Random(6)
         for node in doc["nodes"]:
