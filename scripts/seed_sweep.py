@@ -13,8 +13,10 @@ HiGHS more than once, because a run was refused) and the pipeline's seconds.
 The record goes to ``--out`` as JSON, a non-finite number as ``null``.
 
 With ``--compare OLD.json`` it then prints each solve whose status, node
-count, verdict, cut count or solution differs from OLD, the worst relative
-objective move and the largest bound moves up and down, and the fallbacks
+count, verdict, cut count or solution differs from OLD, how many hold the
+same status, node count and verdict and how many the same point (equal
+``x_sha256``), the worst relative objective move and the largest bound
+moves up and down, and the fallbacks
 and median seconds of both sides over the seeds both hold.  It exits 1 if
 a status, node count or verdict differs.
 """
@@ -109,13 +111,14 @@ def compare(new: dict, old: dict) -> int:
     """Print how ``new`` differs from ``old``; 1 if a status, node count or verdict differs, else 0."""
     worst_obj = (0.0, None)
     up, down = (0.0, None), (0.0, None)
-    same = total = 0
+    same = points = total = 0
     for name in WORKLOADS:
         for seed in sorted(new.get(name, {}).keys() & old.get(name, {}).keys(), key=int):
             a, b = old[name][seed], new[name][seed]
             total += 1
             diff = [f"{k} {a[k]} -> {b[k]}" for k in SAME + NOTED if a[k] != b[k]]
             same += all(a[k] == b[k] for k in SAME)
+            points += a["x_sha256"] == b["x_sha256"]
             if diff:
                 print(f"{name} seed {seed}: " + ", ".join(diff))
             obj, bound = abs(_rel(b["objective"], a["objective"])), _rel(b["bound"], a["bound"])
@@ -125,7 +128,7 @@ def compare(new: dict, old: dict) -> int:
                 up = (bound, f"{name} seed {seed}")
             if bound < down[0]:
                 down = (bound, f"{name} seed {seed}")
-    print(f"same status, node count and verdict: {same} of {total}")
+    print(f"same status, node count and verdict: {same} of {total}; same point: {points} of {total}")
     print(f"worst objective move: {worst_obj[0]:.2g} relative ({worst_obj[1] or 'none'})")
     print(f"bound moves: {up[0]:+.2g} ({up[1] or 'none'}), {down[0]:+.2g} ({down[1] or 'none'})")
     for name in WORKLOADS:

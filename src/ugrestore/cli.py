@@ -202,12 +202,11 @@ def cmd_export(args) -> int:
 def cmd_report(args) -> int:
     try:
         case = load_case(args.case)
-        plan = RestorationPlan.load(args.plan)
+        bundle = build_report(case, RestorationPlan.load(args.plan))  # a plan missing a value is a PlanError
     except (CaseError, PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
     out = _out_dir(args)
-    bundle = build_report(case, plan)
     written = emit_plots(bundle, out)
     with open(out / "summary.json", "w") as fh:
         json.dump(bundle.summary, fh, indent=1)

@@ -1,8 +1,9 @@
 """Sparse mixed-binary model container: linear rows, cone rows, objective.
 
 The rows are one CSR matrix, each row's columns sorted and each column
-once, plus per-row arrays of sense, rhs and family code (an index into the
-model's table of family names).  The builder makes that matrix once, from
+once, plus per-row arrays of bounds ``row_lo <= a.x <= row_hi`` and of
+family code (an index into the model's table of family names).  The builder
+turns each row's sense and rhs into bounds and makes that matrix once, from
 flat arrays, so the model stays cheap to build for large cases; the export,
 the LP and the replay of a candidate solution all read it as it is.  A
 cone is one row of an ``(n, 4)`` array of its (I, V, P, Q) columns.  Where
@@ -13,8 +14,8 @@ from the catalog.  The objective is a dense vector, maximized.
 column bounds leaves live, by the exact primal reductions of LP presolve
 (Andersen & Andersen 1995): fixed columns are substituted, a row with one
 non-fixed column becomes bounds on it, and a row that its activity bounds
-prove redundant is dropped; last, the kept rows that are equal up to sign
-are merged, a pair whose bounds meet into one equality.
+prove redundant is dropped; last, each group of kept rows that are equal
+up to sign becomes one row, holding the intersection of their bounds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 
 from ugrestore.catalog import VariableCatalog
 
-SENSE_LE = 0
+SENSE_LE = 0  # the senses a RowBlock states its rows with
 SENSE_GE = 1
 SENSE_EQ = 2
 
@@ -124,7 +125,7 @@ class ModelBuilder:
     The rows are kept as pieces, one per :meth:`add_blocks` call, each a
     tuple of flat arrays of one row after another (entry counts, columns,
     values, sense, rhs and family codes).  :meth:`build` joins each field
-    once, into the model's CSR matrix.
+    once, into the model's CSR matrix, sense and rhs into row bounds.
     """
 
     def __init__(self, catalog: VariableCatalog) -> None:
@@ -200,8 +201,8 @@ class ModelBuilder:
             col_binary=binary,
             obj=obj,
             csr=csr,
-            sense=sense,
-            rhs=rhs,
+            row_lo=np.where(sense == SENSE_LE, -np.inf, rhs),
+            row_hi=np.where(sense == SENSE_GE, np.inf, rhs),
             family=family,
             family_names=list(self._codes),
             cones=np.concatenate([np.zeros((0, 4), dtype=np.int64)] + self._cones),
@@ -217,8 +218,8 @@ class LinearModel:
     col_binary: np.ndarray
     obj: np.ndarray  # maximized
     csr: sp.csr_matrix  # the rows' coefficients, each row's columns sorted and once
-    sense: np.ndarray
-    rhs: np.ndarray
+    row_lo: np.ndarray  # per row: row_lo <= a.x <= row_hi, -inf or +inf on an open side
+    row_hi: np.ndarray
     family: np.ndarray  # per row: its family's index in ``family_names``
     family_names: list[str]
     cones: np.ndarray  # (n, 4): the I, V, P, Q columns of each cone, I*V >= P^2 + Q^2
@@ -230,7 +231,7 @@ class LinearModel:
 
     @property
     def nrows(self) -> int:
-        return self.sense.shape[0]
+        return self.row_lo.shape[0]
 
     @property
     def free_binary_columns(self) -> np.ndarray:
@@ -266,12 +267,11 @@ class LinearModel:
         touch a column whose bound moved.  After the fixpoint:
 
         4. the kept rows whose restricted coefficient vectors are equal up
-           to sign form a group, and the group keeps the intersection of
-           their bounds.  If its bounds meet, the group's first row becomes
-           that equality; otherwise the row of the tightest bound on each
-           side stays, as it is, so an exact duplicate keeps its tighter
-           bound and a range stays two rows.  Equal means equal, as in the
-           other rules: no tolerance.
+           to sign form a group, and the group becomes its first row,
+           holding the intersection of the group's bounds in that row's
+           orientation: a range, an equality where the bounds meet, or
+           crossing bounds, which the LP finds infeasible.  Equal means
+           equal, as in the other rules: no tolerance.
 
         No dual reduction is made, so
         the restriction holds for any objective and any valid cut.  A cone
@@ -292,13 +292,11 @@ class LinearModel:
             a = a.copy()
             a.eliminate_zeros()
         at = a.tocsc()
-        row_lo = np.where(self.sense == SENSE_LE, -np.inf, self.rhs)
-        row_hi = np.where(self.sense == SENSE_GE, np.inf, self.rhs)
         alive = np.ones(self.nrows, dtype=bool)
         consistent = bool(np.all(lb <= ub))
         rows = np.arange(self.nrows)
         while consistent and rows.size:
-            consistent, moved = _propagate(a[rows], rows, lb, ub, row_lo, row_hi, alive)
+            consistent, moved = _propagate(a[rows], rows, lb, ub, self.row_lo, self.row_hi, alive)
             touched = np.zeros(self.nrows, dtype=bool)
             touched[at[:, moved].indices] = True
             rows = np.flatnonzero(touched & alive)
@@ -317,7 +315,8 @@ class LinearModel:
         values = np.where(kept, 0.0, lb)
         rows = np.flatnonzero(alive)
         csr = a[rows][:, keep].tocsr()
-        pick, sense, rhs = _merge_pairs(csr, self.sense[rows], self.rhs[rows] - (a @ values)[rows])
+        shift = (a @ values)[rows]
+        pick, row_lo, row_hi = _merge_pairs(csr, self.row_lo[rows] - shift, self.row_hi[rows] - shift)
         rows = rows[pick]
         restricted = LinearModel(
             catalog=None,
@@ -326,8 +325,8 @@ class LinearModel:
             col_binary=self.col_binary[keep],
             obj=self.obj[keep],
             csr=csr[pick],
-            sense=sense,
-            rhs=rhs,
+            row_lo=row_lo,
+            row_hi=row_hi,
             family=self.family[rows],
             family_names=self.family_names,
             cones=pos[self.cones[live]],
@@ -339,14 +338,7 @@ class LinearModel:
     def row_residuals(self, x: np.ndarray) -> np.ndarray:
         """Signed slack per row: negative means violated."""
         ax = self.matrix() @ x
-        resid = np.empty(self.nrows)
-        le = self.sense == SENSE_LE
-        ge = self.sense == SENSE_GE
-        eq = self.sense == SENSE_EQ
-        resid[le] = self.rhs[le] - ax[le]
-        resid[ge] = ax[ge] - self.rhs[ge]
-        resid[eq] = -np.abs(ax[eq] - self.rhs[eq])
-        return resid
+        return np.minimum(ax - self.row_lo, self.row_hi - ax)
 
     def cone_values(self, x: np.ndarray) -> np.ndarray:
         """Cone slack I*V - (P^2 + Q^2) per cone row; negative means violated."""
@@ -462,13 +454,14 @@ def _propagate(a, rows, lb, ub, row_lo, row_hi, alive) -> tuple[bool, np.ndarray
     return bool(np.all(lb[moved] <= ub[moved])), moved
 
 
-def _merge_pairs(a: sp.csr_matrix, sense: np.ndarray, rhs: np.ndarray):
-    """Rule 4 of :meth:`LinearModel.restrict` on the rows of ``a``: the rows kept, in order, and their sense and rhs.
+def _merge_pairs(a: sp.csr_matrix, row_lo: np.ndarray, row_hi: np.ndarray):
+    """Rule 4 of :meth:`LinearModel.restrict` on the rows of ``a``: the rows kept, in order, and their bounds.
 
     Each row is sign-normalized, so that its first coefficient is positive.
     The rows are sorted by their normalized product with fixed random
     weights, and a group is a run of rows in that order whose columns and
-    normalized coefficients each equal those of the row before.
+    normalized coefficients each equal those of the row before.  A group's
+    first row takes the group's bounds in ``row_lo``/``row_hi``, in place.
     """
     n = a.shape[0]
     a.sort_indices()
@@ -489,25 +482,13 @@ def _merge_pairs(a: sp.csr_matrix, sense: np.ndarray, rhs: np.ndarray):
     same[at[np.bincount(np.repeat(np.arange(c.size), c), differ, minlength=c.size) == 0]] = True
     place = np.flatnonzero(same[:-1] | same[1:])  # the sorted places in a group of two or more
     if not place.size:
-        return np.arange(n), sense, rhs
+        return np.arange(n), row_lo, row_hi
     row, s = order[place], sign[order[place]]
     start = np.flatnonzero(~same[place])
-    group = np.cumsum(~same[place]) - 1
-    lo = np.where(sense[row] == SENSE_LE, -np.inf, rhs[row])
-    hi = np.where(sense[row] == SENSE_GE, np.inf, rhs[row])
-    lo, hi = np.where(s > 0, lo, -hi), np.where(s > 0, hi, -lo)  # of the normalized rows
+    lo, hi = np.where(s > 0, row_lo[row], -row_hi[row]), np.where(s > 0, row_hi[row], -row_lo[row])  # normalized
     glo, ghi = np.maximum.reduceat(lo, start), np.minimum.reduceat(hi, start)
     first = np.minimum.reduceat(row, start)
-    at_lo = np.minimum.reduceat(np.where(lo == glo[group], row, n), start)
-    at_hi = np.minimum.reduceat(np.where(hi == ghi[group], row, n), start)
-    meet = glo == ghi
-    pick = np.ones(n, dtype=bool)
-    pick[row] = False
-    pick[first[meet]] = True
-    pick[at_lo[~meet & np.isfinite(glo)]] = True
-    pick[at_hi[~meet & np.isfinite(ghi)]] = True
-    sense, rhs = sense.copy(), rhs.copy()
-    sense[first[meet]] = SENSE_EQ
-    rhs[first[meet]] = sign[first[meet]] * glo[meet]
-    pick = np.flatnonzero(pick)
-    return pick, sense[pick], rhs[pick]
+    s = sign[first]
+    row_lo[first], row_hi[first] = np.where(s > 0, glo, -ghi), np.where(s > 0, ghi, -glo)
+    pick = np.delete(np.arange(n), np.setdiff1d(row, first))
+    return pick, row_lo[pick], row_hi[pick]

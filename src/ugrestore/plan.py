@@ -175,22 +175,30 @@ class RestorationPlan:
             fh.write(json.dumps(self.to_dict(), allow_nan=False) + "\n")  # dumps, unlike dump, runs the C encoder
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RestorationPlan":
+    def from_dict(cls, data) -> "RestorationPlan":
+        """The plan of a JSON document; :class:`PlanError` if it is not an object, lacks a field or has bad groups."""
+        if not isinstance(data, dict):
+            raise PlanError(f"a plan is a JSON object, not {type(data).__name__}")
         if data.get("format") != PLAN_FORMAT:
             raise PlanError(f"unsupported plan format {data.get('format')!r}")
-        return cls(
-            case_name=data["case_name"],
-            horizon=data["horizon"],
-            period_hours=data["period_hours"],
-            kw_base=data["kw_base"],
-            objective_pu_h=data["objective_pu_h"],
-            status=data["status"],
-            gap=np.inf if data["gap"] is None else data["gap"],
-            no_swap=data["no_swap"],
-            ferro_gate=data["ferro_gate"],
-            groups={k: [list(e) for e in v] for k, v in data["groups"].items()},
-            solver_info=data.get("solver_info", {}),
-        )
+        try:
+            return cls(
+                case_name=data["case_name"],
+                horizon=data["horizon"],
+                period_hours=data["period_hours"],
+                kw_base=data["kw_base"],
+                objective_pu_h=data["objective_pu_h"],
+                status=data["status"],
+                gap=np.inf if data["gap"] is None else data["gap"],
+                no_swap=data["no_swap"],
+                ferro_gate=data["ferro_gate"],
+                groups={k: [list(e) for e in v] for k, v in data["groups"].items()},
+                solver_info=data.get("solver_info", {}),
+            )
+        except KeyError as exc:
+            raise PlanError(f"the plan has no field {exc.args[0]!r}") from None
+        except (AttributeError, TypeError):  # from ``groups`` alone: the other fields are stored as they are
+            raise PlanError("the plan's groups are not an object of lists") from None
 
     @classmethod
     def load(cls, path) -> "RestorationPlan":

@@ -5,13 +5,14 @@ model restricted to its column bounds plus a set of base fixings
 (:meth:`LinearModel.restrict`): fixed columns are substituted into the row
 bounds and a constant objective offset, a row with one non-fixed column
 becomes bounds on it, a row that its activity bounds prove redundant is
-dropped, and rows equal up to sign are merged, a pair whose bounds meet
-into one equality.  These are exact primal reductions, with no dual ones,
-so the restriction holds for any objective and any valid cut; a
-restriction that removes nothing is the same code.  The greedy warm start
-gives a backend its skeleton; the search gives it nothing beyond the
-model's bounds, which hold at every node.  Points come back as full
-vectors, and the objective as the full model's (the constant is the
+dropped, and each group of rows equal up to sign becomes one row holding
+the intersection of their bounds.  These are exact primal reductions, with
+no dual ones, so the restriction holds for any objective and any valid cut;
+a restriction that removes nothing is the same code.  HiGHS takes the
+restriction's row bounds ``row_lo <= a.x <= row_hi`` as they are.  The
+greedy warm start gives a backend its skeleton; the search gives it nothing
+beyond the model's bounds, which hold at every node.  Points come back as
+full vectors, and the objective as the full model's (the constant is the
 ``passModel`` offset).  When the propagation proves the bounds
 inconsistent, the backend loads the whole model, so ``infeasible`` is
 always the verdict of an LP (of HiGHS, or of :func:`linprog` on one with
@@ -53,7 +54,8 @@ basis it ended on (``setBasis(getBasis())``), which refactorizes that basis
 and recomputes the point from it, and runs again; that fixes a drift or an ``Unknown`` in
 a few iterations.  Only if that run fails too does the same instance run
 once more from scratch, and that verdict is final (a drifted cold point is
-an ``error``).
+an ``error``).  Neither retry starts once the deadline has passed: the
+last run's verdict stands.
 
 The greedy warm start builds one backend per skeleton; the search owns
 another, which the diver borrows.  ``release()`` drops the HiGHS instance
@@ -96,7 +98,7 @@ from scipy.optimize._highspy._core import (  # private; a test pins every member
     cb,
 )
 
-from ugrestore.model import SENSE_GE, SENSE_LE, LinearModel
+from ugrestore.model import LinearModel
 
 _HIGHS_OPTIONS = {
     # cone refinement needs row residuals well below the default 1e-7
@@ -159,8 +161,8 @@ def _loaded(model: LinearModel, cost: np.ndarray, offset: float = 0.0) -> _Highs
         cost.astype(float),
         model.col_lb.astype(float),
         model.col_ub.astype(float),
-        np.where(model.sense == SENSE_LE, -np.inf, model.rhs).astype(float),
-        np.where(model.sense == SENSE_GE, np.inf, model.rhs).astype(float),
+        model.row_lo,
+        model.row_hi,
         m.indptr.astype(np.int32),
         m.indices.astype(np.int32),
         m.data.astype(float),
@@ -423,21 +425,22 @@ class LpBackend:
             _check(status, "the column bounds")
             self._lb, self._ub = lb, ub
         res = self._run()
-        if not res.ok:  # drifted, Unknown or any other verdict: refactorize the basis it ended on
+        if not res.ok and self._left() > 0:  # drifted, Unknown or any other verdict: refactorize the basis it ended on
             basis = self.highs.getBasis()
             if basis.valid:
                 _check(self.highs.setBasis(basis), "the basis")
                 res = self._run()
-        if not res.ok:  # once more from scratch, a final verdict
+        if not res.ok and self._left() > 0:  # once more from scratch, a final verdict
             self.highs.clearSolver()
             res = self._run()
         return res
 
+    def _left(self) -> float:
+        """The seconds left before the deadline, 0 once it has passed; inf with no deadline."""
+        return np.inf if self.deadline is None else max(0.0, self.deadline - time.monotonic())
+
     def _run(self) -> LpResult:
-        limit = np.inf
-        if self.deadline is not None:
-            limit = self.highs.getRunTime() + max(0.0, self.deadline - time.monotonic())
-        res = linprog(self.highs, limit)
+        res = linprog(self.highs, self.highs.getRunTime() + self._left())
         if not res.ok:
             return res
         x = res.x

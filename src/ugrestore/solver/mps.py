@@ -14,7 +14,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
+from ugrestore.model import LinearModel
 from ugrestore.solver.bnb import Solution
 from ugrestore.solver.cuts import seed_tangents
 
@@ -113,9 +113,11 @@ def _mps_parts(model: LinearModel, relax_binaries: bool):
     """The parts of the MPS file, in order."""
     seeds, seed_rhs = seed_tangents(model)
     seeds.eliminate_zeros()  # a zero tangent coefficient is not written
-    letter = np.empty(3, dtype="S1")
-    letter[[SENSE_LE, SENSE_GE, SENSE_EQ]] = [b"L", b"G", b"E"]
-    sense = np.concatenate([letter[model.sense], np.full(len(seed_rhs), b"L")])
+    lo, hi = model.row_lo, model.row_hi
+    if np.any((lo != hi) & (np.isfinite(lo) == np.isfinite(hi))):
+        raise ValueError("a ranged or free row has no L, G or E form (the export writes no RANGES section)")
+    letter = np.where(lo == hi, b"E", np.where(hi == np.inf, b"G", b"L"))
+    sense = np.concatenate([letter, np.full(len(seed_rhs), b"L")])
     # the name of row r of the model and tangent rows is rows[1 + r]; rows[0] is the objective
     rows = np.concatenate([[b"OBJ"], _name(b"R", np.arange(model.nrows)), _name(b"K", np.arange(len(seed_rhs)))])
     cols = _name(b"C", np.arange(model.ncols))
@@ -157,8 +159,8 @@ def _column_entries(model: LinearModel, seeds: sp.csr_matrix):
 
 
 def _rhs_entries(model: LinearModel, seed_rhs: np.ndarray):
-    """The rows, model then tangent rows, whose right-hand side is not 0, and the texts of those sides."""
-    rhs = np.concatenate([model.rhs, seed_rhs])
+    """The rows, model then tangent rows, whose right-hand side (a model row's finite bound) is not 0, and its texts."""
+    rhs = np.concatenate([np.where(model.row_hi == np.inf, model.row_lo, model.row_hi), seed_rhs])
     nonzero = np.flatnonzero(rhs != 0.0)
     return nonzero, _value_texts(rhs[nonzero])
 
@@ -362,9 +364,11 @@ def read_solution_file(path) -> dict[str, float]:
             if not line or line.startswith(("*", "#")):
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise SolutionImportError(f"expected 'name value', got {line!r}")
-            values[parts[0]] = float(parts[1])
+            try:
+                name, value = parts
+                values[name] = float(value)
+            except ValueError:  # not two fields, or a value that is not a number
+                raise SolutionImportError(f"expected 'name value', got {line!r}") from None
     return values
 
 

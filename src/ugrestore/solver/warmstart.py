@@ -16,9 +16,9 @@ done, so its HiGHS instance never lives beside the search's.  Every
 backend of the warm start shares one deadline, ``time_limit_s`` after the
 warm start begins, as the search's backend has its own from the start of
 :func:`bnb.solve`; an LP cut off by it is an ``error``, so the skeleton
-yields None.  The diver owns none: it dives in the backend the search lends
-it, whose capped cut pool and deadline it shares, and every call dives
-afresh.
+yields None, and past the deadline no further skeleton is tried.  The
+diver owns none: it dives in the backend the search lends it, whose capped
+cut pool and deadline it shares, and every call dives afresh.
 
 The warm start derives the skeleton from the case alone (first
 gate-feasible closing, phase assignment chosen to balance the projected
@@ -228,7 +228,7 @@ def greedy_warm_start(
         if fixes is None:
             return None
         x = _resolve(model, LpBackend(model, deadline, fixes), fixes, opts)
-        if x is not None:
+        if x is not None or time.monotonic() >= deadline:  # no backend is built past the deadline
             return x
     return None
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ugrestore.catalog import VariableCatalog
 from ugrestore.feeder import load_case, load_case_dict
@@ -105,6 +106,22 @@ def add_row(b: ModelBuilder, family: str, terms, sense: int, rhs: float) -> None
     cols = np.array([c for c, _ in terms], dtype=np.int64)
     vals = np.array([v for _, v in terms], dtype=np.float64)
     b.add_blocks([RowBlock(np.zeros(1, dtype=np.int64), family, np.array([cols.size]), cols, vals, sense, rhs)])
+
+
+def linprog_rows(a, lo: np.ndarray, hi: np.ndarray) -> dict:
+    """The rows ``lo <= a.x <= hi`` as ``A_ub``, ``b_ub``, ``A_eq`` and ``b_eq`` of scipy's ``linprog``.
+
+    Each finite upper side is a row of ``A_ub``, then each finite lower side
+    a negated one; a row whose sides meet is an equality.
+    """
+    eq = lo == hi
+    upper, lower = np.isfinite(hi) & ~eq, np.isfinite(lo) & ~eq
+    return {
+        "A_ub": sp.vstack([a[upper], -a[lower]], format="csr"),
+        "b_ub": np.concatenate([hi[upper], -lo[lower]]),
+        "A_eq": a[eq],
+        "b_eq": lo[eq],
+    }
 
 
 def cone_toy(demand=("p",)):

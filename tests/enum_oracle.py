@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
+from ugrestore.model import LinearModel
 
 
 def _tangent(point, cone):
@@ -38,20 +38,21 @@ def _tangent(point, cone):
 
 def _lp_with_cones(model: LinearModel, lb, ub, tol=1e-9, max_rounds=300):
     m = model.matrix().tocsr()
-    le = np.flatnonzero(model.sense == SENSE_LE)
-    ge = np.flatnonzero(model.sense == SENSE_GE)
-    eq = np.flatnonzero(model.sense == SENSE_EQ)
+    lo, hi = model.row_lo, model.row_hi
+    eq = np.flatnonzero(lo == hi)
+    le = np.flatnonzero(np.isfinite(hi) & (lo != hi))
+    ge = np.flatnonzero(np.isfinite(lo) & (lo != hi))
     blocks, rhs_parts = [], []
     if le.size:
         blocks.append(m[le])
-        rhs_parts.append(model.rhs[le])
+        rhs_parts.append(hi[le])
     if ge.size:
         blocks.append(-m[ge])
-        rhs_parts.append(-model.rhs[ge])
+        rhs_parts.append(-lo[ge])
     a_ub = sp.vstack(blocks, format="csr") if blocks else None
     b_ub = np.concatenate(rhs_parts) if rhs_parts else None
     a_eq = m[eq].tocsr() if eq.size else None
-    b_eq = model.rhs[eq] if eq.size else None
+    b_eq = lo[eq] if eq.size else None
     cuts_cols, cuts_coefs, cuts_rhs = [], [], []
     prev_worst = None
     stall = 0
@@ -141,8 +142,8 @@ def exhaustive_solve(model: LinearModel, tol: float = 1e-9):
         if np.all(fixed_mask[cols] | enum_mask[cols]):
             pre_rows.append(r)
     pre = m[pre_rows]
-    pre_sense = model.sense[pre_rows]
-    pre_rhs = model.rhs[pre_rows]
+    pre_lo = model.row_lo[pre_rows]
+    pre_hi = model.row_hi[pre_rows]
     base = pre @ np.where(fixed_mask, model.col_lb, 0.0)
     coef = pre[:, free].toarray() if pre_rows else np.zeros((0, n))
 
@@ -151,11 +152,7 @@ def exhaustive_solve(model: LinearModel, tol: float = 1e-9):
     for bits in itertools.product((0.0, 1.0), repeat=n):
         b = np.array(bits)
         lhs = base + coef @ b
-        bad = (
-            ((pre_sense == SENSE_LE) & (lhs > pre_rhs + 1e-9))
-            | ((pre_sense == SENSE_GE) & (lhs < pre_rhs - 1e-9))
-            | ((pre_sense == SENSE_EQ) & (np.abs(lhs - pre_rhs) > 1e-9))
-        )
+        bad = (lhs > pre_hi + 1e-9) | (lhs < pre_lo - 1e-9)
         if bad.any():
             continue
         lb = model.col_lb.copy()

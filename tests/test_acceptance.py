@@ -12,16 +12,15 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from conftest import add_row, case_path, shipped_case
+from conftest import add_row, case_path, linprog_rows, shipped_case
 from enum_oracle import exhaustive_solve
 from test_validator import RADIALITY_FAMILIES, _encoding_feasible
 from ugrestore import physics
 from ugrestore.feeder import case_to_dict, load_case, save_case
 from ugrestore.formulation import BuildOptions, build_model
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, ModelBuilder
+from ugrestore.model import SENSE_GE, SENSE_LE, ModelBuilder
 from ugrestore.catalog import VariableCatalog
 from ugrestore.plan import RestorationPlan
 from ugrestore.quantile import normal_cdf, normal_quantile
@@ -193,11 +192,8 @@ def test_05_linearization_equivalence():
     z1 = ((raw1 + raw1.T) / 2) * (1 + 1j)
     z2 = ((raw2 + raw2.T) / 2) * (1 + 1j)
     cat, model, variants = _two_gear_bracket_model(z1, z2)
-    m = model.matrix().tocsr()
-    le = np.flatnonzero(model.sense == SENSE_LE)
-    ge = np.flatnonzero(model.sense == SENSE_GE)
-    a_ub = sp.vstack([m[le], -m[ge]], format="csr")
-    b_ub = np.concatenate([model.rhs[le], -model.rhs[ge]])
+    rows = linprog_rows(model.matrix().tocsr(), model.row_lo, model.row_hi)
+    assert rows["b_eq"].size == 0  # every row a <= or a >= row
     worst = 0.0
     for v1, v2 in itertools.product(range(6), range(6)):
         for _ in range(20):
@@ -214,8 +210,8 @@ def test_05_linearization_equivalence():
                     lb[col] = ub[col] = float(currents[gid][i])
             res = linprog(
                 c=-model.obj,
-                A_ub=a_ub,
-                b_ub=b_ub,
+                A_ub=rows["A_ub"],
+                b_ub=rows["b_ub"],
                 bounds=np.column_stack((lb, ub)),
                 method="highs",
             )

@@ -133,6 +133,13 @@ class TestSolve:
         assert plan_a == plan_b
 
 
+# every field of a plan document, with no group
+PLAN_FIELDS = {
+    "format": "ugrestore-plan-v1", "case_name": "toy_pair", "horizon": 1, "period_hours": 1.0, "kw_base": 1.0,
+    "objective_pu_h": 0.0, "status": "optimal", "gap": 0.0, "no_swap": False, "ferro_gate": True, "groups": {},
+}
+
+
 class TestCheck:
     def test_check_solve_output(self, outdir, capsys):
         assert main(_solve_args("toy_gear3", outdir)) == 0
@@ -202,6 +209,26 @@ class TestCheck:
         assert rc == 3
 
 
+    @pytest.mark.parametrize("command", ["check", "report"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format": "ugrestore-plan-v1"}, "no field 'case_name'"),
+            ([1, 2], "a plan is a JSON object, not list"),
+            ({**PLAN_FIELDS, "groups": 5}, "groups are not an object of lists"),
+            ({**PLAN_FIELDS, "groups": {"gamma": [1]}}, "groups are not an object of lists"),
+            (PLAN_FIELDS, "ess_soc: no value for (0, 0)"),
+        ],
+        ids=["missing field", "not an object", "groups not an object", "group entry not a list", "no values"],
+    )
+    def test_malformed_plan_is_one_error_line(self, outdir, capsys, command, doc, message):
+        bad = outdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main([command, "--case", str(case_path("toy_pair")), "--plan", str(bad), "--out", str(outdir)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 class TestExport:
     def test_export_files(self, outdir, capsys):
         rc = main(
@@ -263,6 +290,15 @@ class TestExport:
         assert second["gap"] is None and second["bound_kwh"] is None
         plan = RestorationPlan.load(outdir / "plan.json")
         assert plan.gap == float("inf") and plan.solver_info["bound_pu_h"] is None
+
+    @pytest.mark.parametrize("command", ["export", "solve"])
+    def test_non_numeric_solution_value_is_one_error_line(self, outdir, capsys, command):
+        sol = outdir / "bad.sol"
+        sol.write_text("C0000001 abc\n")
+        args = [command, "--case", str(case_path("toy_pair")), "--out", str(outdir), "--import-solution", str(sol)]
+        rc = main(args + (["--solver", "external"] if command == "solve" else []))
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1 and "'C0000001 abc'" in err
 
     def test_external_without_solution_exits_3(self, outdir):
         rc = main(

@@ -18,6 +18,7 @@ from conftest import (
     check_export_bytes,
     check_row_metadata,
     family_rows,
+    linprog_rows,
     load_minimal,
     minimal_doc,
     root_lp,
@@ -100,14 +101,14 @@ class TestBuildBasics:
         assert row_families(a) == row_families(b)
         for field in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a.matrix(), field), getattr(b.matrix(), field)), field
-        assert np.array_equal(a.rhs, b.rhs)
+        assert np.array_equal(a.row_lo, b.row_lo) and np.array_equal(a.row_hi, b.row_hi)
         assert np.array_equal(a.col_lb, b.col_lb)
         assert np.array_equal(a.obj, b.obj)
         assert np.array_equal(a.cones, b.cones)
 
     @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
     def test_no_row_is_stated_twice(self, name):
-        """No two rows share their sorted entries, sense and right-hand side."""
+        """No two rows share their sorted entries and bounds."""
         model = build_model(shipped_case(name))
         a = model.matrix().tocsr()
         a.sort_indices()
@@ -119,8 +120,8 @@ class TestBuildBasics:
             key = (
                 a.indices[span].tobytes(),
                 a.data[span].tobytes(),
-                int(model.sense[row]),
-                float(model.rhs[row]),
+                float(model.row_lo[row]),
+                float(model.row_hi[row]),
             )
             if key in first:
                 twice.append((families[first[key]], families[row]))
@@ -174,8 +175,8 @@ class TestAddBlocks:
     def _state(b: ModelBuilder) -> tuple:
         m = b.build()
         a = m.matrix()
-        return (a.indptr.tolist(), a.indices.tolist(), a.data.tobytes(), m.sense.tolist(),
-                m.rhs.tobytes(), row_families(m), m.family_names)
+        return (a.indptr.tolist(), a.indices.tolist(), a.data.tobytes(), m.row_lo.tobytes(),
+                m.row_hi.tobytes(), row_families(m), m.family_names)
 
     @staticmethod
     def _builder() -> ModelBuilder:
@@ -317,8 +318,11 @@ def test_builder_csr_equals_coo_of_its_rows(calls):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
     assert row_families(m) == [f for f, _, _, _ in landed]
     assert m.family_names == list(dict.fromkeys(f for f, _, _, _ in landed))
-    assert m.sense.tolist() == [sense for _, _, sense, _ in landed]
-    assert m.rhs.tobytes() == np.array([rhs for _, _, _, rhs in landed], dtype=np.float64).tobytes()
+    # a <= row is open below, a >= row above, and an equality holds its rhs on both sides, bit for bit
+    lo = [-np.inf if sense == SENSE_LE else rhs for _, _, sense, rhs in landed]
+    hi = [np.inf if sense == SENSE_GE else rhs for _, _, sense, rhs in landed]
+    assert m.row_lo.tobytes() == np.array(lo, dtype=np.float64).tobytes()
+    assert m.row_hi.tobytes() == np.array(hi, dtype=np.float64).tobytes()
 
 
 def test_model_holds_one_copy_of_its_entries():
@@ -391,21 +395,10 @@ def _fix_all(model, fixes):
 
 
 def _lp(model, lb, ub, sense_obj=None):
-    m = model.matrix().tocsr()
-    le = np.flatnonzero(model.sense == SENSE_LE)
-    ge = np.flatnonzero(model.sense == SENSE_GE)
-    eq = np.flatnonzero(model.sense == SENSE_EQ)
-    a_ub = sp.vstack([m[le], -m[ge]], format="csr")
-    b_ub = np.concatenate([model.rhs[le], -model.rhs[ge]])
-    a_eq = m[eq]
-    b_eq = model.rhs[eq]
     c = np.zeros(model.ncols) if sense_obj is None else sense_obj
     return linprog(
         c=c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        **linprog_rows(model.matrix().tocsr(), model.row_lo, model.row_hi),
         bounds=np.column_stack((lb, ub)),
         method="highs",
     )
@@ -442,8 +435,7 @@ class TestSwapTransition:
         g = case.switchgears[0]
         rows = self._transition_rows(model)
         m = model.matrix().tocsr()[rows]
-        sense = model.sense[rows]
-        rhs = model.rhs[rows]
+        lo, hi = model.row_lo[rows], model.row_hi[rows]
         ph = 0
         admissible_events, admissible_flags = [], []
         for events in itertools.product((0.0, 1.0), repeat=3):
@@ -458,11 +450,7 @@ class TestSwapTransition:
                 x[cat.col("swap_any", (g.id, 0, ph))] = 1.0 if sum(prev) else 0.0
                 x[cat.col("swap_any", (g.id, 1, ph))] = flag
                 ax = m @ x
-                ok = np.all(
-                    ((sense == SENSE_LE) & (ax <= rhs + 1e-9))
-                    | ((sense == SENSE_GE) & (ax >= rhs - 1e-9))
-                    | ((sense == SENSE_EQ) & (np.abs(ax - rhs) <= 1e-9))
-                )
+                ok = np.all((ax >= lo - 1e-9) & (ax <= hi + 1e-9))
                 if ok:
                     admissible_events.append(list(events))
                     admissible_flags.append(flag)
@@ -482,21 +470,12 @@ class TestSwapTransition:
             lb, ub = _fix_all(model, fixes)
             rows = self._transition_rows(model)
             sub = model.matrix().tocsr()[rows]
-            sense = model.sense[rows]
-            rhs = model.rhs[rows]
-            a_ub = sp.vstack([sub[sense == SENSE_LE], -sub[sense == SENSE_GE]], format="csr")
-            b_ub = np.concatenate([rhs[sense == SENSE_LE], -rhs[sense == SENSE_GE]])
-            a_eq = sub[sense == SENSE_EQ]
-            b_eq = rhs[sense == SENSE_EQ]
             c = np.zeros(model.ncols)
             for ps in range(3):
                 c[cat.col("swap_event", (g.id, 1, 0, ps))] = 1.0
             res = linprog(
                 c=c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=b_eq,
+                **linprog_rows(sub, model.row_lo[rows], model.row_hi[rows]),
                 bounds=np.column_stack((lb, ub)),
                 method="highs",
             )
@@ -515,8 +494,7 @@ class TestSwapStructure:
         swap = [cat.col("swap", (g.id, 0, ph, ps)) for ph in range(3) for ps in range(3)]
         rows = family_rows(model, "swap-col-once", "swap-row-once", "swap-open-or-full", touching=swap)
         m = model.matrix().tocsr()[rows]
-        sense = model.sense[rows]
-        rhs = model.rhs[rows]
+        lo, hi = model.row_lo[rows], model.row_hi[rows]
         admitted = []
         for bits in itertools.product((0.0, 1.0), repeat=9):
             mat = np.array(bits).reshape(3, 3)
@@ -527,11 +505,7 @@ class TestSwapStructure:
                         x[cat.col("swap", (g.id, 0, ph, ps))] = mat[ph, ps]
                 x[cat.col("beta", (g.id, 0))] = beta
                 ax = m @ x
-                ok = np.all(
-                    ((sense == SENSE_LE) & (ax <= rhs + 1e-9))
-                    | ((sense == SENSE_GE) & (ax >= rhs - 1e-9))
-                    | ((sense == SENSE_EQ) & (np.abs(ax - rhs) <= 1e-9))
-                )
+                ok = np.all((ax >= lo - 1e-9) & (ax <= hi + 1e-9))
                 if ok:
                     admitted.append((bits, beta))
         perms = {tuple(p.flatten().tolist()) for p in PERMUTATIONS}
@@ -592,13 +566,14 @@ class TestQGate:
         x = np.zeros(model.ncols)
         x[cat.col("beta", (g.id, 0))] = 1.0
         x[cat.col("beta", (g.id, 1))] = 1.0
-        assert (m @ x)[0] >= model.rhs[row] - 1e-12
+        assert model.row_hi[row] == np.inf  # a >= row
+        assert (m @ x)[0] >= model.row_lo[row] - 1e-12
         # closing fresh requires the flag
         x = np.zeros(model.ncols)
         x[cat.col("beta", (g.id, 1))] = 1.0
-        assert (m @ x)[0] < model.rhs[row]
+        assert (m @ x)[0] < model.row_lo[row]
         x[cat.col("alpha", (g.id, 1))] = 1.0
-        assert (m @ x)[0] >= model.rhs[row] - 1e-12
+        assert (m @ x)[0] >= model.row_lo[row] - 1e-12
 
 
 class TestChanceConstraint:
@@ -894,9 +869,9 @@ def _guard_rows(case, gear_id: str, t: int = 0, ph: int = 0) -> _GuardRows:
         row = a.getrow(i)
         terms = {cat.name_of(int(c)).split("[")[0]: float(v) for c, v in zip(row.indices, row.data)}
         fam = model.family_names[model.family[i]]
-        rows.setdefault(fam, []).append((int(model.sense[i]), float(model.rhs[i]), terms))
+        rows.setdefault(fam, []).append((float(model.row_lo[i]), float(model.row_hi[i]), terms))
     (_, _, definition), = rows["inrush-def"]
-    (_, cap, joint), = [r for r in rows["inrush-guard"] if r[0] == SENSE_LE]
+    (_, cap, joint), = [r for r in rows["inrush-guard"] if r[0] == -np.inf]  # the joint row is the <= one
     col = cat.col("inrush", (gear_id, t, ph))
     rating = float(model.col_ub[col])
     assert model.col_lb[col] == -rating
@@ -1104,7 +1079,7 @@ def _cited_rows(model):
     """``model`` over only the rows that :func:`dead_pairs` cites, with no cone."""
     rows = family_rows(model, "coverage-unique", "coverage-parent", "wire-consistent")
     return replace(
-        model, csr=model.matrix()[rows], sense=model.sense[rows], rhs=model.rhs[rows],
+        model, csr=model.matrix()[rows], row_lo=model.row_lo[rows], row_hi=model.row_hi[rows],
         family=model.family[rows], cones=model.cones[:0],
     )
 

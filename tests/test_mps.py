@@ -8,7 +8,7 @@ from scipy.optimize._highspy._core import HighsStatus, _Highs
 from conftest import check_export_bytes, cone_toy, golden_exports, shipped_case, shipped_case_names
 from ugrestore.catalog import VariableCatalog
 from ugrestore.formulation import build_model
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearModel
+from ugrestore.model import LinearModel
 from ugrestore.solver import (
     SolverOptions,
     export_mps,
@@ -102,9 +102,10 @@ def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=F
         if relax_binaries:
             fh.write("* binaries relaxed to [0,1] (LP relaxation)\n")
         fh.write(f"NAME {model.meta.get('name', 'model')}\nOBJSENSE\n    MAX\nROWS\n N  OBJ\n")
-        sense_char = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}
-        for r in range(model.nrows):
-            fh.write(f" {sense_char[int(model.sense[r])]}  R{r:07d}\n")
+        # a row's side that is not infinite is its right-hand side, an equality's both
+        sides = [(float(lo), float(hi)) for lo, hi in zip(model.row_lo, model.row_hi)]
+        for r, (lo, hi) in enumerate(sides):
+            fh.write(f" {'E' if lo == hi else 'G' if hi == np.inf else 'L'}  R{r:07d}\n")
         for ci in range(len(cuts)):
             fh.write(f" L  K{ci:07d}\n")
         fh.write("COLUMNS\n")
@@ -122,9 +123,10 @@ def reference_export(model, mps_path, cone_path, name_map_path, relax_binaries=F
         if integer_open:
             fh.write("    MARKER    'MARKER'    'INTEND'\n")
         fh.write("RHS\n")
-        for r in range(model.nrows):
-            if model.rhs[r] != 0.0:
-                fh.write(f"    RHS  R{r:07d}  {float(model.rhs[r])!r}\n")
+        for r, (lo, hi) in enumerate(sides):
+            rhs = lo if hi == np.inf else hi
+            if rhs != 0.0:
+                fh.write(f"    RHS  R{r:07d}  {rhs!r}\n")
         for ci, (_, _, rhs) in enumerate(cuts):
             if rhs != 0.0:
                 fh.write(f"    RHS  K{ci:07d}  {rhs!r}\n")
@@ -169,8 +171,8 @@ def edge_model() -> LinearModel:
         col_binary=binary,
         obj=np.array([1.0, 0.0, -0.0, 0.5, 0.0, 0.0, 0.0, -0.0]),
         csr=sp.coo_matrix((vals, (rows, cols)), shape=(3, 8)).tocsr(),
-        sense=np.array([SENSE_LE, SENSE_GE, SENSE_EQ], dtype=np.int8),
-        rhs=np.array([1.5, -0.0, 7.0]),
+        row_lo=np.array([-np.inf, -0.0, 7.0]),  # a <= row, a >= row and an equality
+        row_hi=np.array([1.5, np.inf, 7.0]),
         family=np.zeros(3, dtype=np.int32),
         family_names=["f"],
         cones=np.array([[3, 4, 6, 2]]),
@@ -196,6 +198,20 @@ class TestExportBytes:
     @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
     def test_export_bytes_unchanged(self, name, tmp_path):
         check_export_bytes(name, build_model(shipped_case(name)), tmp_path)
+
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_every_built_row_has_an_l_g_or_e_form(self, name):
+        """An equality, or one infinite side: the export needs no RANGES section."""
+        model = build_model(shipped_case(name))
+        lo, hi = model.row_lo, model.row_hi
+        assert np.all((lo == hi) | ((lo == -np.inf) & (hi < np.inf)) | ((lo > -np.inf) & (hi == np.inf)))
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.5), (-np.inf, np.inf)], ids=["ranged", "free"])
+    def test_a_row_with_no_l_g_or_e_form_is_refused(self, lo, hi, tmp_path):
+        model = edge_model()
+        model.row_lo[0], model.row_hi[0] = lo, hi
+        with pytest.raises(ValueError, match="RANGES"):
+            export_mps(model, tmp_path / "m.mps")
 
     @pytest.mark.parametrize("idx", [[0, 7, 9_999_999], [5, 10_000_000, 123_456_789_012]])
     def test_names_pad_to_seven_digits_and_grow_past_them(self, idx):
@@ -283,11 +299,9 @@ class TestReadBack:
     def test_rows(self, exported):
         model, lp, _ = exported
         cuts = tangent_rows(model)
-        sense = np.concatenate([model.sense, np.full(len(cuts), SENSE_LE)])
-        rhs = np.concatenate([model.rhs, [r for _, _, r in cuts]])
         assert lp.num_row_ == model.nrows + len(cuts) == model.nrows + 8 * len(model.cones)
-        assert np.array_equal(lp.row_lower_, np.where(sense == SENSE_LE, -np.inf, rhs))
-        assert np.array_equal(lp.row_upper_, np.where(sense == SENSE_GE, np.inf, rhs))
+        assert np.array_equal(lp.row_lower_, np.concatenate([model.row_lo, np.full(len(cuts), -np.inf)]))
+        assert np.array_equal(lp.row_upper_, np.concatenate([model.row_hi, [r for _, _, r in cuts]]))
 
     def test_matrix(self, exported):
         model, lp, _ = exported
@@ -347,6 +361,13 @@ class TestImport:
         name = re.escape(model.catalog.name_of(0 if bad == "nan" else 5))
         with pytest.raises(SolutionImportError, match=rf"non-finite at \('{name}',\) by inf"):
             import_external_solution(model, path)
+
+    @pytest.mark.parametrize("text", ["abc", "1.0.0", "0x10"])
+    def test_non_numeric_value_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"C0000000 1.0\nC0000001 {text}\n")
+        with pytest.raises(SolutionImportError, match=rf"'C0000001 {re.escape(text)}'"):
+            mps.read_solution_file(path)
 
     def test_unknown_name_rejected(self, solved_pair, tmp_path):
         case, model, sol = solved_pair

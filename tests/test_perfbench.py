@@ -4,9 +4,11 @@ A traced benchmark run raises ``BoundaryError`` when a wrapped call never
 happens, for example when the search skips its separation; this runs the
 same check, through the benchmark's own modules, on workload seed 0 and on
 seed 7, whose greedy plan once failed the validator's ``cone-tightness``.
+The seed sweep script, which runs the same pipelines, has its comparison
+checked here too.
 """
 
-import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -30,3 +32,18 @@ def test_traced_pipeline_calls_its_boundaries(name, seed, tmp_path, monkeypatch)
     spans.require_called(tracer, spans.SOLVE_CALLS | ({spans.DIVE_CALL} if w.dives else set()))
     ref = json.loads(workloads.REFERENCES.read_text())[name][str(seed)]
     assert workloads.check(w, out, tmp_path / "pipeline", ref) == []
+
+
+def test_seed_sweep_compare_counts_the_same_points(capsys, monkeypatch):
+    """``scripts/seed_sweep.py --compare`` reports, beside the status line, how many solves hold the same point."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("seed_sweep", PERFBENCH.parent / "scripts" / "seed_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    run = {"status": "optimal", "objective": 1.0, "bound": 1.0, "nodes": 1, "cuts": 3, "valid": True,
+           "x_sha256": "a", "lps": 10, "fallbacks": 0, "seconds": 0.2}
+    old = {name: {"0": run, "1": run} for name in sweep.WORKLOADS}
+    new = {name: dict(runs) for name, runs in old.items()}
+    new["r13-nogate-proof"]["1"] = run | {"x_sha256": "b"}  # same outcome, another point
+    assert sweep.compare(new, old) == 0
+    assert "same status, node count and verdict: 4 of 4; same point: 3 of 4\n" in capsys.readouterr().out

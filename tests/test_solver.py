@@ -135,6 +135,14 @@ class TestLpBackend:
         LpBackend(model, deadline=time.monotonic() - 1.0).solve()
         assert left[-1] == 0.0
 
+    def test_no_retry_past_the_deadline(self, reduced13, monkeypatch):
+        model = build_model(reduced13)
+        limits = []
+        real = lp.linprog
+        monkeypatch.setattr(lp, "linprog", lambda highs, limit: limits.append(limit) or real(highs, limit))
+        assert LpBackend(model, deadline=time.monotonic() - 1.0).solve().status == "error"
+        assert len(limits) == 1  # the run the deadline cut off, retried neither warm nor cold
+
     def test_time_limit_counts_the_run_time_already_spent(self, reduced13):
         # HiGHS stops once its cumulative run time reaches time_limit, so a
         # backend that passed only the seconds left would stop this LP at once
@@ -374,10 +382,37 @@ class TestRestriction:
         got = model.restrict(model.col_lb, model.col_ub)
         assert got.col_ub[x] == 1.0 / 3.0 and got.col_ub[y] == 0.5 and got.col_ub[w] == np.inf
         assert row_families(got.model) == ["open"] and got.keep.tolist() == [x, y, w]
-        assert got.fixed[z] == 2.0 and got.offset == 1.0 and got.model.rhs.tolist() == [3.0]
+        assert got.fixed[z] == 2.0 and got.offset == 1.0 and got.model.row_hi.tolist() == [3.0]
+        assert got.model.row_lo.tolist() == [-np.inf]
         assert got.model.cones.tolist() == [[2, 1, 0, 0]]
         res = LpBackend(model).solve()
         assert res.ok and res.x[z] == 2.0 and res.objective == pytest.approx(1.0 / 3.0 + 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "first, rows, bounds, status",
+        [
+            # x0 - 2 x1 <= 3 and -(x0 - 2 x1) <= 1: the range -1 <= x0 - 2 x1 <= 3
+            ("upper", [("upper", 1.0, 3.0), ("lower", -1.0, 1.0)], (-1.0, 3.0), "optimal"),
+            ("lower", [("lower", -1.0, 1.0), ("upper", 1.0, 3.0)], (-3.0, 1.0), "optimal"),
+            # x0 - 2 x1 <= -2 and x0 - 2 x1 >= -1: bounds that cross stay crossing
+            ("upper", [("upper", 1.0, -2.0), ("lower", -1.0, 1.0)], (-1.0, -2.0), "infeasible"),
+        ],
+    )
+    def test_a_row_and_its_negation_restrict_to_one_ranged_row(self, first, rows, bounds, status):
+        cat = VariableCatalog()
+        cat.add_group("x", [0, 1], lb=0.0, ub=4.0)  # x0 - 2 x1 ranges over [-8, 4]: no row is redundant
+        b = ModelBuilder(cat)
+        for family, sign, rhs in rows:
+            add_row(b, family, [(0, sign), (1, -2.0 * sign)], SENSE_LE, rhs)
+        b.add_obj([0, 1], [1.0, -2.0])
+        model = b.build({})
+        got = model.restrict(model.col_lb, model.col_ub)
+        assert row_families(got.model) == [first]  # the group's first row, in its own orientation
+        assert (got.model.row_lo.tolist(), got.model.row_hi.tolist()) == ([bounds[0]], [bounds[1]])
+        res = LpBackend(model).solve()
+        assert res.status == status
+        if res.ok:
+            assert res.objective == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("build", [{}, {"ferro_gate": False}, {"no_swap": True}], ids=str)
     @pytest.mark.parametrize("name", [n for n in shipped_case_names() if n != "feeder123"])
@@ -466,19 +501,19 @@ class TestRestriction:
         assert whole or not _mergeable_pairs(got.model)
         # both ways exact: each full row is implied by the restriction, and each kept row by the full rows
         shift = model.csr @ got.fixed
-        lo, hi = (side - shift for side in _row_bounds(model))
+        lo, hi = model.row_lo - shift, model.row_hi - shift
         a = model.csr[:, got.keep].tocsr().sorted_indices()
         col_lb, col_ub = got.col_lb[got.keep], got.col_ub[got.keep]
         act_lo = a.multiply(a > 0) @ col_lb + a.multiply(a < 0) @ col_ub
         act_hi = a.multiply(a > 0) @ col_ub + a.multiply(a < 0) @ col_lb
-        full, kept = _by_vector(a, lo, hi), _by_vector(got.model.csr, *_row_bounds(got.model))
+        full, kept = _by_vector(a, lo, hi), _by_vector(got.model.csr, got.model.row_lo, got.model.row_hi)
         for j in range(model.nrows):
             if act_lo[j] >= lo[j] - 1e-9 and act_hi[j] <= hi[j] + 1e-9:
                 continue  # the column bounds imply it
             key, s = _signed_row(a, j)
             glo, ghi = _meet(kept[key])  # a KeyError: a dropped row that no kept row equals
             assert glo >= (lo[j] if s > 0 else -hi[j]) and ghi <= (hi[j] if s > 0 else -lo[j]), j
-        ilo, ihi = _row_bounds(got.model)
+        ilo, ihi = got.model.row_lo, got.model.row_hi
         for i in range(got.model.nrows):
             key, s = _signed_row(got.model.csr, i)
             glo, ghi = _meet(full[key])
@@ -537,10 +572,6 @@ def _paired_model(draw):
     return b.build({}), fixes
 
 
-def _row_bounds(model):
-    return np.where(model.sense == SENSE_LE, -np.inf, model.rhs), np.where(model.sense == SENSE_GE, np.inf, model.rhs)
-
-
 def _signed_row(a, i):
     """Row ``i`` of ``a`` as its columns and values, signed so that its first value is positive, and that sign."""
     cols, vals = a.indices[a.indptr[i] : a.indptr[i + 1]], a.data[a.indptr[i] : a.indptr[i + 1]]
@@ -563,14 +594,9 @@ def _meet(bounds):
 
 
 def _mergeable_pairs(model) -> list:
-    """The pairs of rows equal up to sign whose bounds meet or bound the same side: one row would do."""
-    pairs = []
-    for bounds in _by_vector(model.csr, *_row_bounds(model)).values():
-        for p, q in itertools.combinations(bounds, 2):
-            lo, hi = _meet((p, q))
-            if lo == hi or lo == -np.inf or hi == np.inf:
-                pairs.append((p, q))
-    return pairs
+    """The pairs of rows equal up to sign: one row, holding the intersection of their bounds, would do."""
+    bounds = _by_vector(model.csr, model.row_lo, model.row_hi).values()
+    return [pair for group in bounds for pair in itertools.combinations(group, 2)]
 
 
 class TestOaRound:
@@ -682,6 +708,18 @@ class TestViolationReport:
         b.add_cones([(1, 1, 0, 0)])
         violations = b.build().check_solution(np.array([1.0, 0.5]))
         assert {v.family: v.loc for v in violations} == {"twice": ("x[a]", "x[b]"), "cone": ("x[b]", "x[a]")}
+
+    @pytest.mark.parametrize("total, residual", [(-3.0, 2.0), (5.0, 2.0)], ids=["below row_lo", "above row_hi"])
+    def test_a_ranged_row_reports_both_sides(self, total, residual):
+        cat = VariableCatalog()
+        cat.add_group("x", ["a", "b"], lb=-10.0, ub=10.0)
+        b = ModelBuilder(cat)
+        add_row(b, "band", [(0, 1.0), (1, 1.0)], SENSE_LE, 3.0)
+        model = dataclasses.replace(b.build(), row_lo=np.array([-1.0]))  # -1 <= a + b <= 3
+        assert model.check_solution(np.array([total / 2, total / 2])) == [
+            Violation("band", ("x[a]", "x[b]"), residual, row=0)
+        ]
+        assert model.check_solution(np.array([-0.5, -0.5])) == model.check_solution(np.array([1.5, 1.5])) == []
 
 
 class TestSocCut:
@@ -1640,12 +1678,15 @@ class TestWarmStart:
         if ws is not None:
             assert free <= pinned[-1] and model.check_solution(ws) == []
 
-    def test_time_limit_bounds_the_warm_start(self, reduced13):
+    def test_time_limit_bounds_the_warm_start(self, reduced13, monkeypatch):
         """The greedy's LPs stop at ``time_limit_s`` after it starts, so a budget shorter than one LP yields no point."""
         model = build_model(reduced13)
+        built = []
+        monkeypatch.setattr(warmstart, "LpBackend", lambda *args: built.append(LpBackend(*args)) or built[-1])
         t0 = time.monotonic()
         assert greedy_warm_start(model, reduced13, SolverOptions(time_limit_s=1e-3)) is None
         assert time.monotonic() - t0 < 1.0
+        assert len(built) == 1  # the all-open schedule's backend is not built past the deadline
 
     def test_zero_load_gives_zero(self):
         doc_case = load_minimal()

@@ -3,13 +3,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from conftest import family_rows, load_minimal, minimal_doc, shipped_case, voltdiff_capped
+from conftest import family_rows, linprog_rows, load_minimal, minimal_doc, shipped_case, voltdiff_capped
 from ugrestore.feeder import load_case_dict
 from ugrestore.formulation import build_model
-from ugrestore.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from ugrestore.plan import RestorationPlan
 from ugrestore.solver import SolverOptions, greedy_warm_start, solve
 from ugrestore.validator import (
@@ -35,8 +33,6 @@ def _encoding_feasible(case, model, closed_switches) -> bool:
     """LP feasibility of the commodity-flow radiality rows for fixed states."""
     rows = family_rows(model, *RADIALITY_FAMILIES)
     m = model.matrix().tocsr()[rows]
-    sense = model.sense[rows]
-    rhs = model.rhs[rows]
     lb = model.col_lb.copy()
     ub = model.col_ub.copy()
     for l in case.switch_lines:
@@ -44,16 +40,9 @@ def _encoding_feasible(case, model, closed_switches) -> bool:
         col = model.catalog.col("gamma", l.index)
         lb[col] = val
         ub[col] = val
-    a_ub = sp.vstack([m[sense == SENSE_LE], -m[sense == SENSE_GE]], format="csr")
-    b_ub = np.concatenate([rhs[sense == SENSE_LE], -rhs[sense == SENSE_GE]])
-    a_eq = m[sense == SENSE_EQ]
-    b_eq = rhs[sense == SENSE_EQ]
     res = linprog(
         c=np.zeros(model.ncols),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        **linprog_rows(m, model.row_lo[rows], model.row_hi[rows]),
         bounds=np.column_stack((lb, ub)),
         method="highs",
     )
