@@ -1,9 +1,9 @@
 """Feeder case data model, JSON loader/saver and per-switchgear aggregates.
 
 A loaded :class:`FeederCase` is treated as immutable: derived quantities
-(downstream node/line sets, the switchgear maps, equivalent cable
-capacitance) are populated once by the loader and never mutated afterwards,
-so instances are safe to share across threads.
+(downstream node/line sets, the switchgear maps, the wire components,
+equivalent cable capacitance) are populated once by the loader and never
+mutated afterwards, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class Line:
     z: np.ndarray  # (3, 3) complex per-unit
     ampacity_pu: np.ndarray  # (3,) per-phase current bound
 
-    @property
-    def endpoints(self) -> tuple[str, str]:
-        return (self.from_node, self.to_node)
-
 
 @dataclass
 class Switchgear:
@@ -190,6 +186,10 @@ class FeederCase:
     switchgear that energizes it.  :meth:`gear_of_line`,
     :meth:`gear_of_downstream_line` and :meth:`gear_of_downstream_node` look
     them up; the build, the warm start and the validator all ask them.
+
+    It also labels each node's ``wire_component`` (in the order of their first
+    nodes): the always-closed non-switch lines join the nodes into trees that
+    only switch lines join.  The validator, the plans' judge, derives its own.
     """
 
     name: str
@@ -201,6 +201,7 @@ class FeederCase:
     horizon: int
     period_hours: float
     config: CaseConfig
+    wire_component: np.ndarray  # (N,) int64
 
     node_index: dict[str, int] = field(default_factory=dict)
     _adjacency: dict[str, list[int]] = field(default_factory=dict)
@@ -465,7 +466,7 @@ def load_case_dict(data: dict) -> FeederCase:
             )
         )
 
-    _check_wires_acyclic(nodes, lines)
+    wire_component = _wire_components(node_index, lines)
 
     gears: list[Switchgear] = []
     gear_ids: set[str] = set()
@@ -580,6 +581,7 @@ def load_case_dict(data: dict) -> FeederCase:
         period_hours=float(data["period_hours"]),
         config=config,
         node_index=node_index,
+        wire_component=wire_component,
     )
     adjacency: dict[str, list[int]] = {n.id: [] for n in nodes}
     for l in lines:
@@ -590,8 +592,9 @@ def load_case_dict(data: dict) -> FeederCase:
     return case
 
 
-def _check_wires_acyclic(nodes, lines) -> None:
-    parent = {n.id: n.id for n in nodes}
+def _wire_components(node_index: dict[str, int], lines) -> np.ndarray:
+    """Each node's wire component, numbered in the order of its first node; the wires must hold no cycle."""
+    parent = list(range(len(node_index)))
 
     def find(x):
         while parent[x] != x:
@@ -602,12 +605,14 @@ def _check_wires_acyclic(nodes, lines) -> None:
     for l in lines:
         if l.is_switch:
             continue
-        ra, rb = find(l.from_node), find(l.to_node)
+        ra, rb = find(node_index[l.from_node]), find(node_index[l.to_node])
         if ra == rb:
             raise CaseInvariantError(
                 f"non-switch lines contain a cycle through {l.from_node!r}-{l.to_node!r}"
             )
         parent[ra] = rb
+    label: dict[int, int] = {}
+    return np.array([label.setdefault(find(i), len(label)) for i in range(len(parent))], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

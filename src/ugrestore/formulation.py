@@ -50,8 +50,8 @@ Computing 6; Achterberg et al. 2020, INFORMS J. Computing 32), applied once,
 from the case: :func:`dead_pairs` finds the (node, microgrid k) pairs that
 the topology rows keep uncovered.  It starts from every other source
 (``coverage-unique`` against that source's fixed ``u = 1``) and takes in a
-dead node's wire component (``wire-consistent``) and its descendants in k's
-orientation (``coverage-parent``).  Of a dead pair, ``u`` and ``volt_sq``
+dead node's whole wire component (``wire-consistent``) and its descendants
+in k's orientation (``coverage-parent``).  Of a dead pair, ``u`` and ``volt_sq``
 are fixed at 0, and so are ``flow_p``, ``flow_q``, ``curr_sq`` and, on a
 bracketed line, ``y_p``, ``y_q`` and ``y_v`` of the line of k's orientation
 into it; the pair has no balance, drop, line-limit, current, ``volt-cover``
@@ -191,17 +191,16 @@ def dead_pairs(case: FeederCase, orient: list[Orientation]) -> np.ndarray:
 
     For microgrid k the map starts from every other source: ``u[src_j, j]``
     is fixed at 1, so ``coverage-unique`` forces ``u[src_j, k] = 0``.  It
-    then takes in a dead node's whole wire component (``wire-consistent``)
-    and its children in ``orient[k]`` (``coverage-parent``), up to a
-    fixpoint.  Source k itself never enters k's map: were it reached, its
-    fixed ``u = 1`` would already make the rows infeasible, and the model
-    keeps that for an LP to find.
+    then takes in a dead node's whole wire component (``wire-consistent``,
+    read from ``case.wire_component``) and its children in ``orient[k]``
+    (``coverage-parent``), up to a fixpoint.  Source k itself never enters
+    k's map: were it reached, its fixed ``u = 1`` would already make the
+    rows infeasible, and the model keeps that for an LP to find.
     """
-    wired: dict[str, list[str]] = {n.id: [] for n in case.nodes}
-    for l in case.lines:
-        if not l.is_switch:
-            wired[l.from_node].append(l.to_node)
-            wired[l.to_node].append(l.from_node)
+    comp = case.wire_component.tolist()
+    members: dict[int, list[str]] = {}
+    for n, c in zip(case.nodes, comp):
+        members.setdefault(c, []).append(n.id)
     dead = np.zeros((len(case.nodes), len(orient)), dtype=bool)
     for k, o in enumerate(orient):
         stack = [other.root for other in orient]
@@ -211,7 +210,7 @@ def dead_pairs(case: FeederCase, orient: list[Orientation]) -> np.ndarray:
             if dead[n, k] or nid == o.root:
                 continue
             dead[n, k] = True
-            stack += wired[nid]
+            stack += members[comp[n]]
             stack += [child for _, child in o.children[nid]]
     return dead
 
@@ -631,8 +630,8 @@ def _radiality_rows(ctx: _Ctx, key: int) -> list[RowBlock]:
     # Per node, its lines' commodity flows, each line in index order, its
     # from end before its to end, signed +1 where the line ends (at both
     # ends of a line from a node to itself) and -1 where it starts.  A source
-    # wired to a neighbor always feeds it; a source whose every connection
-    # is switchable may legitimately stand alone, so the
+    # whose wire component holds another node always feeds it; a source alone
+    # in its component may legitimately stand alone, so the
     # ship-at-least-one-unit row is emitted only where it cannot wrongly
     # forbid that.
     at = np.array([case.node_index[n] for l in case.lines for n in (l.from_node, l.to_node)], dtype=np.int64)
@@ -641,8 +640,8 @@ def _radiality_rows(ctx: _Ctx, key: int) -> list[RowBlock]:
     sw = np.array([l.is_switch for l in case.lines], dtype=bool)
     root = np.zeros(len(case.nodes), dtype=bool)
     root[[case.node_index[e.node] for e in ctx.ess]] = True
-    keep = ~root
-    keep[ends[~sw].reshape(-1)] = True
+    comp = case.wire_component
+    keep = ~root | (np.bincount(comp)[comp] > 1)
     entry = np.flatnonzero(keep[at])
     entry = entry[np.argsort(at[entry], kind="stable")]
     flow = RowBlock(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,28 @@ PLAN_FORMAT = "ugrestore-plan-v1"
 
 class PlanError(ValueError):
     pass
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+# each scalar field of a plan document: the test its value must pass, and what that asks for
+_SCALAR_FIELDS = {
+    "case_name": (lambda v: isinstance(v, str), "a string"),
+    "horizon": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+    "period_hours": (_is_finite, "a finite number"),
+    "kw_base": (_is_finite, "a finite number"),
+    "objective_pu_h": (_is_finite, "a finite number"),
+    "status": (lambda v: isinstance(v, str), "a string"),
+    "gap": (lambda v: v is None or _is_number(v), "a number or null"),
+    "no_swap": (lambda v: isinstance(v, bool), "a boolean"),
+    "ferro_gate": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 @dataclass
@@ -176,29 +199,25 @@ class RestorationPlan:
 
     @classmethod
     def from_dict(cls, data) -> "RestorationPlan":
-        """The plan of a JSON document; :class:`PlanError` if it is not an object, lacks a field or has bad groups."""
+        """The plan of a JSON document; :class:`PlanError` if it is not an object, lacks a field or has one of the wrong type."""
         if not isinstance(data, dict):
             raise PlanError(f"a plan is a JSON object, not {type(data).__name__}")
         if data.get("format") != PLAN_FORMAT:
             raise PlanError(f"unsupported plan format {data.get('format')!r}")
+        missing = next((name for name in (*_SCALAR_FIELDS, "groups") if name not in data), None)
+        if missing is not None:
+            raise PlanError(f"the plan has no field {missing!r}")
+        scalars = {name: data[name] for name in _SCALAR_FIELDS}
+        for name, (ok, kind) in _SCALAR_FIELDS.items():
+            if not ok(scalars[name]):
+                raise PlanError(f"the plan's {name!r} is {scalars[name]!r}, not {kind}")
+        if scalars["gap"] is None:
+            scalars["gap"] = np.inf
         try:
-            return cls(
-                case_name=data["case_name"],
-                horizon=data["horizon"],
-                period_hours=data["period_hours"],
-                kw_base=data["kw_base"],
-                objective_pu_h=data["objective_pu_h"],
-                status=data["status"],
-                gap=np.inf if data["gap"] is None else data["gap"],
-                no_swap=data["no_swap"],
-                ferro_gate=data["ferro_gate"],
-                groups={k: [list(e) for e in v] for k, v in data["groups"].items()},
-                solver_info=data.get("solver_info", {}),
-            )
-        except KeyError as exc:
-            raise PlanError(f"the plan has no field {exc.args[0]!r}") from None
-        except (AttributeError, TypeError):  # from ``groups`` alone: the other fields are stored as they are
+            groups = {k: [list(e) for e in v] for k, v in data["groups"].items()}
+        except (AttributeError, TypeError):
             raise PlanError("the plan's groups are not an object of lists") from None
+        return cls(**scalars, groups=groups, solver_info=data.get("solver_info", {}))
 
     @classmethod
     def load(cls, path) -> "RestorationPlan":

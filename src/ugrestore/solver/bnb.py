@@ -49,8 +49,9 @@ incumbent dominates it, by the same tolerance.
 Only an ``infeasible`` LP prunes a node.  An LP that ends as ``error`` or
 ``unbounded`` (an LP cut off at the deadline ends as ``error``), and an
 integral point that fails the replay, leave their subtree open: the node's
-bound stays in the proven bound, +inf at the root, so the solve cannot claim
-``optimal`` past it.
+bound stays in the proven bound, so the solve cannot claim ``optimal`` past
+it.  At the root that bound is the first root LP's objective where that LP
+was optimal, and +inf where it was not.
 
 A caller-supplied diving heuristic (see the warm-start module) is invoked
 at the root and then every ``DIVE_EVERY`` nodes on the current relaxation
@@ -278,7 +279,7 @@ def solve(
     if root.ok:
         heapq.heappush(heap, _Node(-root.objective, next(tie), {}, root))
     else:
-        search.leave_open(root, np.inf)
+        search.leave_open(root, first.objective if first.ok else np.inf)
 
     while heap:
         if search.out_of_time():

@@ -50,30 +50,26 @@ from ugrestore.solver.lp import LpBackend
 
 
 def _forest(case: FeederCase, priority: dict[int, float] | None = None):
-    """Closed switch states and coverage by greedy component merging.
+    """Closed switch states and coverage by greedy merging of the case's wire components.
 
     ``priority`` ranks switch lines (higher closes first); ties and the
     default fall back to line index order.
     """
-    roots = [e.node for e in case.ess_units]
-    parent: dict[str, str] = {n.id: n.id for n in case.nodes}
+    comp = case.wire_component.tolist()
+    parent = list(range(max(comp) + 1))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    root_of: dict[str, str] = {}
-    for l in case.wire_lines:
-        ra, rb = find(l.from_node), find(l.to_node)
-        if ra != rb:
-            parent[ra] = rb
-    for r in roots:
-        comp = find(r)
-        if comp in root_of:
+    root_of: dict[int, int] = {}  # component holding a source, to the source's microgrid
+    for k, e in enumerate(case.ess_units):
+        c = comp[case.node_index[e.node]]
+        if c in root_of:
             return None  # two sources wired together, no forest separates them
-        root_of[comp] = r
+        root_of[c] = k
 
     order = sorted(
         case.switch_lines,
@@ -81,25 +77,21 @@ def _forest(case: FeederCase, priority: dict[int, float] | None = None):
     )
     gamma: dict[int, float] = {l.index: 0.0 for l in case.switch_lines}
     for l in order:
-        ra, rb = find(l.from_node), find(l.to_node)
+        ra, rb = find(comp[case.node_index[l.from_node]]), find(comp[case.node_index[l.to_node]])
         if ra == rb:
             continue
         if ra in root_of and rb in root_of:
             continue
         parent[ra] = rb
-        newroot = find(rb)
-        src = root_of.pop(ra, None) or root_of.pop(rb, None)
-        if src is not None:
-            root_of[newroot] = src
+        if ra in root_of:
+            root_of[rb] = root_of.pop(ra)
         gamma[l.index] = 1.0
 
-    comps = {find(n.id) for n in case.nodes}
-    if len(comps) != len(roots) or any(c not in root_of for c in comps):
+    merged = [find(c) for c in comp]
+    if any(c not in root_of for c in merged):
         return None
-    idx_of_root = {e.node: k for k, e in enumerate(case.ess_units)}
-    coverage = np.zeros((len(case.nodes), len(roots)))  # over (node, microgrid)
-    for i, n in enumerate(case.nodes):
-        coverage[i, idx_of_root[root_of[find(n.id)]]] = 1.0
+    coverage = np.zeros((len(case.nodes), len(root_of)))  # over (node, microgrid)
+    coverage[np.arange(len(merged)), [root_of[c] for c in merged]] = 1.0
     return gamma, coverage
 
 

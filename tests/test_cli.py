@@ -218,8 +218,22 @@ class TestCheck:
             ({**PLAN_FIELDS, "groups": 5}, "groups are not an object of lists"),
             ({**PLAN_FIELDS, "groups": {"gamma": [1]}}, "groups are not an object of lists"),
             (PLAN_FIELDS, "ess_soc: no value for (0, 0)"),
+            ({**PLAN_FIELDS, "kw_base": "x"}, "'kw_base' is 'x', not a finite number"),
+            ({**PLAN_FIELDS, "period_hours": None}, "'period_hours' is None, not a finite number"),
+            ({**PLAN_FIELDS, "objective_pu_h": float("nan")}, "'objective_pu_h' is nan, not a finite number"),
+            ({**PLAN_FIELDS, "horizon": 1.5}, "'horizon' is 1.5, not an integer"),
+            ({**PLAN_FIELDS, "horizon": True}, "'horizon' is True, not an integer"),
+            ({**PLAN_FIELDS, "gap": "0"}, "'gap' is '0', not a number or null"),
+            ({**PLAN_FIELDS, "no_swap": 0}, "'no_swap' is 0, not a boolean"),
+            ({**PLAN_FIELDS, "ferro_gate": "yes"}, "'ferro_gate' is 'yes', not a boolean"),
+            ({**PLAN_FIELDS, "case_name": 7}, "'case_name' is 7, not a string"),
+            ({**PLAN_FIELDS, "status": None}, "'status' is None, not a string"),
         ],
-        ids=["missing field", "not an object", "groups not an object", "group entry not a list", "no values"],
+        ids=[
+            "missing field", "not an object", "groups not an object", "group entry not a list", "no values",
+            "kw_base a string", "period_hours null", "objective nan", "horizon a float", "horizon a bool",
+            "gap a string", "no_swap an int", "ferro_gate a string", "case_name a number", "status null",
+        ],
     )
     def test_malformed_plan_is_one_error_line(self, outdir, capsys, command, doc, message):
         bad = outdir / "bad.json"

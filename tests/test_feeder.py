@@ -71,7 +71,7 @@ class TestLoadCase:
             {"from": "n1", "to": "n2", "length_miles": 0.1, "impedance_pu": {"aa": [0.01, 0.01]}},
             {"from": "n2", "to": "s", "length_miles": 0.1, "impedance_pu": {"aa": [0.01, 0.01]}},
         ]
-        with pytest.raises(CaseInvariantError, match="cycle"):
+        with pytest.raises(CaseInvariantError, match="^non-switch lines contain a cycle through 'n2'-'s'$"):
             load_case_dict(doc)
 
     def test_load_on_absent_phase_rejected(self):
@@ -301,6 +301,29 @@ class TestDownstreamSets:
         for n in case.nodes:
             assert case.gear_of_downstream_node(n.id) is scan(lambda g: n.id in g.downstream_nodes)
         assert set(case.coupling_line_indices) == {g.line_index for g in case.switchgears}
+
+    @pytest.mark.parametrize("name", shipped_case_names())
+    def test_wire_components_match_scipy(self, name):
+        """The loader's labels are scipy's wire components, numbered by first node; the greedy forest covers each whole."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        from ugrestore.solver import warmstart
+
+        case = shipped_case(name)
+        N, comp = len(case.nodes), case.wire_component
+        ends = np.array([[case.node_index[l.from_node], case.node_index[l.to_node]] for l in case.wire_lines])
+        count, labels = connected_components(
+            coo_matrix((np.ones(len(ends)), ends.reshape(-1, 2).T), shape=(N, N)), directed=False
+        )
+        assert comp.dtype == np.int64 and comp.shape == (N,)
+        assert len(set(zip(comp.tolist(), labels.tolist()))) == count == comp.max() + 1  # one label per component
+        _, first = np.unique(comp, return_index=True)
+        assert np.all(np.diff(first) > 0)
+        got = warmstart._forest(case)
+        if got is not None:
+            coverage = got[1]
+            assert all(np.all(coverage[comp == c] == coverage[comp == c][0]) for c in range(count))
 
 
 class TestRoundTrip:

@@ -1191,6 +1191,18 @@ class TestLpFailures:
         assert sol.status == "feasible" and sol.bound == np.inf
         assert sol.objective == model.objective_value(ws)
 
+    def test_root_refinement_error_keeps_the_first_lps_bound(self, reduced13, monkeypatch):
+        """The root's second LP fails and the master has no time: the first, optimal root LP still bounds the solve."""
+        model = build_model(reduced13, BuildOptions(ferro_gate=False))
+        ws = greedy_warm_start(model, reduced13)
+        monkeypatch.setattr(bnb, "master_bound", lambda *args: np.inf)
+        root_lps = itertools.count()
+        failed, root_objs = _fail_once(monkeypatch, lambda fixes: not fixes and next(root_lps) == 1)
+        sol = solve(model, EXACT, warm_start=ws)
+        assert failed == [{}] and len(root_objs) == 1
+        assert sol.status == "feasible" and sol.objective == model.objective_value(ws)
+        assert sol.bound == root_objs[0] > sol.objective
+
     @pytest.mark.usefixtures("no_master")
     def test_child_error_keeps_inherited_bound(self, toy_fork, monkeypatch):
         model = build_model(toy_fork)
@@ -1677,6 +1689,17 @@ class TestWarmStart:
         assert (ws is None) == (name == "rad_loop4")
         if ws is not None:
             assert free <= pinned[-1] and model.check_solution(ws) == []
+
+    def test_no_forest_when_two_sources_are_wired_together(self, monkeypatch):
+        """``toy_fork`` with every line a wire: no forest separates its two sources, so the greedy yields None."""
+        doc = shipped_doc("toy_fork")
+        for line in doc["lines"]:
+            line["is_switch"] = False
+        case = load_case_dict(doc)
+        assert len(case.ess_units) == 2 and case.wire_component.tolist() == [0] * len(case.nodes)
+        assert warmstart._forest(case) is None
+        monkeypatch.setattr(warmstart, "LpBackend", lambda *args: pytest.fail("an LP for no skeleton"))
+        assert greedy_warm_start(build_model(case), case) is None
 
     def test_time_limit_bounds_the_warm_start(self, reduced13, monkeypatch):
         """The greedy's LPs stop at ``time_limit_s`` after it starts, so a budget shorter than one LP yields no point."""
